@@ -4,11 +4,11 @@
 //     workload, with bit-identity of the resulting locality matrix
 //     asserted for every worker count.
 //  2. Hot-path event-engine storm: the same deterministic single-threaded
-//     event storm on the reference heap engine (the pre-rewrite
-//     binary-heap/std::function implementation, kept as
-//     Engine::kReference) and the bucketed calendar-wheel engine, with
-//     checksums asserted bit-identical and a >=1.5x events/sec gate on the
-//     bucketed engine. Both rates land in the report's "extra" JSON.
+//     event storm on the test-only reference heap scheduler (the original
+//     binary-heap/std::function engine, tests/support/reference_scheduler.h)
+//     and sim::Simulator's bucketed calendar wheel, with checksums asserted
+//     bit-identical and a >=1.5x events/sec gate on the bucketed engine.
+//     Both rates land in the report's "extra" JSON.
 //
 // Exits non-zero on any mismatch, a failed engine gate, or — on hardware
 // with at least 4 cores — if 4 workers fail to reach a 2x speedup.
@@ -16,10 +16,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <memory>
 #include <thread>
-#include <vector>
 
+#include "../tests/support/reference_scheduler.h"
 #include "common.h"
 #include "fbdcsim/monitoring/fbflow.h"
 #include "fbdcsim/runtime/sharded_fleet.h"
@@ -105,21 +104,18 @@ struct StormOutcome {
 /// hot path: many sources rescheduling themselves with small captured
 /// state (48 bytes — within InlineAction's inline buffer), delays mostly
 /// inside the bucketed engine's wheel window with occasional far jumps
-/// through the overflow heap, plus a handful of PeriodicTimers.
+/// through the overflow heap, plus a handful of self-re-arming periodic
+/// events. `Scheduler` is sim::Simulator or tests::ReferenceScheduler.
+template <typename Scheduler>
 class EngineStorm {
  public:
-  explicit EngineStorm(sim::Simulator::Engine engine) : sim_{engine} {}
-
   StormOutcome run() {
     for (std::uint32_t id = 0; id < kSources; ++id) {
       schedule_next(0x9E3779B97F4A7C15ULL * (id + 1), id);
     }
-    timers_.reserve(kTimers);
     for (std::int64_t t = 0; t < kTimers; ++t) {
-      timers_.push_back(std::make_unique<sim::PeriodicTimer>(
-          sim_, core::Duration::micros(50 + 7 * t), [this](core::TimePoint at) {
-            checksum_ = mix(checksum_, static_cast<std::uint64_t>(at.count_nanos()));
-          }));
+      const std::int64_t period_ns = (50 + 7 * t) * 1000;
+      arm_timer(period_ns, period_ns);
     }
     const double t0 = now_seconds();
     sim_.run_until(core::TimePoint::from_nanos(kHorizonNs));
@@ -167,16 +163,25 @@ class EngineStorm {
     });
   }
 
-  sim::Simulator sim_;
+  /// A periodic tick at at_ns, at_ns + period_ns, ...: the event re-arms
+  /// itself after folding its firing time into the checksum.
+  void arm_timer(std::int64_t period_ns, std::int64_t at_ns) {
+    sim_.schedule_at(core::TimePoint::from_nanos(at_ns), [this, period_ns, at_ns] {
+      checksum_ = mix(checksum_, static_cast<std::uint64_t>(at_ns));
+      arm_timer(period_ns, at_ns + period_ns);
+    });
+  }
+
+  Scheduler sim_;
   std::uint64_t checksum_{0};
-  std::vector<std::unique_ptr<sim::PeriodicTimer>> timers_;
 };
 
 /// Best-of-two timed runs (the storm is deterministic, so both runs
 /// produce the same outcome; the min smooths scheduler noise).
-StormOutcome measure_storm(sim::Simulator::Engine engine) {
-  StormOutcome best = EngineStorm{engine}.run();
-  const StormOutcome again = EngineStorm{engine}.run();
+template <typename Scheduler>
+StormOutcome measure_storm() {
+  StormOutcome best = EngineStorm<Scheduler>{}.run();
+  const StormOutcome again = EngineStorm<Scheduler>{}.run();
   if (again.seconds < best.seconds) best = again;
   return best;
 }
@@ -248,8 +253,8 @@ int main() {
   // (one Simulator), so the >=1.5x gate holds at FBDCSIM_THREADS=1 and is
   // unaffected by pool width.
   std::printf("\nevent-engine storm: reference heap engine vs bucketed scheduler\n");
-  const StormOutcome ref = measure_storm(sim::Simulator::Engine::kReference);
-  const StormOutcome buck = measure_storm(sim::Simulator::Engine::kBucketed);
+  const StormOutcome ref = measure_storm<tests::ReferenceScheduler>();
+  const StormOutcome buck = measure_storm<sim::Simulator>();
   const double ref_eps = static_cast<double>(ref.events) / ref.seconds;
   const double buck_eps = static_cast<double>(buck.events) / buck.seconds;
   const double engine_speedup = buck_eps / ref_eps;

@@ -67,41 +67,36 @@ runtime::ThreadPool& BenchEnv::pool() {
 }
 
 const faults::FaultPlan* BenchEnv::fault_plan() {
-  if (!fault_plan_resolved_) {
-    fault_plan_resolved_ = true;
+  if (!fault_plan_) {
     const faults::FaultConfig cfg = faults::fault_config_from_env();
-    if (cfg.profile != faults::Profile::kOff) {
-      fault_plan_ = std::make_unique<faults::FaultPlan>(cfg);
-    }
+    fault_plan_.emplace(cfg.profile == faults::Profile::kOff
+                            ? nullptr
+                            : std::make_unique<faults::FaultPlan>(cfg));
   }
-  return fault_plan_.get();
+  return fault_plan_->get();
 }
 
 const telemetry::ObsConfig& BenchEnv::obs() {
-  if (!obs_resolved_) {
-    obs_resolved_ = true;
-    obs_ = telemetry::obs_config_from_env();
-  }
-  return obs_;
+  if (!obs_) obs_ = telemetry::obs_config_from_env();
+  return *obs_;
 }
 
 transport::CongestionControl BenchEnv::cc() {
-  if (!cc_resolved_) {
-    cc_resolved_ = true;
-    cc_ = transport::cc_from_env();
-  }
-  return cc_;
+  if (!cc_) cc_ = transport::cc_from_env();
+  return *cc_;
 }
 
 transport::LossRecovery BenchEnv::recovery() {
-  if (!recovery_resolved_) {
-    recovery_resolved_ = true;
-    recovery_ = transport::recovery_from_env();
-  }
-  return recovery_;
+  if (!recovery_) recovery_ = transport::recovery_from_env();
+  return *recovery_;
 }
 
 std::vector<RoleTrace> BenchEnv::capture_all(std::vector<CaptureSpec> specs) {
+  // capture() reads these knobs on the workers; resolve them here first so
+  // no two workers race to fill the same slot.
+  (void)obs();
+  (void)cc();
+  (void)recovery();
   std::vector<std::function<RoleTrace()>> tasks;
   tasks.reserve(specs.size());
   for (CaptureSpec& spec : specs) {

@@ -199,14 +199,11 @@ class BenchEnv {
   topology::Fleet fleet_;
   analysis::AddrResolver resolver_;
   std::unique_ptr<runtime::ThreadPool> pool_;
-  std::unique_ptr<faults::FaultPlan> fault_plan_;
-  bool fault_plan_resolved_{false};
-  telemetry::ObsConfig obs_;
-  bool obs_resolved_{false};
-  transport::CongestionControl cc_{transport::CongestionControl::kNewReno};
-  bool cc_resolved_{false};
-  transport::LossRecovery recovery_{transport::LossRecovery::kNewReno};
-  bool recovery_resolved_{false};
+  // FBDCSIM_* knobs: empty until first read, then the parsed value.
+  std::optional<std::unique_ptr<faults::FaultPlan>> fault_plan_;
+  std::optional<telemetry::ObsConfig> obs_;
+  std::optional<transport::CongestionControl> cc_;
+  std::optional<transport::LossRecovery> recovery_;
 };
 
 /// Prints a CDF as (quantile, value) rows at the paper's usual quantiles.

@@ -27,10 +27,10 @@ class InlineAction {
   static constexpr std::size_t kInlineBytes = 56;
   static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
 
-  /// Whether a callable of type F is stored inline (compile-time, so both
-  /// engines count the same schedule the same way regardless of how they
-  /// store it). Requires nothrow move so relocating a queued event can
-  /// never throw mid-engine.
+  /// Whether a callable of type F is stored inline (compile-time, so the
+  /// engine's inline/heap counters are a deterministic property of the
+  /// scheduled types). Requires nothrow move so relocating a queued event
+  /// can never throw mid-engine.
   template <typename F>
   static constexpr bool fits_inline = sizeof(F) <= kInlineBytes &&
                                       alignof(F) <= kInlineAlign &&

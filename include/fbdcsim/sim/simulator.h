@@ -5,38 +5,26 @@
 // deterministic — a prerequisite for the reproducibility promises in
 // DESIGN.md §6.
 //
-// Two engines share this contract (DESIGN.md §9):
-//
-//   - Engine::kBucketed (default): a two-level calendar scheduler. Events
-//     within the near-future window land in a 1024-bucket time wheel
-//     (4.096 us per bucket, ~4.2 ms window) and are sorted per bucket only
-//     when the wheel reaches them; events beyond the window wait in an
-//     overflow heap and migrate into the wheel as it rotates. Actions are
-//     stored as InlineAction (no heap allocation for captures up to 56
-//     bytes — every current hot-path capture).
-//   - Engine::kReference: the pre-rewrite engine, verbatim — a single
-//     std::priority_queue of std::function actions. It exists as the
-//     differential baseline: tests/sim/engine_differential_* prove the
-//     bucketed engine bit-identical to it on every workload preset, and
-//     bench_runtime_scaling measures the bucketed engine's events/sec
-//     against it.
-//
-// Both engines execute the exact same global (time, seq) order, so every
-// simulation output is engine-independent.
+// The scheduler is two-level (DESIGN.md §9). Events within the near-future
+// window land in a 1024-bucket time wheel (4.096 us per bucket, ~4.2 ms
+// window) and are sorted per bucket only when the wheel reaches them;
+// events beyond the window wait in an overflow heap and migrate into the
+// wheel as it rotates. Actions are stored as InlineAction (no heap
+// allocation for captures up to 56 bytes — every current hot-path
+// capture). tests/sim/engine_property_test.cpp checks the execution order
+// against a plain binary-heap oracle (tests/support/reference_scheduler.h).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <queue>
-#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "fbdcsim/core/time.h"
 #include "fbdcsim/sim/inline_action.h"
-#include "fbdcsim/telemetry/telemetry.h"
 
 namespace fbdcsim::sim {
 
@@ -47,54 +35,20 @@ class Simulator {
  public:
   using Action = InlineAction;
 
-  enum class Engine : std::uint8_t {
-    kBucketed,   // calendar wheel + overflow heap, InlineAction storage
-    kReference,  // pre-rewrite binary heap of std::function (differential baseline)
-  };
-
-  Simulator() = default;
-  explicit Simulator(Engine engine) : engine_{engine} {}
-
-  [[nodiscard]] Engine engine() const { return engine_; }
-
   /// Current simulated time.
   [[nodiscard]] TimePoint now() const { return now_; }
 
   /// Schedules a callable at absolute time `at` (must not be in the past).
-  /// The reference engine stores it as std::function exactly as the
-  /// pre-rewrite engine did; the bucketed engine stores it as InlineAction.
-  /// Either way the schedule is counted as inline/heap by what InlineAction
-  /// would do, so the two engines' telemetry stays bit-identical.
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, Action>>>
   void schedule_at(TimePoint at, F&& f) {
-    if (at < now_) throw std::invalid_argument{"Simulator: cannot schedule in the past"};
-    count_schedule(Action::fits_inline<std::decay_t<F>>);
-    if (engine_ == Engine::kReference) {
-      if constexpr (std::is_copy_constructible_v<std::decay_t<F>>) {
-        schedule_reference(at, std::function<void()>(std::forward<F>(f)));
-      } else {
-        // std::function requires copyable targets; box move-only callables.
-        auto boxed = std::make_shared<std::decay_t<F>>(std::forward<F>(f));
-        schedule_reference(at, [boxed] { (*boxed)(); });
-      }
-    } else {
-      schedule_bucketed(at, Action{std::forward<F>(f)});
-    }
+    schedule_at(at, Action{std::forward<F>(f)});
   }
 
   /// Schedules an already type-erased action (hot paths that pre-build
-  /// InlineActions, tests).
-  void schedule_at(TimePoint at, Action action) {
-    if (at < now_) throw std::invalid_argument{"Simulator: cannot schedule in the past"};
-    count_schedule(action.is_inline());
-    if (engine_ == Engine::kReference) {
-      auto boxed = std::make_shared<Action>(std::move(action));
-      schedule_reference(at, [boxed] { (*boxed)(); });
-    } else {
-      schedule_bucketed(at, std::move(action));
-    }
-  }
+  /// InlineActions, tests). Throws std::invalid_argument if `at` is in the
+  /// past.
+  void schedule_at(TimePoint at, Action action);
 
   /// Schedules after a delay from now.
   template <typename F>
@@ -118,36 +72,18 @@ class Simulator {
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
  private:
-  // ---- shared ----
   struct Event {
     TimePoint at;
     std::uint64_t seq;
     Action action;
   };
-  struct RefEvent {
-    TimePoint at;
-    std::uint64_t seq;
-    std::function<void()> action;
-  };
-  template <typename E>
   struct Later {
-    bool operator()(const E& a, const E& b) const {
+    bool operator()(const Event& a, const Event& b) const {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
   };
 
-  void count_schedule(bool inline_path) {
-    FBDCSIM_T_COUNTER(inline_events, "sim.events_inline", Sim);
-    FBDCSIM_T_COUNTER(heap_events, "sim.events_heap", Sim);
-    if (inline_path) {
-      FBDCSIM_T_ADD(inline_events, 1);
-    } else {
-      FBDCSIM_T_ADD(heap_events, 1);
-    }
-  }
-
-  // ---- bucketed engine ----
   static constexpr unsigned kBucketShiftBits = 12;  // 4096 ns per bucket
   static constexpr std::int64_t kWheelSize = 1024;  // ~4.2 ms window
   static constexpr std::int64_t kWheelMask = kWheelSize - 1;
@@ -162,14 +98,10 @@ class Simulator {
     bool dirty{false};   // items[pos..] not known sorted
   };
 
-  void schedule_bucketed(TimePoint at, Action action);
-  void schedule_reference(TimePoint at, std::function<void()> action);
   void run_loop(TimePoint horizon, bool bounded);
-  void run_loop_reference(TimePoint horizon, bool bounded);
   /// Moves overflow events that now fall inside the wheel window into it.
   void migrate_overflow();
 
-  Engine engine_{Engine::kBucketed};
   TimePoint now_;
   std::uint64_t next_seq_{0};
   std::uint64_t executed_{0};
@@ -180,11 +112,9 @@ class Simulator {
   bool draining_{false};    // inside run_loop, draining bucket cursor_
   /// Events scheduled into bucket cursor_ while it is being drained (kept
   /// out of the bucket vector so the in-progress sorted scan stays valid).
-  std::priority_queue<Event, std::vector<Event>, Later<Event>> active_;
+  std::priority_queue<Event, std::vector<Event>, Later> active_;
   /// Events beyond the wheel window, ordered by (time, seq).
-  std::priority_queue<Event, std::vector<Event>, Later<Event>> overflow_;
-
-  std::priority_queue<RefEvent, std::vector<RefEvent>, Later<RefEvent>> ref_queue_;
+  std::priority_queue<Event, std::vector<Event>, Later> overflow_;
 };
 
 /// A repeating timer: invokes `tick` every `period` until cancelled or the

@@ -33,8 +33,8 @@
 // Determinism contract: the ledger is fed exclusively from the owning
 // simulation's thread, stores only sim-derived integers, and keeps records
 // in a bounded arena-backed ring (completion order, oldest evicted first) —
-// so flows_to_jsonl output is bit-identical across engines and
-// FBDCSIM_THREADS settings, and empty (byte-identical-off) unless
+// so flows_to_jsonl output is bit-identical across FBDCSIM_THREADS
+// settings, and empty (byte-identical-off) unless
 // FBDCSIM_OBS=flows opted in.
 #pragma once
 

@@ -13,8 +13,7 @@
 //
 // Determinism contract (DESIGN.md §11): everything here is keyed to sim time
 // and derived purely from simulation state — snapshots and their JSON
-// rendering are bit-identical across FBDCSIM_THREADS, engines, and merge
-// orders. All state is plain data (no global registry, no atomics): one
+// rendering are bit-identical across FBDCSIM_THREADS and merge orders. All state is plain data (no global registry, no atomics): one
 // probe belongs to one simulation and is driven by its owner's
 // sim::PeriodicTimer via sample_tick(), keeping telemetry free of a sim/
 // dependency.

@@ -10,7 +10,7 @@
 //
 // Exports are canonical: dumps are ordered by source id (monitored-host id)
 // and records within a source keep sim-time order, so JSONL output is
-// bit-identical across FBDCSIM_THREADS=1/2/8, engines, and merge orders.
+// bit-identical across FBDCSIM_THREADS=1/2/8 and merge orders.
 // The Chrome-trace rendering emits sim-clock instant events on their own
 // pid, never interleaved with the wall-clock spans of trace.h (the
 // determinism contract made visible, DESIGN.md §11).

@@ -23,10 +23,10 @@
 // matches the scripted path and the feedback-loop length equals the full
 // path RTT.
 //
-// Engine contract (PR-4): every scheduled lambda fits sim::InlineAction's
-// inline storage (events stay heap-free), connections recycle through a
-// pool, and every telemetry metric is Kind::kSim — deterministic across
-// engines and FBDCSIM_THREADS settings. In-flight packets carry
+// Engine contract (DESIGN.md §9/§10): every scheduled lambda fits
+// sim::InlineAction's inline storage (events stay heap-free), connections
+// recycle through a pool, and every telemetry metric is Kind::kSim —
+// deterministic across FBDCSIM_THREADS settings. In-flight packets carry
 // `flow_tag` = (slot << 8) | generation; events resolving a stale tag
 // (connection since recycled) are ignored.
 #pragma once

@@ -134,8 +134,8 @@ void apply_rto(HalfStream& h, const TcpParams& p);
 // ---- pure congestion-control laws (DCTCP, RFC 8257) ----
 //
 // All DCTCP arithmetic is integer fixed point (Q16: kDctcpAlphaUnit means
-// alpha = 1.0) so runs are bit-identical across platforms, engines, and
-// thread counts — the same determinism contract every other sim-path law
+// alpha = 1.0) so runs are bit-identical across platforms and thread
+// counts — the same determinism contract every other sim-path law
 // obeys.
 
 /// Q16 fixed-point unit for the DCTCP mark-fraction EWMA.
@@ -168,7 +168,7 @@ bool receiver_deliver(HalfStream& h, std::int64_t seq, std::int64_t len, bool ps
 //
 // All state lives in the same HalfStream the Reno laws use, so the property
 // suite exercises every law without a simulator, and runs stay bit-identical
-// across engines and thread counts (integer arithmetic only).
+// across thread counts (integer arithmetic only).
 
 /// One SACK block [lo, hi), byte-stream offsets. lo == hi means "no block".
 struct SackBlock {

@@ -8,6 +8,11 @@
 // switch buffer at 10-us granularity. The result of a run is exactly what
 // the paper's collection servers spool to storage: a timestamped
 // packet-header trace plus switch counters.
+//
+// Each RackSimulation owns one single-threaded sim::Simulator, so a run's
+// output is a pure function of its config: identical across processes and
+// FBDCSIM_THREADS settings (DESIGN.md §6/§7), and pinned by the committed
+// goldens under tests/golden/.
 #pragma once
 
 #include <memory>
@@ -80,10 +85,6 @@ struct RackSimConfig {
   Transport transport = Transport::kScripted;
   /// Flow-level TCP tuning, used only when `transport == kTcp`.
   transport::TcpParams tcp;
-  /// Event-engine selection. kBucketed is the production engine;
-  /// kReference exists for the differential bit-identity harness
-  /// (tests/sim/engine_differential_*) and engine benchmarks.
-  sim::Simulator::Engine engine = sim::Simulator::Engine::kBucketed;
   /// Sim-time observability (DESIGN.md §11). Off by default: runs stay
   /// byte-identical to pre-observability releases. When enabled (and
   /// telemetry is compiled in and runtime-enabled), a TimeSeriesProbe
@@ -162,7 +163,7 @@ class RackSimulation : public services::TrafficSink {
   services::ServiceMix background_mix_;
   core::RackId rack_;
 
-  sim::Simulator sim_{config_.engine};
+  sim::Simulator sim_;
   std::unique_ptr<switching::SharedBufferSwitch> rsw_;
   /// Flow-level TCP engine; null in scripted mode. Constructed before the
   /// models so Wire can pick it up via TrafficSink::transport().

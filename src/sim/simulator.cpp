@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "fbdcsim/telemetry/telemetry.h"
+
 #if FBDCSIM_TELEMETRY_ENABLED
 #include <chrono>
 #endif
@@ -60,7 +62,16 @@ bool earlier(const E& a, const E& b) {
 
 }  // namespace
 
-void Simulator::schedule_bucketed(TimePoint at, Action action) {
+void Simulator::schedule_at(TimePoint at, Action action) {
+  if (at < now_) throw std::invalid_argument{"Simulator: cannot schedule in the past"};
+  FBDCSIM_T_COUNTER(inline_events, "sim.events_inline", Sim);
+  FBDCSIM_T_COUNTER(heap_events, "sim.events_heap", Sim);
+  if (action.is_inline()) {
+    FBDCSIM_T_ADD(inline_events, 1);
+  } else {
+    FBDCSIM_T_ADD(heap_events, 1);
+  }
+
   const std::int64_t idx = bucket_of(at);
   Event ev{at, next_seq_++, std::move(action)};
   ++size_;
@@ -88,11 +99,6 @@ void Simulator::schedule_bucketed(TimePoint at, Action action) {
   }
   if (!b.dirty && !b.items.empty() && ev.at < b.items.back().at) b.dirty = true;
   b.items.push_back(std::move(ev));
-}
-
-void Simulator::schedule_reference(TimePoint at, std::function<void()> action) {
-  ref_queue_.push(RefEvent{at, next_seq_++, std::move(action)});
-  ++size_;
 }
 
 void Simulator::migrate_overflow() {
@@ -175,28 +181,11 @@ void Simulator::run_loop(TimePoint horizon, bool bounded) {
   }
 }
 
-void Simulator::run_loop_reference(TimePoint horizon, bool bounded) {
-  while (!ref_queue_.empty() && (!bounded || ref_queue_.top().at <= horizon)) {
-    // priority_queue::top() is const; moving the action out requires a cast.
-    // The pop immediately after makes this safe.
-    RefEvent ev = std::move(const_cast<RefEvent&>(ref_queue_.top()));
-    ref_queue_.pop();
-    --size_;
-    now_ = ev.at;
-    ++executed_;
-    ev.action();
-  }
-}
-
 void Simulator::run_until(TimePoint horizon) {
 #if FBDCSIM_TELEMETRY_ENABLED
   RunMetricsScope metrics{executed_};
 #endif
-  if (engine_ == Engine::kReference) {
-    run_loop_reference(horizon, /*bounded=*/true);
-  } else {
-    run_loop(horizon, /*bounded=*/true);
-  }
+  run_loop(horizon, /*bounded=*/true);
   if (now_ < horizon) now_ = horizon;
 }
 
@@ -204,11 +193,7 @@ void Simulator::run() {
 #if FBDCSIM_TELEMETRY_ENABLED
   RunMetricsScope metrics{executed_};
 #endif
-  if (engine_ == Engine::kReference) {
-    run_loop_reference(TimePoint{}, /*bounded=*/false);
-  } else {
-    run_loop(TimePoint{}, /*bounded=*/false);
-  }
+  run_loop(TimePoint{}, /*bounded=*/false);
 }
 
 void Simulator::clear() {
@@ -219,7 +204,6 @@ void Simulator::clear() {
   }
   while (!active_.empty()) active_.pop();
   while (!overflow_.empty()) overflow_.pop();
-  while (!ref_queue_.empty()) ref_queue_.pop();
   size_ = 0;
 }
 

@@ -1,37 +1,23 @@
-// Golden generator for the scripted-transport differential gate.
+// Golden generator for the transport golden gates.
 //
-// Prints one line per (role, faults) preset: the order-sensitive
-// fingerprint of a default-config rack capture (the same presets the
-// engine-differential harness runs). The committed golden
-// (tests/golden/transport_scripted.golden.txt) was produced by this tool
-// on the tree BEFORE the transport/ subsystem landed; the
-// TransportScriptedGolden test re-runs the presets with
-// RackSimConfig::transport = kScripted and compares, proving the opt-in
-// TCP path leaves the scripted path byte-identical to pre-transport
-// output. Regenerate (only when a PR deliberately changes scripted
-// output) with:
+// Prints one golden_line() per (role, faults) preset — the order-sensitive
+// fingerprint, trace length, and event count of a golden_preset() rack
+// capture (tests/support/rack_fingerprint.h). The flag picks the transport
+// configuration; each committed golden is this tool's output for one flag:
+//
+//   (none)     transport = kScripted       transport_scripted.golden.txt
+//   --tcp      kTcp, default TcpParams     transport_newreno.golden.txt
+//   --sack     kTcp, recovery = kSack      transport_recovery_sack.golden.txt
+//   --dctcp    kTcp, cc = kDctcp,          transport_dctcp.golden.txt
+//              rtt_mode = kTopology
+//
+// TransportScriptedGolden, DctcpGolden, and SackGolden re-run the presets
+// and compare line by line (tests/support/golden_gate.h). Regenerate only
+// when a change deliberately moves the corresponding path
+// (tests/golden/README.md):
 //
 //   cmake --build build --target gen_transport_scripted
-//   ./build/tests/gen_transport_scripted > tests/golden/transport_scripted.golden.txt
-//
-// With `--tcp` the same presets run with RackSimConfig::transport = kTcp
-// (default TcpParams, i.e. cc = kNewReno), producing the golden for the
-// flow-level default path:
-//
 //   ./build/tests/gen_transport_scripted --tcp > tests/golden/transport_newreno.golden.txt
-//
-// That file was generated on the tree BEFORE the DCTCP/ECN + topology-RTT
-// variant landed; DctcpGolden.NewRenoDefaultMatchesPrePrOutput re-runs the
-// presets and compares, proving the kNewReno default stayed byte-identical.
-// tests/golden/transport_recovery_newreno.golden.txt is the same presets
-// generated on the tree BEFORE the SACK recovery variant landed (it equals
-// transport_newreno.golden.txt by construction); SackGolden re-runs them
-// with TcpParams::recovery = kNewReno explicit and compares.
-//
-// With `--sack` the kTcp presets run with TcpParams::recovery = kSack —
-// handy for eyeballing the variant's fingerprints; no golden commits this
-// output (the SACK differential pins bit-identity across engines and
-// thread counts instead).
 #include <cstdio>
 #include <cstring>
 
@@ -42,27 +28,24 @@
 using namespace fbdcsim;
 
 int main(int argc, char** argv) {
-  const bool sack = argc > 1 && std::strcmp(argv[1], "--sack") == 0;
-  const bool tcp = sack || (argc > 1 && std::strcmp(argv[1], "--tcp") == 0);
-  const core::HostRole kRoles[] = {core::HostRole::kWeb, core::HostRole::kCacheFollower,
-                                   core::HostRole::kCacheLeader, core::HostRole::kHadoop};
+  const char* mode = argc > 1 ? argv[1] : "";
+  const bool sack = std::strcmp(mode, "--sack") == 0;
+  const bool dctcp = std::strcmp(mode, "--dctcp") == 0;
+  const bool tcp = sack || dctcp || std::strcmp(mode, "--tcp") == 0;
   const topology::Fleet fleet = workload::build_rack_experiment_fleet();
   const faults::FaultPlan heavy{faults::heavy_profile()};
-  for (const core::HostRole role : kRoles) {
+  for (const core::HostRole role : tests::kGoldenRoles) {
     for (const bool faulted : {false, true}) {
       workload::RackSimConfig cfg =
-          workload::default_rack_config(fleet, role, core::Duration::millis(300));
-      cfg.warmup = core::Duration::millis(100);
-      cfg.sample_buffer = true;
+          tests::golden_preset(fleet, role, faulted ? &heavy : nullptr);
       if (tcp) cfg.transport = workload::Transport::kTcp;
       if (sack) cfg.tcp.recovery = transport::LossRecovery::kSack;
-      if (faulted) cfg.faults = &heavy;
+      if (dctcp) {
+        cfg.tcp.cc = transport::CongestionControl::kDctcp;
+        cfg.tcp.rtt_mode = transport::RttMode::kTopology;
+      }
       workload::RackSimulation rack{fleet, cfg};
-      const workload::RackSimResult result = rack.run();
-      std::printf("%s %s %016llx %zu %llu\n", core::to_string(role),
-                  faulted ? "heavy" : "off",
-                  static_cast<unsigned long long>(tests::fingerprint(result)),
-                  result.trace.size(), static_cast<unsigned long long>(result.events));
+      std::printf("%s\n", tests::golden_line(role, faulted, rack.run()).c_str());
     }
   }
   return 0;

@@ -3,9 +3,10 @@
 // Each seeded case generates a random schedule — batches of events across
 // bucket and wheel-window boundaries, children scheduled from inside
 // running actions, horizon-bounded runs, occasional mid-action clear() —
-// executes it on both engines, and asserts:
+// executes it on sim::Simulator and on the binary-heap oracle
+// (tests/support/reference_scheduler.h), and asserts:
 //
-//   1. the bucketed log is identical to the reference-engine log
+//   1. the Simulator log is identical to the oracle's log
 //      (same events, same order, same timestamps);
 //   2. execution times are globally nondecreasing;
 //   3. equal-time events fire in schedule order (ids strictly increase
@@ -20,6 +21,7 @@
 #include <random>
 #include <vector>
 
+#include "../support/reference_scheduler.h"
 #include "fbdcsim/sim/simulator.h"
 
 namespace fbdcsim::sim {
@@ -43,16 +45,16 @@ enum class Style {
 constexpr std::int64_t kBucketNs = 4096;          // engine bucket width
 constexpr std::int64_t kWindowNs = 1024 * kBucketNs;  // wheel span
 
+template <typename Scheduler>
 struct Driver {
-  Simulator sim;
+  Scheduler sim;
   std::mt19937_64 rng;
   Style style;
   std::vector<LogEntry> log;
   std::uint64_t next_id{0};
   std::uint64_t event_budget{600};
 
-  Driver(Simulator::Engine engine, std::uint64_t seed, Style s)
-      : sim{engine}, rng{seed}, style{s} {}
+  Driver(std::uint64_t seed, Style s) : rng{seed}, style{s} {}
 
   std::int64_t draw_delta() {
     switch (style) {
@@ -134,18 +136,19 @@ class EnginePropertyTest : public ::testing::TestWithParam<std::uint64_t> {
     const Style style = style_for_suite(
         ::testing::UnitTest::GetInstance()->current_test_info()->test_suite_name());
 
-    Driver bucketed{Simulator::Engine::kBucketed, seed, style};
-    bucketed.run_scenario();
-    Driver reference{Simulator::Engine::kReference, seed, style};
-    reference.run_scenario();
+    Driver<Simulator> simulator{seed, style};
+    simulator.run_scenario();
+    Driver<tests::ReferenceScheduler> oracle{seed, style};
+    oracle.run_scenario();
 
-    ASSERT_FALSE(bucketed.log.empty());
-    ASSERT_EQ(bucketed.log.size(), reference.log.size());
-    EXPECT_EQ(bucketed.log, reference.log);
-    check_laws(bucketed.log);
-    EXPECT_EQ(bucketed.sim.executed_events(), reference.sim.executed_events());
-    EXPECT_EQ(bucketed.sim.pending_events(), 0u);
-    EXPECT_EQ(bucketed.sim.now(), reference.sim.now());
+    ASSERT_FALSE(simulator.log.empty());
+    ASSERT_EQ(simulator.log.size(), oracle.log.size());
+    EXPECT_EQ(simulator.log, oracle.log);
+    check_laws(simulator.log);
+    EXPECT_EQ(simulator.sim.executed_events(), oracle.sim.executed_events());
+    EXPECT_EQ(simulator.sim.pending_events(), 0u);
+    EXPECT_EQ(oracle.sim.pending_events(), 0u);
+    EXPECT_EQ(simulator.sim.now(), oracle.sim.now());
   }
 };
 
@@ -174,12 +177,12 @@ TEST_P(OverflowHeap, MatchesReferenceAndOrderLaws) { run_and_compare(); }
 INSTANTIATE_TEST_SUITE_P(Seeds, OverflowHeap, ::testing::Range<std::uint64_t>(500, 524));
 
 // The horizon law needs direct inspection too (the differential comparison
-// alone can't see *which* events stayed pending).
-class HorizonLawTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(HorizonLawTest, StrictlyLaterEventsStayQueuedAndClockPins) {
-  std::mt19937_64 rng{GetParam()};
-  Simulator sim;
+// alone can't see *which* events stayed pending). It runs on the oracle as
+// well, so the baseline the suites above compare against obeys it too.
+template <typename Scheduler>
+void check_horizon_law(std::uint64_t seed) {
+  std::mt19937_64 rng{seed};
+  Scheduler sim;
   std::vector<std::int64_t> times;
   for (int i = 0; i < 200; ++i) {
     const auto t = static_cast<std::int64_t>(rng() % (4 * kWindowNs));
@@ -200,6 +203,13 @@ TEST_P(HorizonLawTest, StrictlyLaterEventsStayQueuedAndClockPins) {
   sim.run();
   EXPECT_EQ(sim.executed_events(), times.size());
   EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+class HorizonLawTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(HorizonLawTest, StrictlyLaterEventsStayQueuedAndClockPins) {
+  check_horizon_law<Simulator>(GetParam());
+  check_horizon_law<tests::ReferenceScheduler>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HorizonLawTest, ::testing::Range<std::uint64_t>(600, 632));

@@ -151,51 +151,33 @@ TEST(PeriodicTimerTest, DestroyingTimerInsideOwnTickIsSafe) {
 }
 
 TEST(PeriodicTimerTest, SimulatorClearDuringTickIsSafe) {
-  for (const auto engine : {Simulator::Engine::kBucketed, Simulator::Engine::kReference}) {
-    Simulator sim{engine};
-    int fires = 0;
-    PeriodicTimer timer{sim, Duration::millis(10), [&](TimePoint) {
-      if (++fires == 3) sim.clear();
-    }};
-    sim.run_until(TimePoint::from_nanos(200'000'000));
-    // clear() dropped the pending re-arm event, but the tick itself re-arms
-    // after returning; cancel to stop the chain and drain.
-    EXPECT_GE(fires, 3);
-    timer.cancel();
-    sim.clear();
-    EXPECT_EQ(sim.pending_events(), 0u);
-  }
+  Simulator sim;
+  int fires = 0;
+  PeriodicTimer timer{sim, Duration::millis(10), [&](TimePoint) {
+    if (++fires == 3) sim.clear();
+  }};
+  sim.run_until(TimePoint::from_nanos(200'000'000));
+  // clear() dropped the pending re-arm event, but the tick itself re-arms
+  // after returning; cancel to stop the chain and drain.
+  EXPECT_GE(fires, 3);
+  timer.cancel();
+  sim.clear();
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 TEST(SimulatorTest, ClearInsideActionDropsQueueButKeepsNewSchedules) {
-  for (const auto engine : {Simulator::Engine::kBucketed, Simulator::Engine::kReference}) {
-    Simulator sim{engine};
-    std::vector<int> order;
-    sim.schedule_at(TimePoint::from_seconds(2.0), [&] { order.push_back(2); });
-    sim.schedule_at(TimePoint::from_seconds(3.0), [&] { order.push_back(3); });
-    sim.schedule_at(TimePoint::from_seconds(1.0), [&] {
-      order.push_back(1);
-      sim.clear();  // drops the t=2 and t=3 events
-      sim.schedule_after(Duration::seconds(4), [&] { order.push_back(5); });
-    });
-    sim.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 5}));
-    EXPECT_EQ(sim.now(), TimePoint::from_seconds(5.0));
-  }
-}
-
-TEST(SimulatorTest, ReferenceEngineMatchesOriginalSemantics) {
-  Simulator sim{Simulator::Engine::kReference};
-  EXPECT_EQ(sim.engine(), Simulator::Engine::kReference);
+  Simulator sim;
   std::vector<int> order;
   sim.schedule_at(TimePoint::from_seconds(2.0), [&] { order.push_back(2); });
-  sim.schedule_at(TimePoint::from_seconds(1.0), [&] { order.push_back(1); });
-  EXPECT_EQ(sim.pending_events(), 2u);
-  sim.run_until(TimePoint::from_seconds(1.5));
-  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.schedule_at(TimePoint::from_seconds(3.0), [&] { order.push_back(3); });
+  sim.schedule_at(TimePoint::from_seconds(1.0), [&] {
+    order.push_back(1);
+    sim.clear();  // drops the t=2 and t=3 events
+    sim.schedule_after(Duration::seconds(4), [&] { order.push_back(5); });
+  });
   sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(sim.executed_events(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 5}));
+  EXPECT_EQ(sim.now(), TimePoint::from_seconds(5.0));
 }
 
 TEST(SimulatorTest, EventsBeyondWheelWindowFireInOrder) {
@@ -282,16 +264,13 @@ TEST(SimulatorTest, PendingEventsTracksAllTiers) {
   EXPECT_EQ(sim.executed_events(), 3u);
 }
 
-TEST(SimulatorTest, MoveOnlyCallablesWorkOnBothEngines) {
-  for (const auto engine : {Simulator::Engine::kBucketed, Simulator::Engine::kReference}) {
-    Simulator sim{engine};
-    auto payload = std::make_unique<int>(17);
-    int seen = 0;
-    sim.schedule_at(TimePoint::from_nanos(5),
-                    [p = std::move(payload), &seen] { seen = *p; });
-    sim.run();
-    EXPECT_EQ(seen, 17);
-  }
+TEST(SimulatorTest, MoveOnlyCallablesWork) {
+  Simulator sim;
+  auto payload = std::make_unique<int>(17);
+  int seen = 0;
+  sim.schedule_at(TimePoint::from_nanos(5), [p = std::move(payload), &seen] { seen = *p; });
+  sim.run();
+  EXPECT_EQ(seen, 17);
 }
 
 }  // namespace

@@ -1,17 +1,21 @@
 // Shared order-sensitive fingerprints of rack-simulation output, used by
-// the engine-differential harness, the transport differential tests, and
-// the scripted-path golden generator. A fingerprint covers everything a
-// run produces: the packet trace (timestamps, tuples, sizes, flags),
-// buffer-occupancy seconds, aggregated port counters, capture-loss
-// counters, and the executed-event count — so two runs with equal
-// fingerprints are bit-identical for every analysis downstream.
+// the pool-width differential tests, the transport golden gates, and the
+// golden generator (tests/golden/gen_transport_scripted.cpp). A
+// fingerprint covers everything a run produces: the packet trace
+// (timestamps, tuples, sizes, flags), buffer-occupancy seconds, aggregated
+// port counters, capture-loss counters, and the executed-event count — so
+// two runs with equal fingerprints are bit-identical for every analysis
+// downstream. The committed transport_*.golden.txt files hold one
+// golden_line() per golden_preset().
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
 #include "fbdcsim/telemetry/export.h"
 #include "fbdcsim/telemetry/telemetry.h"
+#include "fbdcsim/workload/presets.h"
 #include "fbdcsim/workload/rack_sim.h"
 
 namespace fbdcsim::tests {
@@ -60,6 +64,36 @@ inline std::uint64_t fingerprint(const workload::RackSimResult& r) {
   h = mix64(h, static_cast<std::uint64_t>(r.capture_injected_dropped));
   h = mix64(h, r.events);
   return h;
+}
+
+/// The monitored roles every transport golden covers, in file order.
+inline constexpr core::HostRole kGoldenRoles[] = {
+    core::HostRole::kWeb, core::HostRole::kCacheFollower, core::HostRole::kCacheLeader,
+    core::HostRole::kHadoop};
+
+/// The rack preset one golden line pins: a 300 ms capture after 100 ms of
+/// warm-up, buffer sampling on, under `faults` (nullptr = fault-free).
+/// Transport settings are left at their defaults for the caller to set.
+inline workload::RackSimConfig golden_preset(const topology::Fleet& fleet,
+                                             core::HostRole role,
+                                             const faults::FaultPlan* faults) {
+  workload::RackSimConfig cfg =
+      workload::default_rack_config(fleet, role, core::Duration::millis(300));
+  cfg.warmup = core::Duration::millis(100);
+  cfg.sample_buffer = true;
+  cfg.faults = faults;
+  return cfg;
+}
+
+/// One golden line: "<role> <off|heavy> <fingerprint> <trace length>
+/// <executed events>".
+inline std::string golden_line(core::HostRole role, bool heavy,
+                               const workload::RackSimResult& r) {
+  char buf[128];
+  std::snprintf(buf, sizeof buf, "%s %s %016llx %zu %llu", core::to_string(role),
+                heavy ? "heavy" : "off", static_cast<unsigned long long>(fingerprint(r)),
+                r.trace.size(), static_cast<unsigned long long>(r.events));
+  return buf;
 }
 
 /// The deterministic (Kind::kSim) section of the global metrics snapshot,

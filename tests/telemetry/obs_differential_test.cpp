@@ -1,10 +1,7 @@
 // Differential gate for the observability layer (DESIGN.md §11): the
-// time-series JSON and tracepoint JSONL a capture produces are part of its
-// deterministic output, so they must be bit-identical across
-//
-//   - the two event engines (kReference heap vs kBucketed), and
-//   - thread-pool widths 1/2/8 (one Simulator per capture on the pool),
-//
+// time-series JSON, tracepoint JSONL, and flows JSONL a capture produces
+// are part of its deterministic output, so they must be bit-identical
+// across thread-pool widths 1/2/8 (one Simulator per capture on the pool)
 // under the heaviest observable load we can arrange: flow-level TCP with
 // the heavy fault profile, so drops, RTO fires, fast-retransmit
 // transitions, and fault epochs all hit the flight recorder.
@@ -57,14 +54,12 @@ class TelemetryOn {
 };
 
 workload::RackSimConfig obs_config(const topology::Fleet& fleet, HostRole role,
-                                   const faults::FaultPlan* plan,
-                                   sim::Simulator::Engine engine) {
+                                   const faults::FaultPlan* plan) {
   workload::RackSimConfig cfg =
       workload::default_rack_config(fleet, role, core::Duration::millis(200));
   cfg.warmup = core::Duration::millis(100);
   cfg.transport = workload::Transport::kTcp;
   cfg.faults = plan;
-  cfg.engine = engine;
   cfg.obs.mode = ObsConfig::Mode::kOn;
   cfg.obs.probe_period = core::Duration::micros(20);
   cfg.obs.series_capacity = 32;
@@ -75,8 +70,8 @@ workload::RackSimConfig obs_config(const topology::Fleet& fleet, HostRole role,
 }
 
 ObsOutput run_one(const topology::Fleet& fleet, HostRole role,
-                  const faults::FaultPlan* plan, sim::Simulator::Engine engine) {
-  workload::RackSimulation rack{fleet, obs_config(fleet, role, plan, engine)};
+                  const faults::FaultPlan* plan) {
+  workload::RackSimulation rack{fleet, obs_config(fleet, role, plan)};
   const workload::RackSimResult result = rack.run();
   ObsOutput out;
   out.timeseries_json = timeseries_to_json(result.timeseries);
@@ -103,30 +98,6 @@ void expect_same(const ObsOutput& baseline, const ObsOutput& got, const char* wh
   }
 }
 
-TEST(ObsDifferential, BitIdenticalAcrossEngines) {
-  TelemetryOn on;
-  const topology::Fleet fleet = workload::build_rack_experiment_fleet();
-  const faults::FaultPlan heavy{faults::heavy_profile()};
-  for (const HostRole role : {HostRole::kWeb, HostRole::kHadoop}) {
-    const ObsOutput ref =
-        run_one(fleet, role, &heavy, sim::Simulator::Engine::kReference);
-    const ObsOutput bucketed =
-        run_one(fleet, role, &heavy, sim::Simulator::Engine::kBucketed);
-#if FBDCSIM_TELEMETRY_ENABLED
-    // The heavy profile must actually exercise the recorder, or this gate
-    // compares empty strings forever.
-    EXPECT_GT(ref.tracepoint_total, 0) << "heavy profile produced no tracepoints";
-    EXPECT_NE(ref.timeseries_json, "{\"series\":{}}");
-    // 200 ms of TCP closes transfers past the 512-record ring, so the gate
-    // covers eviction-order determinism, not just the easy no-wrap case.
-    EXPECT_GT(ref.flows_total, 512) << "flows gate never exercised eviction";
-    EXPECT_FALSE(ref.flows_jsonl.empty()) << "flows gate compares empty strings";
-#endif
-    expect_same(ref, bucketed,
-                role == HostRole::kWeb ? "engines, Web" : "engines, Hadoop");
-  }
-}
-
 TEST(ObsDifferential, BitIdenticalAcrossThreadCounts) {
   TelemetryOn on;
   const topology::Fleet fleet = workload::build_rack_experiment_fleet();
@@ -135,9 +106,7 @@ TEST(ObsDifferential, BitIdenticalAcrossThreadCounts) {
   auto run_batch = [&](int workers) {
     std::vector<std::function<ObsOutput()>> tasks;
     for (const HostRole role : {HostRole::kWeb, HostRole::kHadoop}) {
-      tasks.push_back([&fleet, &heavy, role] {
-        return run_one(fleet, role, &heavy, sim::Simulator::Engine::kBucketed);
-      });
+      tasks.push_back([&fleet, &heavy, role] { return run_one(fleet, role, &heavy); });
     }
     runtime::ThreadPool pool{workers};
     runtime::ParallelCaptureRunner runner{pool};
@@ -146,6 +115,18 @@ TEST(ObsDifferential, BitIdenticalAcrossThreadCounts) {
 
   const std::vector<ObsOutput> baseline = run_batch(1);
   ASSERT_EQ(baseline.size(), 2u);
+#if FBDCSIM_TELEMETRY_ENABLED
+  for (const ObsOutput& out : baseline) {
+    // The heavy profile must actually exercise the recorder, or this gate
+    // compares empty strings forever.
+    EXPECT_GT(out.tracepoint_total, 0) << "heavy profile produced no tracepoints";
+    EXPECT_NE(out.timeseries_json, "{\"series\":{}}");
+    // 200 ms of TCP closes transfers past the 512-record ring, so the gate
+    // covers eviction-order determinism, not just the easy no-wrap case.
+    EXPECT_GT(out.flows_total, 512) << "flows gate never exercised eviction";
+    EXPECT_FALSE(out.flows_jsonl.empty()) << "flows gate compares empty strings";
+  }
+#endif
   for (const int workers : {2, 8}) {
     const std::vector<ObsOutput> got = run_batch(workers);
     ASSERT_EQ(got.size(), 2u);
