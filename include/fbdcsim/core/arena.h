@@ -13,7 +13,7 @@
 // the counters are bit-identical across thread counts):
 //   arena.bytes  bytes obtained from the system allocator (chunk mallocs)
 //   arena.reuse  allocations served from recycled memory (pool free-list
-//                hits and retired-chunk reuse after reset())
+//                hits, retired-chunk reuse), published on destruction
 //
 // Lifetime rules (DESIGN.md §9): an Arena frees its chunks only on
 // destruction; reset() retires them for reuse. Objects created from a Pool
@@ -32,6 +32,15 @@
 
 namespace fbdcsim::core {
 
+namespace detail {
+/// Adds a destroyed Pool's or Arena's reuse count to "arena.reuse".
+inline void publish_arena_reuse(std::int64_t reused) {
+  if (reused == 0) return;
+  FBDCSIM_T_COUNTER(reuse, "arena.reuse", Sim);
+  FBDCSIM_T_ADD(reuse, reused);
+}
+}  // namespace detail
+
 /// Chunked bump allocator. allocate() is a pointer bump; a fresh chunk is
 /// malloc'd (or reused from the retired list) only when the current one is
 /// exhausted. Never frees individual allocations.
@@ -48,6 +57,7 @@ class Arena {
   ~Arena() {
     release_list(live_);
     release_list(retired_);
+    detail::publish_arena_reuse(chunks_reused_);
   }
 
   /// Returns `bytes` of storage aligned to `align` (a power of two no
@@ -114,8 +124,6 @@ class Arena {
         chunk->next = live_;
         live_ = chunk;
         ++chunks_reused_;
-        FBDCSIM_T_COUNTER(reuse, "arena.reuse", Sim);
-        FBDCSIM_T_ADD(reuse, 1);
         return allocate(bytes, align);
       }
       link = &(*link)->next;
@@ -159,6 +167,8 @@ class Pool {
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
+  ~Pool() { detail::publish_arena_reuse(reused_); }
+
   template <typename... Args>
   [[nodiscard]] T* create(Args&&... args) {
     void* slot;
@@ -166,8 +176,6 @@ class Pool {
       slot = free_;
       free_ = free_->next;
       ++reused_;
-      FBDCSIM_T_COUNTER(reuse, "arena.reuse", Sim);
-      FBDCSIM_T_ADD(reuse, 1);
     } else {
       slot = arena_->allocate(sizeof(Slot), alignof(Slot));
     }

@@ -7,7 +7,7 @@
 // inline buffer to kInlineBytes so every capture the engine's clients use
 // today — rack_sim, SharedBufferSwitch, the service models, PeriodicTimer —
 // is stored in place; larger callables still work but fall back to the
-// heap. The engine counts both paths ("sim.events_inline" /
+// heap. Each run's end publishes both counts ("sim.events_inline" /
 // "sim.events_heap") so the fallback is observable, and a scorecard-length
 // run asserts the heap count stays zero (tests/sim/inline_action_test.cpp).
 #pragma once

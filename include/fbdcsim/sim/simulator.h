@@ -98,13 +98,19 @@ class Simulator {
     bool dirty{false};   // items[pos..] not known sorted
   };
 
+  class RunMetricsScope;  // publishes a run's telemetry when it ends
+
   void run_loop(TimePoint horizon, bool bounded);
   /// Moves overflow events that now fall inside the wheel window into it.
   void migrate_overflow();
 
   TimePoint now_;
-  std::uint64_t next_seq_{0};
+  std::uint64_t next_seq_{0};  // never reset: every schedule ever made
   std::uint64_t executed_{0};
+  /// next_seq_ at the last telemetry publish, and the schedules since then
+  /// that fell back to a heap cell (RunMetricsScope publishes both).
+  std::uint64_t published_seq_{0};
+  std::uint64_t unpublished_heap_{0};
   std::size_t size_{0};
 
   std::vector<Bucket> wheel_{static_cast<std::size_t>(kWheelSize)};

@@ -24,9 +24,8 @@
 // path RTT.
 //
 // Engine contract (DESIGN.md §9/§10): every scheduled lambda fits
-// sim::InlineAction's inline storage (events stay heap-free), connections
-// recycle through a pool, and every telemetry metric is Kind::kSim —
-// deterministic across FBDCSIM_THREADS settings. In-flight packets carry
+// sim::InlineAction's inline storage (events stay heap-free) and
+// connections recycle through a pool. In-flight packets carry
 // `flow_tag` = (slot << 8) | generation; events resolving a stale tag
 // (connection since recycled) are ignored.
 #pragma once
@@ -92,11 +91,10 @@ class TransportMux final : public DemandSink {
   };
 
   /// `sink` is the rack simulation (must outlive the mux); `faults` may be
-  /// null. `seed` salts nothing today but pins the constructor signature
-  /// for future per-run randomization knobs.
+  /// null.
   TransportMux(sim::Simulator& sim, const topology::Fleet& fleet,
                services::TrafficSink& sink, TcpParams params,
-               const faults::FaultPlan* faults, std::uint64_t seed);
+               const faults::FaultPlan* faults);
   ~TransportMux() override;
 
   TransportMux(const TransportMux&) = delete;

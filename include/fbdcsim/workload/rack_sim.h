@@ -141,6 +141,8 @@ class RackSimulation : public services::TrafficSink {
   RackSimulation(const RackSimulation&) = delete;
   RackSimulation& operator=(const RackSimulation&) = delete;
 
+  /// Runs the capture, then publishes the rack layers' counts to the
+  /// telemetry registry (DESIGN.md §7).
   [[nodiscard]] RackSimResult run();
 
   // TrafficSink interface (used by the service models).

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "fbdcsim/telemetry/telemetry.h"
-
 namespace fbdcsim::monitoring {
 
 CaptureBuffer::CaptureBuffer(std::int64_t memory_limit_bytes)
@@ -12,8 +10,6 @@ CaptureBuffer::CaptureBuffer(std::int64_t memory_limit_bytes)
 bool CaptureBuffer::record(const core::PacketHeader& header) {
   if (static_cast<std::int64_t>(packets_.size()) >= capacity_records_) {
     ++dropped_;
-    FBDCSIM_T_COUNTER(lost, "capture.dropped", Sim);
-    FBDCSIM_T_ADD(lost, 1);
     return false;
   }
   packets_.push_back(header);
@@ -23,8 +19,6 @@ bool CaptureBuffer::record(const core::PacketHeader& header) {
 void CaptureBuffer::drop_injected() {
   ++dropped_;
   ++injected_dropped_;
-  FBDCSIM_T_COUNTER(lost, "capture.dropped", Sim);
-  FBDCSIM_T_ADD(lost, 1);
 }
 
 std::vector<core::PacketHeader> CaptureBuffer::spool() {

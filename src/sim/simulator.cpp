@@ -1,54 +1,52 @@
 #include "fbdcsim/sim/simulator.h"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
 #include "fbdcsim/telemetry/telemetry.h"
 
-#if FBDCSIM_TELEMETRY_ENABLED
-#include <chrono>
-#endif
-
 namespace fbdcsim::sim {
 
 #if FBDCSIM_TELEMETRY_ENABLED
-namespace {
-
 /// Accounts one run()/run_until() call: events executed (deterministic)
 /// and the wall time the loop took. sim.events / (sim.run_wall_us / 1e6)
-/// is the event loop's aggregate throughput.
-class RunMetricsScope {
+/// is the event loop's aggregate throughput. Also publishes every schedule
+/// since the previous publish (so t=0 schedules made before a run count).
+class Simulator::RunMetricsScope {
  public:
-  explicit RunMetricsScope(const std::uint64_t& executed)
-      : executed_{&executed}, start_events_{executed} {
+  explicit RunMetricsScope(Simulator& sim) : sim_{&sim}, start_events_{sim.executed_} {
     if (!telemetry::Telemetry::enabled()) return;
     armed_ = true;
-    start_us_ = std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now().time_since_epoch())
-                    .count();
+    start_ = std::chrono::steady_clock::now();
   }
 
   ~RunMetricsScope() {
+    const auto heap = static_cast<std::int64_t>(sim_->unpublished_heap_);
+    const auto scheduled = static_cast<std::int64_t>(sim_->next_seq_ - sim_->published_seq_);
+    sim_->unpublished_heap_ = 0;
+    sim_->published_seq_ = sim_->next_seq_;
     if (!armed_) return;
     FBDCSIM_T_COUNTER(events, "sim.events", Sim);
     FBDCSIM_T_COUNTER(runs, "sim.runs", Sim);
     FBDCSIM_T_COUNTER(wall, "sim.run_wall_us", Wall);
-    const std::int64_t now_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                                    std::chrono::steady_clock::now().time_since_epoch())
-                                    .count();
-    FBDCSIM_T_ADD(events, static_cast<std::int64_t>(*executed_ - start_events_));
+    FBDCSIM_T_COUNTER(inline_events, "sim.events_inline", Sim);
+    FBDCSIM_T_COUNTER(heap_events, "sim.events_heap", Sim);
+    FBDCSIM_T_ADD(events, static_cast<std::int64_t>(sim_->executed_ - start_events_));
     FBDCSIM_T_ADD(runs, 1);
-    FBDCSIM_T_ADD(wall, now_us - start_us_);
+    FBDCSIM_T_ADD(wall, std::chrono::duration_cast<std::chrono::microseconds>(
+                            std::chrono::steady_clock::now() - start_)
+                            .count());
+    FBDCSIM_T_ADD(inline_events, scheduled - heap);
+    FBDCSIM_T_ADD(heap_events, heap);
   }
 
  private:
-  const std::uint64_t* executed_;
+  Simulator* sim_;
   std::uint64_t start_events_;
   bool armed_{false};
-  std::int64_t start_us_{0};
+  std::chrono::steady_clock::time_point start_;
 };
-
-}  // namespace
 #endif
 
 namespace {
@@ -64,13 +62,7 @@ bool earlier(const E& a, const E& b) {
 
 void Simulator::schedule_at(TimePoint at, Action action) {
   if (at < now_) throw std::invalid_argument{"Simulator: cannot schedule in the past"};
-  FBDCSIM_T_COUNTER(inline_events, "sim.events_inline", Sim);
-  FBDCSIM_T_COUNTER(heap_events, "sim.events_heap", Sim);
-  if (action.is_inline()) {
-    FBDCSIM_T_ADD(inline_events, 1);
-  } else {
-    FBDCSIM_T_ADD(heap_events, 1);
-  }
+  if (!action.is_inline()) ++unpublished_heap_;
 
   const std::int64_t idx = bucket_of(at);
   Event ev{at, next_seq_++, std::move(action)};
@@ -115,6 +107,9 @@ void Simulator::migrate_overflow() {
 }
 
 void Simulator::run_loop(TimePoint horizon, bool bounded) {
+#if FBDCSIM_TELEMETRY_ENABLED
+  RunMetricsScope metrics{*this};
+#endif
   // Every iteration re-derives its state from the member fields, so an
   // action calling clear() (or scheduling more work) is always observed.
   for (;;) {
@@ -182,17 +177,11 @@ void Simulator::run_loop(TimePoint horizon, bool bounded) {
 }
 
 void Simulator::run_until(TimePoint horizon) {
-#if FBDCSIM_TELEMETRY_ENABLED
-  RunMetricsScope metrics{executed_};
-#endif
   run_loop(horizon, /*bounded=*/true);
   if (now_ < horizon) now_ = horizon;
 }
 
 void Simulator::run() {
-#if FBDCSIM_TELEMETRY_ENABLED
-  RunMetricsScope metrics{executed_};
-#endif
   run_loop(TimePoint{}, /*bounded=*/false);
 }
 

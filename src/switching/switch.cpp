@@ -40,10 +40,6 @@ SharedBufferSwitch::SharedBufferSwitch(sim::Simulator& sim, SwitchConfig config,
 }
 
 bool SharedBufferSwitch::enqueue(std::size_t port_index, const SimPacket& packet) {
-  // Both outcome counters are registered up front so reports always carry
-  // the drop counter, even for runs that never drop.
-  FBDCSIM_T_COUNTER(dropped, "switch.dropped_packets", Sim);
-  FBDCSIM_T_COUNTER(enqueued, "switch.enqueued_packets", Sim);
   Port& port = ports_.at(port_index);
   const std::int64_t bytes = packet.header.frame_bytes;
   const core::TimePoint arrival = sim_->now();
@@ -56,7 +52,6 @@ bool SharedBufferSwitch::enqueue(std::size_t port_index, const SimPacket& packet
       buffered_bytes_ + bytes > config_.buffer_total.count_bytes()) {
     ++port.counters.dropped_packets;
     port.counters.dropped_bytes += bytes;
-    FBDCSIM_T_ADD(dropped, 1);
     FBDCSIM_T_TRACEPOINT(trace_log_, arrival.count_nanos(), PacketDrop, port_index, bytes,
                          port.queued_bytes);
     if (on_drop_) on_drop_(port_index, packet);
@@ -72,14 +67,11 @@ bool SharedBufferSwitch::enqueue(std::size_t port_index, const SimPacket& packet
                       packet.ecn)) {
     item.packet.ecn = core::Ecn::kCe;
     ++port.counters.ecn_marked_packets;
-    FBDCSIM_T_COUNTER(marked, "transport.ecn_marked", Sim);
-    FBDCSIM_T_ADD(marked, 1);
   }
   port.queue.push_back(item);
   port.queued_bytes += bytes;
   buffered_bytes_ += bytes;
   ++port.counters.enqueued_packets;
-  FBDCSIM_T_ADD(enqueued, 1);
 
   if (!port.transmitting) start_transmission(port_index);
   return true;
@@ -107,10 +99,6 @@ void SharedBufferSwitch::start_transmission(std::size_t port_index) {
     buffered_bytes_ -= bytes;
     ++p.counters.tx_packets;
     p.counters.tx_bytes += bytes;
-    FBDCSIM_T_COUNTER(delivered, "switch.delivered_packets", Sim);
-    FBDCSIM_T_COUNTER(tx_bytes, "switch.tx_bytes", Sim);
-    FBDCSIM_T_ADD(delivered, 1);
-    FBDCSIM_T_ADD(tx_bytes, bytes);
     deliver_(port_index, done);
     start_transmission(port_index);
   });

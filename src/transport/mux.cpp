@@ -21,7 +21,7 @@ using core::TimePoint;
 
 TransportMux::TransportMux(sim::Simulator& sim, const topology::Fleet& fleet,
                            services::TrafficSink& sink, TcpParams params,
-                           const faults::FaultPlan* faults, std::uint64_t /*seed*/)
+                           const faults::FaultPlan* faults)
     : sim_{&sim}, fleet_{&fleet}, sink_{&sink}, params_{params}, faults_{faults} {
   faults_enabled_ = faults_ != nullptr && faults_->enabled();
 }
@@ -147,8 +147,6 @@ TcpConnection& TransportMux::ensure(const core::FiveTuple& tuple, core::HostId s
 
   by_tuple_.emplace(tuple, c.tag);
   ++stats_.connections_created;
-  FBDCSIM_T_COUNTER(conns, "transport.connections", Sim);
-  FBDCSIM_T_ADD(conns, 1);
   if (flow_ledger_ != nullptr) {
     // Per-direction feedback-loop RTTs match the substitution model: the
     // out half's ACKs return after reply_delay, the in half's after one
@@ -195,8 +193,6 @@ bool TransportMux::path_lost(TcpConnection& c) {
       core::splitmix64(c.tuple_hash ^ core::splitmix64(++c.loss_serial));
   if (!faults_->path_loss(key)) return false;
   ++stats_.path_loss_drops;
-  FBDCSIM_T_COUNTER(lost, "transport.path_loss_drops", Sim);
-  FBDCSIM_T_ADD(lost, 1);
   return true;
 }
 
@@ -288,8 +284,6 @@ void TransportMux::establish(TcpConnection& c) {
     flow_ledger_->on_established(c.tag, sim_->now().count_nanos());
   }
   ++stats_.handshakes_completed;
-  FBDCSIM_T_COUNTER(hs, "transport.handshakes", Sim);
-  FBDCSIM_T_ADD(hs, 1);
   pump(c, Dir::kOut);
   pump(c, Dir::kIn);
   if (c.close_pending) try_close(c);
@@ -391,14 +385,10 @@ void TransportMux::send_sack_selected(TcpConnection& c, Dir dir, const SackNextS
       // real holes above it) and fires at most once per episode.
       h.rescue_done = true;
       ++stats_.sack_rescue_retransmits;
-      FBDCSIM_T_COUNTER(rescue, "transport.sack_rescue", Sim);
-      FBDCSIM_T_ADD(rescue, 1);
     } else {
       h.high_rtx = std::max(h.high_rtx, ns.seq + ns.len);
     }
     ++stats_.sack_retransmits;
-    FBDCSIM_T_COUNTER(sack_rtx, "transport.sack_retransmits", Sim);
-    FBDCSIM_T_ADD(sack_rtx, 1);
   } else {
     h.snd_nxt += ns.len;
     if (h.snd_nxt > h.max_sent) h.max_sent = h.snd_nxt;
@@ -427,8 +417,6 @@ void TransportMux::send_segment(TcpConnection& c, Dir dir, std::int64_t seq,
   h.tx_clock += std::max(serialization, h.pace_gap);
 
   ++stats_.segments_sent;
-  FBDCSIM_T_COUNTER(segs, "transport.segments", Sim);
-  FBDCSIM_T_ADD(segs, 1);
   if (seq < h.max_sent) {
     h.retransmitted_bytes += len;
     stats_.bytes_retransmitted += len;
@@ -440,8 +428,6 @@ void TransportMux::send_segment(TcpConnection& c, Dir dir, std::int64_t seq,
     } else {
       ++stats_.rtx_rto_segments;
     }
-    FBDCSIM_T_COUNTER(rtx, "transport.retransmits", Sim);
-    FBDCSIM_T_ADD(rtx, 1);
     if (flow_ledger_ != nullptr) {
       flow_ledger_->on_retransmit(c.tag, now.count_nanos(), static_cast<int>(dir), seq,
                                   len,
@@ -483,10 +469,6 @@ void TransportMux::on_ack_at_sender(TcpConnection& c, Dir dir, std::int64_t ackn
     if (newly > 0) {
       ++stats_.sack_blocks_recorded;
       stats_.sack_bytes += newly;
-      FBDCSIM_T_COUNTER(blocks, "transport.sack_blocks", Sim);
-      FBDCSIM_T_ADD(blocks, 1);
-      FBDCSIM_T_COUNTER(sacked, "transport.sack_bytes", Sim);
-      FBDCSIM_T_ADD(sacked, newly);
     }
   }
   if (ackno > h.snd_una) {
@@ -503,8 +485,6 @@ void TransportMux::on_ack_at_sender(TcpConnection& c, Dir dir, std::int64_t ackn
         h.ssthresh = h.cwnd;
         h.cwnd_reduced_this_window = true;
         ++stats_.dctcp_cwnd_reductions;
-        FBDCSIM_T_COUNTER(reductions, "transport.dctcp_reductions", Sim);
-        FBDCSIM_T_ADD(reductions, 1);
         if (flow_ledger_ != nullptr) {
           flow_ledger_->on_ecn_reduction(c.tag, sim_->now().count_nanos(),
                                          static_cast<int>(dir), h.cwnd);
@@ -576,8 +556,6 @@ void TransportMux::on_ack_at_sender(TcpConnection& c, Dir dir, std::int64_t ackn
         enter_fast_recovery(h, params_);
       }
       ++stats_.fast_retransmits;
-      FBDCSIM_T_COUNTER(fast, "transport.fast_retransmits", Sim);
-      FBDCSIM_T_ADD(fast, 1);
       FBDCSIM_T_TRACEPOINT(trace_log_, sim_->now().count_nanos(), FastRtxEnter, c.tag,
                            h.ssthresh, h.inflight());
       if (flow_ledger_ != nullptr) {
@@ -618,8 +596,6 @@ void TransportMux::on_data_at_receiver(TcpConnection& c, Dir dir, std::int64_t s
   if (ece) {
     h.ce_pending = false;
     ++stats_.ecn_echoed_acks;
-    FBDCSIM_T_COUNTER(echoed, "transport.ecn_echoed", Sim);
-    FBDCSIM_T_ADD(echoed, 1);
   }
   // kSack receivers attach the block covering the freshest out-of-order
   // data (RFC 2018 first-block rule); {0, 0} — no block — whenever the
@@ -686,8 +662,6 @@ void TransportMux::on_rto_event(std::uint32_t tag, Dir dir) {
     apply_rto(h, params_);
   }
   ++stats_.rto_fired;
-  FBDCSIM_T_COUNTER(rto, "transport.rto_fired", Sim);
-  FBDCSIM_T_ADD(rto, 1);
   FBDCSIM_T_TRACEPOINT(trace_log_, sim_->now().count_nanos(), RtoFired, c.tag, h.cwnd,
                        h.backoff);
   if (flow_ledger_ != nullptr) {
@@ -735,8 +709,6 @@ void TransportMux::on_hs_event(std::uint32_t tag) {
   }
   if (++c.hs_tries >= params_.max_handshake_tries) {
     ++stats_.handshake_failures;
-    FBDCSIM_T_COUNTER(failed, "transport.handshake_failures", Sim);
-    FBDCSIM_T_ADD(failed, 1);
     release(c);
     return;
   }
@@ -875,8 +847,6 @@ void TransportMux::on_delivered(const core::SimPacket& pkt) {
 void TransportMux::on_dropped(std::size_t port, const core::SimPacket& pkt) {
   if (pkt.flow_tag == 0) return;
   ++stats_.switch_drop_notifications;
-  FBDCSIM_T_COUNTER(drops, "transport.switch_drops", Sim);
-  FBDCSIM_T_ADD(drops, 1);
   TcpConnection* cp = resolve(pkt.flow_tag);
   if (cp == nullptr || pkt.header.payload_bytes <= 0) return;
   const Dir dir = pkt.src == cp->self ? Dir::kOut : Dir::kIn;

@@ -20,6 +20,47 @@ core::LinkId uplink_link_id(std::uint64_t seed, int port) {
   return core::LinkId{static_cast<std::uint32_t>(
       core::splitmix64(seed ^ (0xF00DULL + static_cast<std::uint64_t>(port))))};
 }
+
+// Each rack layer keeps its own counts; this table is the only place they
+// reach the registry, once per run and never per packet (DESIGN.md §7).
+// PUBLISH registers a counter once its count is nonzero, PUBLISH_ALWAYS
+// even at zero (reports always carry the switch outcome counters).
+#define PUBLISH_ALWAYS(name, count)   \
+  do {                                \
+    FBDCSIM_T_COUNTER(c_, name, Sim); \
+    FBDCSIM_T_ADD(c_, count);         \
+  } while (0)
+#define PUBLISH(name, count) \
+  if (const std::int64_t n_ = (count); n_ != 0) PUBLISH_ALWAYS(name, n_)
+
+void publish_run_counters(const RackSimResult& r, const transport::TransportMux* mux) {
+  const switching::PortCounters &up = r.uplink, &down = r.downlinks;
+  PUBLISH_ALWAYS("switch.enqueued_packets", up.enqueued_packets + down.enqueued_packets);
+  PUBLISH_ALWAYS("switch.dropped_packets", up.dropped_packets + down.dropped_packets);
+  PUBLISH("switch.delivered_packets", up.tx_packets + down.tx_packets);
+  PUBLISH("switch.tx_bytes", up.tx_bytes + down.tx_bytes);
+  PUBLISH("transport.ecn_marked", up.ecn_marked_packets + down.ecn_marked_packets);
+  PUBLISH("capture.dropped", r.capture_dropped);
+  if (mux == nullptr) return;
+  const transport::TransportMux::Stats& s = mux->stats();
+  PUBLISH("transport.connections", s.connections_created);
+  PUBLISH("transport.handshakes", s.handshakes_completed);
+  PUBLISH("transport.handshake_failures", s.handshake_failures);
+  PUBLISH("transport.segments", s.segments_sent);
+  PUBLISH("transport.retransmits", s.retransmit_segments);
+  PUBLISH("transport.fast_retransmits", s.fast_retransmits);
+  PUBLISH("transport.rto_fired", s.rto_fired);
+  PUBLISH("transport.path_loss_drops", s.path_loss_drops);
+  PUBLISH("transport.switch_drops", s.switch_drop_notifications);
+  PUBLISH("transport.sack_blocks", s.sack_blocks_recorded);
+  PUBLISH("transport.sack_bytes", s.sack_bytes);
+  PUBLISH("transport.sack_retransmits", s.sack_retransmits);
+  PUBLISH("transport.sack_rescue", s.sack_rescue_retransmits);
+  PUBLISH("transport.ecn_echoed", s.ecn_echoed_acks);
+  PUBLISH("transport.dctcp_reductions", s.dctcp_cwnd_reductions);
+}
+#undef PUBLISH
+#undef PUBLISH_ALWAYS
 }  // namespace
 
 RackSimulation::RackSimulation(const topology::Fleet& fleet, RackSimConfig config)
@@ -96,7 +137,7 @@ RackSimulation::RackSimulation(const topology::Fleet& fleet, RackSimConfig confi
       });
   if (config_.transport == Transport::kTcp) {
     transport_ = std::make_unique<transport::TransportMux>(
-        sim_, fleet, *this, config_.tcp, config_.faults, config_.seed);
+        sim_, fleet, *this, config_.tcp, config_.faults);
     rsw_->set_drop_hook([this](std::size_t port, const SimPacket& packet) {
       transport_->on_dropped(port, packet);
     });
@@ -313,6 +354,7 @@ RackSimResult RackSimulation::run() {
     flow_ledger_->finalize(sim_.now().count_nanos());
     result.flows = flow_ledger_->snapshot();
   }
+  publish_run_counters(result, transport_.get());
   return result;
 }
 

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "fbdcsim/core/time.h"
+#include "fbdcsim/sim/simulator.h"
 #include "fbdcsim/telemetry/telemetry.h"
 #include "fbdcsim/topology/standard_fleet.h"
 #include "fbdcsim/workload/presets.h"
@@ -169,6 +170,39 @@ TEST(InlineActionTest, RackHotPathSchedulesAreAllInline) {
   ASSERT_NE(inline_events, nullptr);
   EXPECT_EQ(heap->value, 0);
   EXPECT_GT(inline_events->value, static_cast<std::int64_t>(result.events) / 2);
+}
+
+TEST(InlineActionTest, OversizedScheduleIsPublishedAsHeapEvent) {
+  // The other side of the heap-free contract: a capture that falls back to
+  // the heap must reach sim.events_heap, or a publish bug would let the
+  // rack test's `== 0` pass without counting anything. Schedules made
+  // before a run are published when it ends, and each run publishes only
+  // the schedules made since the previous one.
+  telemetry::MetricsRegistry::global().reset();
+  using Oversized = Padded<InlineAction::kInlineBytes>;
+  static_assert(!InlineAction::fits_inline<Oversized>);
+  int hits = 0;
+  Simulator sim;
+  sim.schedule_at(core::TimePoint::zero() + core::Duration::micros(1), Oversized{&hits});
+  sim.schedule_at(core::TimePoint::zero() + core::Duration::micros(2), [&hits] { ++hits; });
+  const auto counter = [](const char* name) {
+    const telemetry::Snapshot snap = telemetry::MetricsRegistry::global().snapshot();
+    const auto* c = snap.counter(name);
+    return c == nullptr ? std::int64_t{-1} : c->value;
+  };
+  EXPECT_LE(counter("sim.events_heap"), 0) << "published at run end, not per schedule";
+
+  sim.run_until(core::TimePoint::zero() + core::Duration::millis(1));
+  EXPECT_EQ(hits, 2);
+  EXPECT_EQ(counter("sim.events_heap"), 1);
+  EXPECT_EQ(counter("sim.events_inline"), 1);
+
+  sim.schedule_after(core::Duration::micros(1), Oversized{&hits});
+  sim.schedule_after(core::Duration::micros(1), Oversized{&hits});
+  sim.run();
+  EXPECT_EQ(hits, 4);
+  EXPECT_EQ(counter("sim.events_heap"), 3);
+  EXPECT_EQ(counter("sim.events_inline"), 1);
 }
 #endif
 

@@ -65,7 +65,7 @@ class LoopbackSink final : public services::TrafficSink {
 struct Harness {
   explicit Harness(const faults::FaultPlan* faults = nullptr)
       : fleet{workload::build_rack_experiment_fleet()},
-        mux{sim, fleet, sink, TcpParams{}, faults, /*seed=*/1} {
+        mux{sim, fleet, sink, TcpParams{}, faults} {
     sink.sim = &sim;
     sink.mux = &mux;
     // Two hosts of the same rack: zero beyond-RSW delay, fastest loops.
