@@ -6,6 +6,7 @@
 // the draws of existing ones — a property ordinary shared-engine designs lack.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <string_view>
@@ -73,9 +74,25 @@ class RngStream {
     return std::exponential_distribution<double>{1.0 / mean}(engine_);
   }
 
-  /// Poisson-distributed count with the given mean.
+  /// Poisson-distributed count with the given mean. Bit-identical to
+  /// libstdc++'s `std::poisson_distribution<std::int64_t>{mean}` on this
+  /// stream's engine (same values, same engine draws), but below a mean of
+  /// 12 it runs that distribution's multiplicative method inline instead of
+  /// constructing the distribution, whose constructor calls exp. A first
+  /// draw below 1 - mean returns 0 without calling exp at all, the common
+  /// case for the 1:30,000 flow sampler. The shortcut is exact: exp(-mean)
+  /// >= 1 - mean, and the 1e-12 margin covers rounding on both sides.
   [[nodiscard]] std::int64_t poisson(double mean) {
-    return std::poisson_distribution<std::int64_t>{mean}(engine_);
+    if (mean >= 12) return std::poisson_distribution<std::int64_t>{mean}(engine_);
+    double prod = uniform();
+    if (prod < (1.0 - mean) - 1e-12) return 0;
+    const double threshold = std::exp(-mean);
+    std::int64_t count = 0;
+    while (prod > threshold) {
+      prod *= uniform();
+      ++count;
+    }
+    return count;
   }
 
   /// Normally distributed value.

@@ -16,6 +16,7 @@
 // samples.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -28,6 +29,7 @@
 #include "fbdcsim/core/packet.h"
 #include "fbdcsim/core/rng.h"
 #include "fbdcsim/core/time.h"
+#include "fbdcsim/core/units.h"
 #include "fbdcsim/topology/entities.h"
 
 namespace fbdcsim::faults {
@@ -71,8 +73,33 @@ class AnalyticSampler {
  public:
   AnalyticSampler(std::int64_t rate, core::RngStream rng) : rate_{rate}, rng_{rng} {}
 
-  using Emit = std::function<void(const SampledPacket&)>;
-  void sample_flow(const core::FlowRecord& flow, const Emit& emit);
+  /// `emit` is any callable taking `const SampledPacket&`. It is a template
+  /// parameter, not a std::function, because this runs once per fleet flow
+  /// and almost every call selects nothing.
+  template <typename Emit>
+  void sample_flow(const core::FlowRecord& flow, Emit&& emit) {
+    if (flow.packets <= 0) return;
+    // Each of the flow's packets is selected independently with probability
+    // 1/rate; the selected count is Binomial(n, 1/rate), approximated by
+    // Poisson thinning (exact in distribution as rate grows; at 1:30,000 the
+    // difference is negligible and the expectation is identical).
+    const double expected = static_cast<double>(flow.packets) / static_cast<double>(rate_);
+    const std::int64_t selected = rng_.poisson(expected);
+    if (selected == 0) return;
+
+    const std::int64_t mean_frame = core::wire::tcp_frame_bytes(
+        flow.bytes.count_bytes() / std::max<std::int64_t>(1, flow.packets));
+    for (std::int64_t i = 0; i < selected; ++i) {
+      SampledPacket s;
+      s.captured_at =
+          flow.start + core::Duration::nanos(static_cast<std::int64_t>(
+                           rng_.uniform() * static_cast<double>(flow.duration.count_nanos())));
+      s.tuple = flow.tuple;
+      s.frame_bytes = mean_frame;
+      s.reporter = flow.src_host;
+      emit(s);
+    }
+  }
 
   [[nodiscard]] std::int64_t rate() const { return rate_; }
 
@@ -116,12 +143,15 @@ struct TaggedSample {
   core::DatacenterId src_dc;
   core::DatacenterId dst_dc;
   core::Locality locality{core::Locality::kIntraRack};
-  std::int64_t minute{0};  // capture minute (Scuba aggregation granularity)
   /// Graceful degradation: the tagger's topology lookup failed (injected
   /// fault), so the row landed without annotations. Partial rows are
   /// counted but excluded from every topology-keyed aggregate.
   bool partial{false};
+  std::int64_t minute{0};  // capture minute (Scuba aggregation granularity)
 };
+// A fleet run lands millions of rows: `partial` sits in the padding after
+// `locality` so a row is 88 bytes, not 96.
+static_assert(sizeof(TaggedSample) <= 88);
 
 /// Annotates samples with topology metadata by address lookup, exactly the
 /// role of Fbflow's taggers.
@@ -202,6 +232,11 @@ class ScubaTable {
 /// flows from *different* hosts interleave — the determinism contract that
 /// lets runtime::ShardedFleetRunner feed per-shard pipelines in parallel
 /// and merge them into the same result as a serial run.
+///
+/// Fleet streams arrive grouped by reporter, so `offer_flow` remembers the
+/// last reporter's sampler and looks the map up only when the reporter
+/// changes. The map's nodes never move, so the cached pointer stays valid
+/// as new reporters are added, and any HostId may arrive in any order.
 class FbflowPipeline {
  public:
   /// `faults`, when non-null and enabled, injects the pipeline's real-world
@@ -214,6 +249,11 @@ class FbflowPipeline {
   /// the same table as a faulted serial pipeline.
   FbflowPipeline(const topology::Fleet& fleet, std::int64_t sampling_rate,
                  core::RngStream rng, const faults::FaultPlan* faults = nullptr);
+
+  // The Scribe subscriber captures `this` and the sampler cache points into
+  // this pipeline's own map, so a copy or move would alias the original.
+  FbflowPipeline(const FbflowPipeline&) = delete;
+  FbflowPipeline& operator=(const FbflowPipeline&) = delete;
 
   /// Fleet mode: offer a completed flow for analytic sampling. The flow's
   /// src_host is the reporting agent.
@@ -258,6 +298,8 @@ class FbflowPipeline {
   bool faulted_{false};
   core::RngStream analytic_root_;
   std::unordered_map<std::uint64_t, AnalyticSampler> analytic_;  // by reporter host
+  std::uint64_t last_reporter_{0};
+  AnalyticSampler* last_sampler_{nullptr};  // analytic_[last_reporter_], once set
   core::RngStream packet_rng_;  // must precede packet_sampler_
   PacketSampler packet_sampler_;
   ScribeBus scribe_;

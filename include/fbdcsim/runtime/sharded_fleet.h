@@ -13,9 +13,16 @@
 // The shard size is fixed in ShardOptions rather than derived from the pool
 // width, so the shard structure — and any per-shard accumulator a caller
 // might merge — does not change when FBDCSIM_THREADS does.
+//
+// Flow control is refill-on-consume: `stream` primes the pool with the
+// first `max_buffered_shards` shards, then posts exactly one more each time
+// the consumer has handed a shard to the sink and freed its buffer. Workers
+// therefore stay busy while the consumer works, and at most that many
+// shards' flow records are alive at once.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "fbdcsim/core/flow.h"
@@ -27,11 +34,27 @@ namespace fbdcsim::runtime {
 struct ShardOptions {
   /// Hosts per shard — the unit of work handed to one worker.
   std::size_t shard_size = 32;
-  /// Completed shards allowed to wait, queued or buffered, ahead of the
-  /// in-order consumer; bounds memory to roughly this many shards' flow
+  /// Shards buffered or in flight at once, counting the one the in-order
+  /// consumer is draining; bounds memory to this many shards' flow
   /// records. 0 means 2x the pool's worker count.
   std::size_t max_buffered_shards = 0;
 };
+
+namespace detail {
+
+/// Fills shard `i`'s buffer; runs on a pool worker.
+using FillShard = std::function<void(std::size_t i, std::vector<core::FlowRecord>& buf)>;
+
+/// The runner's refill-on-consume loop, separate from the fleet so tests
+/// can drive it with producers that fail or stall. Runs `fill` for shards
+/// 0..nshards-1 on `pool` and hands every buffered flow to `sink` on the
+/// calling thread, in shard order, with at most `window` (>= 1) shards
+/// buffered or in flight. Fill and sink exceptions propagate after every
+/// posted shard has finished.
+void stream_shards(ThreadPool& pool, std::size_t nshards, std::size_t window,
+                   const FillShard& fill, const workload::FleetFlowGenerator::Visit& sink);
+
+}  // namespace detail
 
 /// Runs FleetFlowGenerator::generate_for_host across a ThreadPool and
 /// delivers the merged flow stream in canonical host-ID order.

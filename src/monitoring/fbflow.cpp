@@ -1,10 +1,8 @@
 #include "fbdcsim/monitoring/fbflow.h"
 
-#include <algorithm>
 #include <functional>
 #include <stdexcept>
 
-#include "fbdcsim/core/units.h"
 #include "fbdcsim/faults/fault_plan.h"
 #include "fbdcsim/telemetry/telemetry.h"
 
@@ -21,30 +19,6 @@ bool PacketSampler::sample() {
   if (--countdown_ > 0) return false;
   countdown_ = rate_;
   return true;
-}
-
-void AnalyticSampler::sample_flow(const core::FlowRecord& flow, const Emit& emit) {
-  if (flow.packets <= 0) return;
-  // Each of the flow's packets is selected independently with probability
-  // 1/rate; the selected count is Binomial(n, 1/rate), approximated by
-  // Poisson thinning (exact in distribution as rate grows; at 1:30,000 the
-  // difference is negligible and the expectation is identical).
-  const double expected = static_cast<double>(flow.packets) / static_cast<double>(rate_);
-  const std::int64_t selected = rng_.poisson(expected);
-  if (selected == 0) return;
-
-  const std::int64_t mean_frame =
-      core::wire::tcp_frame_bytes(flow.bytes.count_bytes() / std::max<std::int64_t>(1, flow.packets));
-  for (std::int64_t i = 0; i < selected; ++i) {
-    SampledPacket s;
-    s.captured_at =
-        flow.start + core::Duration::nanos(static_cast<std::int64_t>(
-                         rng_.uniform() * static_cast<double>(flow.duration.count_nanos())));
-    s.tuple = flow.tuple;
-    s.frame_bytes = mean_frame;
-    s.reporter = flow.src_host;
-    emit(s);
-  }
 }
 
 bool Tagger::tag(const SampledPacket& sample, TaggedSample& out) const {
@@ -295,11 +269,17 @@ void FbflowPipeline::publish(const SampledPacket& sample) {
 
 AnalyticSampler& FbflowPipeline::sampler_for(core::HostId reporter) {
   const std::uint64_t key = reporter.value();
-  const auto it = analytic_.find(key);
-  if (it != analytic_.end()) return it->second;
-  return analytic_
-      .emplace(key, AnalyticSampler{sampling_rate_, analytic_root_.fork("analytic-host", key)})
-      .first->second;
+  if (last_sampler_ != nullptr && key == last_reporter_) return *last_sampler_;
+  auto it = analytic_.find(key);
+  if (it == analytic_.end()) {
+    it = analytic_
+             .emplace(key,
+                      AnalyticSampler{sampling_rate_, analytic_root_.fork("analytic-host", key)})
+             .first;
+  }
+  last_reporter_ = key;
+  last_sampler_ = &it->second;
+  return *last_sampler_;
 }
 
 void FbflowPipeline::offer_flow(const core::FlowRecord& flow) {

@@ -23,98 +23,63 @@ std::size_t ShardedFleetRunner::num_shards() const {
   return (num_hosts() + options_.shard_size - 1) / options_.shard_size;
 }
 
-void ShardedFleetRunner::stream(const workload::FleetFlowGenerator::Visit& sink) const {
-  FBDCSIM_T_SPAN(stream_span, "fleet.stream");
-  const auto& hosts = gen_->fleet().hosts();
-  const std::size_t n = hosts.size();
-  // Empty fleet: explicitly nothing to stream; the pool is never touched.
-  if (n == 0) return;
-  const std::size_t shard = options_.shard_size;
-  const std::size_t nshards = (n + shard - 1) / shard;
-  std::size_t window = options_.max_buffered_shards != 0
-                           ? options_.max_buffered_shards
-                           : 2 * static_cast<std::size_t>(pool_->size());
+namespace detail {
+
+void stream_shards(ThreadPool& pool, std::size_t nshards, std::size_t window,
+                   const FillShard& fill, const workload::FleetFlowGenerator::Visit& sink) {
   window = std::max<std::size_t>(window, 1);
 
   struct State {
     std::mutex mu;
     std::condition_variable cv;
     std::vector<std::unique_ptr<std::vector<core::FlowRecord>>> ready;
-    std::exception_ptr error;      // first worker failure
-    std::size_t next_emit{0};      // shards already handed to the sink
-    std::size_t finished{0};       // tasks done, success or failure
+    std::exception_ptr error;  // first worker failure
+    std::size_t finished{0};   // tasks done, success or failure
   } st;
   st.ready.resize(nshards);
 
   std::size_t submitted = 0;
-
-  // Hands every consecutively completed shard to the sink, in order. Runs
-  // on the calling thread only; sink exceptions escape to the caller.
-  const auto drain_ready = [&] {
-    while (true) {
-      std::unique_ptr<std::vector<core::FlowRecord>> buf;
-      {
-        std::lock_guard<std::mutex> lk{st.mu};
-        if (st.error || st.next_emit >= nshards || st.ready[st.next_emit] == nullptr) {
-          return;
-        }
-        buf = std::move(st.ready[st.next_emit]);
+  const auto post_next = [&] {
+    pool.post([&st, &fill, i = submitted] {
+      FBDCSIM_T_SPAN2(shard_span, "fleet.shard", std::to_string(i));
+      auto buf = std::make_unique<std::vector<core::FlowRecord>>();
+      std::exception_ptr err;
+      try {
+        fill(i, *buf);
+      } catch (...) {
+        err = std::current_exception();
       }
-      for (const core::FlowRecord& f : *buf) sink(f);
+      // Notify under the lock: the caller destroys `st` as soon as the
+      // final-wait predicate holds, so signalling after unlock would race
+      // the condition variable's destruction.
       std::lock_guard<std::mutex> lk{st.mu};
-      ++st.next_emit;
-    }
+      if (err) {
+        if (!st.error) st.error = err;
+      } else {
+        st.ready[i] = std::move(buf);
+      }
+      ++st.finished;
+      st.cv.notify_all();
+    });
+    ++submitted;
   };
 
   std::exception_ptr caller_error;
   try {
+    // Prime the window, then refill it one shard per consumed shard, posted
+    // only after that shard's buffer is freed.
+    while (submitted < std::min(window, nshards)) post_next();
     for (std::size_t i = 0; i < nshards; ++i) {
-      // Throttle: keep at most `window` shards in flight beyond the
-      // consumer, draining completed shards while we wait.
-      for (;;) {
-        drain_ready();
-        std::unique_lock<std::mutex> lk{st.mu};
-        if (st.error || i - st.next_emit < window) break;
-        st.cv.wait(lk, [&] { return st.error || st.ready[st.next_emit] != nullptr; });
-      }
+      std::unique_ptr<std::vector<core::FlowRecord>> buf;
       {
-        std::lock_guard<std::mutex> lk{st.mu};
+        std::unique_lock<std::mutex> lk{st.mu};
+        st.cv.wait(lk, [&] { return st.error || st.ready[i] != nullptr; });
         if (st.error) break;
+        buf = std::move(st.ready[i]);
       }
-      const std::size_t lo = i * shard;
-      const std::size_t hi = std::min(n, lo + shard);
-      pool_->post([&st, &hosts, gen = gen_, lo, hi, i] {
-        FBDCSIM_T_SPAN2(shard_span, "fleet.shard", std::to_string(i));
-        auto buf = std::make_unique<std::vector<core::FlowRecord>>();
-        std::exception_ptr err;
-        try {
-          for (std::size_t h = lo; h < hi; ++h) {
-            gen->generate_for_host(hosts[h].id,
-                                   [&](const core::FlowRecord& f) { buf->push_back(f); });
-          }
-        } catch (...) {
-          err = std::current_exception();
-        }
-        // Notify under the lock: the caller destroys `st` as soon as the
-        // final-wait predicate holds, so signalling after unlock would race
-        // the condition variable's destruction.
-        std::lock_guard<std::mutex> lk{st.mu};
-        if (err) {
-          if (!st.error) st.error = err;
-        } else {
-          st.ready[i] = std::move(buf);
-        }
-        ++st.finished;
-        st.cv.notify_all();
-      });
-      ++submitted;
-    }
-
-    for (;;) {
-      drain_ready();
-      std::unique_lock<std::mutex> lk{st.mu};
-      if (st.error || st.next_emit >= submitted) break;
-      st.cv.wait(lk, [&] { return st.error || st.ready[st.next_emit] != nullptr; });
+      for (const core::FlowRecord& f : *buf) sink(f);
+      buf.reset();
+      if (submitted < nshards) post_next();
     }
   } catch (...) {
     caller_error = std::current_exception();
@@ -127,6 +92,29 @@ void ShardedFleetRunner::stream(const workload::FleetFlowGenerator::Visit& sink)
     if (!caller_error && st.error) caller_error = st.error;
   }
   if (caller_error) std::rethrow_exception(caller_error);
+}
+
+}  // namespace detail
+
+void ShardedFleetRunner::stream(const workload::FleetFlowGenerator::Visit& sink) const {
+  FBDCSIM_T_SPAN(stream_span, "fleet.stream");
+  const auto& hosts = gen_->fleet().hosts();
+  const std::size_t n = hosts.size();
+  // Empty fleet: explicitly nothing to stream; the pool is never touched.
+  if (n == 0) return;
+  const std::size_t shard = options_.shard_size;
+  const std::size_t window = options_.max_buffered_shards != 0
+                                 ? options_.max_buffered_shards
+                                 : 2 * static_cast<std::size_t>(pool_->size());
+  detail::stream_shards(
+      *pool_, num_shards(), window,
+      [&hosts, gen = gen_, n, shard](std::size_t i, std::vector<core::FlowRecord>& buf) {
+        for (std::size_t h = i * shard; h < std::min(n, (i + 1) * shard); ++h) {
+          gen->generate_for_host(hosts[h].id,
+                                 [&](const core::FlowRecord& f) { buf.push_back(f); });
+        }
+      },
+      sink);
 }
 
 std::vector<core::FlowRecord> ShardedFleetRunner::collect_flows() const {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -248,6 +249,59 @@ TEST(FbflowPipelineTest, SamplingIndependentOfCrossHostInterleaving) {
     const auto rhs = rows_for(grouped, host);
     ASSERT_FALSE(lhs.empty());
     EXPECT_EQ(lhs, rhs);
+  }
+}
+
+TEST(FbflowPipelineTest, RowsMatchPerReporterSamplersUnderInterleaving) {
+  // offer_flow caches the last reporter's sampler. Whatever the arrival
+  // order (runs, alternation, returning to an earlier reporter), every
+  // row must equal the one an independent sampler for that reporter,
+  // forked the documented way, would land.
+  const topology::Fleet fleet = small_fleet();
+  const core::HostId a{0}, b{1}, c{6}, dst{5};
+  const std::vector<core::HostId> order = {a, b, a, a, c, b, b, a, c, c, a, b};
+  std::vector<core::FlowRecord> flows;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    auto f = flow_between(fleet, order[i], dst, 2'000'000 + 1000 * static_cast<std::int64_t>(i),
+                          2'000 + static_cast<std::int64_t>(i));
+    f.start = TimePoint::zero() + Duration::seconds(static_cast<std::int64_t>(i));
+    flows.push_back(f);
+  }
+
+  FbflowPipeline pipeline{fleet, 100, core::RngStream{7}};
+  for (const auto& f : flows) pipeline.offer_flow(f);
+
+  const core::RngStream analytic_root = core::RngStream{7}.fork("analytic");
+  std::unordered_map<std::uint64_t, AnalyticSampler> samplers;
+  const Tagger tagger{fleet};
+  std::vector<TaggedSample> expected;
+  for (const auto& f : flows) {
+    const std::uint64_t key = f.src_host.value();
+    auto it = samplers.find(key);
+    if (it == samplers.end()) {
+      it = samplers.emplace(key, AnalyticSampler{100, analytic_root.fork("analytic-host", key)})
+               .first;
+    }
+    it->second.sample_flow(f, [&](const SampledPacket& s) {
+      TaggedSample row;
+      ASSERT_TRUE(tagger.tag(s, row));
+      expected.push_back(row);
+    });
+  }
+
+  const auto rows = pipeline.scuba().rows();
+  ASSERT_EQ(rows.size(), expected.size());
+  ASSERT_GT(rows.size(), order.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].sample.captured_at.count_nanos(),
+              expected[i].sample.captured_at.count_nanos())
+        << i;
+    EXPECT_EQ(rows[i].sample.tuple, expected[i].sample.tuple) << i;
+    EXPECT_EQ(rows[i].sample.frame_bytes, expected[i].sample.frame_bytes) << i;
+    EXPECT_EQ(rows[i].sample.reporter, expected[i].sample.reporter) << i;
+    EXPECT_EQ(rows[i].locality, expected[i].locality) << i;
+    EXPECT_EQ(rows[i].minute, expected[i].minute) << i;
+    EXPECT_FALSE(rows[i].partial) << i;
   }
 }
 

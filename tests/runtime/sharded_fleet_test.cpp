@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "fbdcsim/monitoring/fbflow.h"
 #include "fbdcsim/runtime/parallel_capture.h"
+#include "fbdcsim/telemetry/telemetry.h"
 #include "fbdcsim/topology/standard_fleet.h"
 
 namespace fbdcsim::runtime {
@@ -148,6 +153,100 @@ TEST(ShardedFleetRunnerTest, SinkExceptionPropagates) {
   // The runner and pool stay usable after the failure.
   const auto flows = runner.collect_flows();
   EXPECT_FALSE(flows.empty());
+}
+
+TEST(ShardedFleetRunnerTest, WorkerExceptionPropagatesAfterInFlightShardsDrain) {
+  // A failing shard surfaces on the calling thread, but only once every
+  // posted shard has finished: the tasks reference the stream's frame.
+  // Flows that did reach the sink are a prefix of the shards before it.
+  ThreadPool pool{4};
+  constexpr std::size_t kShards = 24;
+  for (const std::size_t failing : {std::size_t{0}, std::size_t{5}, kShards - 1}) {
+    SCOPED_TRACE(failing);
+    std::atomic<int> running{0};
+    std::vector<std::int64_t> delivered;
+    const auto fill = [&](std::size_t i, std::vector<FlowRecord>& buf) {
+      ++running;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      --running;
+      if (i == failing) throw std::runtime_error{"shard failed"};
+      FlowRecord f;
+      f.packets = static_cast<std::int64_t>(i);
+      buf.push_back(f);
+    };
+    EXPECT_THROW(detail::stream_shards(pool, kShards, 6, fill,
+                                       [&](const FlowRecord& f) {
+                                         delivered.push_back(f.packets);
+                                       }),
+                 std::runtime_error);
+    EXPECT_EQ(running.load(), 0);
+    ASSERT_LE(delivered.size(), failing);
+    for (std::size_t k = 0; k < delivered.size(); ++k) {
+      EXPECT_EQ(delivered[k], static_cast<std::int64_t>(k));
+    }
+  }
+
+  // The pool stays usable after the failure.
+  const topology::Fleet fleet = runner_fleet();
+  const workload::FleetFlowGenerator gen{fleet, runner_config()};
+  const ShardedFleetRunner runner{gen, pool};
+  EXPECT_FALSE(runner.collect_flows().empty());
+}
+
+TEST(ShardedFleetRunnerTest, SlowSinkKeepsTheWindowFullAndBounded) {
+  // Refill-on-consume: the first `window` shards are posted up front and
+  // each consumed shard posts exactly one more, so when the sink reaches
+  // shard k, min(nshards, k + window) shards have been posted and at most
+  // `window` of them are outstanding. A slow sink gives the workers every
+  // chance to run ahead of that bound.
+  const topology::Fleet fleet = runner_fleet();
+  const workload::FleetFlowGenerator gen{fleet, runner_config()};
+  std::vector<FlowRecord> serial;
+  gen.generate([&](const FlowRecord& f) { serial.push_back(f); });
+
+  std::vector<std::size_t> host_index(fleet.num_hosts());
+  for (std::size_t h = 0; h < fleet.hosts().size(); ++h) {
+    host_index[fleet.hosts()[h].id.value()] = h;
+  }
+
+  ThreadPool pool{4};
+  ShardOptions opts;
+  opts.shard_size = 4;
+  opts.max_buffered_shards = 3;
+  const ShardedFleetRunner runner{gen, pool, opts};
+  const std::size_t nshards = runner.num_shards();
+  ASSERT_GT(nshards, 3 * opts.max_buffered_shards);
+
+#if FBDCSIM_TELEMETRY_ENABLED
+  const bool was_enabled = telemetry::Telemetry::enabled();
+  telemetry::Telemetry::set_enabled(true);
+  const telemetry::Counter& posted = telemetry::MetricsRegistry::global().counter(
+      "runtime.pool.tasks_posted", telemetry::Kind::kSim);
+  const std::int64_t posted_before = posted.value();
+#endif
+  std::vector<FlowRecord> flows;
+  std::size_t shards_seen = 0;
+  std::size_t current = nshards;  // no shard yet
+  runner.stream([&](const FlowRecord& f) {
+    const std::size_t k = host_index[f.src_host.value()] / opts.shard_size;
+    if (k != current) {
+      current = k;
+      ++shards_seen;
+#if FBDCSIM_TELEMETRY_ENABLED
+      const auto expected =
+          static_cast<std::int64_t>(std::min(nshards, k + opts.max_buffered_shards));
+      EXPECT_EQ(posted.value() - posted_before, expected) << "at shard " << k;
+#endif
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    flows.push_back(f);
+  });
+#if FBDCSIM_TELEMETRY_ENABLED
+  EXPECT_EQ(posted.value() - posted_before, static_cast<std::int64_t>(nshards));
+  telemetry::Telemetry::set_enabled(was_enabled);
+#endif
+  EXPECT_GT(shards_seen, nshards / 2);
+  expect_identical(serial, flows);
 }
 
 TEST(ParallelCaptureRunnerTest, ResultsArriveInTaskOrder) {
