@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) of the library's hot paths: the
-// event loop, distribution samplers, switch forwarding, flow assembly, and
+// event loop (including schedule_at + dispatch on the draining bucket),
+// distribution samplers, switch forwarding, flow assembly, and
 // heavy-hitter extraction. These guard the performance that makes the
 // packet-level reproductions tractable (tens of millions of events per
 // experiment).
@@ -31,6 +32,70 @@ void BM_SimulatorEventLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10'000);
 }
 BENCHMARK(BM_SimulatorEventLoop);
+
+/// Packet-hop-shaped load on the bucket being drained: 2048 sources each
+/// reschedule themselves one frame serialization time ahead (64-1500 B at
+/// 10 Gb/s: 51 ns to 1.2 us), so most schedules land in the 4.096 us
+/// bucket the wheel is draining. Each event is one dispatch plus one
+/// schedule_at; "time_per_hop" is the cost of that pair.
+class DrainingBucketHops {
+ public:
+  static constexpr std::uint64_t kSources = 2048;
+
+  DrainingBucketHops() {
+    for (std::uint64_t id = 0; id < kSources; ++id) {
+      schedule(0x9E3779B97F4A7C15ULL * (id + 1), id);
+    }
+  }
+
+  sim::Simulator& sim() { return sim_; }
+  [[nodiscard]] std::uint64_t checksum() const { return checksum_; }
+
+ private:
+  /// The scheduled callable: 48 bytes of capture, like the rack's Wire hops.
+  struct Hop {
+    DrainingBucketHops* self;
+    std::uint64_t state;
+    std::uint64_t id;
+    std::uint64_t p0;
+    std::uint64_t p1;
+    std::uint64_t p2;
+    void operator()() const {
+      self->checksum_ ^= state ^ id ^ p0 ^ p1 ^ p2;
+      std::uint64_t next = state;  // xorshift64: never reaches 0
+      next ^= next << 13;
+      next ^= next >> 7;
+      next ^= next << 17;
+      self->schedule(next, id);
+    }
+  };
+  static_assert(sizeof(Hop) == 48);
+
+  void schedule(std::uint64_t state, std::uint64_t id) {
+    const auto frame_bytes = static_cast<std::int64_t>(64 + state % (1500 - 64 + 1));
+    const auto serialization = core::Duration::nanos(frame_bytes * 8 / 10);
+    sim_.schedule_after(serialization,
+                        Hop{this, state, id, state >> 3, state + id, state * 3});
+  }
+
+  sim::Simulator sim_;
+  std::uint64_t checksum_{0};
+};
+
+void BM_SimulatorDrainingBucketHops(benchmark::State& state) {
+  DrainingBucketHops hops;
+  sim::Simulator& sim = hops.sim();
+  const std::uint64_t start = sim.executed_events();
+  for (auto _ : state) {
+    sim.run_until(sim.now() + core::Duration::micros(20));
+  }
+  benchmark::DoNotOptimize(hops.checksum());
+  const auto events = static_cast<double>(sim.executed_events() - start);
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["time_per_hop"] =
+      benchmark::Counter(events, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SimulatorDrainingBucketHops);
 
 void BM_ZipfSample(benchmark::State& state) {
   core::Zipf zipf{static_cast<std::size_t>(state.range(0)), 1.0};

@@ -29,8 +29,11 @@ class InlineAction {
 
   /// Whether a callable of type F is stored inline (compile-time, so the
   /// engine's inline/heap counters are a deterministic property of the
-  /// scheduled types). Requires nothrow move so relocating a queued event
-  /// can never throw mid-engine.
+  /// scheduled types). Requires nothrow move so that moving an
+  /// InlineAction never throws. The engine itself never moves a queued
+  /// action (it builds each one in place in its arena slot); the one move
+  /// left is Simulator::schedule_at(TimePoint, Action&&) taking a
+  /// pre-built action into its slot.
   template <typename F>
   static constexpr bool fits_inline = sizeof(F) <= kInlineBytes &&
                                       alignof(F) <= kInlineAlign &&

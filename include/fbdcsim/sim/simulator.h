@@ -9,16 +9,19 @@
 // window land in a 1024-bucket time wheel (4.096 us per bucket, ~4.2 ms
 // window) and are sorted per bucket only when the wheel reaches them;
 // events beyond the window wait in an overflow heap and migrate into the
-// wheel as it rotates. Actions are stored as InlineAction (no heap
-// allocation for captures up to 56 bytes — every current hot-path
-// capture). tests/sim/engine_property_test.cpp checks the execution order
-// against a plain binary-heap oracle (tests/support/reference_scheduler.h).
+// wheel as it rotates. The queues hold only 24-byte (time, seq, slot)
+// keys. Each action is an InlineAction (no heap allocation for captures up
+// to 56 bytes — every current hot-path capture) built in place in a slot
+// of a chunked arena whose chunks never move, and it runs and is destroyed
+// in that slot: sorting, heap sifts and migration never touch an action.
+// tests/sim/engine_property_test.cpp checks the execution order against a
+// plain binary-heap oracle (tests/support/reference_scheduler.h).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
+#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -35,20 +38,27 @@ class Simulator {
  public:
   using Action = InlineAction;
 
+  Simulator() = default;
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
+  /// Destroys every still-pending action.
+  ~Simulator() { clear(); }
+
   /// Current simulated time.
   [[nodiscard]] TimePoint now() const { return now_; }
 
   /// Schedules a callable at absolute time `at` (must not be in the past).
+  /// The callable is constructed directly in its arena slot.
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, Action>>>
   void schedule_at(TimePoint at, F&& f) {
-    schedule_at(at, Action{std::forward<F>(f)});
+    emplace(at, std::forward<F>(f));
   }
 
   /// Schedules an already type-erased action (hot paths that pre-build
-  /// InlineActions, tests). Throws std::invalid_argument if `at` is in the
-  /// past.
-  void schedule_at(TimePoint at, Action action);
+  /// InlineActions, tests); the action is moved into its slot once.
+  /// Throws std::invalid_argument if `at` is in the past.
+  void schedule_at(TimePoint at, Action&& action) { emplace(at, std::move(action)); }
 
   /// Schedules after a delay from now.
   template <typename F>
@@ -63,26 +73,34 @@ class Simulator {
   /// Runs until the queue is empty.
   void run();
 
-  /// Discards all pending events (the clock is unchanged). Safe to call
-  /// from inside an executing event: the remaining queue is dropped and
-  /// anything the current action schedules afterwards still runs.
+  /// Discards (and destroys) all pending events; the clock is unchanged.
+  /// Safe to call from inside an executing event: the remaining queue is
+  /// dropped and anything the current action schedules afterwards still
+  /// runs.
   void clear();
 
   [[nodiscard]] std::size_t pending_events() const { return size_; }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
  private:
-  struct Event {
+  /// What the queues hold: the execution order and where the action lives.
+  struct Key {
     TimePoint at;
     std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
+
+  /// One arena cell: raw storage for an action, alive only while queued
+  /// or executing.
+  union Slot {
+    Slot() noexcept {}
+    ~Slot() {}
     Action action;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
+
+  static constexpr unsigned kChunkShiftBits = 10;  // 1024 slots per chunk
+  static constexpr std::uint32_t kChunkSlots = 1U << kChunkShiftBits;
 
   static constexpr unsigned kBucketShiftBits = 12;  // 4096 ns per bucket
   static constexpr std::int64_t kWheelSize = 1024;  // ~4.2 ms window
@@ -93,13 +111,36 @@ class Simulator {
   }
 
   struct Bucket {
-    std::vector<Event> items;
-    std::size_t pos{0};  // executed (moved-from) prefix of items
+    std::vector<Key> items;
+    std::size_t pos{0};  // executed prefix of items
     bool dirty{false};   // items[pos..] not known sorted
   };
 
   class RunMetricsScope;  // publishes a run's telemetry when it ends
 
+  template <typename F>
+  void emplace(TimePoint at, F&& f) {
+    if (at < now_) throw_past();
+    // Build in the free-list head before taking it, so a throwing
+    // constructor leaves the arena unchanged.
+    const std::uint32_t slot = free_.empty() ? grow() : free_.back();
+    const Action& action =
+        *::new (static_cast<void*>(&action_at(slot))) Action(std::forward<F>(f));
+    free_.pop_back();
+    enqueue(at, slot, action.is_inline());
+  }
+
+  [[nodiscard]] Action& action_at(std::uint32_t slot) {
+    return chunks_[slot >> kChunkShiftBits][slot & (kChunkSlots - 1)].action;
+  }
+
+  [[noreturn]] static void throw_past();
+  /// Allocates one more chunk; returns the new free-list head.
+  std::uint32_t grow();
+  /// Destroys the action in `slot` and returns the slot to the free list.
+  void release(std::uint32_t slot) noexcept;
+  /// Files the key of a constructed action into its tier.
+  void enqueue(TimePoint at, std::uint32_t slot, bool inlined);
   void run_loop(TimePoint horizon, bool bounded);
   /// Moves overflow events that now fall inside the wheel window into it.
   void migrate_overflow();
@@ -113,14 +154,22 @@ class Simulator {
   std::uint64_t unpublished_heap_{0};
   std::size_t size_{0};
 
+  /// The slot arena. Chunks never move once allocated, so an executing
+  /// action stays put while it schedules enough to grow the arena. free_
+  /// is a LIFO stack whose capacity always covers every slot, so
+  /// returning a slot never allocates.
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::vector<std::uint32_t> free_;
+
   std::vector<Bucket> wheel_{static_cast<std::size_t>(kWheelSize)};
   std::int64_t cursor_{0};  // absolute index of the bucket being drained
   bool draining_{false};    // inside run_loop, draining bucket cursor_
-  /// Events scheduled into bucket cursor_ while it is being drained (kept
-  /// out of the bucket vector so the in-progress sorted scan stays valid).
-  std::priority_queue<Event, std::vector<Event>, Later> active_;
-  /// Events beyond the wheel window, ordered by (time, seq).
-  std::priority_queue<Event, std::vector<Event>, Later> overflow_;
+  /// Min-heaps on (time, seq). active_: events scheduled into bucket
+  /// cursor_ while it is being drained (kept out of the bucket vector so
+  /// the in-progress sorted scan stays valid). overflow_: events beyond
+  /// the wheel window.
+  std::vector<Key> active_;
+  std::vector<Key> overflow_;
 };
 
 /// A repeating timer: invokes `tick` every `period` until cancelled or the

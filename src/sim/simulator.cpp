@@ -52,57 +52,90 @@ class Simulator::RunMetricsScope {
 namespace {
 
 /// (time, seq) ascending — the execution order.
-template <typename E>
-bool earlier(const E& a, const E& b) {
+template <typename K>
+bool earlier(const K& a, const K& b) {
   if (a.at != b.at) return a.at < b.at;
   return a.seq < b.seq;
 }
 
+/// The heap comparator: std::*_heap keep the greatest element on top, so
+/// "greatest" must mean latest-first-out.
+template <typename K>
+bool later(const K& a, const K& b) {
+  return earlier(b, a);
+}
+
 }  // namespace
 
-void Simulator::schedule_at(TimePoint at, Action action) {
-  if (at < now_) throw std::invalid_argument{"Simulator: cannot schedule in the past"};
-  if (!action.is_inline()) ++unpublished_heap_;
+void Simulator::throw_past() {
+  throw std::invalid_argument{"Simulator: cannot schedule in the past"};
+}
 
+std::uint32_t Simulator::grow() {
+  // Reserve first (geometrically): if either allocation throws, the arena
+  // is unchanged and free_ still covers every slot.
+  const std::size_t slots = (chunks_.size() + 1) * kChunkSlots;
+  if (free_.capacity() < slots) free_.reserve(std::max(slots, 2 * free_.capacity()));
+  chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+  const auto base = static_cast<std::uint32_t>((chunks_.size() - 1) * kChunkSlots);
+  // Lowest index on top, so a fresh chunk fills front to back.
+  for (std::uint32_t i = kChunkSlots; i-- > 0;) free_.push_back(base + i);
+  return free_.back();
+}
+
+void Simulator::release(std::uint32_t slot) noexcept {
+  action_at(slot).~Action();
+  free_.push_back(slot);  // never reallocates: capacity covers every slot
+}
+
+void Simulator::enqueue(TimePoint at, std::uint32_t slot, bool inlined) {
+  const Key key{at, next_seq_, slot};
   const std::int64_t idx = bucket_of(at);
-  Event ev{at, next_seq_++, std::move(action)};
+  try {
+    if (draining_ && idx <= cursor_) {
+      // Scheduled (from an executing action) into the bucket being
+      // drained: the heap keeps the in-progress sorted scan valid without
+      // re-sorting the bucket vector per schedule.
+      active_.push_back(key);
+      std::push_heap(active_.begin(), active_.end(), later<Key>);
+    } else if (idx >= cursor_ + kWheelSize) {
+      overflow_.push_back(key);
+      std::push_heap(overflow_.begin(), overflow_.end(), later<Key>);
+    } else {
+      // idx < cursor_ happens when the cursor passed the event's natural
+      // bucket but `at` is still >= now() (e.g. after a horizon stop
+      // mid-bucket); the event is folded into the current bucket and the
+      // per-bucket (time, seq) sort puts it first.
+      Bucket& b = wheel_[(idx <= cursor_ ? cursor_ : idx) & kWheelMask];
+      if (b.pos == b.items.size() && b.pos != 0) {
+        // Everything in the bucket already executed; drop the stale prefix.
+        b.items.clear();
+        b.pos = 0;
+        b.dirty = false;
+      }
+      if (!b.dirty && !b.items.empty() && at < b.items.back().at) b.dirty = true;
+      b.items.push_back(key);
+    }
+  } catch (...) {
+    release(slot);  // the key never made it into a queue
+    throw;
+  }
+  ++next_seq_;
   ++size_;
-  if (draining_ && idx <= cursor_) {
-    // Scheduled (from an executing action) into the bucket being drained:
-    // the heap keeps the in-progress sorted scan valid without re-sorting
-    // the bucket vector per schedule.
-    active_.push(std::move(ev));
-    return;
-  }
-  if (idx >= cursor_ + kWheelSize) {
-    overflow_.push(std::move(ev));
-    return;
-  }
-  // idx < cursor_ happens when the cursor passed the event's natural bucket
-  // but `at` is still >= now() (e.g. after a horizon stop mid-bucket); the
-  // event is folded into the current bucket and the per-bucket (time, seq)
-  // sort puts it first.
-  Bucket& b = wheel_[(idx <= cursor_ ? cursor_ : idx) & kWheelMask];
-  if (b.pos == b.items.size() && b.pos != 0) {
-    // Everything in the bucket already executed; drop the stale prefix.
-    b.items.clear();
-    b.pos = 0;
-    b.dirty = false;
-  }
-  if (!b.dirty && !b.items.empty() && ev.at < b.items.back().at) b.dirty = true;
-  b.items.push_back(std::move(ev));
+  if (!inlined) ++unpublished_heap_;
 }
 
 void Simulator::migrate_overflow() {
   // Overflow pops in (time, seq) order and the bucket index is monotone in
   // time, so the now-in-window events are exactly the heap's top prefix.
   const std::int64_t limit = cursor_ + kWheelSize;
-  while (!overflow_.empty() && bucket_of(overflow_.top().at) < limit) {
-    Event ev = std::move(const_cast<Event&>(overflow_.top()));
-    overflow_.pop();
-    Bucket& b = wheel_[bucket_of(ev.at) & kWheelMask];
-    if (!b.dirty && !b.items.empty() && ev.at < b.items.back().at) b.dirty = true;
-    b.items.push_back(std::move(ev));
+  while (!overflow_.empty() && bucket_of(overflow_.front().at) < limit) {
+    std::pop_heap(overflow_.begin(), overflow_.end(), later<Key>);
+    const Key key = overflow_.back();
+    overflow_.pop_back();
+    Bucket& b = wheel_[bucket_of(key.at) & kWheelMask];
+    if (!b.dirty && !b.items.empty() && key.at < b.items.back().at) b.dirty = true;
+    b.items.push_back(key);
   }
 }
 
@@ -110,6 +143,17 @@ void Simulator::run_loop(TimePoint horizon, bool bounded) {
 #if FBDCSIM_TELEMETRY_ENABLED
   RunMetricsScope metrics{*this};
 #endif
+  /// Ends one action's run, also when it throws: destroys the action in
+  /// place and frees its slot.
+  struct Executing {
+    Simulator& sim;
+    std::uint32_t slot;
+    ~Executing() {
+      sim.draining_ = false;
+      sim.release(slot);
+    }
+  };
+
   // Every iteration re-derives its state from the member fields, so an
   // action calling clear() (or scheduling more work) is always observed.
   for (;;) {
@@ -120,7 +164,7 @@ void Simulator::run_loop(TimePoint horizon, bool bounded) {
       b.items.erase(b.items.begin(),
                     b.items.begin() + static_cast<std::ptrdiff_t>(b.pos));
       b.pos = 0;
-      std::sort(b.items.begin(), b.items.end(), earlier<Event>);
+      std::sort(b.items.begin(), b.items.end(), earlier<Key>);
       b.dirty = false;
     }
 
@@ -130,8 +174,8 @@ void Simulator::run_loop(TimePoint horizon, bool bounded) {
       b.pos = 0;
       if (size_ == overflow_.size()) {
         // Wheel empty: jump straight to the earliest overflow event.
-        if (bounded && overflow_.top().at > horizon) break;
-        cursor_ = bucket_of(overflow_.top().at);
+        if (bounded && overflow_.front().at > horizon) break;
+        cursor_ = bucket_of(overflow_.front().at);
       } else {
         ++cursor_;
       }
@@ -142,36 +186,33 @@ void Simulator::run_loop(TimePoint horizon, bool bounded) {
     // Next event = min of the bucket front and the active heap.
     bool from_active = !bucket_has;
     if (bucket_has && !active_.empty()) {
-      from_active = earlier(active_.top(), b.items[b.pos]);
+      from_active = earlier(active_.front(), b.items[b.pos]);
     }
-    const Event& peek = from_active ? active_.top() : b.items[b.pos];
-    if (bounded && peek.at > horizon) break;
+    const Key key = from_active ? active_.front() : b.items[b.pos];
+    if (bounded && key.at > horizon) break;
 
-    Event ev = from_active ? std::move(const_cast<Event&>(active_.top()))
-                           : std::move(b.items[b.pos]);
     if (from_active) {
-      active_.pop();
+      std::pop_heap(active_.begin(), active_.end(), later<Key>);
+      active_.pop_back();
     } else {
       ++b.pos;
     }
     --size_;
-    now_ = ev.at;
+    now_ = key.at;
     ++executed_;
+    const Executing executing{*this, key.slot};
     draining_ = true;
-    ev.action();
-    draining_ = false;
+    action_at(key.slot)();
   }
-  draining_ = false;
 
   // A horizon stop can leave active-heap events pending; fold them back
-  // into their bucket so the "active_ empty outside the drain" invariant
-  // holds for the next schedule/run.
+  // into their bucket so schedules made between runs see one sorted tier.
+  // (A throwing action skips this; the next run merges the leftover
+  // active_ keys with the bucket like any other.)
   if (!active_.empty()) {
     Bucket& b = wheel_[cursor_ & kWheelMask];
-    while (!active_.empty()) {
-      b.items.push_back(std::move(const_cast<Event&>(active_.top())));
-      active_.pop();
-    }
+    b.items.insert(b.items.end(), active_.begin(), active_.end());
+    active_.clear();
     b.dirty = true;
   }
 }
@@ -186,13 +227,21 @@ void Simulator::run() {
 }
 
 void Simulator::clear() {
+  // Only queued keys own a live action; the executing one (if clear() runs
+  // from inside an action) is in no queue and is freed when it returns.
+  const auto drop = [this](const Key* first, const Key* last) {
+    for (; first != last; ++first) release(first->slot);
+  };
   for (Bucket& b : wheel_) {
+    drop(b.items.data() + b.pos, b.items.data() + b.items.size());
     b.items.clear();
     b.pos = 0;
     b.dirty = false;
   }
-  while (!active_.empty()) active_.pop();
-  while (!overflow_.empty()) overflow_.pop();
+  drop(active_.data(), active_.data() + active_.size());
+  active_.clear();
+  drop(overflow_.data(), overflow_.data() + overflow_.size());
+  overflow_.clear();
   size_ = 0;
 }
 

@@ -14,9 +14,10 @@
 //   4. run_until(h) executes exactly the events with time <= h, pins the
 //      clock to h, and leaves strictly-later events pending.
 //
-// The five instantiations below total 200 seeded cases.
+// The seven instantiations below total 216 seeded cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -40,6 +41,7 @@ enum class Style {
   kClear,     // some actions call Simulator::clear()
   kBoundary,  // times pinned to bucket-boundary multiples +/- 1 ns
   kOverflow,  // mostly far-future events (overflow heap + migration)
+  kArena,     // >1024 pending at once, run out of seq order (slot reuse)
 };
 
 constexpr std::int64_t kBucketNs = 4096;          // engine bucket width
@@ -53,8 +55,11 @@ struct Driver {
   std::vector<LogEntry> log;
   std::uint64_t next_id{0};
   std::uint64_t event_budget{600};
+  std::size_t max_pending{0};
 
-  Driver(std::uint64_t seed, Style s) : rng{seed}, style{s} {}
+  Driver(std::uint64_t seed, Style s) : rng{seed}, style{s} {
+    if (style == Style::kArena) event_budget = 4000;
+  }
 
   std::int64_t draw_delta() {
     switch (style) {
@@ -71,6 +76,11 @@ struct Driver {
           // Beyond the wheel window: 1x..32x the span.
           return kWindowNs + static_cast<std::int64_t>(rng() % (31 * kWindowNs));
         }
+        return static_cast<std::int64_t>(rng() % kWindowNs);
+      case Style::kArena:
+        // Uniform over the wheel, with some overflow: a random execution
+        // order, so slots return to the free list far from seq order.
+        if (rng() % 8 == 0) return kWindowNs + static_cast<std::int64_t>(rng() % kWindowNs);
         return static_cast<std::int64_t>(rng() % kWindowNs);
       case Style::kMixed:
       case Style::kHorizon:
@@ -100,8 +110,10 @@ struct Driver {
   void run_scenario() {
     const int batches = 4;
     for (int b = 0; b < batches; ++b) {
-      const std::uint64_t batch = 20 + rng() % 40;
+      const std::uint64_t batch =
+          style == Style::kArena ? 1100 + rng() % 200 : 20 + rng() % 40;
       for (std::uint64_t i = 0; i < batch; ++i) schedule_one();
+      max_pending = std::max(max_pending, sim.pending_events());
       if (style == Style::kHorizon || rng() % 2 == 0) {
         sim.run_until(sim.now() + Duration::nanos(draw_delta()));
       }
@@ -118,6 +130,7 @@ class EnginePropertyTest : public ::testing::TestWithParam<std::uint64_t> {
     if (suite.find("Clear") != std::string::npos) return Style::kClear;
     if (suite.find("Boundary") != std::string::npos) return Style::kBoundary;
     if (suite.find("Overflow") != std::string::npos) return Style::kOverflow;
+    if (suite.find("Arena") != std::string::npos) return Style::kArena;
     return Style::kMixed;
   }
 
@@ -149,6 +162,9 @@ class EnginePropertyTest : public ::testing::TestWithParam<std::uint64_t> {
     EXPECT_EQ(simulator.sim.pending_events(), 0u);
     EXPECT_EQ(oracle.sim.pending_events(), 0u);
     EXPECT_EQ(simulator.sim.now(), oracle.sim.now());
+    if (style == Style::kArena) {
+      EXPECT_GT(simulator.max_pending, 1024u) << "never held more than one arena chunk";
+    }
   }
 };
 
@@ -175,6 +191,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BucketBoundary, ::testing::Range<std::uint64_t>(
 using OverflowHeap = EnginePropertyTest;
 TEST_P(OverflowHeap, MatchesReferenceAndOrderLaws) { run_and_compare(); }
 INSTANTIATE_TEST_SUITE_P(Seeds, OverflowHeap, ::testing::Range<std::uint64_t>(500, 524));
+
+using ArenaChurn = EnginePropertyTest;
+TEST_P(ArenaChurn, MatchesReferenceAndOrderLaws) { run_and_compare(); }
+INSTANTIATE_TEST_SUITE_P(Seeds, ArenaChurn, ::testing::Range<std::uint64_t>(700, 716));
 
 // The horizon law needs direct inspection too (the differential comparison
 // alone can't see *which* events stayed pending). It runs on the oracle as

@@ -4,6 +4,8 @@
 
 #include <functional>
 #include <memory>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace fbdcsim::sim {
@@ -271,6 +273,213 @@ TEST(SimulatorTest, MoveOnlyCallablesWork) {
   sim.schedule_at(TimePoint::from_nanos(5), [p = std::move(payload), &seen] { seen = *p; });
   sim.run();
   EXPECT_EQ(seen, 17);
+}
+
+// ---------------------------------------------------------------------------
+// Slot-arena lifetimes: every action is built once in its arena slot, never
+// moved while queued, and destroyed exactly once — when it has run, when
+// clear() drops it, or when the Simulator dies with it still pending.
+
+/// Counts how often the owning copy is destroyed and how often it moved.
+class LifeProbe {
+ public:
+  LifeProbe(int* destroyed, int* moves) : destroyed_{destroyed}, moves_{moves} {}
+  LifeProbe(LifeProbe&& other) noexcept
+      : destroyed_{std::exchange(other.destroyed_, nullptr)}, moves_{other.moves_} {
+    if (moves_ != nullptr) ++*moves_;
+  }
+  LifeProbe(const LifeProbe&) = delete;
+  LifeProbe& operator=(const LifeProbe&) = delete;
+  LifeProbe& operator=(LifeProbe&&) = delete;
+  ~LifeProbe() {
+    if (destroyed_ != nullptr) ++*destroyed_;
+  }
+
+ private:
+  int* destroyed_;
+  int* moves_;
+};
+
+TEST(SlotArenaLifetime, RunActionIsDestroyedOnceAfterRunning) {
+  Simulator sim;
+  int destroyed = 0;
+  int moves = 0;
+  int ran = 0;
+  sim.schedule_at(TimePoint::from_nanos(10), [p = LifeProbe{&destroyed, nullptr}, &ran,
+                                              &destroyed] {
+    ++ran;
+    EXPECT_EQ(destroyed, 0) << "destroyed before it ran";
+  });
+  sim.schedule_at(TimePoint::from_nanos(20),
+                  [p = LifeProbe{&destroyed, &moves}, &ran] { ++ran; });
+  // The lambda temporary is moved once, into its slot; the Action overload
+  // adds the one move from the pre-built InlineAction into the slot.
+  EXPECT_EQ(moves, 1);
+  int action_moves = 0;
+  Simulator::Action prebuilt{[p = LifeProbe{&destroyed, &action_moves}, &ran] { ++ran; }};
+  sim.schedule_at(TimePoint::from_nanos(30), std::move(prebuilt));
+  EXPECT_EQ(action_moves, 2);
+  sim.run();
+  EXPECT_EQ(ran, 3);
+  EXPECT_EQ(destroyed, 3);
+  EXPECT_EQ(moves, 1);
+  EXPECT_EQ(action_moves, 2);
+}
+
+TEST(SlotArenaLifetime, QueuedActionsNeverMove) {
+  // Every tier moves keys, never actions: bucket sorts (out-of-order
+  // times), the active heap (schedules into the draining bucket), the
+  // overflow heap and its migration, and a horizon stop's fold-back.
+  Simulator sim;
+  int destroyed = 0;
+  int moves = 0;
+  int ran = 0;
+  const auto probe = [&] { return LifeProbe{&destroyed, &moves}; };
+  for (int i = 0; i < 300; ++i) {
+    const std::int64_t ns = (i * 7919) % 3000 + (i % 5 == 0 ? 20'000'000 : 0);
+    sim.schedule_at(TimePoint::from_nanos(ns), [p = probe(), &sim, &ran, &probe] {
+      ++ran;
+      sim.schedule_after(Duration::nanos(1), [q = probe(), &ran] { ++ran; });
+    });
+  }
+  sim.run_until(TimePoint::from_nanos(1'500));
+  sim.run();
+  EXPECT_EQ(ran, 600);
+  EXPECT_EQ(destroyed, 600);
+  EXPECT_EQ(moves, 600) << "an action moved after it was built in its slot";
+}
+
+TEST(SlotArenaLifetime, PendingAtHorizonIsDestroyedOnceWhenItLaterRuns) {
+  Simulator sim;
+  int destroyed = 0;
+  bool ran = false;
+  sim.schedule_at(TimePoint::from_seconds(5.0),
+                  [p = LifeProbe{&destroyed, nullptr}, &ran] { ran = true; });
+  sim.run_until(TimePoint::from_seconds(1.0));
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(destroyed, 0);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_until(TimePoint::from_seconds(10.0));
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(SlotArenaLifetime, ClearFromOutsideDestroysEveryTierOnce) {
+  Simulator sim;
+  int destroyed = 0;
+  int ran = 0;
+  const auto add = [&](std::int64_t ns) {
+    sim.schedule_at(TimePoint::from_nanos(ns),
+                    [p = LifeProbe{&destroyed, nullptr}, &ran] { ++ran; });
+  };
+  add(100);            // wheel, executed before the horizon
+  add(2'000);          // same bucket, left pending mid-bucket
+  add(50'000);         // later wheel bucket
+  add(9'000'000'000);  // overflow heap
+  sim.run_until(TimePoint::from_nanos(1'000));
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(destroyed, 1);
+  sim.clear();
+  EXPECT_EQ(destroyed, 4);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run();
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(destroyed, 4);
+}
+
+TEST(SlotArenaLifetime, ClearFromInsideActionDestroysEachOnce) {
+  Simulator sim;
+  int destroyed = 0;
+  int executing_destroyed = 0;
+  int ran = 0;
+  for (const std::int64_t ns : {std::int64_t{2'000}, std::int64_t{2'500}, std::int64_t{90'000},
+                                 std::int64_t{8'000'000'000}}) {
+    sim.schedule_at(TimePoint::from_nanos(ns),
+                    [p = LifeProbe{&destroyed, nullptr}, &ran] { ++ran; });
+  }
+  sim.schedule_at(TimePoint::from_nanos(1'000), [p = LifeProbe{&executing_destroyed, nullptr},
+                                                 &sim, &destroyed, &executing_destroyed] {
+    // Schedules into the draining bucket first, so clear() also empties
+    // the active heap.
+    sim.schedule_at(sim.now(), [q = LifeProbe{&destroyed, nullptr}] {});
+    sim.clear();
+    EXPECT_EQ(destroyed, 5);
+    EXPECT_EQ(executing_destroyed, 0) << "clear() destroyed the executing action";
+  });
+  sim.run();
+  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(destroyed, 5);
+  EXPECT_EQ(executing_destroyed, 1);
+}
+
+TEST(SlotArenaLifetime, DestroyingSimulatorDestroysPendingOnce) {
+  int destroyed = 0;
+  {
+    Simulator sim;
+    for (int i = 0; i < 3000; ++i) {
+      // The first 500 fall at or before the horizon; the rest spread over
+      // the wheel and the overflow heap.
+      const std::int64_t ns = 1 + i + (i < 500 ? 0 : (i % 3) * 5'000'000);
+      sim.schedule_at(TimePoint::from_nanos(ns), [p = LifeProbe{&destroyed, nullptr}] {});
+    }
+    sim.run_until(TimePoint::from_nanos(500));
+    EXPECT_EQ(destroyed, 500);
+  }
+  EXPECT_EQ(destroyed, 3000);
+}
+
+TEST(SlotArenaLifetime, ActionGrowingArenaWhileRunningStaysValid) {
+  // 2500 schedules from one action allocate more than two fresh 1024-slot
+  // chunks while it runs. Its captures must stay readable afterwards
+  // (ASan flags the action if growth moved or freed it).
+  constexpr int kChildren = 2500;
+  Simulator sim;
+  std::vector<int> order;
+  int destroyed = 0;
+  sim.schedule_at(TimePoint::from_nanos(10), [p = LifeProbe{&destroyed, nullptr},
+                                              tag = std::uint64_t{0xFEEDFACE}, &sim, &order] {
+    for (int i = 0; i < kChildren; ++i) {
+      sim.schedule_after(Duration::nanos(kChildren - i),
+                         [i, &order] { order.push_back(i); });
+    }
+    EXPECT_EQ(tag, 0xFEEDFACEu);
+    order.push_back(-1);
+  });
+  sim.run();
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kChildren + 1));
+  EXPECT_EQ(order.front(), -1);
+  // Delays descend with i, so the children run in reverse schedule order.
+  for (int i = 0; i < kChildren; ++i) {
+    EXPECT_EQ(order[static_cast<std::size_t>(i + 1)], kChildren - 1 - i);
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(SlotArenaLifetime, ThrowingActionFreesItsSlotAndLaterEventsKeepOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  int destroyed = 0;
+  const TimePoint t = TimePoint::from_nanos(1'000);
+  sim.schedule_at(t, [&order] { order.push_back(0); });
+  sim.schedule_at(t, [p = LifeProbe{&destroyed, nullptr}, &sim, &order] {
+    order.push_back(1);
+    // Pending in the active heap when the throw unwinds the run.
+    sim.schedule_at(sim.now(), [&order] { order.push_back(4); });
+    throw std::runtime_error{"action failed"};
+  });
+  sim.schedule_at(t, [&order] { order.push_back(2); });
+  sim.schedule_at(TimePoint::from_nanos(1'001), [&order] { order.push_back(5); });
+  sim.schedule_at(TimePoint::from_nanos(9'000'000'000), [&order] { order.push_back(6); });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_EQ(sim.pending_events(), 4u);
+  EXPECT_EQ(sim.executed_events(), 2u);
+  // Equal-time events scheduled after the throw still follow the ones
+  // already queued at that time.
+  sim.schedule_at(t, [&order] { order.push_back(3); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 4, 3, 5, 6}));
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 }  // namespace
