@@ -17,6 +17,7 @@ namespace {
 using core::DataSize;
 using core::Duration;
 using core::TimePoint;
+using Ev = telemetry::TransportEventKind;
 }  // namespace
 
 TransportMux::TransportMux(sim::Simulator& sim, const topology::Fleet& fleet,
@@ -147,24 +148,22 @@ TcpConnection& TransportMux::ensure(const core::FiveTuple& tuple, core::HostId s
 
   by_tuple_.emplace(tuple, c.tag);
   ++stats_.connections_created;
-  if (flow_ledger_ != nullptr) {
+  if (ledger_ != nullptr) {
     // Per-direction feedback-loop RTTs match the substitution model: the
     // out half's ACKs return after reply_delay, the in half's after one
     // beyond-RSW leg plus the host turnaround. The NIC is the bottleneck
     // (default port rate equals it), in bytes per second for ideal-FCT math.
-    flow_ledger_->on_birth(c.tag, sim_->now().count_nanos(), tuple,
-                           fleet_->host(self).role, fleet_->host(peer).role,
-                           fleet_->locality(self, peer), c.reply_delay.count_nanos(),
-                           (c.beyond + params_.host_delay).count_nanos(),
-                           params_.nic_rate.count_bits_per_sec() / 8);
+    ledger_->on_birth(c.tag, sim_->now().count_nanos(), tuple, fleet_->host(self).role,
+                      fleet_->host(peer).role, fleet_->locality(self, peer),
+                      c.reply_delay.count_nanos(),
+                      (c.beyond + params_.host_delay).count_nanos(),
+                      params_.nic_rate.count_bits_per_sec() / 8);
   }
   return c;
 }
 
 void TransportMux::release(TcpConnection& c) {
-  if (flow_ledger_ != nullptr) {
-    flow_ledger_->on_release(c.tag, sim_->now().count_nanos());
-  }
+  emit(Ev::kRelease, c);
   const std::uint32_t idx = (c.tag >> 8) - 1;
   by_tuple_.erase(c.tuple);
   Slot& s = slots_[idx];
@@ -226,6 +225,15 @@ void TransportMux::emit_now(TcpConnection& c, Dir dir, std::int64_t payload,
   }
 }
 
+void TransportMux::emit(telemetry::TransportEventKind kind, const TcpConnection& c, Dir dir,
+                        std::int64_t seq, std::int64_t len, std::int64_t a, std::int64_t b) {
+  if (recorder_ == nullptr && ledger_ == nullptr) return;
+  const telemetry::TransportEvent e{kind, static_cast<std::uint8_t>(dir), c.tag,
+                                    sim_->now().count_nanos(), seq, len, a, b};
+  if (recorder_ != nullptr) recorder_->record(e);
+  if (ledger_ != nullptr) ledger_->record(e);
+}
+
 // ---- DemandSink ----
 
 void TransportMux::open(const core::FiveTuple& tuple, core::HostId self, core::HostId peer,
@@ -280,9 +288,7 @@ void TransportMux::app_close(const core::FiveTuple& tuple, core::HostId self,
 void TransportMux::establish(TcpConnection& c) {
   c.state = ConnState::kEstablished;
   c.hs_tries = 0;
-  if (flow_ledger_ != nullptr) {
-    flow_ledger_->on_established(c.tag, sim_->now().count_nanos());
-  }
+  emit(Ev::kEstablished, c);
   ++stats_.handshakes_completed;
   pump(c, Dir::kOut);
   pump(c, Dir::kIn);
@@ -297,9 +303,7 @@ void TransportMux::on_ctrl(std::uint32_t tag, Ctrl ctrl) {
     case Ctrl::kBeginOpen:
       if (c.state == ConnState::kClosed) {
         c.state = ConnState::kSynSent;
-        if (flow_ledger_ != nullptr) {
-          flow_ledger_->on_syn(c.tag, sim_->now().count_nanos());
-        }
+        emit(Ev::kSyn, c);
         emit_now(c, Dir::kOut, 0, core::TcpFlags{.syn = true}, 0, 0);
         arm_hs(c);
       }
@@ -307,9 +311,7 @@ void TransportMux::on_ctrl(std::uint32_t tag, Ctrl ctrl) {
     case Ctrl::kBeginInbound:
       if (c.state == ConnState::kClosed) {
         c.state = ConnState::kSynReceived;
-        if (flow_ledger_ != nullptr) {
-          flow_ledger_->on_syn(c.tag, sim_->now().count_nanos());
-        }
+        emit(Ev::kSyn, c);
         emit_now(c, Dir::kIn, 0, core::TcpFlags{.syn = true}, 0, 0);
         arm_hs(c);
       }
@@ -339,10 +341,7 @@ void TransportMux::on_demand(std::uint32_t tag, Dir dir, std::int64_t bytes,
   h.demand += bytes;
   h.pace_gap = std::max(pace_gap, Duration::nanos(0));
   stats_.bytes_demanded += bytes;
-  if (flow_ledger_ != nullptr) {
-    flow_ledger_->on_demand(tag, sim_->now().count_nanos(),
-                            static_cast<int>(dir), bytes);
-  }
+  emit(Ev::kDemand, *cp, dir, 0, bytes);
   pump(*cp, dir);
 }
 
@@ -428,12 +427,9 @@ void TransportMux::send_segment(TcpConnection& c, Dir dir, std::int64_t seq,
     } else {
       ++stats_.rtx_rto_segments;
     }
-    if (flow_ledger_ != nullptr) {
-      flow_ledger_->on_retransmit(c.tag, now.count_nanos(), static_cast<int>(dir), seq,
-                                  len,
-                                  h.in_recovery ? telemetry::FlowRtxKind::kDupack
-                                                : telemetry::FlowRtxKind::kRto);
-    }
+    emit(Ev::kRetransmit, c, dir, seq, len,
+         static_cast<std::int64_t>(h.in_recovery ? telemetry::FlowRtxKind::kDupack
+                                                 : telemetry::FlowRtxKind::kRto));
   }
 
   const std::uint32_t tag = c.tag;
@@ -445,11 +441,8 @@ void TransportMux::send_segment(TcpConnection& c, Dir dir, std::int64_t seq,
     // Remote (in-half) senders sit beyond the RSW: forward-path loss means
     // the segment never reaches the rack at all.
     if (d == Dir::kIn && path_lost(*cp)) {
-      if (flow_ledger_ != nullptr) {
-        flow_ledger_->on_drop(tag, sim_->now().count_nanos(), 1, seq, len,
-                              telemetry::FlowDropCause::kPathLoss, 0, -1,
-                              telemetry::kFaultEpochPathLoss);
-      }
+      emit(Ev::kDrop, *cp, d, seq, len,
+           static_cast<std::int64_t>(telemetry::FlowDropCause::kPathLoss), -1);
       return;
     }
     const bool psh = seq + len >= half(*cp, d).demand;
@@ -485,10 +478,7 @@ void TransportMux::on_ack_at_sender(TcpConnection& c, Dir dir, std::int64_t ackn
         h.ssthresh = h.cwnd;
         h.cwnd_reduced_this_window = true;
         ++stats_.dctcp_cwnd_reductions;
-        if (flow_ledger_ != nullptr) {
-          flow_ledger_->on_ecn_reduction(c.tag, sim_->now().count_nanos(),
-                                         static_cast<int>(dir), h.cwnd);
-        }
+        emit(Ev::kEcnReduction, c, dir, 0, 0, h.cwnd);
       }
     }
     h.snd_una = ackno;
@@ -502,12 +492,7 @@ void TransportMux::on_ack_at_sender(TcpConnection& c, Dir dir, std::int64_t ackn
         h.in_recovery = false;
         h.dupacks = 0;
         h.cwnd = std::max(mss, std::min(h.ssthresh, params_.max_cwnd.count_bytes()));
-        FBDCSIM_T_TRACEPOINT(trace_log_, sim_->now().count_nanos(), FastRtxExit, c.tag,
-                             h.cwnd, 0);
-        if (flow_ledger_ != nullptr) {
-          flow_ledger_->on_recovery_exit(c.tag, sim_->now().count_nanos(),
-                                         static_cast<int>(dir));
-        }
+        emit(Ev::kRecoveryExit, c, dir, 0, 0, h.cwnd);
       } else if (!sack) {
         // NewReno partial ACK: retransmit the next hole, stay in recovery.
         h.rtx_next = ackno;
@@ -534,12 +519,9 @@ void TransportMux::on_ack_at_sender(TcpConnection& c, Dir dir, std::int64_t ackn
       h.ce_window_end = h.snd_nxt;
       h.cwnd_reduced_this_window = false;
     }
-    if (flow_ledger_ != nullptr) {
-      // After the recovery bookkeeping above, so an episode exit on this
-      // ACK lands before the transfer it belongs to closes.
-      flow_ledger_->on_acked(c.tag, sim_->now().count_nanos(), static_cast<int>(dir),
-                             h.snd_una);
-    }
+    // After the recovery bookkeeping above, so an episode exit on this ACK
+    // lands before the transfer it belongs to closes.
+    emit(Ev::kAcked, c, dir, h.snd_una, 0, h.demand);
     FBDCSIM_T_HISTOGRAM(cwnd_hist, "transport.cwnd", Sim);
     FBDCSIM_T_OBSERVE(cwnd_hist, h.cwnd / mss);
   } else if (ackno == h.snd_una && h.inflight() > 0) {
@@ -556,14 +538,8 @@ void TransportMux::on_ack_at_sender(TcpConnection& c, Dir dir, std::int64_t ackn
         enter_fast_recovery(h, params_);
       }
       ++stats_.fast_retransmits;
-      FBDCSIM_T_TRACEPOINT(trace_log_, sim_->now().count_nanos(), FastRtxEnter, c.tag,
-                           h.ssthresh, h.inflight());
-      if (flow_ledger_ != nullptr) {
-        flow_ledger_->on_recovery_enter(c.tag, sim_->now().count_nanos(),
-                                        static_cast<int>(dir),
-                                        sack ? telemetry::FlowEpisodeKind::kSackRecovery
-                                             : telemetry::FlowEpisodeKind::kFastRecovery);
-      }
+      emit(sack ? Ev::kSackRecovery : Ev::kFastRecovery, c, dir, 0, 0, h.ssthresh,
+           h.inflight());
       if (sack) {
         // The fast retransmit itself is unconditional — sack_pipe gates
         // only the rest of the episode (mirrors NewReno's rtx_next mark).
@@ -662,12 +638,7 @@ void TransportMux::on_rto_event(std::uint32_t tag, Dir dir) {
     apply_rto(h, params_);
   }
   ++stats_.rto_fired;
-  FBDCSIM_T_TRACEPOINT(trace_log_, sim_->now().count_nanos(), RtoFired, c.tag, h.cwnd,
-                       h.backoff);
-  if (flow_ledger_ != nullptr) {
-    flow_ledger_->on_rto(c.tag, sim_->now().count_nanos(), static_cast<int>(dir),
-                         h.backoff);
-  }
+  emit(Ev::kRto, c, dir, h.snd_una, 0, h.cwnd, h.backoff);
   arm_rto(c, dir);
   pump(c, dir);
 }
@@ -712,21 +683,17 @@ void TransportMux::on_hs_event(std::uint32_t tag) {
     release(c);
     return;
   }
-  FBDCSIM_T_TRACEPOINT(trace_log_, sim_->now().count_nanos(), HandshakeRetry, c.tag,
-                       c.hs_tries, static_cast<std::int64_t>(c.state));
+  emit(Ev::kHandshakeRetry, c, Dir::kOut, 0, 0, c.hs_tries,
+       static_cast<std::int64_t>(c.state));
   switch (c.state) {
     case ConnState::kSynSent:
-      if (flow_ledger_ != nullptr) {
-        flow_ledger_->on_syn(c.tag, sim_->now().count_nanos());
-      }
+      emit(Ev::kSyn, c);
       emit_now(c, Dir::kOut, 0, core::TcpFlags{.syn = true}, 0, 0);
       break;
     case ConnState::kSynReceived:
       // Covers both a lost peer SYN and a lost SYN-ACK: replaying the SYN
       // re-triggers our SYN-ACK on delivery.
-      if (flow_ledger_ != nullptr) {
-        flow_ledger_->on_syn(c.tag, sim_->now().count_nanos());
-      }
+      emit(Ev::kSyn, c);
       emit_now(c, Dir::kIn, 0, core::TcpFlags{.syn = true}, 0, 0);
       break;
     case ConnState::kFinWait:
@@ -809,10 +776,9 @@ void TransportMux::on_delivered(const core::SimPacket& pkt) {
       // far receiver.
       if (!path_lost(c)) {
         on_data_at_receiver(c, Dir::kOut, seq, payload, f.psh, ce);
-      } else if (flow_ledger_ != nullptr) {
-        flow_ledger_->on_drop(c.tag, sim_->now().count_nanos(), 0, seq, payload,
-                              telemetry::FlowDropCause::kPathLoss, 0, -1,
-                              telemetry::kFaultEpochPathLoss);
+      } else {
+        emit(Ev::kDrop, c, Dir::kOut, seq, payload,
+             static_cast<std::int64_t>(telemetry::FlowDropCause::kPathLoss), -1);
       }
     } else {
       on_data_at_receiver(c, Dir::kIn, seq, payload, f.psh, ce);
@@ -851,13 +817,9 @@ void TransportMux::on_dropped(std::size_t port, const core::SimPacket& pkt) {
   if (cp == nullptr || pkt.header.payload_bytes <= 0) return;
   const Dir dir = pkt.src == cp->self ? Dir::kOut : Dir::kIn;
   ++half(*cp, dir).switch_dropped_segments;
-  if (flow_ledger_ != nullptr) {
-    flow_ledger_->on_drop(pkt.flow_tag, sim_->now().count_nanos(),
-                          static_cast<int>(dir), static_cast<std::int64_t>(pkt.seq),
-                          pkt.header.payload_bytes,
-                          telemetry::FlowDropCause::kSwitchBuffer, ledger_switch_id_,
-                          static_cast<std::int32_t>(port), switch_drop_fault_epoch_);
-  }
+  emit(Ev::kDrop, *cp, dir, static_cast<std::int64_t>(pkt.seq), pkt.header.payload_bytes,
+       static_cast<std::int64_t>(telemetry::FlowDropCause::kSwitchBuffer),
+       static_cast<std::int64_t>(port));
 }
 
 }  // namespace fbdcsim::transport

@@ -65,10 +65,13 @@ class ScriptedLossSink final : public services::TrafficSink {
       if (drop && drop(packet.seq / mss, attempt)) {
         ++dropped_frames;
         if (ledger != nullptr) {
-          ledger->on_drop(packet.flow_tag, sim->now().count_nanos(), /*dir=*/0,
-                          packet.seq, packet.header.payload_bytes,
-                          telemetry::FlowDropCause::kScripted, /*switch_id=*/0,
-                          /*port=*/-1, /*fault_epoch=*/-1);
+          ledger->record({.kind = telemetry::TransportEventKind::kDrop,
+                          .tag = packet.flow_tag,
+                          .t_ns = sim->now().count_nanos(),
+                          .seq = static_cast<std::int64_t>(packet.seq),
+                          .len = packet.header.payload_bytes,
+                          .a = static_cast<std::int64_t>(telemetry::FlowDropCause::kScripted),
+                          .b = -1});
         }
         return;  // silent: the sender only finds out via ACKs or the RTO
       }
@@ -118,7 +121,7 @@ inline ScenarioOutcome run_loss_scenario(transport::LossRecovery recovery,
   params.max_cwnd = core::DataSize::bytes(window_segments * params.mss_bytes);
   params.initial_window_segments = window_segments;
   transport::TransportMux mux{sim, fleet, sink, params, /*faults=*/nullptr};
-  if (ledger != nullptr) mux.set_flow_ledger(ledger);
+  mux.set_observers(/*recorder=*/nullptr, ledger);
   sink.sim = &sim;
   sink.mux = &mux;
   sink.mss = params.mss_bytes;

@@ -1,5 +1,5 @@
 // FlowLedger law suite (DESIGN.md §14): the lifecycle/attribution engine
-// is driven directly through its hooks — no simulator — so every law is
+// is fed TransportEvents directly — no simulator — so every law is
 // pinned against hand-computable inputs, plus a randomized episode-law
 // property sweep. The JSONL writer/parser round-trip lives here too.
 #include <cstdint>
@@ -18,6 +18,14 @@
 
 namespace fbdcsim::telemetry {
 namespace {
+
+using K = TransportEventKind;
+
+constexpr std::int64_t kScripted = static_cast<std::int64_t>(FlowDropCause::kScripted);
+constexpr std::int64_t kPathLoss = static_cast<std::int64_t>(FlowDropCause::kPathLoss);
+constexpr std::int64_t kSwitchBuffer = static_cast<std::int64_t>(FlowDropCause::kSwitchBuffer);
+constexpr std::int64_t kDupackRtx = static_cast<std::int64_t>(FlowRtxKind::kDupack);
+constexpr std::int64_t kRtoRtx = static_cast<std::int64_t>(FlowRtxKind::kRto);
 
 core::FiveTuple test_tuple(std::uint16_t src_port = 40'000) {
   return core::FiveTuple{core::Ipv4Addr{10, 0, 0, 1}, core::Ipv4Addr{10, 0, 0, 2},
@@ -50,13 +58,14 @@ TEST(FlowLedger, IdealFctExactArithmetic) {
 TEST(FlowLedger, TransferLifecycleClosesOnFullAck) {
   FlowLedger ledger{/*source_id=*/7, /*capacity=*/8};
   birth(ledger, 0x101, /*t_ns=*/1'000);
-  ledger.on_syn(0x101, 1'000);
-  ledger.on_established(0x101, 11'000);
-  ledger.on_demand(0x101, 20'000, /*dir=*/0, /*bytes=*/4'096);
+  ledger.record({.kind = K::kSyn, .tag = 0x101, .t_ns = 1'000});
+  ledger.record({.kind = K::kEstablished, .tag = 0x101, .t_ns = 11'000});
+  ledger.record({.kind = K::kDemand, .dir = 0, .tag = 0x101, .t_ns = 20'000, .len = 4'096});
   EXPECT_EQ(ledger.live_transfers(), 1);
-  ledger.on_acked(0x101, 25'000, 0, /*snd_una=*/1'000);  // partial: stays open
-  EXPECT_EQ(ledger.total_closed(), 0);
-  ledger.on_acked(0x101, 30'000, 0, /*snd_una=*/4'096);
+  // kAcked: seq = snd_una, a = bytes demanded on the stream.
+  ledger.record({.kind = K::kAcked, .tag = 0x101, .t_ns = 25'000, .seq = 1'000, .a = 4'096});
+  EXPECT_EQ(ledger.total_closed(), 0);  // partial: stays open
+  ledger.record({.kind = K::kAcked, .tag = 0x101, .t_ns = 30'000, .seq = 4'096, .a = 4'096});
   EXPECT_EQ(ledger.total_closed(), 1);
   EXPECT_EQ(ledger.live_transfers(), 0);
 
@@ -84,8 +93,9 @@ TEST(FlowLedger, TransferLifecycleClosesOnFullAck) {
 TEST(FlowLedger, InboundHalfUsesInRttAndOwnSequenceSpace) {
   FlowLedger ledger{1, 8};
   birth(ledger, 5);
-  ledger.on_demand(5, 2'000, /*dir=*/1, 1'000);
-  ledger.on_acked(5, 9'000, /*dir=*/1, 1'000);
+  ledger.record({.kind = K::kDemand, .dir = 1, .tag = 5, .t_ns = 2'000, .len = 1'000});
+  ledger.record(
+      {.kind = K::kAcked, .dir = 1, .tag = 5, .t_ns = 9'000, .seq = 1'000, .a = 1'000});
   const FlowLedgerDump dump = ledger.snapshot();
   ASSERT_EQ(dump.records.size(), 1u);
   EXPECT_EQ(dump.records[0].dir, 1);
@@ -95,11 +105,13 @@ TEST(FlowLedger, InboundHalfUsesInRttAndOwnSequenceSpace) {
 TEST(FlowLedger, PipelinedDemandExtendsOpenTransfer) {
   FlowLedger ledger{1, 8};
   birth(ledger, 9);
-  ledger.on_demand(9, 2'000, 0, 1'000);
-  ledger.on_demand(9, 3'000, 0, 500);  // arrives before the first closes
-  ledger.on_acked(9, 4'000, 0, 1'000);  // acks only the first burst: open
+  ledger.record({.kind = K::kDemand, .tag = 9, .t_ns = 2'000, .len = 1'000});
+  // Arrives before the first closes.
+  ledger.record({.kind = K::kDemand, .tag = 9, .t_ns = 3'000, .len = 500});
+  // Acks only the first burst: open.
+  ledger.record({.kind = K::kAcked, .tag = 9, .t_ns = 4'000, .seq = 1'000, .a = 1'500});
   EXPECT_EQ(ledger.total_closed(), 0);
-  ledger.on_acked(9, 5'000, 0, 1'500);
+  ledger.record({.kind = K::kAcked, .tag = 9, .t_ns = 5'000, .seq = 1'500, .a = 1'500});
   EXPECT_EQ(ledger.total_closed(), 1);
   const FlowLedgerDump dump = ledger.snapshot();
   ASSERT_EQ(dump.records.size(), 1u);
@@ -110,10 +122,12 @@ TEST(FlowLedger, PipelinedDemandExtendsOpenTransfer) {
 TEST(FlowLedger, SequentialBurstsGetSeparateMonotoneRecords) {
   FlowLedger ledger{1, 8};
   birth(ledger, 9);
-  ledger.on_demand(9, 2'000, 0, 100);
-  ledger.on_acked(9, 3'000, 0, 100);
-  ledger.on_demand(9, 10'000, 0, 200);  // after close: a fresh transfer
-  ledger.on_acked(9, 11'000, 0, 300);   // snd_una is cumulative on the stream
+  ledger.record({.kind = K::kDemand, .tag = 9, .t_ns = 2'000, .len = 100});
+  ledger.record({.kind = K::kAcked, .tag = 9, .t_ns = 3'000, .seq = 100, .a = 100});
+  // After close: a fresh transfer. snd_una and demand are cumulative on the
+  // stream.
+  ledger.record({.kind = K::kDemand, .tag = 9, .t_ns = 10'000, .len = 200});
+  ledger.record({.kind = K::kAcked, .tag = 9, .t_ns = 11'000, .seq = 300, .a = 300});
   const FlowLedgerDump dump = ledger.snapshot();
   ASSERT_EQ(dump.records.size(), 2u);
   EXPECT_EQ(dump.records[0].bytes, 100);
@@ -125,9 +139,9 @@ TEST(FlowLedger, SequentialBurstsGetSeparateMonotoneRecords) {
 TEST(FlowLedger, ReleaseClosesOpenTransfersAsIncomplete) {
   FlowLedger ledger{1, 8};
   birth(ledger, 3);
-  ledger.on_demand(3, 2'000, 0, 1'000);
-  ledger.on_demand(3, 2'000, 1, 500);
-  ledger.on_release(3, 50'000);
+  ledger.record({.kind = K::kDemand, .dir = 0, .tag = 3, .t_ns = 2'000, .len = 1'000});
+  ledger.record({.kind = K::kDemand, .dir = 1, .tag = 3, .t_ns = 2'000, .len = 500});
+  ledger.record({.kind = K::kRelease, .tag = 3, .t_ns = 50'000});
   EXPECT_EQ(ledger.total_closed(), 2);
   EXPECT_EQ(ledger.live_transfers(), 0);
   for (const FlowLedgerRecord& r : ledger.snapshot().records) {
@@ -136,9 +150,9 @@ TEST(FlowLedger, ReleaseClosesOpenTransfersAsIncomplete) {
     EXPECT_EQ(r.slowdown(), 0.0);
   }
   // The tag is forgotten: later events on it are strays, not crashes.
-  ledger.on_acked(3, 60'000, 0, 2'000);
-  ledger.on_drop(3, 60'000, 0, 0, 100, FlowDropCause::kPathLoss, 0, -1,
-                 kFaultEpochPathLoss);
+  ledger.record({.kind = K::kAcked, .tag = 3, .t_ns = 60'000, .seq = 2'000, .a = 2'000});
+  ledger.record(
+      {.kind = K::kDrop, .tag = 3, .t_ns = 60'000, .len = 100, .a = kPathLoss, .b = -1});
   EXPECT_EQ(ledger.stray_events(), 1);  // the drop; acked on dead tag is benign
 }
 
@@ -146,9 +160,9 @@ TEST(FlowLedger, FinalizeFlushesInConnectionCreationOrder) {
   FlowLedger ledger{1, 8};
   birth(ledger, 20);
   birth(ledger, 10);  // born second despite the smaller tag
-  ledger.on_demand(10, 2'000, 0, 100);
-  ledger.on_demand(20, 1'000, 0, 100);
-  ledger.finalize(99'000);
+  ledger.record({.kind = K::kDemand, .tag = 10, .t_ns = 2'000, .len = 100});
+  ledger.record({.kind = K::kDemand, .tag = 20, .t_ns = 1'000, .len = 100});
+  ledger.finalize();
   const FlowLedgerDump dump = ledger.snapshot();
   ASSERT_EQ(dump.records.size(), 2u);
   EXPECT_EQ(dump.records[0].flow_tag, 20u);  // creation order, not tag order
@@ -159,30 +173,42 @@ TEST(FlowLedger, FinalizeFlushesInConnectionCreationOrder) {
 TEST(FlowLedger, EventsWithoutOpenTransferCountAsStray) {
   FlowLedger ledger{1, 8};
   birth(ledger, 4);  // live conn, but no demand yet -> no open transfer
-  ledger.on_drop(4, 1'000, 0, 0, 100, FlowDropCause::kSwitchBuffer, 3, 2, -1);
-  ledger.on_retransmit(4, 2'000, 0, 0, 100, FlowRtxKind::kDupack);
-  ledger.on_drop(99, 3'000, 0, 0, 100, FlowDropCause::kScripted, 0, -1, -1);
+  ledger.record(
+      {.kind = K::kDrop, .tag = 4, .t_ns = 1'000, .len = 100, .a = kSwitchBuffer, .b = 2});
+  ledger.record({.kind = K::kRetransmit, .tag = 4, .t_ns = 2'000, .len = 100, .a = kDupackRtx});
+  ledger.record(
+      {.kind = K::kDrop, .tag = 99, .t_ns = 3'000, .len = 100, .a = kScripted, .b = -1});
+  // Connection-scoped kinds on an unknown tag are ignored, not stray.
+  ledger.record({.kind = K::kSyn, .tag = 99, .t_ns = 4'000});
+  ledger.record({.kind = K::kHandshakeRetry, .tag = 4, .t_ns = 4'000, .a = 1});
   EXPECT_EQ(ledger.stray_events(), 3);
   EXPECT_EQ(ledger.total_closed(), 0);
 }
 
 TEST(LedgerAttribution, RetransmissionClaimsEarliestOverlappingDrop) {
-  FlowLedger ledger{1, 8};
+  // Switch drops carry the ledger's switch id and fault epoch.
+  FlowLedger ledger{1, 8, /*switch_id=*/42, kFaultEpochBufferShrunk};
   birth(ledger, 6);
-  ledger.on_demand(6, 2'000, 0, 10'000);
+  ledger.record({.kind = K::kDemand, .tag = 6, .t_ns = 2'000, .len = 10'000});
   // Two drops of the same segment (original + lost retransmission), then a
   // drop of a later segment.
-  ledger.on_drop(6, 3'000, 0, 0, 1'000, FlowDropCause::kSwitchBuffer, 42, 5,
-                 kFaultEpochBufferShrunk);
-  ledger.on_drop(6, 4'000, 0, 0, 1'000, FlowDropCause::kPathLoss, 0, -1,
-                 kFaultEpochPathLoss);
-  ledger.on_drop(6, 5'000, 0, 2'000, 1'000, FlowDropCause::kScripted, 0, -1, -1);
+  ledger.record(
+      {.kind = K::kDrop, .tag = 6, .t_ns = 3'000, .len = 1'000, .a = kSwitchBuffer, .b = 5});
+  ledger.record(
+      {.kind = K::kDrop, .tag = 6, .t_ns = 4'000, .len = 1'000, .a = kPathLoss, .b = -1});
+  ledger.record({.kind = K::kDrop,
+                 .tag = 6,
+                 .t_ns = 5'000,
+                 .seq = 2'000,
+                 .len = 1'000,
+                 .a = kScripted,
+                 .b = -1});
   // First repair of [0,1000) claims the EARLIEST unclaimed overlap; the
   // second claims the next; the third repair has nothing left to claim.
-  ledger.on_retransmit(6, 6'000, 0, 0, 1'000, FlowRtxKind::kDupack);
-  ledger.on_retransmit(6, 7'000, 0, 0, 1'000, FlowRtxKind::kDupack);
-  ledger.on_retransmit(6, 8'000, 0, 0, 1'000, FlowRtxKind::kDupack);
-  ledger.on_acked(6, 9'000, 0, 10'000);
+  for (const std::int64_t t : {6'000, 7'000, 8'000}) {
+    ledger.record({.kind = K::kRetransmit, .tag = 6, .t_ns = t, .len = 1'000, .a = kDupackRtx});
+  }
+  ledger.record({.kind = K::kAcked, .tag = 6, .t_ns = 9'000, .seq = 10'000, .a = 10'000});
 
   const FlowLedgerDump dump = ledger.snapshot();
   ASSERT_EQ(dump.records.size(), 1u);
@@ -199,6 +225,8 @@ TEST(LedgerAttribution, RetransmissionClaimsEarliestOverlappingDrop) {
   EXPECT_EQ(r.drops[0].port, 5);
   EXPECT_EQ(r.drops[0].fault_epoch, kFaultEpochBufferShrunk);
   EXPECT_EQ(r.drops[1].fault_epoch, kFaultEpochPathLoss);
+  EXPECT_EQ(r.drops[1].switch_id, 0u);
+  EXPECT_EQ(r.drops[2].fault_epoch, -1);
   EXPECT_EQ(r.rtx_bytes, 3'000);
   EXPECT_EQ(r.drops_total, 3);
   EXPECT_EQ(r.rtx_total, 3);
@@ -207,19 +235,35 @@ TEST(LedgerAttribution, RetransmissionClaimsEarliestOverlappingDrop) {
 TEST(LedgerAttribution, RtoStreamInheritsPinnedCause) {
   FlowLedger ledger{1, 8};
   birth(ledger, 6);
-  ledger.on_demand(6, 2'000, 0, 10'000);
-  ledger.on_acked(6, 2'500, 0, 1'000);  // snd_una = 1000
-  // The drop that stalls the window covers snd_una.
-  ledger.on_drop(6, 3'000, 0, 1'000, 1'000, FlowDropCause::kScripted, 0, -1, -1);
-  ledger.on_rto(6, 203'000, 0, /*backoff=*/1);
+  ledger.record({.kind = K::kDemand, .tag = 6, .t_ns = 2'000, .len = 10'000});
+  ledger.record({.kind = K::kAcked, .tag = 6, .t_ns = 2'500, .seq = 1'000, .a = 10'000});
+  // The drop that stalls the window covers snd_una (the RTO event's seq).
+  ledger.record({.kind = K::kDrop,
+                 .tag = 6,
+                 .t_ns = 3'000,
+                 .seq = 1'000,
+                 .len = 1'000,
+                 .a = kScripted,
+                 .b = -1});
+  ledger.record({.kind = K::kRto, .tag = 6, .t_ns = 203'000, .seq = 1'000, .b = /*backoff=*/1});
   // Go-back-N: the first resend overlaps the drop and claims it directly;
   // later segments in the RTO stream don't overlap but inherit the pinned
   // cause — the timeout they ride on was caused by that drop.
-  ledger.on_retransmit(6, 203'001, 0, 1'000, 1'000, FlowRtxKind::kRto);
-  ledger.on_retransmit(6, 203'002, 0, 2'000, 1'000, FlowRtxKind::kRto);
+  ledger.record({.kind = K::kRetransmit,
+                 .tag = 6,
+                 .t_ns = 203'001,
+                 .seq = 1'000,
+                 .len = 1'000,
+                 .a = kRtoRtx});
+  ledger.record({.kind = K::kRetransmit,
+                 .tag = 6,
+                 .t_ns = 203'002,
+                 .seq = 2'000,
+                 .len = 1'000,
+                 .a = kRtoRtx});
 
   const FlowLedgerDump dump = [&] {
-    ledger.finalize(300'000);
+    ledger.finalize();
     return ledger.snapshot();
   }();
   ASSERT_EQ(dump.records.size(), 1u);
@@ -244,12 +288,14 @@ TEST(LedgerAttribution, DropIdsStayMonotoneUnderRingEviction) {
   FlowLedger ledger{1, /*capacity=*/2};
   for (std::uint32_t i = 0; i < 5; ++i) {
     const std::uint32_t tag = 100 + i;
-    birth(ledger, tag, /*t_ns=*/i * 10'000);
-    ledger.on_demand(tag, i * 10'000 + 1, 0, 1'000);
-    ledger.on_drop(tag, i * 10'000 + 2, 0, 0, 1'000, FlowDropCause::kScripted, 0,
-                   -1, -1);
-    ledger.on_retransmit(tag, i * 10'000 + 3, 0, 0, 1'000, FlowRtxKind::kDupack);
-    ledger.on_acked(tag, i * 10'000 + 4, 0, 1'000);
+    const std::int64_t t = i * 10'000;
+    birth(ledger, tag, /*t_ns=*/t);
+    ledger.record({.kind = K::kDemand, .tag = tag, .t_ns = t + 1, .len = 1'000});
+    ledger.record(
+        {.kind = K::kDrop, .tag = tag, .t_ns = t + 2, .len = 1'000, .a = kScripted, .b = -1});
+    ledger.record(
+        {.kind = K::kRetransmit, .tag = tag, .t_ns = t + 3, .len = 1'000, .a = kDupackRtx});
+    ledger.record({.kind = K::kAcked, .tag = tag, .t_ns = t + 4, .seq = 1'000, .a = 1'000});
   }
   EXPECT_EQ(ledger.total_closed(), 5);
   const FlowLedgerDump dump = ledger.snapshot();
@@ -268,15 +314,21 @@ TEST(LedgerAttribution, DropIdsStayMonotoneUnderRingEviction) {
 TEST(LedgerAttribution, DropIdsAllocatedEvenWhenArrayOverflows) {
   FlowLedger ledger{1, 4};
   birth(ledger, 2);
-  ledger.on_demand(2, 1'000, 0, 100'000);
+  ledger.record({.kind = K::kDemand, .tag = 2, .t_ns = 1'000, .len = 100'000});
   for (int i = 0; i < static_cast<int>(kFlowMaxDrops) + 3; ++i) {
-    ledger.on_drop(2, 2'000 + i, 0, i * 1'000, 1'000, FlowDropCause::kScripted, 0,
-                   -1, -1);
+    ledger.record({.kind = K::kDrop,
+                   .tag = 2,
+                   .t_ns = 2'000 + i,
+                   .seq = i * 1'000,
+                   .len = 1'000,
+                   .a = kScripted,
+                   .b = -1});
   }
   birth(ledger, 3);
-  ledger.on_demand(3, 9'000, 0, 100);
-  ledger.on_drop(3, 9'500, 0, 0, 100, FlowDropCause::kScripted, 0, -1, -1);
-  ledger.finalize(10'000);
+  ledger.record({.kind = K::kDemand, .tag = 3, .t_ns = 9'000, .len = 100});
+  ledger.record(
+      {.kind = K::kDrop, .tag = 3, .t_ns = 9'500, .len = 100, .a = kScripted, .b = -1});
+  ledger.finalize();
   const FlowLedgerDump dump = ledger.snapshot();
   ASSERT_EQ(dump.records.size(), 2u);
   const FlowLedgerRecord& a = dump.records[0];
@@ -292,14 +344,15 @@ TEST(LedgerAttribution, DropIdsAllocatedEvenWhenArrayOverflows) {
 TEST(LedgerEpisodes, ReenterIsIgnoredAndRtoClosesOpenEpisode) {
   FlowLedger ledger{1, 8};
   birth(ledger, 2);
-  ledger.on_demand(2, 1'000, 0, 10'000);
-  ledger.on_recovery_enter(2, 2'000, 0, FlowEpisodeKind::kSackRecovery);
-  ledger.on_recovery_enter(2, 3'000, 0, FlowEpisodeKind::kFastRecovery);  // ignored
-  ledger.on_rto(2, 5'000, 0, 2);  // closes the open episode, adds its point
-  ledger.on_recovery_enter(2, 7'000, 0, FlowEpisodeKind::kFastRecovery);
-  ledger.on_recovery_exit(2, 8'000, 0);
-  ledger.on_ecn_reduction(2, 9'000, 0, 14'480);
-  ledger.on_acked(2, 10'000, 0, 10'000);
+  ledger.record({.kind = K::kDemand, .tag = 2, .t_ns = 1'000, .len = 10'000});
+  ledger.record({.kind = K::kSackRecovery, .tag = 2, .t_ns = 2'000});
+  ledger.record({.kind = K::kFastRecovery, .tag = 2, .t_ns = 3'000});  // ignored
+  // Closes the open episode, adds its point.
+  ledger.record({.kind = K::kRto, .tag = 2, .t_ns = 5'000, .b = 2});
+  ledger.record({.kind = K::kFastRecovery, .tag = 2, .t_ns = 7'000});
+  ledger.record({.kind = K::kRecoveryExit, .tag = 2, .t_ns = 8'000});
+  ledger.record({.kind = K::kEcnReduction, .tag = 2, .t_ns = 9'000, .a = 14'480});
+  ledger.record({.kind = K::kAcked, .tag = 2, .t_ns = 10'000, .seq = 10'000, .a = 10'000});
 
   const FlowLedgerDump dump = ledger.snapshot();
   ASSERT_EQ(dump.records.size(), 1u);
@@ -335,22 +388,25 @@ TEST(LedgerEpisodes, PropertyIntervalEpisodesNeverOverlap) {
     Lcg rng{seed * 0x9E3779B97F4A7C15ULL};
     FlowLedger ledger{1, 64};
     birth(ledger, 8);
-    ledger.on_demand(8, 0, 0, 1'000'000);
+    ledger.record({.kind = K::kDemand, .tag = 8, .len = 1'000'000});
     std::int64_t t = 1;
     for (int step = 0; step < 200; ++step) {
       t += 1 + rng.range(1'000);
       switch (rng.range(4)) {
         case 0:
-          ledger.on_recovery_enter(8, t, 0,
-                                   rng.range(2) == 0 ? FlowEpisodeKind::kFastRecovery
-                                                     : FlowEpisodeKind::kSackRecovery);
+          ledger.record({.kind = rng.range(2) == 0 ? K::kFastRecovery : K::kSackRecovery,
+                         .tag = 8,
+                         .t_ns = t});
           break;
-        case 1: ledger.on_recovery_exit(8, t, 0); break;
-        case 2: ledger.on_rto(8, t, 0, rng.range(6)); break;
-        default: ledger.on_ecn_reduction(8, t, 0, rng.range(100'000)); break;
+        case 1: ledger.record({.kind = K::kRecoveryExit, .tag = 8, .t_ns = t}); break;
+        case 2: ledger.record({.kind = K::kRto, .tag = 8, .t_ns = t, .b = rng.range(6)}); break;
+        default:
+          ledger.record(
+              {.kind = K::kEcnReduction, .tag = 8, .t_ns = t, .a = rng.range(100'000)});
+          break;
       }
     }
-    ledger.finalize(t + 1);
+    ledger.finalize();
     const FlowLedgerDump dump = ledger.snapshot();
     ASSERT_EQ(dump.records.size(), 1u) << "seed " << seed;
     const FlowLedgerRecord& r = dump.records[0];
@@ -380,19 +436,25 @@ TEST(LedgerEpisodes, PropertyIntervalEpisodesNeverOverlap) {
 }
 
 TEST(FlowLedgerJsonl, RoundTripIsExact) {
-  FlowLedger ledger{/*source_id=*/12, 8};
+  FlowLedger ledger{/*source_id=*/12, 8, /*switch_id=*/42, kFaultEpochBufferShrunk};
   birth(ledger, 0x101);
-  ledger.on_syn(0x101, 1'000);
-  ledger.on_established(0x101, 11'000);
-  ledger.on_demand(0x101, 20'000, 0, 4'096);
-  ledger.on_drop(0x101, 21'000, 0, 0, 1'448, FlowDropCause::kSwitchBuffer, 42, 3,
-                 kFaultEpochBufferShrunk);
-  ledger.on_recovery_enter(0x101, 22'000, 0, FlowEpisodeKind::kSackRecovery);
-  ledger.on_retransmit(0x101, 23'000, 0, 0, 1'448, FlowRtxKind::kDupack);
-  ledger.on_recovery_exit(0x101, 24'000, 0);
-  ledger.on_acked(0x101, 30'000, 0, 4'096);
-  ledger.on_demand(0x101, 40'000, 1, 512);  // incomplete inbound half
-  ledger.finalize(50'000);
+  ledger.record({.kind = K::kSyn, .tag = 0x101, .t_ns = 1'000});
+  ledger.record({.kind = K::kEstablished, .tag = 0x101, .t_ns = 11'000});
+  ledger.record({.kind = K::kDemand, .tag = 0x101, .t_ns = 20'000, .len = 4'096});
+  ledger.record({.kind = K::kDrop,
+                 .tag = 0x101,
+                 .t_ns = 21'000,
+                 .len = 1'448,
+                 .a = kSwitchBuffer,
+                 .b = 3});
+  ledger.record({.kind = K::kSackRecovery, .tag = 0x101, .t_ns = 22'000});
+  ledger.record(
+      {.kind = K::kRetransmit, .tag = 0x101, .t_ns = 23'000, .len = 1'448, .a = kDupackRtx});
+  ledger.record({.kind = K::kRecoveryExit, .tag = 0x101, .t_ns = 24'000});
+  ledger.record({.kind = K::kAcked, .tag = 0x101, .t_ns = 30'000, .seq = 4'096, .a = 4'096});
+  // Incomplete inbound half.
+  ledger.record({.kind = K::kDemand, .dir = 1, .tag = 0x101, .t_ns = 40'000, .len = 512});
+  ledger.finalize();
 
   const std::string text = flows_to_jsonl({ledger.snapshot()});
   ASSERT_FALSE(text.empty());
@@ -417,8 +479,8 @@ TEST(FlowLedgerJsonl, MultiSourceDumpsSortBySourceId) {
   FlowLedger b{/*source_id=*/4, 4};
   for (FlowLedger* l : {&a, &b}) {
     birth(*l, 1);
-    l->on_demand(1, 1'000, 0, 100);
-    l->on_acked(1, 2'000, 0, 100);
+    l->record({.kind = K::kDemand, .tag = 1, .t_ns = 1'000, .len = 100});
+    l->record({.kind = K::kAcked, .tag = 1, .t_ns = 2'000, .seq = 100, .a = 100});
   }
   const std::string text = flows_to_jsonl({a.snapshot(), b.snapshot()});
   const auto parsed = flows_from_jsonl(text);
@@ -440,8 +502,8 @@ TEST(FlowLedgerJsonl, MalformedInputsRejectWithLineDiagnostics) {
   // Valid first line, garbage second: the diagnostic names line 2.
   FlowLedger ledger{1, 4};
   birth(ledger, 1);
-  ledger.on_demand(1, 1'000, 0, 100);
-  ledger.on_acked(1, 2'000, 0, 100);
+  ledger.record({.kind = K::kDemand, .tag = 1, .t_ns = 1'000, .len = 100});
+  ledger.record({.kind = K::kAcked, .tag = 1, .t_ns = 2'000, .seq = 100, .a = 100});
   std::string text = flows_to_jsonl({ledger.snapshot()});
   EXPECT_FALSE(flows_from_jsonl(text + "{\"broken\":\n", &error).has_value());
   EXPECT_NE(error.find("line 2"), std::string::npos);

@@ -35,6 +35,36 @@ TEST(TracePointLogTest, RecordsUpToCapacityInOrder) {
   EXPECT_EQ(dump.records[1].kind, TracePointKind::kRtoFired);
 }
 
+TEST(TracePointLogTest, TransportEventsMapToTheirRecorderKinds) {
+  TracePointLog log{1, 16};
+  using K = TransportEventKind;
+  log.record({.kind = K::kRto, .tag = 0x101, .t_ns = 10, .a = 1448, .b = 2});
+  log.record({.kind = K::kSackRecovery, .tag = 0x102, .t_ns = 20, .a = 7, .b = 9});
+  log.record({.kind = K::kFastRecovery, .tag = 0x103, .t_ns = 30, .a = 5, .b = 6});
+  log.record({.kind = K::kRecoveryExit, .tag = 0x104, .t_ns = 40, .a = 2896});
+  log.record({.kind = K::kHandshakeRetry, .tag = 0x105, .t_ns = 50, .a = 1, .b = 3});
+  // The ledger-only kinds leave the recorder untouched.
+  for (const K kind : {K::kDemand, K::kAcked, K::kDrop, K::kRetransmit, K::kEcnReduction,
+                       K::kEstablished, K::kSyn, K::kRelease}) {
+    log.record({.kind = kind, .tag = 0x106, .t_ns = 60, .a = 1, .b = 1});
+  }
+  const TracePointDump dump = log.snapshot();
+  EXPECT_EQ(dump.total, 5);
+  ASSERT_EQ(dump.records.size(), 5u);
+  const TracePointKind kinds[] = {TracePointKind::kRtoFired, TracePointKind::kFastRtxEnter,
+                                  TracePointKind::kFastRtxEnter, TracePointKind::kFastRtxExit,
+                                  TracePointKind::kHandshakeRetry};
+  const std::int64_t as[] = {1448, 7, 5, 2896, 1};
+  const std::int64_t bs[] = {2, 9, 6, 0, 3};
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(dump.records[i].kind, kinds[i]) << i;
+    EXPECT_EQ(dump.records[i].entity, 0x101u + i) << i;
+    EXPECT_EQ(dump.records[i].t_ns, static_cast<std::int64_t>(10 * (i + 1))) << i;
+    EXPECT_EQ(dump.records[i].a, as[i]) << i;
+    EXPECT_EQ(dump.records[i].b, bs[i]) << i;
+  }
+}
+
 TEST(TracePointLogTest, RingOverwritesOldestKeepingLastN) {
   TracePointLog log{1, 4};
   for (std::int64_t i = 0; i < 10; ++i) {

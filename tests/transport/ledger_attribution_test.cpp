@@ -24,7 +24,7 @@ using telemetry::FlowRtxKind;
 constexpr std::int64_t kMss = transport::TcpParams{}.mss_bytes;
 
 FlowLedgerRecord single_record(FlowLedger& ledger) {
-  ledger.finalize(0);
+  ledger.finalize();
   const FlowLedgerDump dump = ledger.snapshot();
   EXPECT_EQ(dump.records.size(), 1u);
   EXPECT_EQ(dump.stray_events, 0);
