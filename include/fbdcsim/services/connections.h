@@ -31,8 +31,10 @@ struct Connection {
   bool pooled{true};
 };
 
-/// Allocates connections for one modelled host. Source ports are assigned
-/// deterministically from the ephemeral range.
+/// Allocates connections for one modelled host. Ports are assigned
+/// deterministically in turn from the ephemeral range [kEphemeralBase,
+/// 65535], wrapping at its end; a port a pooled connection holds is never
+/// handed out again, so no live pooled tuple is ever reissued.
 class ConnectionTable {
  public:
   ConnectionTable(const topology::Fleet& fleet, core::HostId self)
@@ -60,11 +62,16 @@ class ConnectionTable {
  private:
   [[nodiscard]] core::FiveTuple make_tuple(core::HostId peer, core::Port dst_port,
                                            core::Port src_port) const;
+  /// The next ephemeral port no pooled connection holds.
+  [[nodiscard]] core::Port next_port();
 
   const topology::Fleet* fleet_;
   core::HostId self_;
   core::Port next_port_{core::ports::kEphemeralBase};
   std::unordered_map<std::uint64_t, Connection> pool_;
+  /// Indexed by port - kEphemeralBase: true while a pooled connection holds it.
+  std::vector<bool> pooled_ports_ =
+      std::vector<bool>(65536 - core::ports::kEphemeralBase, false);
 };
 
 /// Emits the packet streams of application-level transactions over a

@@ -1,6 +1,7 @@
 #include "fbdcsim/services/connections.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace fbdcsim::services {
 
@@ -21,24 +22,37 @@ core::FiveTuple ConnectionTable::make_tuple(core::HostId peer, core::Port dst_po
   };
 }
 
+core::Port ConnectionTable::next_port() {
+  if (pool_.size() >= pooled_ports_.size()) {
+    throw std::length_error{"ConnectionTable: pooled connections hold every ephemeral port"};
+  }
+  while (true) {
+    const core::Port port = next_port_;
+    next_port_ =
+        port == 65535 ? core::ports::kEphemeralBase : static_cast<core::Port>(port + 1);
+    if (!pooled_ports_[port - core::ports::kEphemeralBase]) return port;
+  }
+}
+
 Connection& ConnectionTable::pooled(core::HostId peer, core::Port dst_port) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(peer.value()) << 16) | dst_port;
   auto it = pool_.find(key);
   if (it == pool_.end()) {
-    const core::Port src = next_port_++;
+    const core::Port src = next_port();
+    pooled_ports_[src - core::ports::kEphemeralBase] = true;
     it = pool_.emplace(key, Connection{make_tuple(peer, dst_port, src), peer, true}).first;
   }
   return it->second;
 }
 
 Connection ConnectionTable::ephemeral(core::HostId peer, core::Port dst_port) {
-  const core::Port src = next_port_++;
+  const core::Port src = next_port();
   return Connection{make_tuple(peer, dst_port, src), peer, false};
 }
 
 Connection ConnectionTable::ephemeral_inbound(core::HostId peer, core::Port self_port) {
-  const core::Port peer_port = next_port_++;  // peer's ephemeral source port
+  const core::Port peer_port = next_port();  // peer's ephemeral source port
   // Self -> peer orientation: well-known port on self, ephemeral on peer.
   return Connection{make_tuple(peer, peer_port, self_port), peer, false};
 }
@@ -48,7 +62,8 @@ Connection& ConnectionTable::pooled_inbound(core::HostId peer, core::Port self_p
                             (static_cast<std::uint64_t>(peer.value()) << 16) | self_port;
   auto it = pool_.find(key);
   if (it == pool_.end()) {
-    const core::Port peer_port = next_port_++;
+    const core::Port peer_port = next_port();
+    pooled_ports_[peer_port - core::ports::kEphemeralBase] = true;
     it = pool_.emplace(key, Connection{make_tuple(peer, peer_port, self_port), peer, true})
              .first;
   }

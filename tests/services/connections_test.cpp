@@ -64,6 +64,32 @@ TEST_F(WireTest, EphemeralConnectionsGetFreshPorts) {
   EXPECT_FALSE(a.pooled);
 }
 
+TEST_F(WireTest, EphemeralPortsWrapInsideRangeAndSkipPooledPorts) {
+  // 80k ephemeral allocations run the counter more than twice around the
+  // 32768-port range. Every port must stay in [kEphemeralBase, 65535], and
+  // none may equal a port a pooled connection holds — pooled tuples stay
+  // open for the whole run, so reissuing one would merge two connections.
+  std::vector<bool> held(65536, false);
+  const auto pool_more = [&](core::Port first_service_port) {
+    for (core::Port p = first_service_port; p < first_service_port + 50; ++p) {
+      held[table_.pooled(peer_, p).tuple.src_port] = true;
+      held[table_.pooled_inbound(peer_, p).tuple.dst_port] = true;
+    }
+  };
+  pool_more(1);
+  for (int i = 0; i < 40'000; ++i) {
+    // More pooled connections appear after the first wrap too.
+    if (i == 20'000) pool_more(1'001);
+    const core::Port out = table_.ephemeral(peer_, 80).tuple.src_port;
+    const core::Port in = table_.ephemeral_inbound(peer_, 11211).tuple.dst_port;
+    for (const core::Port port : {out, in}) {
+      ASSERT_GE(port, core::ports::kEphemeralBase) << "allocation " << i;
+      ASSERT_FALSE(held[port]) << "allocation " << i << " reissued pooled port " << port;
+    }
+  }
+  EXPECT_EQ(table_.pooled_count(), 200u);
+}
+
 TEST_F(WireTest, InboundConnectionKeepsSelfToPeerOrientation) {
   const Connection c = table_.ephemeral_inbound(peer_, 11211);
   EXPECT_EQ(c.tuple.src_ip, fleet_.host(self_).addr);
