@@ -155,6 +155,9 @@ class RackSimulation : public services::TrafficSink {
   [[nodiscard]] const transport::TransportMux* transport_mux() const {
     return transport_.get();
   }
+  /// The rack switch, for reading per-port counters after a run. Ports
+  /// [0, hosts in the rack) are host downlinks, the rest uplinks.
+  [[nodiscard]] const switching::SharedBufferSwitch& rack_switch() const { return *rsw_; }
 
  private:
   [[nodiscard]] std::size_t egress_port_for(const services::SimPacket& packet) const;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "fbdcsim/topology/standard_fleet.h"
 #include "fbdcsim/workload/presets.h"
 
@@ -117,6 +120,55 @@ TEST(RackSimulationTest, SwitchCountersAccumulate) {
   EXPECT_GT(result.uplink.tx_bytes, 10'000);
   // Inbound requests arrive at the host: downlinks busy too.
   EXPECT_GT(result.downlinks.tx_packets, 100);
+}
+
+TEST(RackSimulationTest, AggregatesEqualPerPortCountersFieldByField) {
+  // result.downlinks / result.uplink must be the sum over their ports of
+  // every PortCounters field, except max_queuing_delay_ns, which is the
+  // max. A scripted cache rack and a DCTCP Hadoop rack between them make
+  // every field nonzero, ECN marks included.
+  const topology::Fleet fleet = small_rack_fleet();
+  RackSimConfig scripted = quick_config(fleet, HostRole::kCacheFollower);
+  RackSimConfig dctcp = quick_config(fleet, HostRole::kHadoop);
+  dctcp.transport = Transport::kTcp;
+  dctcp.tcp.cc = transport::CongestionControl::kDctcp;
+  bool saw_queuing = false;
+  bool saw_ecn = false;
+  for (const RackSimConfig& cfg : {scripted, dctcp}) {
+    RackSimulation sim{fleet, cfg};
+    const RackSimResult result = sim.run();
+    const std::size_t hosts = fleet.rack(fleet.host(cfg.monitored_host).rack).hosts.size();
+    switching::PortCounters down;
+    switching::PortCounters up;
+    for (std::size_t p = 0; p < sim.rack_switch().num_ports(); ++p) {
+      const switching::PortCounters& c = sim.rack_switch().counters(p);
+      switching::PortCounters& agg = p < hosts ? down : up;
+      agg.tx_packets += c.tx_packets;
+      agg.tx_bytes += c.tx_bytes;
+      agg.enqueued_packets += c.enqueued_packets;
+      agg.dropped_packets += c.dropped_packets;
+      agg.dropped_bytes += c.dropped_bytes;
+      agg.queuing_delay_ns += c.queuing_delay_ns;
+      agg.max_queuing_delay_ns = std::max(agg.max_queuing_delay_ns, c.max_queuing_delay_ns);
+      agg.ecn_marked_packets += c.ecn_marked_packets;
+    }
+    for (const auto& [got, want, name] :
+         {std::tuple{&result.downlinks, &down, "downlinks"},
+          std::tuple{&result.uplink, &up, "uplink"}}) {
+      EXPECT_EQ(got->tx_packets, want->tx_packets) << name;
+      EXPECT_EQ(got->tx_bytes, want->tx_bytes) << name;
+      EXPECT_EQ(got->enqueued_packets, want->enqueued_packets) << name;
+      EXPECT_EQ(got->dropped_packets, want->dropped_packets) << name;
+      EXPECT_EQ(got->dropped_bytes, want->dropped_bytes) << name;
+      EXPECT_EQ(got->queuing_delay_ns, want->queuing_delay_ns) << name;
+      EXPECT_EQ(got->max_queuing_delay_ns, want->max_queuing_delay_ns) << name;
+      EXPECT_EQ(got->ecn_marked_packets, want->ecn_marked_packets) << name;
+      saw_queuing = saw_queuing || want->queuing_delay_ns > 0;
+      saw_ecn = saw_ecn || want->ecn_marked_packets > 0;
+    }
+  }
+  EXPECT_TRUE(saw_queuing) << "no port queued: the delay fields went unchecked";
+  EXPECT_TRUE(saw_ecn) << "no port marked: the ECN field went unchecked";
 }
 
 TEST(RackSimulationTest, BufferSamplerProducesPerSecondStats) {
