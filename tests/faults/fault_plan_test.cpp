@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 namespace fbdcsim::faults {
 namespace {
 
@@ -332,16 +334,26 @@ TEST(FaultSpecTest, EmptyAndMissingFileAreErrors) {
 
 class FaultProfileFileTest : public ::testing::Test {
  protected:
-  /// Writes `text` to a fresh file under the test temp dir.
+  /// Writes `text` to a fresh file under the test temp dir. The path names
+  /// the running test and the process, so cases that run in parallel
+  /// processes never share a file.
   std::string write_profile(const std::string& text) {
-    const std::string path = ::testing::TempDir() + "fault_profile_" +
-                             std::to_string(counter_++) + ".conf";
+    const std::string path =
+        ::testing::TempDir() + "fault_profile_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+        std::to_string(::getpid()) + "_" + std::to_string(counter_++) + ".conf";
     std::ofstream out{path};
     out << text;
+    written_.push_back(path);
     return path;
   }
 
+  void TearDown() override {
+    for (const std::string& path : written_) std::remove(path.c_str());
+  }
+
   int counter_{0};
+  std::vector<std::string> written_;
 };
 
 TEST_F(FaultProfileFileTest, RoundTripsEveryKey) {
