@@ -91,7 +91,9 @@ class Fleet {
   }
   [[nodiscard]] const Site& site(SiteId id) const { return sites_.at(id.value()); }
 
-  /// Host lookup by address; returns an invalid id if unknown.
+  /// Host lookup by address; returns an invalid id if unknown. O(1): the
+  /// address encodes (datacenter, rack_in_dc, host_in_rack), and build()
+  /// fills each datacenter's rack_in_dc -> RackId table.
   [[nodiscard]] HostId host_by_addr(core::Ipv4Addr addr) const;
 
   /// All hosts of a given role, fleet-wide.
@@ -102,7 +104,10 @@ class Fleet {
                                                                ClusterId cluster) const;
 
   /// Relative location of dst with respect to src (Section 4.2).
-  [[nodiscard]] core::Locality locality(HostId src, HostId dst) const;
+  [[nodiscard]] core::Locality locality(HostId src, HostId dst) const {
+    return locality(host(src), host(dst));
+  }
+  [[nodiscard]] static core::Locality locality(const Host& src, const Host& dst);
 
   [[nodiscard]] std::size_t num_hosts() const { return hosts_.size(); }
   [[nodiscard]] std::size_t num_racks() const { return racks_.size(); }
@@ -115,6 +120,8 @@ class Fleet {
   std::vector<Cluster> clusters_;
   std::vector<Datacenter> datacenters_;
   std::vector<Site> sites_;
+  /// dc_racks_[dc][rack_in_dc]: racks in cluster declaration order.
+  std::vector<std::vector<RackId>> dc_racks_;
 };
 
 /// Incrementally constructs a Fleet. The builder assigns dense IDs and
@@ -134,6 +141,8 @@ class FleetBuilder {
 
  private:
   Fleet fleet_;
+  /// Position of each rack within its cluster, by RackId.
+  std::vector<std::uint32_t> rack_in_cluster_;
 };
 
 }  // namespace fbdcsim::topology

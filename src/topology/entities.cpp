@@ -1,8 +1,5 @@
 #include "fbdcsim/topology/entities.h"
 
-#include <stdexcept>
-#include <unordered_map>
-
 #include "fbdcsim/topology/addressing.h"
 
 namespace fbdcsim::topology {
@@ -20,20 +17,12 @@ const char* to_string(ClusterType type) {
 
 HostId Fleet::host_by_addr(core::Ipv4Addr addr) const {
   const auto coords = AddressPlan::coordinates_of(addr);
-  if (!coords) return HostId::invalid();
-  if (coords->dc_index >= datacenters_.size()) return HostId::invalid();
-  // Rack index within DC -> global rack id via the DC's cluster list.
-  std::uint32_t remaining = coords->rack_in_dc;
-  for (const ClusterId cid : datacenters_[coords->dc_index].clusters) {
-    const auto& cl = clusters_[cid.value()];
-    if (remaining < cl.racks.size()) {
-      const auto& rk = racks_[cl.racks[remaining].value()];
-      if (coords->host_in_rack < rk.hosts.size()) return rk.hosts[coords->host_in_rack];
-      return HostId::invalid();
-    }
-    remaining -= static_cast<std::uint32_t>(cl.racks.size());
-  }
-  return HostId::invalid();
+  if (!coords || coords->dc_index >= dc_racks_.size()) return HostId::invalid();
+  const std::vector<RackId>& racks = dc_racks_[coords->dc_index];
+  if (coords->rack_in_dc >= racks.size()) return HostId::invalid();
+  const std::vector<HostId>& hosts = racks_[racks[coords->rack_in_dc].value()].hosts;
+  if (coords->host_in_rack >= hosts.size()) return HostId::invalid();
+  return hosts[coords->host_in_rack];
 }
 
 std::vector<HostId> Fleet::hosts_with_role(HostRole role) const {
@@ -54,9 +43,7 @@ std::vector<HostId> Fleet::hosts_with_role_in_cluster(HostRole role, ClusterId c
   return out;
 }
 
-core::Locality Fleet::locality(HostId src, HostId dst) const {
-  const Host& a = host(src);
-  const Host& b = host(dst);
+core::Locality Fleet::locality(const Host& a, const Host& b) {
   if (a.rack == b.rack) return core::Locality::kIntraRack;
   if (a.cluster == b.cluster) return core::Locality::kIntraCluster;
   if (a.datacenter == b.datacenter) return core::Locality::kIntraDatacenter;
@@ -88,6 +75,7 @@ RackId FleetBuilder::add_rack(ClusterId cluster, HostRole role) {
   const RackId id{static_cast<std::uint32_t>(fleet_.racks_.size())};
   const Cluster& cl = fleet_.clusters_.at(cluster.value());
   fleet_.racks_.push_back(Rack{id, cluster, cl.datacenter, cl.site, role, {}});
+  rack_in_cluster_.push_back(static_cast<std::uint32_t>(cl.racks.size()));
   fleet_.clusters_.at(cluster.value()).racks.push_back(id);
   return id;
 }
@@ -96,23 +84,13 @@ HostId FleetBuilder::add_host(RackId rack) {
   const HostId id{static_cast<std::uint32_t>(fleet_.hosts_.size())};
   Rack& rk = fleet_.racks_.at(rack.value());
 
-  // Rack index within its datacenter, in cluster declaration order. Needed
-  // for the location-encoding address.
-  const auto& dc = fleet_.datacenters_.at(rk.datacenter.value());
-  std::uint32_t rack_in_dc = 0;
-  bool found = false;
-  for (const ClusterId cid : dc.clusters) {
-    const auto& cl = fleet_.clusters_[cid.value()];
-    for (const RackId rid : cl.racks) {
-      if (rid == rack) {
-        found = true;
-        break;
-      }
-      ++rack_in_dc;
-    }
-    if (found) break;
+  // Rack index within its datacenter, in cluster declaration order: the
+  // racks of the earlier clusters, then the rack's place in its own.
+  std::uint32_t rack_in_dc = rack_in_cluster_[rack.value()];
+  for (const ClusterId cid : fleet_.datacenters_.at(rk.datacenter.value()).clusters) {
+    if (cid == rk.cluster) break;
+    rack_in_dc += static_cast<std::uint32_t>(fleet_.clusters_[cid.value()].racks.size());
   }
-  if (!found) throw std::logic_error{"FleetBuilder: rack not in its datacenter"};
 
   const auto host_in_rack = static_cast<std::uint32_t>(rk.hosts.size());
   const core::Ipv4Addr addr =
@@ -129,6 +107,17 @@ RackId FleetBuilder::add_rack_of(ClusterId cluster, HostRole role, std::size_t n
   return rack;
 }
 
-Fleet FleetBuilder::build() { return std::move(fleet_); }
+Fleet FleetBuilder::build() {
+  fleet_.dc_racks_.assign(fleet_.datacenters_.size(), {});
+  for (const Datacenter& dc : fleet_.datacenters_) {
+    std::vector<RackId>& racks = fleet_.dc_racks_[dc.id.value()];
+    for (const ClusterId cid : dc.clusters) {
+      const auto& cl = fleet_.clusters_[cid.value()].racks;
+      racks.insert(racks.end(), cl.begin(), cl.end());
+    }
+  }
+  rack_in_cluster_.clear();
+  return std::move(fleet_);
+}
 
 }  // namespace fbdcsim::topology
