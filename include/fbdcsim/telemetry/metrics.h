@@ -1,8 +1,11 @@
 // Metric primitives and the registry that owns them.
 //
-// Hot-path mutations never contend: counters and histograms spread their
+// Hot-path mutations rarely contend: counters and histograms spread their
 // state over cache-line-aligned shards indexed by a per-thread slot, and all
-// updates are relaxed atomics. Aggregation happens only on snapshot(), where
+// updates are relaxed atomics. The first kShards - 1 threads to touch a
+// metric each own a shard outright, so a counter add there is a relaxed
+// load and store with no locked instruction; later threads share the last
+// shard through fetch_add. Aggregation happens only on snapshot(), where
 // shards are summed — the same merge-on-read discipline as core::Cdf::merge
 // and FbflowPipeline::merge in the parallel runtime.
 //
@@ -54,23 +57,46 @@ class Telemetry {
 };
 
 namespace detail {
-/// Dense per-thread slot in [0, kShards) for shard selection. Threads hash
-/// to slots round-robin in creation order, so a pool of N <= kShards
-/// workers never shares a shard.
+/// Per-thread slot in [0, kShards) for shard selection. Slots are handed
+/// out once, in the order threads first touch a metric, and never reused:
+/// each of the first kShards - 1 threads owns its slot for the process's
+/// lifetime, and every later thread shares kSharedShard.
 inline constexpr std::size_t kShards = 16;
-[[nodiscard]] std::size_t this_thread_shard() noexcept;
+inline constexpr std::size_t kSharedShard = kShards - 1;
+
+/// Claims the calling thread's slot; called once per thread.
+[[nodiscard]] std::size_t claim_thread_shard() noexcept;
+
+inline thread_local std::size_t t_shard = kShards;  // kShards: not yet claimed
+
+[[nodiscard]] inline std::size_t this_thread_shard() noexcept {
+  if (t_shard == kShards) [[unlikely]] t_shard = claim_thread_shard();
+  return t_shard;
+}
 
 struct alignas(64) ShardCell {
   std::atomic<std::int64_t> v{0};
 };
 }  // namespace detail
 
-/// Monotonic sum, sharded. add() is one relaxed fetch_add on this thread's
-/// shard; value() folds the shards.
+/// Monotonic sum, sharded; value() folds the shards. Every value is exact.
+/// On an owned shard add() is a relaxed load and store: no other thread
+/// writes that cell, so the read-modify-write needs no lock. On the shared
+/// shard it is a relaxed fetch_add.
+///
+/// reset() must not run concurrently with add(): an owned-shard add that
+/// straddles the reset would store its pre-reset sum back. Reset between
+/// phases, as the tests do.
 class Counter {
  public:
   void add(std::int64_t n = 1) noexcept {
-    cells_[detail::this_thread_shard()].v.fetch_add(n, std::memory_order_relaxed);
+    const std::size_t shard = detail::this_thread_shard();
+    std::atomic<std::int64_t>& v = cells_[shard].v;
+    if (shard != detail::kSharedShard) {
+      v.store(v.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+    } else {
+      v.fetch_add(n, std::memory_order_relaxed);
+    }
   }
 
   [[nodiscard]] std::int64_t value() const noexcept {
@@ -79,6 +105,7 @@ class Counter {
     return total;
   }
 
+  /// Not concurrent with add() (see the class comment).
   void reset() noexcept {
     for (auto& c : cells_) c.v.store(0, std::memory_order_relaxed);
   }
@@ -209,7 +236,8 @@ class MetricsRegistry {
   /// Copies every metric's current value (shards merged).
   [[nodiscard]] Snapshot snapshot() const;
 
-  /// Zeroes every metric's value. Handles stay valid.
+  /// Zeroes every metric's value. Handles stay valid. Must not run while
+  /// another thread adds to a counter (see Counter).
   void reset();
 
  private:

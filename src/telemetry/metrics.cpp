@@ -47,11 +47,9 @@ std::atomic<bool>& Telemetry::state() noexcept {
 
 namespace detail {
 
-std::size_t this_thread_shard() noexcept {
+std::size_t claim_thread_shard() noexcept {
   static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return slot;
+  return std::min(next.fetch_add(1, std::memory_order_relaxed), kSharedShard);
 }
 
 }  // namespace detail

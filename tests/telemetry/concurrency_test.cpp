@@ -4,7 +4,10 @@
 // numerically right.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -35,6 +38,66 @@ TEST(TelemetryConcurrencyTest, ConcurrentCounterAddsLoseNothing) {
     });
   }
   for (auto& t : threads) t.join();
+  EXPECT_EQ(c.value(), kThreads * kPerThread);
+}
+
+/// Runs `threads` threads that each claim their shard, wait until all have
+/// started, then add 1 to `c` `per_thread` times. Returns each thread's
+/// shard.
+std::vector<std::size_t> add_concurrently(Counter& c, int threads, std::int64_t per_thread) {
+  std::vector<std::size_t> shards(static_cast<std::size_t>(threads));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> pool;
+  pool.reserve(shards.size());
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      shards[static_cast<std::size_t>(t)] = detail::this_thread_shard();
+      ready.fetch_add(1);
+      while (ready.load() < threads) std::this_thread::yield();
+      for (std::int64_t i = 0; i < per_thread; ++i) c.add();
+    });
+  }
+  for (auto& t : pool) t.join();
+  return shards;
+}
+
+TEST(TelemetryConcurrencyTest, OwnedShardsCountExactly) {
+  // Slots are claimed once per process. ctest runs each case in its own
+  // process, so these threads are among the first kShards - 1 to claim.
+  MetricsRegistry reg;
+  Counter& c = reg.counter("c", Kind::kSim);
+  constexpr int kThreads = 6;
+  constexpr std::int64_t kPerThread = 200'000;
+  const auto shards = add_concurrently(c, kThreads, kPerThread);
+  std::set<std::size_t> owned;
+  for (const std::size_t s : shards) {
+    if (s != detail::kSharedShard) {
+      EXPECT_TRUE(owned.insert(s).second) << "shard " << s;
+    }
+  }
+  if (owned.empty()) GTEST_SKIP() << "earlier threads in this process claimed every owned shard";
+  EXPECT_EQ(c.value(), kThreads * kPerThread);
+  c.add(5);
+  EXPECT_EQ(c.value(), kThreads * kPerThread + 5);
+}
+
+TEST(TelemetryConcurrencyTest, MoreThreadsThanShardsShareTheLastOneExactly) {
+  MetricsRegistry reg;
+  Counter& c = reg.counter("c", Kind::kSim);
+  constexpr int kThreads = 3 * static_cast<int>(detail::kShards);
+  constexpr std::int64_t kPerThread = 20'000;
+  const auto shards = add_concurrently(c, kThreads, kPerThread);
+  // At most kShards - 1 threads per process ever own a shard; the rest of
+  // these, at least 2 * kShards + 1, share the last one through fetch_add.
+  const auto shared = std::count(shards.begin(), shards.end(), detail::kSharedShard);
+  EXPECT_GE(shared, kThreads - static_cast<int>(detail::kSharedShard));
+  std::set<std::size_t> owned;
+  for (const std::size_t s : shards) {
+    ASSERT_LT(s, detail::kShards);
+    if (s != detail::kSharedShard) {
+      EXPECT_TRUE(owned.insert(s).second) << "shard " << s;
+    }
+  }
   EXPECT_EQ(c.value(), kThreads * kPerThread);
 }
 
