@@ -1,6 +1,8 @@
 #include "fbdcsim/monitoring/fbflow.h"
 
 #include <functional>
+#include <memory>
+#include <new>
 #include <stdexcept>
 
 #include "fbdcsim/faults/fault_plan.h"
@@ -39,7 +41,7 @@ bool Tagger::tag(const SampledPacket& sample, TaggedSample& out) const {
   out.dst_cluster = d.cluster;
   out.src_dc = s.datacenter;
   out.dst_dc = d.datacenter;
-  out.locality = fleet_->locality(src, dst);
+  out.locality = topology::Fleet::locality(s, d);
   out.minute = sample.captured_at.count_nanos() / 60'000'000'000LL;
   return true;
 }
@@ -58,27 +60,83 @@ std::array<double, core::kNumLocalities> ScubaTable::LocalityBytes::percentages(
   return out;
 }
 
-ScubaTable::LocalityBytes ScubaTable::locality_bytes(std::int64_t sampling_rate) const {
-  LocalityBytes out;
-  for (const TaggedSample& r : rows_) {
-    if (r.partial) continue;
-    out.bytes[static_cast<int>(r.locality)] +=
-        static_cast<double>(r.sample.frame_bytes) * static_cast<double>(sampling_rate);
-  }
+void ScubaTable::Rows::reserve(std::size_t capacity) {
+  void* grown = std::realloc(data_.get(), capacity * sizeof(TaggedSample));
+  if (grown == nullptr) throw std::bad_alloc{};
+  (void)data_.release();
+  data_.reset(static_cast<TaggedSample*>(grown));
+  capacity_ = capacity;
+}
+
+void ScubaTable::Rows::append(std::span<const TaggedSample> rows) {
+  if (size_ + rows.size() > capacity_) reserve(std::max(size_ + rows.size(), 2 * capacity_));
+  std::uninitialized_copy(rows.begin(), rows.end(), data_.get() + size_);
+  size_ += rows.size();
+}
+
+void ScubaTable::add(const TaggedSample& row) {
+  rows_.push_back(row);
+  if (row.partial) return;
+  const std::size_t src = slot(row.src_cluster);
+  const std::size_t dst = slot(row.dst_cluster);
+  if (src >= bytes_.size()) bytes_.resize(src + 1);
+  std::vector<LocalitySums>& by_dst = bytes_[src];
+  if (dst >= by_dst.size()) by_dst.resize(dst + 1, LocalitySums{});
+  by_dst[dst][static_cast<std::size_t>(row.locality)] += row.sample.frame_bytes;
+}
+
+namespace {
+
+using Sums = std::array<std::int64_t, core::kNumLocalities>;
+
+void add_into(Sums& to, const Sums& from) {
+  for (std::size_t l = 0; l < to.size(); ++l) to[l] += from[l];
+}
+
+double estimated(std::int64_t sampled_bytes, std::int64_t sampling_rate) {
+  return static_cast<double>(sampled_bytes) * static_cast<double>(sampling_rate);
+}
+
+ScubaTable::LocalityBytes estimated(const Sums& sampled, std::int64_t sampling_rate) {
+  ScubaTable::LocalityBytes out;
+  for (std::size_t l = 0; l < sampled.size(); ++l) out.bytes[l] = estimated(sampled[l], sampling_rate);
   return out;
+}
+
+}  // namespace
+
+void ScubaTable::merge(const ScubaTable& other) {
+  rows_.append(other.rows());
+  if (other.bytes_.size() > bytes_.size()) bytes_.resize(other.bytes_.size());
+  for (std::size_t src = 0; src < other.bytes_.size(); ++src) {
+    const std::vector<LocalitySums>& from = other.bytes_[src];
+    std::vector<LocalitySums>& to = bytes_[src];
+    if (from.size() > to.size()) to.resize(from.size(), LocalitySums{});
+    for (std::size_t dst = 0; dst < from.size(); ++dst) add_into(to[dst], from[dst]);
+  }
+}
+
+ScubaTable::LocalitySums ScubaTable::source_sums(std::size_t src_slot) const {
+  LocalitySums out{};
+  for (const LocalitySums& cell : bytes_[src_slot]) add_into(out, cell);
+  return out;
+}
+
+ScubaTable::LocalityBytes ScubaTable::locality_bytes(std::int64_t sampling_rate) const {
+  LocalitySums sums{};
+  for (std::size_t src = 0; src < bytes_.size(); ++src) add_into(sums, source_sums(src));
+  return estimated(sums, sampling_rate);
 }
 
 ScubaTable::LocalityBytes ScubaTable::locality_bytes_for_cluster_type(
     const topology::Fleet& fleet, topology::ClusterType type,
     std::int64_t sampling_rate) const {
-  LocalityBytes out;
-  for (const TaggedSample& r : rows_) {
-    if (r.partial) continue;
-    if (fleet.cluster(r.src_cluster).type != type) continue;
-    out.bytes[static_cast<int>(r.locality)] +=
-        static_cast<double>(r.sample.frame_bytes) * static_cast<double>(sampling_rate);
+  LocalitySums sums{};
+  for (std::size_t src = 0; src < bytes_.size(); ++src) {
+    if (bytes_[src].empty() || fleet.cluster(cluster_of(src)).type != type) continue;
+    add_into(sums, source_sums(src));
   }
-  return out;
+  return estimated(sums, sampling_rate);
 }
 
 std::vector<std::pair<topology::ClusterType, double>> ScubaTable::bytes_by_cluster_type(
@@ -87,17 +145,21 @@ std::vector<std::pair<topology::ClusterType, double>> ScubaTable::bytes_by_clust
       topology::ClusterType::kFrontend, topology::ClusterType::kCache,
       topology::ClusterType::kHadoop, topology::ClusterType::kDatabase,
       topology::ClusterType::kService};
-  std::vector<std::pair<topology::ClusterType, double>> out;
-  for (const auto type : kTypes) out.emplace_back(type, 0.0);
-  for (const TaggedSample& r : rows_) {
-    if (r.partial) continue;
-    const auto type = fleet.cluster(r.src_cluster).type;
-    for (auto& [t, bytes] : out) {
-      if (t == type) {
-        bytes += static_cast<double>(r.sample.frame_bytes) * static_cast<double>(sampling_rate);
+  std::int64_t sums[std::size(kTypes)]{};
+  for (std::size_t src = 0; src < bytes_.size(); ++src) {
+    if (bytes_[src].empty()) continue;
+    const auto type = fleet.cluster(cluster_of(src)).type;
+    const LocalitySums s = source_sums(src);
+    for (std::size_t t = 0; t < std::size(kTypes); ++t) {
+      if (kTypes[t] == type) {
+        for (const std::int64_t b : s) sums[t] += b;
         break;
       }
     }
+  }
+  std::vector<std::pair<topology::ClusterType, double>> out;
+  for (std::size_t t = 0; t < std::size(kTypes); ++t) {
+    out.emplace_back(kTypes[t], estimated(sums[t], sampling_rate));
   }
   return out;
 }
@@ -111,7 +173,7 @@ std::vector<std::vector<double>> ScubaTable::rack_matrix(const topology::Fleet& 
   std::vector<std::int64_t> pos(fleet.num_racks(), -1);
   for (std::size_t i = 0; i < racks.size(); ++i) pos[racks[i].value()] = static_cast<std::int64_t>(i);
 
-  for (const TaggedSample& r : rows_) {
+  for (const TaggedSample& r : rows()) {
     if (r.partial) continue;
     if (r.src_cluster != cluster || r.dst_cluster != cluster) continue;
     const std::int64_t si = pos[r.src_rack.value()];
@@ -128,26 +190,24 @@ std::vector<std::vector<double>> ScubaTable::cluster_matrix(const topology::Flee
                                                             std::int64_t sampling_rate) const {
   const auto& clusters = fleet.datacenter(dc).clusters;
   std::vector<std::vector<double>> m(clusters.size(), std::vector<double>(clusters.size(), 0.0));
-  std::vector<std::int64_t> pos(fleet.clusters().size(), -1);
   for (std::size_t i = 0; i < clusters.size(); ++i) {
-    pos[clusters[i].value()] = static_cast<std::int64_t>(i);
-  }
-
-  for (const TaggedSample& r : rows_) {
-    if (r.partial) continue;
-    if (r.src_dc != dc || r.dst_dc != dc) continue;
-    const std::int64_t si = pos[r.src_cluster.value()];
-    const std::int64_t di = pos[r.dst_cluster.value()];
-    if (si < 0 || di < 0) continue;
-    m[static_cast<std::size_t>(si)][static_cast<std::size_t>(di)] +=
-        static_cast<double>(r.sample.frame_bytes) * static_cast<double>(sampling_rate);
+    const std::size_t src = slot(clusters[i]);
+    if (src >= bytes_.size()) continue;
+    const std::vector<LocalitySums>& by_dst = bytes_[src];
+    for (std::size_t j = 0; j < clusters.size(); ++j) {
+      const std::size_t dst = slot(clusters[j]);
+      if (dst >= by_dst.size()) continue;
+      std::int64_t sum = 0;
+      for (const std::int64_t b : by_dst[dst]) sum += b;
+      m[i][j] = estimated(sum, sampling_rate);
+    }
   }
   return m;
 }
 
 std::vector<std::vector<double>> ScubaTable::role_matrix(std::int64_t sampling_rate) const {
   std::vector<std::vector<double>> m(8, std::vector<double>(8, 0.0));
-  for (const TaggedSample& r : rows_) {
+  for (const TaggedSample& r : rows()) {
     if (r.partial) continue;
     m[static_cast<std::size_t>(r.src_role)][static_cast<std::size_t>(r.dst_role)] +=
         static_cast<double>(r.sample.frame_bytes) * static_cast<double>(sampling_rate);
@@ -163,7 +223,7 @@ std::vector<std::pair<core::HostRole, double>> ScubaTable::outbound_by_dest_role
       core::HostRole::kDatabase, core::HostRole::kService};
   std::vector<std::pair<core::HostRole, double>> out;
   for (const auto role : kRoles) out.emplace_back(role, 0.0);
-  for (const TaggedSample& r : rows_) {
+  for (const TaggedSample& r : rows()) {
     if (r.partial) continue;
     if (r.src_host != src) continue;
     for (auto& [role, bytes] : out) {
@@ -184,47 +244,48 @@ FbflowPipeline::FbflowPipeline(const topology::Fleet& fleet, std::int64_t sampli
       analytic_root_{rng.fork("analytic")},
       packet_rng_{rng.fork("packet")},
       packet_sampler_{sampling_rate, packet_rng_},
-      tagger_{fleet} {
-  scribe_.subscribe([this](const SampledPacket& s) {
-    FBDCSIM_T_COUNTER(published, "fbflow.scribe.published", Sim);
-    FBDCSIM_T_ADD(published, 1);
-    if (faulted_) {
-      // Injected tagger outage: degrade gracefully — the row lands
-      // partial (untagged) rather than being lost.
-      const std::uint64_t key = faults::FaultPlan::sample_key(
-          s.reporter.value(), s.captured_at.count_nanos(),
-          std::hash<core::FiveTuple>{}(s.tuple));
-      if (faults_->tagger_lookup_fails(key)) {
-        TaggedSample partial;
-        partial.sample = s;
-        partial.partial = true;
-        partial.minute = s.captured_at.count_nanos() / 60'000'000'000LL;
-        scuba_.add(partial);
-        ++tag_failures_injected_;
-        ++partial_rows_;
-        FBDCSIM_T_COUNTER(injected, "fbflow.tag_failures_injected", Sim);
-        FBDCSIM_T_COUNTER(partials, "fbflow.partial_rows", Sim);
-        FBDCSIM_T_ADD(injected, 1);
-        FBDCSIM_T_ADD(partials, 1);
-        return;
-      }
+      tagger_{fleet} {}
+
+void FbflowPipeline::land(const SampledPacket& s) {
+  FBDCSIM_T_COUNTER(published, "fbflow.scribe.published", Sim);
+  FBDCSIM_T_ADD(published, 1);
+  scribe_.publish();
+  if (faulted_) {
+    // Injected tagger outage: degrade gracefully — the row lands
+    // partial (untagged) rather than being lost.
+    const std::uint64_t key = faults::FaultPlan::sample_key(
+        s.reporter.value(), s.captured_at.count_nanos(),
+        std::hash<core::FiveTuple>{}(s.tuple));
+    if (faults_->tagger_lookup_fails(key)) {
+      TaggedSample partial;
+      partial.sample = s;
+      partial.partial = true;
+      partial.minute = s.captured_at.count_nanos() / 60'000'000'000LL;
+      scuba_.add(partial);
+      ++tag_failures_injected_;
+      ++partial_rows_;
+      FBDCSIM_T_COUNTER(injected, "fbflow.tag_failures_injected", Sim);
+      FBDCSIM_T_COUNTER(partials, "fbflow.partial_rows", Sim);
+      FBDCSIM_T_ADD(injected, 1);
+      FBDCSIM_T_ADD(partials, 1);
+      return;
     }
-    TaggedSample tagged;
-    if (tagger_.tag(s, tagged)) {
-      scuba_.add(tagged);
-      FBDCSIM_T_COUNTER(landed, "fbflow.scuba.rows", Sim);
-      FBDCSIM_T_ADD(landed, 1);
-    } else {
-      ++tag_failures_;
-      FBDCSIM_T_COUNTER(failures, "fbflow.tag_failures", Sim);
-      FBDCSIM_T_ADD(failures, 1);
-    }
-  });
+  }
+  TaggedSample tagged;
+  if (tagger_.tag(s, tagged)) {
+    scuba_.add(tagged);
+    FBDCSIM_T_COUNTER(landed, "fbflow.scuba.rows", Sim);
+    FBDCSIM_T_ADD(landed, 1);
+  } else {
+    ++tag_failures_;
+    FBDCSIM_T_COUNTER(failures, "fbflow.tag_failures", Sim);
+    FBDCSIM_T_ADD(failures, 1);
+  }
 }
 
 void FbflowPipeline::publish(const SampledPacket& sample) {
   if (!faulted_) {
-    scribe_.publish(sample);
+    land(sample);
     return;
   }
   const std::uint64_t key = faults::FaultPlan::sample_key(
@@ -261,10 +322,10 @@ void FbflowPipeline::publish(const SampledPacket& sample) {
     ++scribe_delayed_;
     FBDCSIM_T_COUNTER(delayed_c, "fbflow.scribe_delayed", Sim);
     FBDCSIM_T_ADD(delayed_c, 1);
-    scribe_.publish(delayed);
+    land(delayed);
     return;
   }
-  scribe_.publish(sample);
+  land(sample);
 }
 
 AnalyticSampler& FbflowPipeline::sampler_for(core::HostId reporter) {
