@@ -16,9 +16,11 @@
 //
 // Flow control is refill-on-consume: `stream` primes the pool with the
 // first `max_buffered_shards` shards, then posts exactly one more each time
-// the consumer has handed a shard to the sink and freed its buffer. Workers
-// therefore stay busy while the consumer works, and at most that many
-// shards' flow records are alive at once.
+// the consumer has handed a shard to the sink and returned its buffer.
+// Workers therefore stay busy while the consumer works, and at most that
+// many shard buffers exist at once. A drained buffer is cleared but keeps
+// its capacity, and the next worker fills it instead of growing a fresh
+// vector from empty.
 #pragma once
 
 #include <cstddef>
@@ -49,7 +51,8 @@ using FillShard = std::function<void(std::size_t i, std::vector<core::FlowRecord
 /// can drive it with producers that fail or stall. Runs `fill` for shards
 /// 0..nshards-1 on `pool` and hands every buffered flow to `sink` on the
 /// calling thread, in shard order, with at most `window` (>= 1) shards
-/// buffered or in flight. Fill and sink exceptions propagate after every
+/// buffered or in flight. `fill` gets an empty buffer, possibly one an
+/// earlier shard used. Fill and sink exceptions propagate after every
 /// posted shard has finished.
 void stream_shards(ThreadPool& pool, std::size_t nshards, std::size_t window,
                    const FillShard& fill, const workload::FleetFlowGenerator::Visit& sink);

@@ -29,10 +29,15 @@ void stream_shards(ThreadPool& pool, std::size_t nshards, std::size_t window,
                    const FillShard& fill, const workload::FleetFlowGenerator::Visit& sink) {
   window = std::max<std::size_t>(window, 1);
 
+  using Buffer = std::unique_ptr<std::vector<core::FlowRecord>>;
   struct State {
     std::mutex mu;
     std::condition_variable cv;
-    std::vector<std::unique_ptr<std::vector<core::FlowRecord>>> ready;
+    std::vector<Buffer> ready;
+    // Drained buffers, cleared but keeping their capacity, so a worker
+    // refills one instead of regrowing a fresh vector from empty. Together
+    // with `ready` and the buffers being filled, never more than `window`.
+    std::vector<Buffer> spare;
     std::exception_ptr error;  // first worker failure
     std::size_t finished{0};   // tasks done, success or failure
   } st;
@@ -42,7 +47,15 @@ void stream_shards(ThreadPool& pool, std::size_t nshards, std::size_t window,
   const auto post_next = [&] {
     pool.post([&st, &fill, i = submitted] {
       FBDCSIM_T_SPAN2(shard_span, "fleet.shard", std::to_string(i));
-      auto buf = std::make_unique<std::vector<core::FlowRecord>>();
+      Buffer buf;
+      {
+        std::lock_guard<std::mutex> lk{st.mu};
+        if (!st.spare.empty()) {
+          buf = std::move(st.spare.back());
+          st.spare.pop_back();
+        }
+      }
+      if (!buf) buf = std::make_unique<std::vector<core::FlowRecord>>();
       std::exception_ptr err;
       try {
         fill(i, *buf);
@@ -67,10 +80,10 @@ void stream_shards(ThreadPool& pool, std::size_t nshards, std::size_t window,
   std::exception_ptr caller_error;
   try {
     // Prime the window, then refill it one shard per consumed shard, posted
-    // only after that shard's buffer is freed.
+    // only after that shard's buffer is back on the spare list.
     while (submitted < std::min(window, nshards)) post_next();
     for (std::size_t i = 0; i < nshards; ++i) {
-      std::unique_ptr<std::vector<core::FlowRecord>> buf;
+      Buffer buf;
       {
         std::unique_lock<std::mutex> lk{st.mu};
         st.cv.wait(lk, [&] { return st.error || st.ready[i] != nullptr; });
@@ -78,7 +91,11 @@ void stream_shards(ThreadPool& pool, std::size_t nshards, std::size_t window,
         buf = std::move(st.ready[i]);
       }
       for (const core::FlowRecord& f : *buf) sink(f);
-      buf.reset();
+      buf->clear();
+      {
+        std::lock_guard<std::mutex> lk{st.mu};
+        st.spare.push_back(std::move(buf));
+      }
       if (submitted < nshards) post_next();
     }
   } catch (...) {
