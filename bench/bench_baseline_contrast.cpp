@@ -4,6 +4,7 @@
 // destinations). Every row is one of Table 1's "finding vs previously
 // published data" comparisons, made concrete.
 #include <cstdio>
+#include <span>
 
 #include "common.h"
 #include "fbdcsim/analysis/concurrency.h"
@@ -23,7 +24,7 @@ struct Metrics {
   double idle15_pct{0};
 };
 
-Metrics analyze(const std::vector<core::PacketHeader>& trace, core::Ipv4Addr self,
+Metrics analyze(std::span<const core::PacketHeader> trace, core::Ipv4Addr self,
                 const analysis::AddrResolver& resolver) {
   Metrics m;
   m.rack_local_pct =

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "fbdcsim/core/packet.h"
+#include "fbdcsim/core/pod_vector.h"
 
 namespace fbdcsim::monitoring {
 
@@ -43,14 +44,17 @@ class CaptureBuffer {
   [[nodiscard]] std::int64_t capacity_records() const { return capacity_records_; }
 
   /// Hands the trace off for analysis (spooling to remote storage in the
-  /// paper's pipeline) and clears the buffer.
-  [[nodiscard]] std::vector<core::PacketHeader> spool();
+  /// paper's pipeline) and leaves the buffer empty. The trace is moved out,
+  /// never copied.
+  [[nodiscard]] core::PodVector<core::PacketHeader> spool();
 
  private:
   std::int64_t capacity_records_;
   std::int64_t dropped_{0};
   std::int64_t injected_dropped_{0};
-  std::vector<core::PacketHeader> packets_;
+  /// Grows in place (realloc remaps its pages), so the trace is never held
+  /// twice while it grows.
+  core::PodVector<core::PacketHeader> packets_;
 };
 
 /// The RSW-side mirroring rule: which hosts' ports are mirrored. The rack

@@ -28,8 +28,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -38,6 +36,7 @@
 
 #include "fbdcsim/core/flow.h"
 #include "fbdcsim/core/packet.h"
+#include "fbdcsim/core/pod_vector.h"
 #include "fbdcsim/core/rng.h"
 #include "fbdcsim/core/time.h"
 #include "fbdcsim/core/units.h"
@@ -198,8 +197,8 @@ class ScubaTable {
   /// parallel fleet run.
   void merge(const ScubaTable& other);
 
-  [[nodiscard]] std::span<const TaggedSample> rows() const { return rows_.view(); }
-  [[nodiscard]] std::size_t size() const { return rows_.view().size(); }
+  [[nodiscard]] std::span<const TaggedSample> rows() const { return rows_; }
+  [[nodiscard]] std::size_t size() const { return rows_.size(); }
 
   /// Estimated total bytes by locality (scaled by the sampling rate),
   /// optionally restricted to sources in one cluster type.
@@ -240,35 +239,6 @@ class ScubaTable {
       core::HostId src, std::int64_t sampling_rate) const;
 
  private:
-  /// Contiguous append-only row storage that grows with realloc. A fleet
-  /// run lands over 100 MB of rows. For blocks that large, realloc remaps
-  /// the pages instead of copying them, so growth neither copies the rows
-  /// landed so far nor holds an old and a new block at once, as
-  /// std::vector's growth does.
-  class Rows {
-   public:
-    void push_back(const TaggedSample& row) {
-      if (size_ == capacity_) {
-        const TaggedSample copy = row;  // `row` may live in the old block
-        reserve(std::max<std::size_t>(2 * capacity_, 1024));
-        std::construct_at(data_.get() + size_++, copy);
-        return;
-      }
-      std::construct_at(data_.get() + size_++, row);
-    }
-    void append(std::span<const TaggedSample> rows);
-    [[nodiscard]] std::span<const TaggedSample> view() const { return {data_.get(), size_}; }
-
-   private:
-    void reserve(std::size_t capacity);
-    struct Free {
-      void operator()(TaggedSample* p) const { std::free(p); }
-    };
-    std::unique_ptr<TaggedSample, Free> data_;
-    std::size_t size_{0};
-    std::size_t capacity_{0};
-  };
-
   using LocalitySums = std::array<std::int64_t, core::kNumLocalities>;
 
   /// Index of a cluster in `bytes_`: 0 for an invalid id, else id + 1.
@@ -282,7 +252,9 @@ class ScubaTable {
   /// Σ over the cells of one source slot, per locality.
   [[nodiscard]] LocalitySums source_sums(std::size_t src_slot) const;
 
-  Rows rows_;
+  /// Every landed row, in landed order. A fleet run lands over 100 MB of
+  /// rows, which PodVector grows by remapping pages instead of copying.
+  core::PodVector<TaggedSample> rows_;
   /// bytes_[src slot][dst slot][locality]. A source slot's vector is
   /// non-empty exactly when some non-partial row came from that cluster.
   std::vector<std::vector<LocalitySums>> bytes_;

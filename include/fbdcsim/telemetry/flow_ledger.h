@@ -41,7 +41,7 @@
 //
 // Determinism contract: the ledger is fed exclusively from the owning
 // simulation's thread, stores only sim-derived integers, and keeps records
-// in a bounded arena-backed ring (completion order, oldest evicted first) —
+// in a bounded ring (completion order, oldest evicted first) —
 // so flows_to_jsonl output is bit-identical across FBDCSIM_THREADS
 // settings, and empty (byte-identical-off) unless
 // FBDCSIM_OBS=flows opted in.
@@ -186,9 +186,13 @@ struct FlowLedgerDump {
 [[nodiscard]] std::int64_t ideal_fct_ns(std::int64_t bytes, std::int64_t rtt_ns,
                                         std::int64_t bottleneck_bytes_per_sec);
 
-/// Bounded, arena-backed transfer ledger. One per simulation; fed from that
-/// simulation's thread only. Unknown flow tags are ignored (stale packets
-/// from recycled connections, or a ledger attached mid-run).
+/// Bounded transfer ledger. One per simulation; fed from that simulation's
+/// thread only. Unknown flow tags are ignored (stale packets from recycled
+/// connections, or a ledger attached mid-run).
+///
+/// The ring is a vector of `capacity` records, allocated and zeroed at
+/// construction so a run pays its page faults up front. Open transfers live
+/// in an arena pool until they close into the ring.
 class FlowLedger {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
@@ -223,8 +227,20 @@ class FlowLedger {
   [[nodiscard]] std::int64_t total_closed() const { return total_; }
   [[nodiscard]] std::int64_t live_transfers() const { return open_transfers_; }
   [[nodiscard]] std::int64_t stray_events() const { return stray_events_; }
+  /// Transfers that closed after take(), which the ledger no longer retains.
+  [[nodiscard]] std::int64_t dropped_after_take() const { return dropped_after_take_; }
 
+  /// Copies the retained ring, oldest-first. No records after take().
   [[nodiscard]] FlowLedgerDump snapshot() const;
+
+  /// Hands the ring over: returns what snapshot() would, but rotates the
+  /// ring in place to oldest-first and moves it into the dump instead of
+  /// copying it. A ring that never filled keeps its full capacity in the
+  /// dump. Terminal: the ledger has no ring afterwards, so a transfer that
+  /// closes later is counted in dropped_after_take(), not in total_closed(),
+  /// and another take() returns no records. Events are still folded into
+  /// open transfers and strays are still counted.
+  [[nodiscard]] FlowLedgerDump take();
 
  private:
   struct HalfLive {
@@ -255,8 +271,9 @@ class FlowLedger {
 
   core::Arena arena_;
   core::Pool<FlowLedgerRecord> pool_{arena_};
-  FlowLedgerRecord* ring_;
   std::size_t capacity_;
+  /// `capacity_` records until take() moves it out, empty after.
+  std::vector<FlowLedgerRecord> ring_;
   std::size_t next_{0};
   std::int64_t total_{0};
   std::uint64_t source_id_;
@@ -268,6 +285,7 @@ class FlowLedger {
   std::int64_t next_conn_serial_{0};
   std::int64_t open_transfers_{0};
   std::int64_t stray_events_{0};
+  std::int64_t dropped_after_take_{0};
 };
 
 /// Canonical JSONL: one JSON object per record, dumps ordered by source id

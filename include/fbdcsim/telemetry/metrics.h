@@ -140,8 +140,12 @@ class Gauge {
 /// Log-scale histogram of non-negative integer samples (latencies in
 /// microseconds, depths, sizes). Bins are exact below 16 and then 8
 /// sub-buckets per power of two (<= 12.5% relative width), the standard
-/// HDR-style layout. observe() is two relaxed fetch_adds on this thread's
-/// shard; quantiles are computed from the merged bins on snapshot.
+/// HDR-style layout. Quantiles are computed from the merged bins on
+/// snapshot. Every count, sum, min and max is exact. As with Counter, on an
+/// owned shard observe() is relaxed loads and stores with no locked
+/// instruction; on the shared shard it is three relaxed fetch_adds and two
+/// compare-exchange loops for min and max. reset() must not run
+/// concurrently with observe(), for the reason Counter gives.
 class Histogram {
  public:
   static constexpr unsigned kSubBits = 3;  // 8 sub-buckets per octave
@@ -237,7 +241,8 @@ class MetricsRegistry {
   [[nodiscard]] Snapshot snapshot() const;
 
   /// Zeroes every metric's value. Handles stay valid. Must not run while
-  /// another thread adds to a counter (see Counter).
+  /// another thread adds to a counter or observes a histogram (see
+  /// Counter).
   void reset();
 
  private:

@@ -18,6 +18,7 @@
 #include <memory>
 #include <vector>
 
+#include "fbdcsim/core/pod_vector.h"
 #include "fbdcsim/core/rng.h"
 #include "fbdcsim/monitoring/capture.h"
 #include "fbdcsim/services/backend.h"
@@ -104,8 +105,9 @@ struct RackSimConfig {
 
 struct RackSimResult {
   /// The mirrored packet-header trace, in timestamp order, capture window
-  /// only (timestamps are absolute simulation time).
-  std::vector<core::PacketHeader> trace;
+  /// only (timestamps are absolute simulation time). The capture buffer's
+  /// own storage, moved out by spool().
+  core::PodVector<core::PacketHeader> trace;
   /// Capture losses: buffer overflow plus fault-injected mirror drops
   /// (zero for fault-free runs; the paper's RSWs mirror losslessly).
   std::int64_t capture_dropped{0};

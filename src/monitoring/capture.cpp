@@ -1,6 +1,7 @@
 #include "fbdcsim/monitoring/capture.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace fbdcsim::monitoring {
 
@@ -21,11 +22,7 @@ void CaptureBuffer::drop_injected() {
   ++injected_dropped_;
 }
 
-std::vector<core::PacketHeader> CaptureBuffer::spool() {
-  std::vector<core::PacketHeader> out;
-  out.swap(packets_);
-  return out;
-}
+core::PodVector<core::PacketHeader> CaptureBuffer::spool() { return std::move(packets_); }
 
 void PortMirror::observe(const core::PacketHeader& header) {
   if (matches(header)) buffer_->record(header);

@@ -1,8 +1,6 @@
 #include "fbdcsim/monitoring/fbflow.h"
 
 #include <functional>
-#include <memory>
-#include <new>
 #include <stdexcept>
 
 #include "fbdcsim/faults/fault_plan.h"
@@ -58,20 +56,6 @@ std::array<double, core::kNumLocalities> ScubaTable::LocalityBytes::percentages(
   if (t <= 0.0) return out;
   for (int i = 0; i < core::kNumLocalities; ++i) out[static_cast<std::size_t>(i)] = bytes[i] / t * 100.0;
   return out;
-}
-
-void ScubaTable::Rows::reserve(std::size_t capacity) {
-  void* grown = std::realloc(data_.get(), capacity * sizeof(TaggedSample));
-  if (grown == nullptr) throw std::bad_alloc{};
-  (void)data_.release();
-  data_.reset(static_cast<TaggedSample*>(grown));
-  capacity_ = capacity;
-}
-
-void ScubaTable::Rows::append(std::span<const TaggedSample> rows) {
-  if (size_ + rows.size() > capacity_) reserve(std::max(size_ + rows.size(), 2 * capacity_));
-  std::uninitialized_copy(rows.begin(), rows.end(), data_.get() + size_);
-  size_ += rows.size();
 }
 
 void ScubaTable::add(const TaggedSample& row) {

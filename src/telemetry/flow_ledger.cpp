@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <new>
+#include <utility>
 
 namespace fbdcsim::telemetry {
 
@@ -54,13 +54,10 @@ std::int64_t ideal_fct_ns(std::int64_t bytes, std::int64_t rtt_ns,
 FlowLedger::FlowLedger(std::uint64_t source_id, std::size_t capacity,
                        std::uint64_t switch_id, std::int64_t switch_drop_fault_epoch)
     : capacity_{capacity == 0 ? 1 : capacity},
+      ring_(capacity_),
       source_id_{source_id},
       switch_id_{switch_id},
-      switch_drop_fault_epoch_{switch_drop_fault_epoch} {
-  ring_ = static_cast<FlowLedgerRecord*>(
-      arena_.allocate(capacity_ * sizeof(FlowLedgerRecord), alignof(FlowLedgerRecord)));
-  for (std::size_t i = 0; i < capacity_; ++i) new (ring_ + i) FlowLedgerRecord{};
-}
+      switch_drop_fault_epoch_{switch_drop_fault_epoch} {}
 
 void FlowLedger::on_birth(std::uint32_t tag, std::int64_t t_ns,
                           const core::FiveTuple& tuple, core::HostRole role,
@@ -115,6 +112,10 @@ void FlowLedger::close_transfer(ConnLive& conn, int dir, std::int64_t completed_
 }
 
 void FlowLedger::push_to_ring(const FlowLedgerRecord& record) {
+  if (ring_.empty()) {  // handed over by take()
+    ++dropped_after_take_;
+    return;
+  }
   ring_[next_] = record;
   next_ = (next_ + 1) % capacity_;
   ++total_;
@@ -291,14 +292,30 @@ FlowLedgerDump FlowLedger::snapshot() const {
   dump.source_id = source_id_;
   dump.total = total_;
   dump.stray_events = stray_events_;
-  const std::size_t count =
-      total_ < static_cast<std::int64_t>(capacity_) ? static_cast<std::size_t>(total_)
-                                                    : capacity_;
+  const std::size_t size = ring_.size();
+  const bool wrapped = total_ >= static_cast<std::int64_t>(size);
+  const std::size_t count = wrapped ? size : static_cast<std::size_t>(total_);
   dump.records.reserve(count);
-  const std::size_t start = total_ < static_cast<std::int64_t>(capacity_) ? 0 : next_;
+  const std::size_t start = wrapped ? next_ : 0;
   for (std::size_t i = 0; i < count; ++i) {
-    dump.records.push_back(ring_[(start + i) % capacity_]);
+    dump.records.push_back(ring_[(start + i) % size]);
   }
+  return dump;
+}
+
+FlowLedgerDump FlowLedger::take() {
+  FlowLedgerDump dump;
+  dump.source_id = source_id_;
+  dump.total = total_;
+  dump.stray_events = stray_events_;
+  if (total_ < static_cast<std::int64_t>(ring_.size())) {
+    ring_.resize(static_cast<std::size_t>(total_));  // never wrapped: oldest-first already
+  } else {
+    // The oldest record sits at next_: the slot the next close overwrites.
+    std::rotate(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(next_), ring_.end());
+  }
+  dump.records = std::exchange(ring_, {});
+  next_ = 0;
   return dump;
 }
 

@@ -56,8 +56,23 @@ std::size_t claim_thread_shard() noexcept {
 
 void Histogram::observe(std::int64_t value) noexcept {
   if (value < 0) value = 0;
-  Shard& s = shards_[detail::this_thread_shard()];
-  s.bins[bin_for(value)].fetch_add(1, std::memory_order_relaxed);
+  const std::size_t shard = detail::this_thread_shard();
+  Shard& s = shards_[shard];
+  std::atomic<std::int64_t>& bin = s.bins[bin_for(value)];
+  if (shard != detail::kSharedShard) {
+    // Owned shard: this thread is its only writer, as in Counter::add.
+    bin.store(bin.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+    s.count.store(s.count.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+    s.sum.store(s.sum.load(std::memory_order_relaxed) + value, std::memory_order_relaxed);
+    if (value < s.min.load(std::memory_order_relaxed)) {
+      s.min.store(value, std::memory_order_relaxed);
+    }
+    if (value > s.max.load(std::memory_order_relaxed)) {
+      s.max.store(value, std::memory_order_relaxed);
+    }
+    return;
+  }
+  bin.fetch_add(1, std::memory_order_relaxed);
   s.count.fetch_add(1, std::memory_order_relaxed);
   s.sum.fetch_add(value, std::memory_order_relaxed);
   std::int64_t cur = s.min.load(std::memory_order_relaxed);

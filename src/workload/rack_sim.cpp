@@ -349,9 +349,9 @@ RackSimResult RackSimulation::run() {
   }
   if (flow_ledger_) {
     // Close still-open transfers (completed_ns = -1) so every birth the run
-    // observed is accounted for, then snapshot oldest-first.
+    // observed is accounted for, then hand the ring over oldest-first.
     flow_ledger_->finalize();
-    result.flows = flow_ledger_->snapshot();
+    result.flows = flow_ledger_->take();
   }
   publish_run_counters(result, transport_.get());
   return result;

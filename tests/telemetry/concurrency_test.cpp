@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -42,9 +43,10 @@ TEST(TelemetryConcurrencyTest, ConcurrentCounterAddsLoseNothing) {
 }
 
 /// Runs `threads` threads that each claim their shard, wait until all have
-/// started, then add 1 to `c` `per_thread` times. Returns each thread's
+/// started, then call `body(t)` with their index t. Returns each thread's
 /// shard.
-std::vector<std::size_t> add_concurrently(Counter& c, int threads, std::int64_t per_thread) {
+template <typename Body>
+std::vector<std::size_t> run_concurrently(int threads, const Body& body) {
   std::vector<std::size_t> shards(static_cast<std::size_t>(threads));
   std::atomic<int> ready{0};
   std::vector<std::thread> pool;
@@ -54,10 +56,55 @@ std::vector<std::size_t> add_concurrently(Counter& c, int threads, std::int64_t 
       shards[static_cast<std::size_t>(t)] = detail::this_thread_shard();
       ready.fetch_add(1);
       while (ready.load() < threads) std::this_thread::yield();
-      for (std::int64_t i = 0; i < per_thread; ++i) c.add();
+      body(t);
     });
   }
   for (auto& t : pool) t.join();
+  return shards;
+}
+
+/// Adds 1 to `c` `per_thread` times on each of `threads` threads.
+std::vector<std::size_t> add_concurrently(Counter& c, int threads, std::int64_t per_thread) {
+  return run_concurrently(threads, [&c, per_thread](int) {
+    for (std::int64_t i = 0; i < per_thread; ++i) c.add();
+  });
+}
+
+/// The i-th value thread t observes: spread over exact and log bins, and
+/// distinct per thread so the extremes come from different threads.
+std::int64_t sample_value(int t, std::int64_t i) { return (i * 37 + t * 1'001) % 70'000; }
+
+/// Observes sample_value(t, i) for i < per_thread on each of `threads`
+/// threads, then checks every bin, the count, the sum and the extremes
+/// against a plain serial tally.
+std::vector<std::size_t> expect_exact_histogram(int threads, std::int64_t per_thread) {
+  MetricsRegistry reg;
+  Histogram& h = reg.histogram("h", Kind::kSim);
+  const auto shards = run_concurrently(threads, [&h, per_thread](int t) {
+    for (std::int64_t i = 0; i < per_thread; ++i) h.observe(sample_value(t, i));
+  });
+  std::vector<std::int64_t> bins(Histogram::kBins, 0);
+  std::int64_t sum = 0;
+  std::int64_t mn = std::numeric_limits<std::int64_t>::max();
+  std::int64_t mx = std::numeric_limits<std::int64_t>::min();
+  for (int t = 0; t < threads; ++t) {
+    for (std::int64_t i = 0; i < per_thread; ++i) {
+      const std::int64_t v = sample_value(t, i);
+      ++bins[Histogram::bin_for(v)];
+      sum += v;
+      mn = std::min(mn, v);
+      mx = std::max(mx, v);
+    }
+  }
+  const Snapshot snap = reg.snapshot();
+  const auto* hv = snap.histogram("h");
+  EXPECT_NE(hv, nullptr);
+  if (hv == nullptr) return shards;
+  EXPECT_EQ(hv->count, threads * per_thread);
+  EXPECT_EQ(hv->sum, static_cast<double>(sum));
+  EXPECT_EQ(hv->min, mn);
+  EXPECT_EQ(hv->max, mx);
+  EXPECT_EQ(hv->bins, bins);
   return shards;
 }
 
@@ -99,6 +146,28 @@ TEST(TelemetryConcurrencyTest, MoreThreadsThanShardsShareTheLastOneExactly) {
     }
   }
   EXPECT_EQ(c.value(), kThreads * kPerThread);
+}
+
+TEST(TelemetryConcurrencyTest, HistogramOnOwnedShardsIsExact) {
+  // As in OwnedShardsCountExactly, these threads are among the process's
+  // first, so they own their shards.
+  const auto shards = expect_exact_histogram(6, 100'000);
+  std::set<std::size_t> owned;
+  for (const std::size_t s : shards) {
+    if (s != detail::kSharedShard) {
+      EXPECT_TRUE(owned.insert(s).second) << "shard " << s;
+    }
+  }
+  if (owned.empty()) {
+    GTEST_SKIP() << "earlier threads in this process claimed every owned shard";
+  }
+}
+
+TEST(TelemetryConcurrencyTest, HistogramOnTheSharedShardIsExact) {
+  constexpr int kThreads = 3 * static_cast<int>(detail::kShards);
+  const auto shards = expect_exact_histogram(kThreads, 10'000);
+  const auto shared = std::count(shards.begin(), shards.end(), detail::kSharedShard);
+  EXPECT_GE(shared, kThreads - static_cast<int>(detail::kSharedShard));
 }
 
 TEST(TelemetryConcurrencyTest, ConcurrentHistogramObservesSumExactly) {

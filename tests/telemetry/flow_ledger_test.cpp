@@ -518,5 +518,90 @@ TEST(FlowLedgerJsonl, EmptyDumpSerializesToNothing) {
   EXPECT_EQ(flows_to_jsonl({ledger.snapshot()}), "");
 }
 
+// ---- take(): the ring handed over instead of copied ----
+
+/// Closes `n` transfers, each on its own connection with a drop and its
+/// retransmission, so every record differs from its neighbours; then adds
+/// one stray event.
+void close_transfers(FlowLedger& ledger, int n) {
+  for (int i = 0; i < n; ++i) {
+    const auto tag = static_cast<std::uint32_t>(200 + i);
+    const std::int64_t t = i * 10'000;
+    const std::int64_t len = 100 * (i + 1);
+    birth(ledger, tag, /*t_ns=*/t);
+    ledger.record({.kind = K::kDemand, .tag = tag, .t_ns = t + 1, .len = len});
+    ledger.record(
+        {.kind = K::kDrop, .tag = tag, .t_ns = t + 2, .len = len, .a = kScripted, .b = -1});
+    ledger.record(
+        {.kind = K::kRetransmit, .tag = tag, .t_ns = t + 3, .len = len, .a = kDupackRtx});
+    ledger.record({.kind = K::kAcked, .tag = tag, .t_ns = t + 4, .seq = len, .a = len});
+  }
+  ledger.record({.kind = K::kDrop, .tag = 9'999, .t_ns = 1, .len = 1, .a = kScripted});
+}
+
+/// take() must return exactly the dump a snapshot() just before it returns.
+void expect_take_equals_snapshot(int closed, std::size_t capacity, std::size_t retained) {
+  FlowLedger ledger{/*source_id=*/3, capacity};
+  close_transfers(ledger, closed);
+  const FlowLedgerDump before = ledger.snapshot();
+  const FlowLedgerDump taken = ledger.take();
+  EXPECT_EQ(taken.source_id, before.source_id);
+  EXPECT_EQ(taken.total, closed);
+  EXPECT_EQ(taken.total, before.total);
+  EXPECT_EQ(taken.stray_events, 1);
+  EXPECT_EQ(taken.stray_events, before.stray_events);
+  ASSERT_EQ(before.records.size(), retained);
+  ASSERT_EQ(taken.records.size(), retained);
+  for (std::size_t i = 0; i < retained; ++i) {
+    // The canonical JSONL line carries every field of a record.
+    EXPECT_EQ(flows_to_jsonl({FlowLedgerDump{3, 1, 0, {taken.records[i]}}}),
+              flows_to_jsonl({FlowLedgerDump{3, 1, 0, {before.records[i]}}}))
+        << "record " << i;
+  }
+  // Oldest-first: the newest `retained` of the closed transfers, in order.
+  for (std::size_t i = 0; i < retained; ++i) {
+    EXPECT_EQ(taken.records[i].flow_tag, 200 + (closed - retained) + i) << "record " << i;
+  }
+}
+
+TEST(LedgerTake, WrappedRingEqualsSnapshot) { expect_take_equals_snapshot(11, 4, 4); }
+
+TEST(LedgerTake, ExactlyFullRingEqualsSnapshot) { expect_take_equals_snapshot(4, 4, 4); }
+
+TEST(LedgerTake, PartialRingEqualsSnapshot) { expect_take_equals_snapshot(3, 8, 3); }
+
+TEST(LedgerTake, EmptyRingEqualsSnapshot) { expect_take_equals_snapshot(0, 4, 0); }
+
+TEST(LedgerTake, IsTerminalAndCountsLaterClosesAsDropped) {
+  FlowLedger ledger{1, /*capacity=*/4};
+  close_transfers(ledger, 6);
+  birth(ledger, 7);
+  ledger.record({.kind = K::kDemand, .tag = 7, .t_ns = 100'000, .len = 500});
+  birth(ledger, 8);
+  ledger.record({.kind = K::kDemand, .tag = 8, .t_ns = 100'000, .len = 500});
+  ASSERT_EQ(ledger.take().records.size(), 4u);
+
+  // A late close must not index the moved-out ring: it is counted, not kept.
+  ledger.record(
+      {.kind = K::kRetransmit, .tag = 7, .t_ns = 100'500, .len = 500, .a = kDupackRtx});
+  ledger.record({.kind = K::kAcked, .tag = 7, .t_ns = 101'000, .seq = 500, .a = 500});
+  ledger.finalize();  // closes tag 8's open transfer as incomplete
+  EXPECT_EQ(ledger.dropped_after_take(), 2);
+  EXPECT_EQ(ledger.total_closed(), 6);
+  EXPECT_EQ(ledger.live_transfers(), 0);
+  // Strays still count after take().
+  ledger.record({.kind = K::kDrop, .tag = 7, .t_ns = 102'000, .len = 1, .a = kScripted});
+  EXPECT_EQ(ledger.stray_events(), 2);
+
+  const FlowLedgerDump snap = ledger.snapshot();
+  EXPECT_TRUE(snap.records.empty());
+  EXPECT_EQ(snap.total, 6);
+  EXPECT_EQ(snap.stray_events, 2);
+  const FlowLedgerDump again = ledger.take();
+  EXPECT_TRUE(again.records.empty());
+  EXPECT_EQ(again.total, 6);
+  EXPECT_EQ(ledger.dropped_after_take(), 2);
+}
+
 }  // namespace
 }  // namespace fbdcsim::telemetry
