@@ -281,7 +281,7 @@ std::string BenchReport::to_json() const {
   }
   out += ",\"status\":" + std::to_string(status_);
   out += std::string{",\"telemetry_enabled\":"} +
-         (telemetry::Telemetry::enabled() ? "true" : "false");
+         (FBDCSIM_TELEMETRY_ENABLED ? "true" : "false");
   // The active fault profile, only when one is on — fault-free reports stay
   // byte-identical to pre-fault-layer ones (absent field means "off").
   {
@@ -355,11 +355,8 @@ BenchReport::~BenchReport() {
   if (!events.empty() || !tracepoint_dumps_.empty()) {
     const std::string tpath = trace_path();
     if (std::FILE* f = std::fopen(tpath.c_str(), "w")) {
-      // Spans-only reports keep the single-argument exporter so their bytes
-      // are unchanged; dumps add sim-clock instants on their own pid.
-      const std::string json = tracepoint_dumps_.empty()
-                                   ? telemetry::to_chrome_trace(events)
-                                   : telemetry::to_chrome_trace(events, tracepoint_dumps_);
+      // Dumps add sim-clock instants on their own pid.
+      const std::string json = telemetry::to_chrome_trace(events, tracepoint_dumps_);
       std::fwrite(json.data(), 1, json.size(), f);
       std::fputc('\n', f);
       std::fclose(f);

@@ -3,15 +3,12 @@
 // and answer the kinds of questions the paper's operators ask — where does
 // traffic go, which cluster types dominate, what does one host talk to.
 //
-// Usage: fbflow_analytics [--no-telemetry] [hours] [sampling-rate]
+// Usage: fbflow_analytics [hours] [sampling-rate]
 //
 // On exit the collected telemetry (pipeline sample counters, per-role flow
-// counts, ...) is printed as a summary table; --no-telemetry suppresses
-// collection and the table.
+// counts, ...) is printed as a summary table.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <vector>
 
 #include "fbdcsim/monitoring/fbflow.h"
 #include "fbdcsim/telemetry/export.h"
@@ -22,17 +19,8 @@
 using namespace fbdcsim;
 
 int main(int argc, char** argv) {
-  std::vector<const char*> args;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-telemetry") == 0) {
-      telemetry::Telemetry::set_enabled(false);
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  const std::int64_t hours = !args.empty() ? std::atoll(args[0]) : 6;
-  const std::int64_t rate =
-      args.size() > 1 ? std::atoll(args[1]) : monitoring::kDefaultSamplingRate;
+  const std::int64_t hours = argc > 1 ? std::atoll(argv[1]) : 6;
+  const std::int64_t rate = argc > 2 ? std::atoll(argv[2]) : monitoring::kDefaultSamplingRate;
 
   const topology::Fleet fleet = workload::build_fleet_experiment_fleet();
   std::printf("fleet: %zu hosts across %zu datacenters; sampling 1:%lld for %lldh\n",
@@ -81,9 +69,7 @@ int main(int argc, char** argv) {
     std::printf("  -> %-9s %8.1f MB\n", core::to_string(role), bytes / 1e6);
   }
 
-  if (telemetry::Telemetry::enabled()) {
-    std::printf("\n");
-    telemetry::print_summary(stdout, telemetry::MetricsRegistry::global().snapshot());
-  }
+  std::printf("\n");
+  telemetry::print_summary(stdout, telemetry::MetricsRegistry::global().snapshot());
   return 0;
 }

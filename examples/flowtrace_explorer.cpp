@@ -8,7 +8,7 @@
 // and the full event timeline of one suspect flow.
 //
 // Usage:
-//   flowtrace_explorer [--no-telemetry] [--heavy] [--worst N] [--flow ID]
+//   flowtrace_explorer [--heavy] [--worst N] [--flow ID]
 //                      [web|cache-f|cache-l|hadoop|multifeed|slb|db] [seconds]
 //   flowtrace_explorer --file <flows.jsonl> [--worst N] [--flow ID]
 //
@@ -27,7 +27,6 @@
 #include "fbdcsim/analysis/fct.h"
 #include "fbdcsim/faults/fault_plan.h"
 #include "fbdcsim/telemetry/flow_ledger.h"
-#include "fbdcsim/telemetry/telemetry.h"
 #include "fbdcsim/workload/presets.h"
 #include "fbdcsim/workload/rack_sim.h"
 
@@ -230,9 +229,7 @@ int main(int argc, char** argv) {
   std::int64_t flow_id = -1;
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-telemetry") == 0) {
-      telemetry::Telemetry::set_enabled(false);
-    } else if (std::strcmp(argv[i], "--heavy") == 0) {
+    if (std::strcmp(argv[i], "--heavy") == 0) {
       heavy = true;
     } else if (std::strcmp(argv[i], "--file") == 0 && i + 1 < argc) {
       file = argv[++i];

@@ -4,16 +4,13 @@
 // interarrivals, heavy hitters, and concurrency.
 //
 // Usage:
-//   trace_explorer [--no-telemetry] [web|cache-f|cache-l|hadoop|multifeed|slb|db] [seconds]
+//   trace_explorer [web|cache-f|cache-l|hadoop|multifeed|slb|db] [seconds]
 //
 // On exit the collected telemetry (simulator event counts, switch packet
-// counters, ...) is printed as a summary table; --no-telemetry suppresses
-// collection and the table.
+// counters, ...) is printed as a summary table.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "fbdcsim/analysis/concurrency.h"
 #include "fbdcsim/analysis/flow_table.h"
@@ -27,19 +24,6 @@
 using namespace fbdcsim;
 
 namespace {
-
-/// Strips --no-telemetry (disabling collection) and returns positional args.
-std::vector<const char*> parse_common_flags(int argc, char** argv) {
-  std::vector<const char*> positional;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-telemetry") == 0) {
-      telemetry::Telemetry::set_enabled(false);
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  return positional;
-}
 
 core::HostRole parse_role(const char* name) {
   const std::string s{name};
@@ -57,10 +41,8 @@ core::HostRole parse_role(const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::vector<const char*> args = parse_common_flags(argc, argv);
-  const core::HostRole role =
-      !args.empty() ? parse_role(args[0]) : core::HostRole::kCacheFollower;
-  const std::int64_t seconds = args.size() > 1 ? std::atoll(args[1]) : 10;
+  const core::HostRole role = argc > 1 ? parse_role(argv[1]) : core::HostRole::kCacheFollower;
+  const std::int64_t seconds = argc > 2 ? std::atoll(argv[2]) : 10;
 
   const topology::Fleet fleet = workload::build_rack_experiment_fleet();
   workload::RackSimConfig cfg =
@@ -128,9 +110,7 @@ int main(int argc, char** argv) {
   std::printf("on/off idle-bin fraction @15ms: %.3f\n",
               analysis::idle_bin_fraction(result.trace, core::Duration::millis(15)));
 
-  if (telemetry::Telemetry::enabled()) {
-    std::printf("\n");
-    telemetry::print_summary(stdout, telemetry::MetricsRegistry::global().snapshot());
-  }
+  std::printf("\n");
+  telemetry::print_summary(stdout, telemetry::MetricsRegistry::global().snapshot());
   return 0;
 }

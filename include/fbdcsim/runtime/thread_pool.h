@@ -70,8 +70,8 @@ class ThreadPool {
   }
 
  private:
-  /// A queued task plus its enqueue wall time (microseconds; 0 when
-  /// telemetry is disabled) so workers can report queue-wait latency.
+  /// A queued task plus its enqueue wall time (microseconds; 0 when the
+  /// build compiles telemetry out) so workers can report queue-wait latency.
   struct QueuedTask {
     std::function<void()> fn;
     std::int64_t enqueue_us{0};

@@ -6,8 +6,9 @@
 //     visible).
 //   - to_json: the Snapshot as a JSON object with "sim" and "wall"
 //     sections — the payload BenchReport embeds in bench_<name>.json.
-//   - to_chrome_trace: trace events as a Chrome trace-event JSON document,
-//     loadable in chrome://tracing and https://ui.perfetto.dev.
+//   - to_chrome_trace: wall-clock spans and sim-clock tracepoints as a
+//     Chrome trace-event JSON document, loadable in chrome://tracing and
+//     https://ui.perfetto.dev.
 #pragma once
 
 #include <cstdio>
@@ -30,15 +31,12 @@ void print_summary(std::FILE* out, const Snapshot& snapshot);
 /// snapshot are byte-identical.
 [[nodiscard]] std::string to_json(const Snapshot& snapshot);
 
-/// Chrome trace-event format: a `{"traceEvents": [...]}` document of
-/// "X"-phase slices, one per TraceEvent.
-[[nodiscard]] std::string to_chrome_trace(const std::vector<TraceEvent>& events);
-
-/// Combined export: the wall-clock spans above plus sim-clock tracepoints as
-/// instant ("i") events. The two clocks never mix — spans keep pid 1 and
-/// cat "fbdcsim" (their JSON is byte-identical to the spans-only overload),
-/// tracepoints render on pid 2 under cat "fbdcsim.sim" with ts = sim
-/// microseconds, in canonical source-id order.
+/// Chrome trace-event format: a `{"traceEvents": [...]}` document of the
+/// wall-clock spans as "X"-phase slices plus the sim-clock tracepoints as
+/// instant ("i") events. The two clocks never mix — spans render on pid 1
+/// under cat "fbdcsim", tracepoints on pid 2 under cat "fbdcsim.sim" with
+/// ts = sim microseconds, in canonical source-id order. An empty tracepoint
+/// list yields the spans-only document.
 [[nodiscard]] std::string to_chrome_trace(const std::vector<TraceEvent>& events,
                                           std::vector<TracePointDump> tracepoints);
 

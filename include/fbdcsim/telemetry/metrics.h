@@ -13,6 +13,10 @@
 // (counters/histogram bins sum, gauges take the max), so snapshots taken
 // from independent registries — or the same registry at different times —
 // can be combined in any grouping with identical results.
+//
+// These classes have no on/off state of their own: every call records. The
+// FBDCSIM_TELEMETRY CMake option (telemetry.h) is the only off switch; it
+// removes the instrumentation sites, not these types.
 #pragma once
 
 #include <array>
@@ -37,24 +41,6 @@ enum class Kind : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(Kind kind);
-
-/// Process-wide runtime switch. The compile-time FBDCSIM_TELEMETRY toggle
-/// removes instrumentation sites entirely; this switch silences the ones
-/// that remain. Initial state comes from the FBDCSIM_TELEMETRY environment
-/// variable (0/1/on/off/true/false; malformed values are diagnosed on
-/// stderr and treated as on).
-class Telemetry {
- public:
-  [[nodiscard]] static bool enabled() noexcept {
-    return state().load(std::memory_order_relaxed);
-  }
-  static void set_enabled(bool on) noexcept {
-    state().store(on, std::memory_order_relaxed);
-  }
-
- private:
-  static std::atomic<bool>& state() noexcept;
-};
 
 namespace detail {
 /// Per-thread slot in [0, kShards) for shard selection. Slots are handed

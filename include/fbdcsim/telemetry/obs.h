@@ -39,11 +39,6 @@ struct ObsConfig {
   core::Duration probe_period = core::Duration::micros(10);
   /// Bins retained per series before downsampling doubles the bin width.
   std::size_t series_capacity = 512;
-  /// Sampling stride for gauges whose evaluation is O(live connections)
-  /// (the transport sums): they fire every Nth probe tick. 100 keeps a Web
-  /// rack's ~10^4-connection sums off the 10 us hot cadence (1 ms
-  /// effective) without touching the O(1) switch/queue gauges.
-  std::int64_t transport_stride = 100;
   /// Per-flow lifecycle ledger (FBDCSIM_OBS=flows). Off by default — runs
   /// without the opt-in stay byte-identical to pre-ledger releases.
   bool flows = false;

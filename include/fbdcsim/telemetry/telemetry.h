@@ -6,21 +6,18 @@
 //
 //   - MetricsRegistry (metrics.h): sharded, contention-free counters,
 //     gauges, and histograms, merged on snapshot;
-//   - TraceSpan / ScopedTimer (trace.h): hierarchical wall-clock timing
-//     spans, exportable as Chrome trace events;
+//   - TraceSpan (trace.h): hierarchical wall-clock timing spans,
+//     exportable as Chrome trace events;
 //   - exporters (export.h): human-readable summary tables, JSON snapshots,
 //     and chrome://tracing / Perfetto-loadable trace files.
 //
-// Two switches control cost:
-//
-//   - compile time: the FBDCSIM_TELEMETRY CMake option (default ON). When
-//     OFF, the FBDCSIM_T_* instrumentation macros below expand to nothing,
-//     so instrumented code carries zero overhead. The telemetry classes
-//     themselves always compile (their unit tests run in both modes).
-//   - run time: Telemetry::set_enabled, initialized from the
-//     FBDCSIM_TELEMETRY environment variable (0/1/on/off/true/false;
-//     default on). When disabled, instrumentation sites reduce to one
-//     relaxed atomic load and a predictable branch.
+// One switch controls cost: the FBDCSIM_TELEMETRY CMake option (default
+// ON). When OFF, the FBDCSIM_T_* instrumentation macros below expand to
+// nothing, so instrumented code carries zero overhead. The telemetry
+// classes themselves always compile (their unit tests run in both modes).
+// When ON, every instrumentation site records unconditionally. The heavy
+// sim-time layer (probes, flight recorder, flow ledger) is a separate
+// opt-in per run: ObsConfig / FBDCSIM_OBS (obs.h).
 //
 // Determinism contract (DESIGN.md §7): every metric is declared with a
 // Kind. Kind::kSim metrics are derived purely from simulation state and are
@@ -56,23 +53,10 @@
       ::fbdcsim::telemetry::MetricsRegistry::global().histogram(    \
           (name), ::fbdcsim::telemetry::Kind::k##kind)
 
-/// Mutations: no-ops (beyond one relaxed load) while telemetry is disabled.
-#define FBDCSIM_T_ADD(var, n)                                            \
-  do {                                                                   \
-    if (::fbdcsim::telemetry::Telemetry::enabled()) (var).add(n);        \
-  } while (0)
-#define FBDCSIM_T_SET(var, v)                                            \
-  do {                                                                   \
-    if (::fbdcsim::telemetry::Telemetry::enabled()) (var).set(v);        \
-  } while (0)
-#define FBDCSIM_T_MAX(var, v)                                            \
-  do {                                                                   \
-    if (::fbdcsim::telemetry::Telemetry::enabled()) (var).update_max(v); \
-  } while (0)
-#define FBDCSIM_T_OBSERVE(var, v)                                        \
-  do {                                                                   \
-    if (::fbdcsim::telemetry::Telemetry::enabled()) (var).observe(v);    \
-  } while (0)
+/// Mutations on a handle declared by the macros above.
+#define FBDCSIM_T_ADD(var, n) (var).add(n)
+#define FBDCSIM_T_MAX(var, v) (var).update_max(v)
+#define FBDCSIM_T_OBSERVE(var, v) (var).observe(v)
 
 /// Scoped timing spans recorded into the global Tracer.
 #define FBDCSIM_T_SPAN(var, name) ::fbdcsim::telemetry::TraceSpan var { name }
@@ -91,9 +75,6 @@
   do {                                       \
   } while (0)
 #define FBDCSIM_T_ADD(var, n) \
-  do {                        \
-  } while (0)
-#define FBDCSIM_T_SET(var, v) \
   do {                        \
   } while (0)
 #define FBDCSIM_T_MAX(var, v) \

@@ -18,8 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "fbdcsim/telemetry/metrics.h"
-
 namespace fbdcsim::telemetry {
 
 /// One completed span, in Chrome trace-event terms a "complete" (ph: "X")
@@ -60,10 +58,7 @@ class Tracer {
   std::int64_t epoch_ns_;  // steady_clock time at construction
 };
 
-/// RAII span: opens at construction, records at destruction. Construction
-/// while Telemetry is disabled produces a fully inert object (and the
-/// matching destructor stays inert even if telemetry is re-enabled
-/// mid-span, so depths never corrupt).
+/// RAII span: opens at construction, records at destruction.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, Tracer& tracer = Tracer::global());
@@ -74,28 +69,8 @@ class TraceSpan {
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  Tracer* tracer_{nullptr};  // null = inert
+  Tracer* tracer_;
   std::string name_;
-  std::uint32_t depth_{0};
-  std::int64_t start_us_{0};
-};
-
-/// RAII timer: measures its scope and observes the elapsed microseconds
-/// into a Histogram (declare it Kind::kWall). Optionally also records a
-/// span under `span_name`. Inert while telemetry is disabled.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram& hist, const char* span_name = nullptr,
-                       Tracer& tracer = Tracer::global());
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* hist_{nullptr};  // null = inert
-  Tracer* tracer_{nullptr};
-  const char* span_name_{nullptr};
   std::uint32_t depth_{0};
   std::int64_t start_us_{0};
 };

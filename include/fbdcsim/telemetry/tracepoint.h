@@ -16,11 +16,11 @@
 // determinism contract made visible, DESIGN.md §11).
 //
 // The switch and the rack simulation instrument through FBDCSIM_T_TRACEPOINT
-// below: a null-log check plus the runtime telemetry switch when enabled,
-// nothing at all when the build has -DFBDCSIM_TELEMETRY=OFF. TransportMux
-// instead hands every TransportEvent to record(const TransportEvent&), which
-// keeps the four transport kinds and ignores the rest; RackSimulation
-// attaches the log only when telemetry is on at construction.
+// below: a null-log check, or nothing at all when the build has
+// -DFBDCSIM_TELEMETRY=OFF. TransportMux instead hands every TransportEvent to
+// record(const TransportEvent&), which keeps the four transport kinds and
+// ignores the rest. RackSimulation creates and attaches the log only when
+// ObsConfig turns observability on for the run.
 #pragma once
 
 #include <cstddef>
@@ -129,15 +129,15 @@ class FlightRecorders {
 
 #if FBDCSIM_TELEMETRY_ENABLED
 
-/// Records a tracepoint when `log` (a TracePointLog*) is wired up and the
-/// runtime telemetry switch is on. `kind` is the bare enumerator token
-/// (PacketDrop, RtoFired, ...). Compiles away under -DFBDCSIM_TELEMETRY=OFF.
-#define FBDCSIM_T_TRACEPOINT(log, t_ns, kind, entity, a, b)                    \
-  do {                                                                         \
-    if ((log) != nullptr && ::fbdcsim::telemetry::Telemetry::enabled()) {      \
-      (log)->record((t_ns), ::fbdcsim::telemetry::TracePointKind::k##kind,     \
-                    (entity), (a), (b));                                       \
-    }                                                                          \
+/// Records a tracepoint when `log` (a TracePointLog*) is wired up. `kind` is
+/// the bare enumerator token (PacketDrop, RtoFired, ...). Compiles away
+/// under -DFBDCSIM_TELEMETRY=OFF.
+#define FBDCSIM_T_TRACEPOINT(log, t_ns, kind, entity, a, b)                \
+  do {                                                                     \
+    if ((log) != nullptr) {                                                \
+      (log)->record((t_ns), ::fbdcsim::telemetry::TracePointKind::k##kind, \
+                    (entity), (a), (b));                                   \
+    }                                                                      \
   } while (0)
 
 #else  // FBDCSIM_TELEMETRY_ENABLED

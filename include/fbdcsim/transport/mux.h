@@ -143,9 +143,9 @@ class TransportMux final : public DemandSink {
   /// and the out-half cwnd/ssthresh/inflight aggregates plus pending-RTO
   /// timer count, summed over live connections in slot order. The sums are
   /// O(live connections) per sample — a Web rack holds ~10^4 — so every
-  /// gauge here registers with `stride` (ObsConfig::transport_stride) to
-  /// stay off the probe's full-rate cadence.
-  void register_probes(telemetry::TimeSeriesProbe& probe, std::int64_t stride) const;
+  /// gauge here registers with a fixed stride of 100 probe ticks to stay
+  /// off the probe's full-rate cadence.
+  void register_probes(telemetry::TimeSeriesProbe& probe) const;
 
   // ---- introspection (tests, benches) ----
   [[nodiscard]] const Stats& stats() const { return stats_; }

@@ -68,7 +68,7 @@ void ThreadPool::post(std::function<void()> task) {
 #if FBDCSIM_TELEMETRY_ENABLED
   FBDCSIM_T_COUNTER(posted, "runtime.pool.tasks_posted", Sim);
   FBDCSIM_T_GAUGE(queue_peak, "runtime.pool.queue_peak", Wall);
-  if (telemetry::Telemetry::enabled()) queued.enqueue_us = wall_us();
+  queued.enqueue_us = wall_us();
 #endif
   {
     std::unique_lock<std::mutex> lk{mu_};
@@ -101,20 +101,15 @@ void ThreadPool::worker_loop() {
     }
     space_ready_.notify_one();
 #if FBDCSIM_TELEMETRY_ENABLED
-    std::int64_t started_us = 0;
-    if (telemetry::Telemetry::enabled()) {
-      started_us = wall_us();
-      if (task.enqueue_us > 0) FBDCSIM_T_OBSERVE(wait_hist, started_us - task.enqueue_us);
-    }
+    const std::int64_t started_us = wall_us();
+    FBDCSIM_T_OBSERVE(wait_hist, started_us - task.enqueue_us);
 #endif
     task.fn();
 #if FBDCSIM_TELEMETRY_ENABLED
-    if (started_us > 0) {
-      const std::int64_t ran_us = wall_us() - started_us;
-      FBDCSIM_T_OBSERVE(run_hist, ran_us);
-      FBDCSIM_T_ADD(completed, 1);
-      busy_us += ran_us;
-    }
+    const std::int64_t ran_us = wall_us() - started_us;
+    FBDCSIM_T_OBSERVE(run_hist, ran_us);
+    FBDCSIM_T_ADD(completed, 1);
+    busy_us += ran_us;
 #endif
   }
 #if FBDCSIM_TELEMETRY_ENABLED

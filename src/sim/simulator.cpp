@@ -15,18 +15,14 @@ namespace fbdcsim::sim {
 /// since the previous publish (so t=0 schedules made before a run count).
 class Simulator::RunMetricsScope {
  public:
-  explicit RunMetricsScope(Simulator& sim) : sim_{&sim}, start_events_{sim.executed_} {
-    if (!telemetry::Telemetry::enabled()) return;
-    armed_ = true;
-    start_ = std::chrono::steady_clock::now();
-  }
+  explicit RunMetricsScope(Simulator& sim)
+      : sim_{&sim}, start_events_{sim.executed_}, start_{std::chrono::steady_clock::now()} {}
 
   ~RunMetricsScope() {
     const auto heap = static_cast<std::int64_t>(sim_->unpublished_heap_);
     const auto scheduled = static_cast<std::int64_t>(sim_->next_seq_ - sim_->published_seq_);
     sim_->unpublished_heap_ = 0;
     sim_->published_seq_ = sim_->next_seq_;
-    if (!armed_) return;
     FBDCSIM_T_COUNTER(events, "sim.events", Sim);
     FBDCSIM_T_COUNTER(runs, "sim.runs", Sim);
     FBDCSIM_T_COUNTER(wall, "sim.run_wall_us", Wall);
@@ -44,7 +40,6 @@ class Simulator::RunMetricsScope {
  private:
   Simulator* sim_;
   std::uint64_t start_events_;
-  bool armed_{false};
   std::chrono::steady_clock::time_point start_;
 };
 #endif

@@ -134,8 +134,7 @@ std::string to_json(const Snapshot& snapshot) {
 
 namespace {
 
-/// Renders the wall-span slice list (no enclosing document) so the combined
-/// exporter reuses the exact same bytes for the wall section.
+/// Renders the wall-span slice list (no enclosing document).
 std::string wall_span_events(const std::vector<TraceEvent>& events) {
   std::string out;
   bool first = true;
@@ -189,13 +188,6 @@ std::string sim_instant_events(const std::vector<TracePointDump>& dumps) {
 }
 
 }  // namespace
-
-std::string to_chrome_trace(const std::vector<TraceEvent>& events) {
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  out += wall_span_events(events);
-  out += "]}";
-  return out;
-}
 
 std::string to_chrome_trace(const std::vector<TraceEvent>& events,
                             std::vector<TracePointDump> tracepoints) {

@@ -1,9 +1,6 @@
 #include "fbdcsim/telemetry/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 namespace fbdcsim::telemetry {
@@ -16,33 +13,6 @@ const char* to_string(Kind kind) {
       return "wall";
   }
   return "?";
-}
-
-namespace {
-
-bool initial_enabled_from_env() {
-  const char* env = std::getenv("FBDCSIM_TELEMETRY");
-  if (env == nullptr) return true;
-  if (std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0 ||
-      std::strcmp(env, "true") == 0) {
-    return true;
-  }
-  if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-      std::strcmp(env, "false") == 0) {
-    return false;
-  }
-  std::fprintf(stderr,
-               "FBDCSIM_TELEMETRY='%s' is not one of 0/1/on/off/true/false; "
-               "leaving telemetry enabled\n",
-               env);
-  return true;
-}
-
-}  // namespace
-
-std::atomic<bool>& Telemetry::state() noexcept {
-  static std::atomic<bool> s{initial_enabled_from_env()};
-  return s;
 }
 
 namespace detail {

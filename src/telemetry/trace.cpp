@@ -15,8 +15,7 @@ std::int64_t steady_now_ns() {
       .count();
 }
 
-/// Per-thread span nesting depth. Only spans that were armed at open time
-/// touch it, so enable/disable races cannot unbalance it.
+/// Per-thread span nesting depth.
 thread_local std::uint32_t t_depth = 0;
 
 }  // namespace
@@ -65,28 +64,18 @@ std::uint32_t Tracer::this_thread_id() noexcept {
   return id;
 }
 
-TraceSpan::TraceSpan(const char* name, Tracer& tracer) {
-  if (!Telemetry::enabled()) return;
-  tracer_ = &tracer;
-  name_ = name;
-  depth_ = t_depth++;
-  start_us_ = tracer.now_us();
-}
+TraceSpan::TraceSpan(const char* name, Tracer& tracer)
+    : tracer_{&tracer}, name_{name}, depth_{t_depth++}, start_us_{tracer.now_us()} {}
 
-TraceSpan::TraceSpan(const char* name, std::string detail, Tracer& tracer) {
-  if (!Telemetry::enabled()) return;
-  tracer_ = &tracer;
-  name_ = name;
+TraceSpan::TraceSpan(const char* name, std::string detail, Tracer& tracer)
+    : TraceSpan{name, tracer} {
   if (!detail.empty()) {
     name_ += ':';
     name_ += detail;
   }
-  depth_ = t_depth++;
-  start_us_ = tracer.now_us();
 }
 
 TraceSpan::~TraceSpan() {
-  if (tracer_ == nullptr) return;
   --t_depth;
   TraceEvent ev;
   ev.name = std::move(name_);
@@ -95,31 +84,6 @@ TraceSpan::~TraceSpan() {
   ev.start_us = start_us_;
   ev.dur_us = tracer_->now_us() - start_us_;
   tracer_->record(std::move(ev));
-}
-
-ScopedTimer::ScopedTimer(Histogram& hist, const char* span_name, Tracer& tracer) {
-  if (!Telemetry::enabled()) return;
-  hist_ = &hist;
-  tracer_ = &tracer;
-  span_name_ = span_name;
-  if (span_name_ != nullptr) depth_ = t_depth++;
-  start_us_ = tracer.now_us();
-}
-
-ScopedTimer::~ScopedTimer() {
-  if (hist_ == nullptr) return;
-  const std::int64_t elapsed = tracer_->now_us() - start_us_;
-  hist_->observe(elapsed);
-  if (span_name_ != nullptr) {
-    --t_depth;
-    TraceEvent ev;
-    ev.name = span_name_;
-    ev.tid = Tracer::this_thread_id();
-    ev.depth = depth_;
-    ev.start_us = start_us_;
-    ev.dur_us = elapsed;
-    tracer_->record(std::move(ev));
-  }
 }
 
 }  // namespace fbdcsim::telemetry

@@ -31,10 +31,13 @@ TransportMux::~TransportMux() = default;
 
 std::int64_t TransportMux::live_connections() const { return pool_.live(); }
 
-void TransportMux::register_probes(telemetry::TimeSeriesProbe& probe,
-                                   std::int64_t stride) const {
+void TransportMux::register_probes(telemetry::TimeSeriesProbe& probe) const {
+  // Every gauge here fires on every 100th probe tick: it keeps a Web rack's
+  // ~10^4-connection sums off the 10 us hot cadence (1 ms effective)
+  // without touching the O(1) switch/queue gauges.
+  constexpr std::int64_t kStride = 100;
   probe.add_gauge(
-      "transport.active_connections", [this] { return pool_.live(); }, stride);
+      "transport.active_connections", [this] { return pool_.live(); }, kStride);
   const auto sum_out = [this](auto field) {
     std::int64_t total = 0;
     for (const Slot& s : slots_) {
@@ -44,22 +47,22 @@ void TransportMux::register_probes(telemetry::TimeSeriesProbe& probe,
   };
   probe.add_gauge(
       "transport.cwnd_bytes",
-      [sum_out] { return sum_out([](const HalfStream& h) { return h.cwnd; }); }, stride);
+      [sum_out] { return sum_out([](const HalfStream& h) { return h.cwnd; }); }, kStride);
   probe.add_gauge(
       "transport.ssthresh_bytes",
       [sum_out] { return sum_out([](const HalfStream& h) { return h.ssthresh; }); },
-      stride);
+      kStride);
   probe.add_gauge(
       "transport.inflight_bytes",
       [sum_out] { return sum_out([](const HalfStream& h) { return h.inflight(); }); },
-      stride);
+      kStride);
   // DCTCP mark-fraction EWMA, summed over live out-halves in Q16 units
   // (divide a sample by live connections * kDctcpAlphaUnit for the mean
   // alpha). Identically zero under cc = kNewReno.
   probe.add_gauge(
       "transport.alpha_q16",
       [sum_out] { return sum_out([](const HalfStream& h) { return h.alpha_q16; }); },
-      stride);
+      kStride);
   probe.add_gauge("transport.rto_pending", [this] {
     std::int64_t pending = 0;
     for (const Slot& s : slots_) {
@@ -67,7 +70,7 @@ void TransportMux::register_probes(telemetry::TimeSeriesProbe& probe,
       pending += (s.conn->out.rto_scheduled ? 1 : 0) + (s.conn->in.rto_scheduled ? 1 : 0);
     }
     return pending;
-  }, stride);
+  }, kStride);
 }
 
 const TcpConnection* TransportMux::find_connection(const core::FiveTuple& tuple) const {

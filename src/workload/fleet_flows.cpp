@@ -370,31 +370,29 @@ void FleetFlowGenerator::generate_for_host(HostId host, const Visit& visit) cons
   const Visit& sink = faulted ? gated : visit;
 
 #if FBDCSIM_TELEMETRY_ENABLED
-  if (telemetry::Telemetry::enabled()) {
-    // Count this host's flows locally and fold them into the fleet-wide
-    // per-role counters once, so the per-flow path stays allocation- and
-    // contention-free.
-    std::int64_t emitted = 0;
-    const Visit counted = [&](const core::FlowRecord& f) {
-      ++emitted;
-      sink(f);
-    };
-    for (std::int64_t e = 0; e < epochs; ++e) {
-      for (const Component& c : comps) emit_component(host, c, e, rng, counted);
-    }
-    FBDCSIM_T_COUNTER(total, "fleet.flows", Sim);
-    FBDCSIM_T_ADD(total, emitted - down_skipped);
-    role_flow_counter(role).add(emitted - down_skipped);
-    if (down_skipped > 0) {
-      FBDCSIM_T_COUNTER(skipped, "fleet.host_down_skipped", Sim);
-      FBDCSIM_T_ADD(skipped, down_skipped);
-    }
-    return;
+  // Count this host's flows locally and fold them into the fleet-wide
+  // per-role counters once, so the per-flow path stays allocation- and
+  // contention-free.
+  std::int64_t emitted = 0;
+  const Visit counted = [&](const core::FlowRecord& f) {
+    ++emitted;
+    sink(f);
+  };
+  for (std::int64_t e = 0; e < epochs; ++e) {
+    for (const Component& c : comps) emit_component(host, c, e, rng, counted);
   }
-#endif
+  FBDCSIM_T_COUNTER(total, "fleet.flows", Sim);
+  FBDCSIM_T_ADD(total, emitted - down_skipped);
+  role_flow_counter(role).add(emitted - down_skipped);
+  if (down_skipped > 0) {
+    FBDCSIM_T_COUNTER(skipped, "fleet.host_down_skipped", Sim);
+    FBDCSIM_T_ADD(skipped, down_skipped);
+  }
+#else
   for (std::int64_t e = 0; e < epochs; ++e) {
     for (const Component& c : comps) emit_component(host, c, e, rng, sink);
   }
+#endif
 }
 
 void FleetFlowGenerator::generate(const Visit& visit) const {

@@ -86,7 +86,7 @@ RackSimulation::RackSimulation(const topology::Fleet& fleet, RackSimConfig confi
   // Observability opt-in. The flight recorder exists from construction so
   // t=0 fault-epoch transitions are captured; registered globally so
   // FlightRecorders::dump_all / the crash handler can reach it.
-  if (config_.obs.enabled() && telemetry::Telemetry::enabled()) {
+  if (config_.obs.enabled()) {
     tracepoints_ = std::make_unique<telemetry::TracePointLog>(
         config_.monitored_host.value(), config_.obs.flight_recorder);
     telemetry::FlightRecorders::add(tracepoints_.get());
@@ -148,8 +148,7 @@ RackSimulation::RackSimulation(const topology::Fleet& fleet, RackSimConfig confi
   // packets have no transport lifecycle to record. Switch-drop attributions
   // carry the rack id and, when the fault plan shrank the shared buffer at
   // t=0, the epoch code that names that decision as the standing cause.
-  if (config_.obs.enabled() && config_.obs.flows && telemetry::Telemetry::enabled() &&
-      transport_) {
+  if (config_.obs.enabled() && config_.obs.flows && transport_) {
     flow_ledger_ = std::make_unique<telemetry::FlowLedger>(
         config_.monitored_host.value(), config_.obs.flow_capacity, rack_.value(),
         shrink < 1.0 ? telemetry::kFaultEpochBufferShrunk : -1);
@@ -159,7 +158,7 @@ RackSimulation::RackSimulation(const topology::Fleet& fleet, RackSimConfig confi
   if (probe_) {
     rsw_->register_probes(*probe_);
     if (transport_) {
-      transport_->register_probes(*probe_, config_.obs.transport_stride);
+      transport_->register_probes(*probe_);
     }
     // Link tx bytes split the way every analysis reads them: CSW-facing
     // uplinks vs host downlinks.

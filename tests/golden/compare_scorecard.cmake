@@ -1,8 +1,8 @@
 # Golden comparison for the anchor scorecard's deterministic metrics.
 #
-# Runs bench_anchor_scorecard with pinned knobs (1-second captures,
-# telemetry on, faults off) and compares the "sim" metric section of its
-# JSON report byte-for-byte against the committed golden file. Sim-kind
+# Runs bench_anchor_scorecard with pinned knobs (1-second captures, faults
+# off) and compares the "sim" metric section of its JSON report
+# byte-for-byte against the committed golden file. Sim-kind
 # metrics are defined to be bit-identical across thread counts and runs
 # (DESIGN.md §7), so any diff here is a real behavior change — wall-kind
 # metrics (timings, pool width) are excluded by construction.
@@ -14,7 +14,6 @@ file(MAKE_DIRECTORY "${OUT_DIR}")
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env
     FBDCSIM_BENCH_SECONDS=1
-    FBDCSIM_TELEMETRY=1
     FBDCSIM_FAULTS=off
     --unset=FBDCSIM_THREADS
     "FBDCSIM_BENCH_OUT=${OUT_DIR}/"

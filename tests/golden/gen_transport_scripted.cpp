@@ -35,7 +35,6 @@ using namespace fbdcsim;
 namespace {
 
 int print_obs_golden(const topology::Fleet& fleet, const faults::FaultPlan& heavy) {
-  telemetry::Telemetry::set_enabled(true);  // the obs layer honors the switch
   for (const char* variant : tests::kObsGoldenVariants) {
     for (const core::HostRole role : tests::kGoldenRoles) {
       for (const bool faulted : {false, true}) {

@@ -218,8 +218,6 @@ TEST(ShardedFleetRunnerTest, SlowSinkKeepsTheWindowFullAndBounded) {
   ASSERT_GT(nshards, 3 * opts.max_buffered_shards);
 
 #if FBDCSIM_TELEMETRY_ENABLED
-  const bool was_enabled = telemetry::Telemetry::enabled();
-  telemetry::Telemetry::set_enabled(true);
   const telemetry::Counter& posted = telemetry::MetricsRegistry::global().counter(
       "runtime.pool.tasks_posted", telemetry::Kind::kSim);
   const std::int64_t posted_before = posted.value();
@@ -243,7 +241,6 @@ TEST(ShardedFleetRunnerTest, SlowSinkKeepsTheWindowFullAndBounded) {
   });
 #if FBDCSIM_TELEMETRY_ENABLED
   EXPECT_EQ(posted.value() - posted_before, static_cast<std::int64_t>(nshards));
-  telemetry::Telemetry::set_enabled(was_enabled);
 #endif
   EXPECT_GT(shards_seen, nshards / 2);
   expect_identical(serial, flows);

@@ -5,8 +5,8 @@
 // applies the transport configuration the file was generated with.
 // run_obs_golden_gate does the same for obs_transport.golden.txt, whose
 // lines are obs_golden_line() of obs_golden_preset() (gen_transport_scripted
-// --obs); its caller must have the runtime telemetry switch on. Test targets
-// that include this define FBDCSIM_GOLDEN_DIR.
+// --obs); it needs a build with telemetry compiled in. Test targets that
+// include this define FBDCSIM_GOLDEN_DIR.
 #pragma once
 
 #include <gtest/gtest.h>

@@ -17,15 +17,6 @@
 namespace fbdcsim::telemetry {
 namespace {
 
-class EnabledGuard {
- public:
-  EnabledGuard() : was_{Telemetry::enabled()} {}
-  ~EnabledGuard() { Telemetry::set_enabled(was_); }
-
- private:
-  bool was_;
-};
-
 TEST(TelemetryConcurrencyTest, ConcurrentCounterAddsLoseNothing) {
   MetricsRegistry reg;
   Counter& c = reg.counter("c", Kind::kSim);
@@ -234,8 +225,6 @@ TEST(TelemetryConcurrencyTest, RegistrationRacesResolveToOneHandle) {
 }
 
 TEST(TelemetryConcurrencyTest, SpansOnManyThreadsAllRecord) {
-  const EnabledGuard guard;
-  Telemetry::set_enabled(true);
   Tracer tracer;
   constexpr int kThreads = 4;
   constexpr int kSpansPerThread = 500;

@@ -10,16 +10,6 @@
 namespace fbdcsim::telemetry {
 namespace {
 
-/// Restores the runtime switch so tests can toggle it freely.
-class EnabledGuard {
- public:
-  EnabledGuard() : was_{Telemetry::enabled()} {}
-  ~EnabledGuard() { Telemetry::set_enabled(was_); }
-
- private:
-  bool was_;
-};
-
 TEST(CounterTest, AddsAndResets) {
   Counter c;
   EXPECT_EQ(c.value(), 0);
@@ -210,50 +200,25 @@ TEST(SnapshotTest, MergeIntoEmptyHistogramPreservesIdentity) {
   EXPECT_EQ(h->max, 7);
 }
 
-TEST(TelemetryTest, RuntimeToggleRoundTrips) {
-  const EnabledGuard guard;
-  Telemetry::set_enabled(false);
-  EXPECT_FALSE(Telemetry::enabled());
-  Telemetry::set_enabled(true);
-  EXPECT_TRUE(Telemetry::enabled());
-}
-
-// The macro layer. Under -DFBDCSIM_TELEMETRY=OFF these expand to nothing;
-// the test then only asserts that the disabled registry stays untouched.
+// The macro layer. Under -DFBDCSIM_TELEMETRY=OFF the macros expand to
+// nothing and the registry stays untouched; otherwise each one records.
 TEST(TelemetryTest, MacrosAreNoOpsWhileDisabled) {
-  const EnabledGuard guard;
-  Telemetry::set_enabled(false);
-
   FBDCSIM_T_COUNTER(counter, "test.macro.counter", Sim);
   FBDCSIM_T_GAUGE(gauge, "test.macro.gauge", Wall);
   FBDCSIM_T_HISTOGRAM(hist, "test.macro.hist", Wall);
-  FBDCSIM_T_ADD(counter, 100);
-  FBDCSIM_T_SET(gauge, 100);
-  FBDCSIM_T_MAX(gauge, 100);
-  FBDCSIM_T_OBSERVE(hist, 100);
-
-  {
-    const Snapshot snap = MetricsRegistry::global().snapshot();
-    if (const auto* c = snap.counter("test.macro.counter")) {
-      EXPECT_EQ(c->value, 0);
-    }
-    if (const auto* g = snap.gauge("test.macro.gauge")) {
-      EXPECT_EQ(g->value, 0);
-    }
-    if (const auto* h = snap.histogram("test.macro.hist")) {
-      EXPECT_EQ(h->count, 0);
-    }
-  }
-
-#if FBDCSIM_TELEMETRY_ENABLED
-  Telemetry::set_enabled(true);
   FBDCSIM_T_ADD(counter, 1);
   FBDCSIM_T_MAX(gauge, 2);
   FBDCSIM_T_OBSERVE(hist, 3);
+
   const Snapshot snap = MetricsRegistry::global().snapshot();
+#if FBDCSIM_TELEMETRY_ENABLED
   EXPECT_EQ(snap.counter("test.macro.counter")->value, 1);
   EXPECT_EQ(snap.gauge("test.macro.gauge")->value, 2);
   EXPECT_EQ(snap.histogram("test.macro.hist")->count, 1);
+#else
+  EXPECT_EQ(snap.counter("test.macro.counter"), nullptr);
+  EXPECT_EQ(snap.gauge("test.macro.gauge"), nullptr);
+  EXPECT_EQ(snap.histogram("test.macro.hist"), nullptr);
 #endif
 }
 

@@ -42,17 +42,6 @@ struct ObsOutput {
   std::int64_t flows_total{0};
 };
 
-/// Forces the runtime telemetry switch on for a test's scope (the obs layer
-/// honors it; CI may run with FBDCSIM_TELEMETRY=0 in the environment).
-class TelemetryOn {
- public:
-  TelemetryOn() : saved_{Telemetry::enabled()} { Telemetry::set_enabled(true); }
-  ~TelemetryOn() { Telemetry::set_enabled(saved_); }
-
- private:
-  bool saved_;
-};
-
 workload::RackSimConfig obs_config(const topology::Fleet& fleet, HostRole role,
                                    const faults::FaultPlan* plan) {
   workload::RackSimConfig cfg =
@@ -99,7 +88,6 @@ void expect_same(const ObsOutput& baseline, const ObsOutput& got, const char* wh
 }
 
 TEST(ObsDifferential, BitIdenticalAcrossThreadCounts) {
-  TelemetryOn on;
   const topology::Fleet fleet = workload::build_rack_experiment_fleet();
   const faults::FaultPlan heavy{faults::heavy_profile()};
 
@@ -141,7 +129,6 @@ TEST(ObsDifferential, BitIdenticalAcrossThreadCounts) {
 TEST(ObsDifferential, ObsOffProducesNoObservabilityOutput) {
   // The default: byte-identical behavior to pre-observability builds means
   // no series, no tracepoints, nothing to merge.
-  TelemetryOn on;
   const topology::Fleet fleet = workload::build_rack_experiment_fleet();
   workload::RackSimConfig cfg = workload::default_rack_config(
       fleet, HostRole::kWeb, core::Duration::millis(100));
@@ -159,7 +146,6 @@ TEST(ObsDifferential, ObsOffProducesNoObservabilityOutput) {
 TEST(ObsDifferential, FlowsLevelRequiresOptIn) {
   // FBDCSIM_OBS=on alone must not allocate a ledger: the flows level is its
   // own opt-in, so dump/probe users pay nothing for the per-flow machinery.
-  TelemetryOn on;
   const topology::Fleet fleet = workload::build_rack_experiment_fleet();
   workload::RackSimConfig cfg = workload::default_rack_config(
       fleet, HostRole::kWeb, core::Duration::millis(100));

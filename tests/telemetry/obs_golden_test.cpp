@@ -17,10 +17,7 @@ TEST(ObsGolden, FlowsAndTracepointsMatchCommittedGolden) {
 #if !FBDCSIM_TELEMETRY_ENABLED
   GTEST_SKIP() << "the obs layer compiles away under -DFBDCSIM_TELEMETRY=OFF";
 #endif
-  const bool saved = Telemetry::enabled();
-  Telemetry::set_enabled(true);  // CI may run with FBDCSIM_TELEMETRY=0
   tests::run_obs_golden_gate("obs_transport.golden.txt");
-  Telemetry::set_enabled(saved);
 }
 
 }  // namespace

@@ -10,18 +10,7 @@
 namespace fbdcsim::telemetry {
 namespace {
 
-class EnabledGuard {
- public:
-  EnabledGuard() : was_{Telemetry::enabled()} {}
-  ~EnabledGuard() { Telemetry::set_enabled(was_); }
-
- private:
-  bool was_;
-};
-
 TEST(TraceSpanTest, RecordsOneEventPerSpan) {
-  const EnabledGuard guard;
-  Telemetry::set_enabled(true);
   Tracer tracer;
   {
     TraceSpan span{"work", tracer};
@@ -35,8 +24,6 @@ TEST(TraceSpanTest, RecordsOneEventPerSpan) {
 }
 
 TEST(TraceSpanTest, NestedSpansReportDepthAndOrder) {
-  const EnabledGuard guard;
-  Telemetry::set_enabled(true);
   Tracer tracer;
   {
     TraceSpan outer{"outer", tracer};
@@ -62,8 +49,6 @@ TEST(TraceSpanTest, NestedSpansReportDepthAndOrder) {
 }
 
 TEST(TraceSpanTest, SequentialSpansReuseDepthZero) {
-  const EnabledGuard guard;
-  Telemetry::set_enabled(true);
   Tracer tracer;
   { TraceSpan a{"a", tracer}; }
   { TraceSpan b{"b", tracer}; }
@@ -73,27 +58,7 @@ TEST(TraceSpanTest, SequentialSpansReuseDepthZero) {
   EXPECT_EQ(events[1].depth, 0u);
 }
 
-TEST(TraceSpanTest, DisabledSpanIsInert) {
-  const EnabledGuard guard;
-  Tracer tracer;
-  Telemetry::set_enabled(false);
-  {
-    TraceSpan span{"invisible", tracer};
-    // Re-enabling mid-span must not record the already-inert span (that
-    // would unbalance the thread's depth counter).
-    Telemetry::set_enabled(true);
-  }
-  EXPECT_EQ(tracer.size(), 0u);
-  {
-    TraceSpan span{"visible", tracer};
-  }
-  ASSERT_EQ(tracer.size(), 1u);
-  EXPECT_EQ(tracer.events()[0].depth, 0u);
-}
-
 TEST(TraceSpanTest, ClearDropsEvents) {
-  const EnabledGuard guard;
-  Telemetry::set_enabled(true);
   Tracer tracer;
   { TraceSpan span{"x", tracer}; }
   EXPECT_EQ(tracer.size(), 1u);
@@ -101,41 +66,10 @@ TEST(TraceSpanTest, ClearDropsEvents) {
   EXPECT_EQ(tracer.size(), 0u);
 }
 
-TEST(ScopedTimerTest, ObservesElapsedIntoHistogram) {
-  const EnabledGuard guard;
-  Telemetry::set_enabled(true);
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("t", Kind::kWall);
-  Tracer tracer;
-  {
-    ScopedTimer timer{h, "timed", tracer};
-  }
-  const Snapshot snap = reg.snapshot();
-  EXPECT_EQ(snap.histogram("t")->count, 1);
-  EXPECT_EQ(tracer.size(), 1u);
-  EXPECT_EQ(tracer.events()[0].name, "timed");
-
-  {
-    ScopedTimer timer{h};  // histogram only, no span
-  }
-  EXPECT_EQ(reg.snapshot().histogram("t")->count, 2);
-}
-
-TEST(ScopedTimerTest, DisabledTimerIsInert) {
-  const EnabledGuard guard;
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("t", Kind::kWall);
-  Telemetry::set_enabled(false);
-  {
-    ScopedTimer timer{h, "timed"};
-  }
-  EXPECT_EQ(reg.snapshot().histogram("t")->count, 0);
-}
-
 TEST(ExportTest, ChromeTraceHasExpectedShape) {
   std::vector<TraceEvent> events;
   events.push_back({"shard \"0\"", 2, 1, 10, 5});
-  const std::string json = to_chrome_trace(events);
+  const std::string json = to_chrome_trace(events, {});
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"tid\":2"), std::string::npos);

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -141,6 +142,26 @@ TEST(TracePointLogTest, DumpWritesOneLinePerRetainedRecord) {
   EXPECT_NE(out.find("fast_rtx_enter"), std::string::npos);
 }
 
+/// Registers two recorders in reverse source order, then terminates.
+[[noreturn]] void terminate_with_two_recorders() {
+  TracePointLog later{9, 4};
+  TracePointLog earlier{4, 4};
+  later.record(200, TracePointKind::kRtoFired, 0x101, 2920, 1);
+  earlier.record(100, TracePointKind::kPacketDrop, 3, 1500, 9000);
+  FlightRecorders::add(&later);
+  FlightRecorders::add(&earlier);
+  FlightRecorders::arm_crash_dump();
+  std::terminate();
+}
+
+// The crash path: a terminate with recorders registered dumps every one of
+// them to stderr, ordered by source id whatever the registration order.
+TEST(TracePointLogDeathTest, CrashDumpListsRecordersInSourceOrder) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(terminate_with_two_recorders(),
+               "flight recorder: source=4 (.|\n)*flight recorder: source=9 ");
+}
+
 // --- sim-clock vs wall-clock segregation in the Chrome export -------------
 
 std::vector<TraceEvent> some_spans() {
@@ -158,7 +179,7 @@ TracePointDump some_tracepoints() {
 }
 
 TEST(ChromeTraceSegregationTest, SpansOnlyExportHasNoInstantEvents) {
-  const std::string doc = to_chrome_trace(some_spans());
+  const std::string doc = to_chrome_trace(some_spans(), {});
   EXPECT_EQ(doc.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_EQ(doc.find("fbdcsim.sim"), std::string::npos);
   EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
@@ -168,7 +189,7 @@ TEST(ChromeTraceSegregationTest, CombinedExportKeepsWallSpansByteIdentical) {
   // The spans' serialized form must not change when tracepoints ride along:
   // the combined document contains the spans-only document's event list as
   // a prefix, so wall-clock tooling sees exactly the same slices.
-  const std::string spans_only = to_chrome_trace(some_spans());
+  const std::string spans_only = to_chrome_trace(some_spans(), {});
   const std::string combined = to_chrome_trace(some_spans(), {some_tracepoints()});
   const std::string open = "\"traceEvents\":[";
   const std::size_t spans_events = spans_only.find(open);
@@ -201,7 +222,14 @@ TEST(ChromeTraceSegregationTest, ClocksNeverMix) {
 }
 
 TEST(ChromeTraceSegregationTest, EmptyTracepointListMatchesSpansOnly) {
-  EXPECT_EQ(to_chrome_trace(some_spans(), {}), to_chrome_trace(some_spans()));
+  // The exact spans-only document, pinned byte for byte.
+  const std::string expected =
+      R"({"displayTimeUnit":"ms","traceEvents":[)"
+      R"({"name":"capture","cat":"fbdcsim","ph":"X","pid":1,"tid":1,"ts":10,"dur":500,)"
+      R"("args":{"depth":0}},)"
+      R"({"name":"shard:web","cat":"fbdcsim","ph":"X","pid":1,"tid":2,"ts":20,"dur":100,)"
+      R"("args":{"depth":1}}]})";
+  EXPECT_EQ(to_chrome_trace(some_spans(), {}), expected);
 }
 
 }  // namespace
