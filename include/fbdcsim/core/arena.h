@@ -12,14 +12,13 @@
 // Telemetry (Kind::kSim — growth is driven purely by simulation state, so
 // the counters are bit-identical across thread counts):
 //   arena.bytes  bytes obtained from the system allocator (chunk mallocs)
-//   arena.reuse  allocations served from recycled memory (pool free-list
-//                hits, retired-chunk reuse), published on destruction
+//   arena.reuse  allocations served from a pool's free list, published on
+//                destruction
 //
 // Lifetime rules (DESIGN.md §9): an Arena frees its chunks only on
-// destruction; reset() retires them for reuse. Objects created from a Pool
-// must be destroyed through the same Pool (or leak their destructor, never
-// their memory); a Pool and everything allocated from it must not outlive
-// the Arena it draws from.
+// destruction. Objects created from a Pool must be destroyed through the
+// same Pool (or leak their destructor, never their memory); a Pool and
+// everything allocated from it must not outlive the Arena it draws from.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +32,7 @@
 namespace fbdcsim::core {
 
 namespace detail {
-/// Adds a destroyed Pool's or Arena's reuse count to "arena.reuse".
+/// Adds a destroyed Pool's reuse count to "arena.reuse".
 inline void publish_arena_reuse(std::int64_t reused) {
   if (reused == 0) return;
   FBDCSIM_T_COUNTER(reuse, "arena.reuse", Sim);
@@ -42,8 +41,8 @@ inline void publish_arena_reuse(std::int64_t reused) {
 }  // namespace detail
 
 /// Chunked bump allocator. allocate() is a pointer bump; a fresh chunk is
-/// malloc'd (or reused from the retired list) only when the current one is
-/// exhausted. Never frees individual allocations.
+/// malloc'd only when the current one is exhausted. Never frees individual
+/// allocations.
 class Arena {
  public:
   static constexpr std::size_t kDefaultChunkBytes = 64 * 1024;
@@ -55,9 +54,11 @@ class Arena {
   Arena& operator=(const Arena&) = delete;
 
   ~Arena() {
-    release_list(live_);
-    release_list(retired_);
-    detail::publish_arena_reuse(chunks_reused_);
+    while (live_ != nullptr) {
+      Chunk* next = live_->next;
+      std::free(live_);
+      live_ = next;
+    }
   }
 
   /// Returns `bytes` of storage aligned to `align` (a power of two no
@@ -73,22 +74,8 @@ class Arena {
     return allocate_slow(bytes, align);
   }
 
-  /// Retires every chunk for reuse. All outstanding allocations become
-  /// invalid; no memory is returned to the system.
-  void reset() noexcept {
-    while (live_ != nullptr) {
-      Chunk* next = live_->next;
-      live_->used = 0;
-      live_->next = retired_;
-      retired_ = live_;
-      live_ = next;
-    }
-  }
-
   /// Total bytes obtained from the system allocator over the arena's life.
   [[nodiscard]] std::int64_t bytes_from_system() const noexcept { return bytes_from_system_; }
-  /// Chunks served from the retired list instead of malloc.
-  [[nodiscard]] std::int64_t chunks_reused() const noexcept { return chunks_reused_; }
 
  private:
   struct Chunk {
@@ -114,21 +101,6 @@ class Arena {
     std::size_t want = bytes + align;
     if (want < chunk_bytes_ - header) want = chunk_bytes_ - header;
 
-    // Reuse a retired chunk when one is big enough (first fit).
-    Chunk** link = &retired_;
-    while (*link != nullptr) {
-      if ((*link)->size >= want) {
-        Chunk* chunk = *link;
-        *link = chunk->next;
-        chunk->used = 0;
-        chunk->next = live_;
-        live_ = chunk;
-        ++chunks_reused_;
-        return allocate(bytes, align);
-      }
-      link = &(*link)->next;
-    }
-
     auto* raw = static_cast<std::byte*>(std::malloc(header + want));
     if (raw == nullptr) throw std::bad_alloc{};
     auto* chunk = reinterpret_cast<Chunk*>(raw);
@@ -142,19 +114,9 @@ class Arena {
     return allocate(bytes, align);
   }
 
-  static void release_list(Chunk* head) noexcept {
-    while (head != nullptr) {
-      Chunk* next = head->next;
-      std::free(head);
-      head = next;
-    }
-  }
-
-  Chunk* live_{nullptr};     // chunks with outstanding allocations (head is active)
-  Chunk* retired_{nullptr};  // reset() chunks awaiting reuse
+  Chunk* live_{nullptr};  // every chunk, newest (the active one) first
   std::size_t chunk_bytes_;
   std::int64_t bytes_from_system_{0};
-  std::int64_t chunks_reused_{0};
 };
 
 /// Fixed-type object pool over an Arena: create/destroy recycle slots

@@ -1,15 +1,13 @@
-// Parametric and empirical distributions used by the workload models.
+// The distributions the workload models draw from.
 //
-// The paper reports heavy-tailed flow sizes, log-normal-style burstiness in
-// prior work, and Zipf-like object popularity in the cache tier; these
-// samplers are the generative building blocks. All sampling is explicit-RNG
-// (no hidden state) per the determinism rules in DESIGN.md §6.
+// The models explain the paper's heavy-tailed flow sizes by service
+// mechanisms, so they need only log-normal sizes, Zipf-like object
+// popularity in the cache tier and the diurnal rate curve. All sampling is
+// explicit-RNG (no hidden state) per the determinism rules in DESIGN.md §6.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -39,31 +37,6 @@ class LogNormal {
   double sigma_;
 };
 
-/// Bounded Pareto: heavy-tailed sizes in [lo, hi] with shape alpha.
-class BoundedPareto {
- public:
-  BoundedPareto(double alpha, double lo, double hi) : alpha_{alpha}, lo_{lo}, hi_{hi} {
-    if (alpha <= 0.0 || lo <= 0.0 || hi <= lo) throw std::invalid_argument{"BoundedPareto: bad params"};
-  }
-
-  [[nodiscard]] double sample(RngStream& rng) const {
-    // Inverse-CDF of the truncated Pareto.
-    const double u = rng.uniform();
-    const double la = std::pow(lo_, alpha_);
-    const double ha = std::pow(hi_, alpha_);
-    return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha_);
-  }
-
-  [[nodiscard]] double alpha() const { return alpha_; }
-  [[nodiscard]] double lo() const { return lo_; }
-  [[nodiscard]] double hi() const { return hi_; }
-
- private:
-  double alpha_;
-  double lo_;
-  double hi_;
-};
-
 /// Zipf distribution over ranks {0, ..., n-1} with exponent s, sampled by
 /// inverse CDF over a precomputed table (O(log n) per draw, exact).
 class Zipf {
@@ -82,44 +55,6 @@ class Zipf {
   double s_;
   double norm_{0.0};
   std::vector<double> cdf_;  // cdf_[k] = P(rank <= k)
-};
-
-/// A distribution defined by an explicit inverse-CDF table of (quantile,
-/// value) knots with log-linear interpolation between them. This is how we
-/// encode the paper's published CDF shapes (e.g. Figure 6 flow sizes)
-/// directly as samplers.
-class EmpiricalCdf {
- public:
-  struct Knot {
-    double quantile;  // in [0, 1], strictly increasing across knots
-    double value;     // > 0, non-decreasing across knots
-  };
-
-  explicit EmpiricalCdf(std::vector<Knot> knots);
-
-  /// Value at the given quantile (inverse CDF), log-interpolated.
-  [[nodiscard]] double quantile(double q) const;
-
-  [[nodiscard]] double sample(RngStream& rng) const { return quantile(rng.uniform()); }
-
-  [[nodiscard]] std::span<const Knot> knots() const { return knots_; }
-
- private:
-  std::vector<Knot> knots_;
-};
-
-/// Weighted choice over a small fixed set of outcomes, e.g. the Table 2
-/// destination-service mix. Weights need not sum to 1.
-class DiscreteChoice {
- public:
-  explicit DiscreteChoice(std::vector<double> weights);
-
-  [[nodiscard]] std::size_t sample(RngStream& rng) const;
-  [[nodiscard]] double probability(std::size_t index) const;
-  [[nodiscard]] std::size_t size() const { return cumulative_.size(); }
-
- private:
-  std::vector<double> cumulative_;  // normalized, non-decreasing, back() == 1
 };
 
 /// Diurnal rate modulation (Section 4.1): a smooth day/night curve with a

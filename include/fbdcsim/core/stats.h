@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -111,27 +110,6 @@ class Cdf {
 
   mutable std::vector<double> samples_;
   mutable bool sorted_{true};
-};
-
-/// Logarithmically-binned histogram for wide-range quantities (bytes, rates).
-class LogHistogram {
- public:
-  /// Bins are [lo * base^k, lo * base^(k+1)); values below lo clamp to bin 0.
-  LogHistogram(double lo, double base, std::size_t num_bins);
-
-  void add(double x, std::int64_t weight = 1);
-
-  [[nodiscard]] std::size_t bin_of(double x) const;
-  [[nodiscard]] double bin_lower(std::size_t bin) const;
-  [[nodiscard]] std::int64_t bin_count(std::size_t bin) const { return counts_.at(bin); }
-  [[nodiscard]] std::int64_t total() const { return total_; }
-  [[nodiscard]] std::size_t num_bins() const { return counts_.size(); }
-
- private:
-  double lo_;
-  double log_base_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t total_{0};
 };
 
 }  // namespace fbdcsim::core

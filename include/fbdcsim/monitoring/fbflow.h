@@ -7,22 +7,21 @@
 // in Scuba (real-time, per-minute granularity) and Hive. This module
 // reproduces that pipeline in-process:
 //
-//   PacketSampler / AnalyticSampler  ->  ScribeBus  ->  Tagger  ->  ScubaTable
+//   AnalyticSampler  ->  Scribe (FbflowPipeline::publish)  ->  Tagger  ->  ScubaTable
 //
 // In a fleet run all of it executes on the one thread that consumes the
 // flow stream, so every stage is kept cheap per flow and per row: the
-// sampler is a template callable, Scribe only counts what it carries (the
-// pipeline hands each published sample straight to its tagger), the tagger
-// resolves addresses by index arithmetic (Fleet::host_by_addr), and the
-// Scuba table grows its row block in place and keeps exact per-cluster-pair
-// byte sums as rows land, so the locality and cluster queries never rescan
-// the rows.
+// sampler is a template callable, Scribe is a publish step inside the
+// pipeline that only counts what it carries and hands each sample straight
+// to the tagger, the tagger resolves addresses by index arithmetic
+// (Fleet::host_by_addr), and the Scuba table grows its row block in place
+// and keeps exact per-cluster-pair byte sums as rows land, so the locality
+// and cluster queries never rescan the rows.
 //
-// PacketSampler does per-packet counting-based sampling (packet-level rack
-// simulations); AnalyticSampler applies the statistically equivalent
-// Poisson thinning to FlowRecords (fleet-level flow simulations), which is
-// what makes 24-hour fleet runs tractable — the same reason the real system
-// samples.
+// AnalyticSampler applies Poisson thinning to FlowRecords (fleet-level flow
+// simulations), statistically equivalent to 1:N sampling of each packet,
+// which is what makes 24-hour fleet runs tractable — the same reason the
+// real system samples.
 #pragma once
 
 #include <algorithm>
@@ -60,25 +59,10 @@ struct SampledPacket {
   core::HostId reporter;  // machine whose agent sampled the packet
 };
 
-/// Counting sampler: selects every Nth packet with a per-host random phase,
-/// the standard unbiased implementation of 1:N header sampling.
-class PacketSampler {
- public:
-  PacketSampler(std::int64_t rate, core::RngStream& rng);
-
-  /// True if this packet is selected.
-  [[nodiscard]] bool sample();
-
-  [[nodiscard]] std::int64_t rate() const { return rate_; }
-
- private:
-  std::int64_t rate_;
-  std::int64_t countdown_;
-};
-
-/// Poisson thinning of a whole flow: statistically equivalent to running
-/// PacketSampler over the flow's packets. Emits one SampledPacket per
-/// selected packet, with timestamps uniform over the flow's lifetime.
+/// Poisson thinning of a whole flow: statistically equivalent to selecting
+/// each of the flow's packets with probability 1/rate. Emits one
+/// SampledPacket per selected packet, with timestamps uniform over the
+/// flow's lifetime.
 class AnalyticSampler {
  public:
   AnalyticSampler(std::int64_t rate, core::RngStream rng) : rate_{rate}, rng_{rng} {}
@@ -116,22 +100,6 @@ class AnalyticSampler {
  private:
   std::int64_t rate_;
   core::RngStream rng_;
-};
-
-/// Scribe's place in the pipeline. Publishing is where the fault plan
-/// retries, drops and delays samples (FbflowPipeline); a sample that gets
-/// through is counted here and handed by the pipeline to its tagger.
-class ScribeBus {
- public:
-  void publish() { ++published_; }
-
-  [[nodiscard]] std::int64_t published() const { return published_; }
-
-  /// Folds another bus's publish counter into this one (pipeline merge).
-  void absorb_counters(const ScribeBus& other) { published_ += other.published_; }
-
- private:
-  std::int64_t published_{0};
 };
 
 /// A fully annotated sample, as the taggers hand to Scuba/Hive.
@@ -228,11 +196,6 @@ class ScubaTable {
   [[nodiscard]] std::vector<std::vector<double>> cluster_matrix(
       const topology::Fleet& fleet, core::DatacenterId dc, std::int64_t sampling_rate) const;
 
-  /// Fleet-wide role-to-role estimated byte matrix (8x8, indexed by
-  /// HostRole) — the fleet generalization of Table 2.
-  [[nodiscard]] std::vector<std::vector<double>> role_matrix(
-      std::int64_t sampling_rate) const;
-
   /// Estimated outbound bytes of one source host grouped by destination
   /// role (Table 2).
   [[nodiscard]] std::vector<std::pair<core::HostRole, double>> outbound_by_dest_role(
@@ -296,9 +259,6 @@ class FbflowPipeline {
   /// src_host is the reporting agent.
   void offer_flow(const core::FlowRecord& flow);
 
-  /// Packet mode: offer one packet observed at `reporter`.
-  void offer_packet(core::HostId reporter, const core::PacketHeader& header);
-
   /// Absorbs another pipeline's landed rows and counters, appending its
   /// Scuba rows after this pipeline's. Both pipelines must share the
   /// sampling rate (and, for meaningful results, the root rng seed and
@@ -307,9 +267,11 @@ class FbflowPipeline {
   void merge(const FbflowPipeline& other);
 
   [[nodiscard]] const ScubaTable& scuba() const { return scuba_; }
-  [[nodiscard]] const ScribeBus& scribe() const { return scribe_; }
   [[nodiscard]] std::int64_t sampling_rate() const { return sampling_rate_; }
   [[nodiscard]] std::int64_t tag_failures() const { return tag_failures_; }
+
+  /// Samples Scribe delivered to the tagger.
+  [[nodiscard]] std::int64_t scribe_published() const { return scribe_published_; }
 
   // Fault-injection loss accounting (all zero when fault-free).
   /// Samples lost after exhausting Scribe retries.
@@ -327,10 +289,9 @@ class FbflowPipeline {
 
  private:
   [[nodiscard]] AnalyticSampler& sampler_for(core::HostId reporter);
-  /// Scribe ingress under the fault plan: retry/drop/delay, then publish
-  /// and land.
+  /// Scribe ingress under the fault plan: retry/drop/delay, then land.
   void publish(const SampledPacket& sample);
-  /// The tagger: tags a published sample and appends it to Scuba (partial
+  /// Counts a published sample, tags it and appends it to Scuba (partial
   /// under an injected lookup failure).
   void land(const SampledPacket& sample);
 
@@ -341,12 +302,10 @@ class FbflowPipeline {
   std::unordered_map<std::uint64_t, AnalyticSampler> analytic_;  // by reporter host
   std::uint64_t last_reporter_{0};
   AnalyticSampler* last_sampler_{nullptr};  // analytic_[last_reporter_], once set
-  core::RngStream packet_rng_;  // must precede packet_sampler_
-  PacketSampler packet_sampler_;
-  ScribeBus scribe_;
   Tagger tagger_;
   ScubaTable scuba_;
   std::int64_t tag_failures_{0};
+  std::int64_t scribe_published_{0};
   std::int64_t scribe_dropped_{0};
   std::int64_t scribe_retries_{0};
   core::Duration scribe_backoff_total_ = core::Duration::nanos(0);

@@ -1,6 +1,9 @@
 // Per-link byte accounting with per-minute resolution — the SNMP-counter
 // view used for the utilization analysis of Section 4.1 and the link
 // utilization / drop panels of Figure 15.
+//
+// Utilization is always against a link's nominal capacity, as an SNMP
+// counter reports it; one accumulator covers one run.
 #pragma once
 
 #include <cstdint>
@@ -11,10 +14,6 @@
 #include "fbdcsim/core/time.h"
 #include "fbdcsim/core/units.h"
 #include "fbdcsim/topology/network.h"
-
-namespace fbdcsim::faults {
-class FaultPlan;
-}  // namespace fbdcsim::faults
 
 namespace fbdcsim::monitoring {
 
@@ -31,22 +30,8 @@ class LinkStats {
   void add_path(std::span<const core::LinkId> path, core::TimePoint start, core::Duration dur,
                 core::DataSize bytes);
 
-  /// Adds another accumulator's per-(link, minute) bytes into this one.
-  /// Both must cover the same network and horizon. Used to combine
-  /// per-shard accumulators after a parallel fleet run.
-  void merge(const LinkStats& other);
-
   /// Utilization of a link in a given minute, as a fraction of capacity.
   [[nodiscard]] double utilization(core::LinkId link, std::int64_t minute) const;
-
-  /// Utilization against fault-adjusted capacity: the plan's per-(link,
-  /// minute) capacity factor scales the denominator, so a degraded link is
-  /// proportionally more utilized by the same bytes. A failed link (factor
-  /// zero) reports 1.0 if anything was charged to it that minute — i.e.
-  /// saturated — and 0.0 otherwise. A null/disabled plan reproduces
-  /// utilization() exactly.
-  [[nodiscard]] double faulted_utilization(core::LinkId link, std::int64_t minute,
-                                           const faults::FaultPlan* plan) const;
 
   /// Mean utilization of a link over the whole horizon.
   [[nodiscard]] double mean_utilization(core::LinkId link) const;

@@ -9,10 +9,8 @@
 // shards are summed — the same merge-on-read discipline as core::Cdf::merge
 // and FbflowPipeline::merge in the parallel runtime.
 //
-// Snapshots are plain data and merge associatively and commutatively
-// (counters/histogram bins sum, gauges take the max), so snapshots taken
-// from independent registries — or the same registry at different times —
-// can be combined in any grouping with identical results.
+// Snapshots are plain data, sorted by name, so two of them compare and
+// export deterministically.
 //
 // These classes have no on/off state of their own: every call records. The
 // FBDCSIM_TELEMETRY CMake option (telemetry.h) is the only off switch; it
@@ -166,8 +164,8 @@ class Histogram {
   std::array<Shard, detail::kShards> shards_;
 };
 
-/// A point-in-time copy of every metric, plain data, safe to merge, export,
-/// and compare. Entries are sorted by name within each section.
+/// A point-in-time copy of every metric, plain data, safe to export and
+/// compare. Entries are sorted by name within each section.
 struct Snapshot {
   struct CounterValue {
     std::string name;
@@ -199,10 +197,6 @@ struct Snapshot {
   std::vector<CounterValue> counters;
   std::vector<GaugeValue> gauges;
   std::vector<HistogramValue> histograms;
-
-  /// Associative, commutative combine: counters and histogram bins sum,
-  /// gauges take the max. Mismatched kinds for the same name throw.
-  void merge(const Snapshot& other);
 
   /// Lookup helpers (nullptr when absent).
   [[nodiscard]] const CounterValue* counter(std::string_view name) const;

@@ -29,14 +29,15 @@
 
 namespace fbdcsim::telemetry {
 
+/// Time-series sampling cadence (the paper's FBOSS counter period).
+inline constexpr core::Duration kProbePeriod = core::Duration::micros(10);
+
 struct ObsConfig {
   enum class Mode : std::uint8_t { kOff, kOn, kDump };
 
   Mode mode = Mode::kOff;
   /// Flight-recorder ring capacity (last N tracepoints retained).
   std::size_t flight_recorder = 256;
-  /// Time-series sampling cadence (the paper's FBOSS counter period).
-  core::Duration probe_period = core::Duration::micros(10);
   /// Bins retained per series before downsampling doubles the bin width.
   std::size_t series_capacity = 512;
   /// Per-flow lifecycle ledger (FBDCSIM_OBS=flows). Off by default — runs

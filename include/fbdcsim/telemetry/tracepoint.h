@@ -4,9 +4,10 @@
 // happened around t": each is a typed record (packet drop, RTO fire,
 // fast-retransmit entry/exit, fault epoch transition, handshake retry)
 // stamped with sim time and an entity id. A TracePointLog is a bounded ring
-// backed by a core::Arena — recording is a few stores, never a malloc — and
-// doubles as the flight recorder: when full it overwrites the oldest record,
-// so it always holds the *last N* events leading up to whatever went wrong.
+// allocated once at construction — recording is a few stores, never a
+// malloc — and doubles as the flight recorder: when full it overwrites the
+// oldest record, so it always holds the *last N* events leading up to
+// whatever went wrong.
 //
 // Exports are canonical: dumps are ordered by source id (monitored-host id)
 // and records within a source keep sim-time order, so JSONL output is
@@ -29,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "fbdcsim/core/arena.h"
 #include "fbdcsim/telemetry/telemetry.h"
 #include "fbdcsim/telemetry/transport_event.h"
 
@@ -68,8 +68,8 @@ struct TracePointDump {
   std::vector<TracePointRecord> records;
 };
 
-/// Bounded, arena-backed tracepoint ring. One log per simulation (the rack's
-/// flight recorder); record() is called from that simulation's thread only.
+/// Bounded tracepoint ring. One log per simulation (the rack's flight
+/// recorder); record() is called from that simulation's thread only.
 class TracePointLog {
  public:
   static constexpr std::size_t kDefaultCapacity = 256;
@@ -84,7 +84,7 @@ class TracePointLog {
   void record(const TransportEvent& e) noexcept;
 
   [[nodiscard]] std::uint64_t source_id() const { return source_id_; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
   /// Records ever taken, including ones the ring has since overwritten.
   [[nodiscard]] std::int64_t total_recorded() const { return total_; }
 
@@ -95,9 +95,7 @@ class TracePointLog {
   void dump(std::FILE* out) const;
 
  private:
-  core::Arena arena_;
-  TracePointRecord* ring_;
-  std::size_t capacity_;
+  std::vector<TracePointRecord> ring_;  // sized at construction, never grown
   std::size_t next_{0};
   std::int64_t total_{0};
   std::uint64_t source_id_;

@@ -16,7 +16,8 @@
 //
 // "Hops beyond the RSW" counts the links a packet traverses after leaving
 // the monitored RSW, excluding the final RSW' -> host access link (the
-// receiving endpoint's turnaround is modelled separately as host_delay).
+// receiving endpoint's turnaround is modelled separately as
+// transport::kHostDelay).
 // Equivalently: Router::route() link count minus the two access links.
 // PathDelayEqualsRouterRoute asserts that equivalence against the real
 // router on a built Network.

@@ -122,14 +122,14 @@ struct TcpConnection {
 [[nodiscard]] std::int64_t ssthresh_on_loss(std::int64_t inflight, std::int64_t mss);
 
 /// Applies a 3-dupack fast retransmit: sets ssthresh, inflates cwnd by
-/// dupack_threshold segments, records the recovery point, and marks the
+/// kDupackThreshold segments, records the recovery point, and marks the
 /// first hole for retransmission.
-void enter_fast_recovery(HalfStream& h, const TcpParams& p);
+void enter_fast_recovery(HalfStream& h);
 
 /// Applies a retransmission timeout: cwnd collapses to one segment,
 /// ssthresh halves, transmission restarts from snd_una (go-back-N), and
 /// the backoff exponent grows (capped).
-void apply_rto(HalfStream& h, const TcpParams& p);
+void apply_rto(HalfStream& h);
 
 // ---- pure congestion-control laws (DCTCP, RFC 8257) ----
 //
@@ -214,18 +214,18 @@ void sack_advance(HalfStream& h);
 
 /// Whether a duplicate ACK should trigger SACK loss recovery. Beyond the
 /// classic dupack count, the scoreboard enables two earlier detections a
-/// blind counter cannot: RFC 6675 IsLost — at least dupack_threshold
+/// blind counter cannot: RFC 6675 IsLost — at least kDupackThreshold
 /// segments sacked above snd_una prove the hole is a loss, not
 /// reordering — and RFC 5827 early retransmit — windows of fewer than 4
 /// segments can never produce 3 dupacks, so the threshold shrinks to
 /// (outstanding − 1) when something is sacked. Both turn would-be RTO
 /// stalls into dupack-driven repair.
-[[nodiscard]] bool sack_should_enter_recovery(const HalfStream& h, const TcpParams& p);
+[[nodiscard]] bool sack_should_enter_recovery(const HalfStream& h);
 
 /// Enters SACK loss recovery: ssthresh = cwnd = max(inflight/2, 2*mss),
 /// recovery point at snd_nxt, per-episode retransmission state reset. No
 /// NewReno window inflation and no rtx_next — sack_pipe gates transmission.
-void enter_sack_recovery(HalfStream& h, const TcpParams& p);
+void enter_sack_recovery(HalfStream& h);
 
 /// What the SACK recovery pump should transmit next (RFC 6675 NextSeg):
 /// rule 1 — the lowest unsacked hole at/above high_rtx below fack; rule 2 —
@@ -242,6 +242,6 @@ struct SackNextSeg {
 
 /// The kSack retransmission timeout: clears the scoreboard and per-episode
 /// state, then falls back to plain go-back-N (apply_rto).
-void apply_rto_sack(HalfStream& h, const TcpParams& p);
+void apply_rto_sack(HalfStream& h);
 
 }  // namespace fbdcsim::transport

@@ -55,6 +55,10 @@ enum class Transport : std::uint8_t {
   kTcp,
 };
 
+/// CSW-facing RSW ports: the paper's 4-post rack switch has one uplink to
+/// each of its cluster's four CSWs.
+inline constexpr int kRackUplinkPorts = 4;
+
 struct RackSimConfig {
   /// The host whose traffic is captured. Required.
   core::HostId monitored_host;
@@ -68,7 +72,6 @@ struct RackSimConfig {
   core::Duration capture = core::Duration::seconds(60);
   /// RSW configuration (buffer size, DT alpha).
   switching::SwitchConfig rsw;
-  int uplink_ports = 4;
   /// Enable the 10-us buffer occupancy sampler (Figure 15).
   bool sample_buffer = false;
   /// Collection-host memory for the capture (bounds trace length).
@@ -88,11 +91,10 @@ struct RackSimConfig {
   transport::TcpParams tcp;
   /// Sim-time observability (DESIGN.md §11). Off by default: runs stay
   /// byte-identical to pre-observability releases. When enabled (and
-  /// telemetry is compiled in and runtime-enabled), a TimeSeriesProbe
-  /// samples switch/transport gauges every probe_period and a flight
-  /// recorder retains the last N tracepoints; both surface in
-  /// RackSimResult, and Mode::kDump also prints the recorder to stderr
-  /// after the run.
+  /// telemetry is compiled in), a TimeSeriesProbe samples switch/transport
+  /// gauges every telemetry::kProbePeriod and a flight recorder retains
+  /// the last N tracepoints; both surface in RackSimResult, and
+  /// Mode::kDump also prints the recorder to stderr after the run.
   telemetry::ObsConfig obs;
   /// Optional fault schedule (must outlive the simulation). When set and
   /// enabled: the RSW shared buffer may start shrunken, failed uplinks

@@ -31,63 +31,6 @@ double Zipf::pmf(std::size_t k) const {
   return 1.0 / std::pow(static_cast<double>(k + 1), s_) / norm_;
 }
 
-EmpiricalCdf::EmpiricalCdf(std::vector<Knot> knots) : knots_{std::move(knots)} {
-  if (knots_.size() < 2) throw std::invalid_argument{"EmpiricalCdf: need >= 2 knots"};
-  for (std::size_t i = 0; i < knots_.size(); ++i) {
-    const auto& k = knots_[i];
-    if (k.quantile < 0.0 || k.quantile > 1.0 || k.value <= 0.0) {
-      throw std::invalid_argument{"EmpiricalCdf: knot out of range"};
-    }
-    if (i > 0 && (k.quantile <= knots_[i - 1].quantile || k.value < knots_[i - 1].value)) {
-      throw std::invalid_argument{"EmpiricalCdf: knots must be increasing"};
-    }
-  }
-  if (knots_.front().quantile != 0.0 || knots_.back().quantile != 1.0) {
-    throw std::invalid_argument{"EmpiricalCdf: knots must span [0, 1]"};
-  }
-}
-
-double EmpiricalCdf::quantile(double q) const {
-  q = std::clamp(q, 0.0, 1.0);
-  const auto upper = std::lower_bound(
-      knots_.begin(), knots_.end(), q,
-      [](const Knot& k, double target) { return k.quantile < target; });
-  if (upper == knots_.begin()) return knots_.front().value;
-  const Knot& hi = *upper;
-  const Knot& lo = *(upper - 1);
-  const double t = (q - lo.quantile) / (hi.quantile - lo.quantile);
-  // Log-linear interpolation: values span many orders of magnitude.
-  return std::exp(std::lerp(std::log(lo.value), std::log(hi.value), t));
-}
-
-DiscreteChoice::DiscreteChoice(std::vector<double> weights) {
-  if (weights.empty()) throw std::invalid_argument{"DiscreteChoice: empty weights"};
-  double total = 0.0;
-  for (const double w : weights) {
-    if (w < 0.0) throw std::invalid_argument{"DiscreteChoice: negative weight"};
-    total += w;
-  }
-  if (total <= 0.0) throw std::invalid_argument{"DiscreteChoice: zero total weight"};
-  cumulative_.reserve(weights.size());
-  double acc = 0.0;
-  for (const double w : weights) {
-    acc += w / total;
-    cumulative_.push_back(acc);
-  }
-  cumulative_.back() = 1.0;
-}
-
-std::size_t DiscreteChoice::sample(RngStream& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
-  return static_cast<std::size_t>(std::distance(cumulative_.begin(), it));
-}
-
-double DiscreteChoice::probability(std::size_t index) const {
-  if (index >= cumulative_.size()) return 0.0;
-  return index == 0 ? cumulative_[0] : cumulative_[index] - cumulative_[index - 1];
-}
-
 DiurnalProfile::DiurnalProfile(Params params) : params_{params} {
   if (params_.peak_to_trough < 1.0) throw std::invalid_argument{"DiurnalProfile: peak_to_trough < 1"};
   // factor = 1 + A*cos(phase); peak/trough = (1+A)/(1-A)  =>  A = (r-1)/(r+1).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace fbdcsim::core {
 
@@ -53,28 +52,6 @@ std::vector<Cdf::Point> Cdf::series(std::size_t points) const {
     out.push_back(Point{q, quantile(q)});
   }
   return out;
-}
-
-LogHistogram::LogHistogram(double lo, double base, std::size_t num_bins)
-    : lo_{lo}, log_base_{std::log(base)}, counts_(num_bins, 0) {
-  if (lo <= 0.0 || base <= 1.0 || num_bins == 0) {
-    throw std::invalid_argument{"LogHistogram: bad params"};
-  }
-}
-
-void LogHistogram::add(double x, std::int64_t weight) {
-  counts_[bin_of(x)] += weight;
-  total_ += weight;
-}
-
-std::size_t LogHistogram::bin_of(double x) const {
-  if (x <= lo_) return 0;
-  const auto bin = static_cast<std::size_t>(std::log(x / lo_) / log_base_);
-  return std::min(bin, counts_.size() - 1);
-}
-
-double LogHistogram::bin_lower(std::size_t bin) const {
-  return lo_ * std::exp(log_base_ * static_cast<double>(bin));
 }
 
 }  // namespace fbdcsim::core

@@ -8,19 +8,6 @@
 
 namespace fbdcsim::monitoring {
 
-PacketSampler::PacketSampler(std::int64_t rate, core::RngStream& rng) : rate_{rate} {
-  if (rate_ < 1) rate_ = 1;
-  // Random initial phase so synchronized traffic patterns cannot alias
-  // against the sampling period.
-  countdown_ = rng.uniform_int(1, rate_);
-}
-
-bool PacketSampler::sample() {
-  if (--countdown_ > 0) return false;
-  countdown_ = rate_;
-  return true;
-}
-
 bool Tagger::tag(const SampledPacket& sample, TaggedSample& out) const {
   const core::HostId src = fleet_->host_by_addr(sample.tuple.src_ip);
   const core::HostId dst = fleet_->host_by_addr(sample.tuple.dst_ip);
@@ -189,16 +176,6 @@ std::vector<std::vector<double>> ScubaTable::cluster_matrix(const topology::Flee
   return m;
 }
 
-std::vector<std::vector<double>> ScubaTable::role_matrix(std::int64_t sampling_rate) const {
-  std::vector<std::vector<double>> m(8, std::vector<double>(8, 0.0));
-  for (const TaggedSample& r : rows()) {
-    if (r.partial) continue;
-    m[static_cast<std::size_t>(r.src_role)][static_cast<std::size_t>(r.dst_role)] +=
-        static_cast<double>(r.sample.frame_bytes) * static_cast<double>(sampling_rate);
-  }
-  return m;
-}
-
 std::vector<std::pair<core::HostRole, double>> ScubaTable::outbound_by_dest_role(
     core::HostId src, std::int64_t sampling_rate) const {
   constexpr core::HostRole kRoles[] = {
@@ -226,14 +203,12 @@ FbflowPipeline::FbflowPipeline(const topology::Fleet& fleet, std::int64_t sampli
       faults_{faults},
       faulted_{faults != nullptr && faults->enabled()},
       analytic_root_{rng.fork("analytic")},
-      packet_rng_{rng.fork("packet")},
-      packet_sampler_{sampling_rate, packet_rng_},
       tagger_{fleet} {}
 
 void FbflowPipeline::land(const SampledPacket& s) {
   FBDCSIM_T_COUNTER(published, "fbflow.scribe.published", Sim);
   FBDCSIM_T_ADD(published, 1);
-  scribe_.publish();
+  ++scribe_published_;
   if (faulted_) {
     // Injected tagger outage: degrade gracefully — the row lands
     // partial (untagged) rather than being lost.
@@ -339,26 +314,14 @@ void FbflowPipeline::merge(const FbflowPipeline& other) {
     throw std::invalid_argument{"FbflowPipeline::merge: sampling rates differ"};
   }
   scuba_.merge(other.scuba_);
-  scribe_.absorb_counters(other.scribe_);
   tag_failures_ += other.tag_failures_;
+  scribe_published_ += other.scribe_published_;
   scribe_dropped_ += other.scribe_dropped_;
   scribe_retries_ += other.scribe_retries_;
   scribe_backoff_total_ = scribe_backoff_total_ + other.scribe_backoff_total_;
   scribe_delayed_ += other.scribe_delayed_;
   tag_failures_injected_ += other.tag_failures_injected_;
   partial_rows_ += other.partial_rows_;
-}
-
-void FbflowPipeline::offer_packet(core::HostId reporter, const core::PacketHeader& header) {
-  FBDCSIM_T_COUNTER(seen, "fbflow.packets_seen", Sim);
-  FBDCSIM_T_ADD(seen, 1);
-  if (!packet_sampler_.sample()) return;
-  SampledPacket s;
-  s.captured_at = header.timestamp;
-  s.tuple = header.tuple;
-  s.frame_bytes = header.frame_bytes;
-  s.reporter = reporter;
-  publish(s);
 }
 
 }  // namespace fbdcsim::monitoring

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "fbdcsim/faults/fault_plan.h"
-
 namespace fbdcsim::monitoring {
 
 LinkStats::LinkStats(const topology::Network& network, core::Duration horizon)
@@ -46,35 +44,12 @@ void LinkStats::add_path(std::span<const core::LinkId> path, core::TimePoint sta
   for (const core::LinkId link : path) add(link, start, dur, bytes);
 }
 
-void LinkStats::merge(const LinkStats& other) {
-  if (other.network_ != network_ || other.minutes_ != minutes_) {
-    throw std::invalid_argument{"LinkStats::merge: accumulators cover different shapes"};
-  }
-  for (std::size_t link = 0; link < bytes_.size(); ++link) {
-    auto& row = bytes_[link];
-    const auto& src = other.bytes_[link];
-    for (std::size_t m = 0; m < row.size(); ++m) row[m] += src[m];
-  }
-}
-
 double LinkStats::utilization(core::LinkId link, std::int64_t minute) const {
   const auto& row = bytes_.at(link.value());
   const double b = row.at(static_cast<std::size_t>(minute));
   const double capacity_bytes =
       static_cast<double>(network_->link(link).capacity.count_bits_per_sec()) / 8.0 * 60.0;
   return b / capacity_bytes;
-}
-
-double LinkStats::faulted_utilization(core::LinkId link, std::int64_t minute,
-                                      const faults::FaultPlan* plan) const {
-  if (plan == nullptr || !plan->enabled()) return utilization(link, minute);
-  const core::TimePoint at = core::TimePoint::zero() + core::Duration::minutes(minute);
-  const double factor = plan->link_capacity_factor(link, at);
-  if (factor <= 0.0) {
-    const double b = bytes_.at(link.value()).at(static_cast<std::size_t>(minute));
-    return b > 0.0 ? 1.0 : 0.0;
-  }
-  return utilization(link, minute) / factor;
 }
 
 double LinkStats::mean_utilization(core::LinkId link) const {

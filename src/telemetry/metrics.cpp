@@ -103,62 +103,7 @@ const V* find_by_name(const std::vector<V>& entries, std::string_view name) {
   return nullptr;
 }
 
-void check_kind(Kind a, Kind b, const std::string& name) {
-  if (a != b) {
-    throw std::invalid_argument{"Snapshot::merge: metric '" + name +
-                                "' has mismatched kinds"};
-  }
-}
-
-/// Merges `from` into `to` (both sorted by name) with `combine(dst, src)`
-/// applied to same-name entries; absent names are copied. Keeps order.
-template <typename V, typename Combine>
-void merge_sorted(std::vector<V>& to, const std::vector<V>& from, Combine combine) {
-  std::vector<V> out;
-  out.reserve(to.size() + from.size());
-  std::size_t i = 0, j = 0;
-  while (i < to.size() || j < from.size()) {
-    if (j >= from.size() || (i < to.size() && to[i].name < from[j].name)) {
-      out.push_back(std::move(to[i++]));
-    } else if (i >= to.size() || from[j].name < to[i].name) {
-      out.push_back(from[j++]);
-    } else {
-      check_kind(to[i].kind, from[j].kind, to[i].name);
-      V merged = std::move(to[i++]);
-      combine(merged, from[j++]);
-      out.push_back(std::move(merged));
-    }
-  }
-  to = std::move(out);
-}
-
 }  // namespace
-
-void Snapshot::merge(const Snapshot& other) {
-  merge_sorted(counters, other.counters,
-               [](CounterValue& dst, const CounterValue& src) { dst.value += src.value; });
-  merge_sorted(gauges, other.gauges, [](GaugeValue& dst, const GaugeValue& src) {
-    dst.value = std::max(dst.value, src.value);
-  });
-  merge_sorted(histograms, other.histograms,
-               [](HistogramValue& dst, const HistogramValue& src) {
-                 if (src.count == 0) return;
-                 if (dst.count == 0) {
-                   const std::string name = dst.name;
-                   const Kind kind = dst.kind;
-                   dst = src;
-                   dst.name = name;
-                   dst.kind = kind;
-                   return;
-                 }
-                 dst.min = std::min(dst.min, src.min);
-                 dst.max = std::max(dst.max, src.max);
-                 dst.count += src.count;
-                 dst.sum += src.sum;
-                 if (dst.bins.size() < src.bins.size()) dst.bins.resize(src.bins.size(), 0);
-                 for (std::size_t b = 0; b < src.bins.size(); ++b) dst.bins[b] += src.bins[b];
-               });
-}
 
 const Snapshot::CounterValue* Snapshot::counter(std::string_view name) const {
   return find_by_name(counters, name);

@@ -27,16 +27,12 @@ const char* to_string(TracePointKind kind) {
 }
 
 TracePointLog::TracePointLog(std::uint64_t source_id, std::size_t capacity)
-    : capacity_{capacity < 1 ? 1 : capacity}, source_id_{source_id} {
-  ring_ = static_cast<TracePointRecord*>(
-      arena_.allocate(capacity_ * sizeof(TracePointRecord), alignof(TracePointRecord)));
-  for (std::size_t i = 0; i < capacity_; ++i) new (ring_ + i) TracePointRecord{};
-}
+    : ring_(std::max<std::size_t>(capacity, 1)), source_id_{source_id} {}
 
 void TracePointLog::record(std::int64_t t_ns, TracePointKind kind, std::uint64_t entity,
                            std::int64_t a, std::int64_t b) noexcept {
   ring_[next_] = TracePointRecord{t_ns, entity, a, b, kind};
-  next_ = next_ + 1 == capacity_ ? 0 : next_ + 1;
+  next_ = next_ + 1 == ring_.size() ? 0 : next_ + 1;
   ++total_;
 }
 
@@ -60,15 +56,14 @@ TracePointDump TracePointLog::snapshot() const {
   TracePointDump dump;
   dump.source_id = source_id_;
   dump.total = total_;
-  const std::size_t retained =
-      total_ < static_cast<std::int64_t>(capacity_) ? static_cast<std::size_t>(total_)
-                                                    : capacity_;
+  const std::size_t size = ring_.size();
+  const bool wrapped = total_ >= static_cast<std::int64_t>(size);
+  const std::size_t retained = wrapped ? size : static_cast<std::size_t>(total_);
   dump.records.reserve(retained);
   // Oldest retained record: where next_ points once the ring has wrapped.
-  const std::size_t start =
-      total_ < static_cast<std::int64_t>(capacity_) ? 0 : next_;
+  const std::size_t start = wrapped ? next_ : 0;
   for (std::size_t i = 0; i < retained; ++i) {
-    dump.records.push_back(ring_[(start + i) % capacity_]);
+    dump.records.push_back(ring_[(start + i) % size]);
   }
   return dump;
 }

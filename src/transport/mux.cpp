@@ -120,33 +120,33 @@ TcpConnection& TransportMux::ensure(const core::FiveTuple& tuple, core::HostId s
   if (params_.rtt_mode == RttMode::kTopology) {
     // Fabric-derived delay: hop count along the 4-post path times the
     // per-hop latency (plus the inter-site backbone once where it applies).
-    c.beyond = topology::one_way_beyond_rsw(*fleet_, self, peer, params_.per_hop_one_way,
-                                            params_.inter_site_one_way);
+    c.beyond = topology::one_way_beyond_rsw(*fleet_, self, peer, kPerHopOneWay,
+                                            kInterSiteOneWay);
   } else {
     switch (fleet_->locality(self, peer)) {
       case core::Locality::kIntraRack:
         c.beyond = Duration::nanos(0);
         break;
       case core::Locality::kIntraCluster:
-        c.beyond = params_.cluster_one_way;
+        c.beyond = kClusterOneWay;
         break;
       case core::Locality::kIntraDatacenter:
-        c.beyond = params_.datacenter_one_way;
+        c.beyond = kDatacenterOneWay;
         break;
       case core::Locality::kInterDatacenter:
-        c.beyond = params_.interdc_one_way;
+        c.beyond = kInterdcOneWay;
         break;
     }
   }
-  c.reply_delay = 2 * c.beyond + params_.host_delay;
+  c.reply_delay = 2 * c.beyond + kHostDelay;
 
   const std::int64_t iw =
-      static_cast<std::int64_t>(params_.initial_window_segments) * params_.mss_bytes;
+      static_cast<std::int64_t>(params_.initial_window_segments) * kMssBytes;
   for (HalfStream* h : {&c.out, &c.in}) {
     h->cwnd = iw;
     h->ssthresh = params_.max_cwnd.count_bytes();
     h->alpha_q16 =
-        params_.cc == CongestionControl::kDctcp ? params_.dctcp_initial_alpha : 0;
+        params_.cc == CongestionControl::kDctcp ? kDctcpInitialAlpha : 0;
   }
 
   by_tuple_.emplace(tuple, c.tag);
@@ -159,8 +159,8 @@ TcpConnection& TransportMux::ensure(const core::FiveTuple& tuple, core::HostId s
     ledger_->on_birth(c.tag, sim_->now().count_nanos(), tuple, fleet_->host(self).role,
                       fleet_->host(peer).role, fleet_->locality(self, peer),
                       c.reply_delay.count_nanos(),
-                      (c.beyond + params_.host_delay).count_nanos(),
-                      params_.nic_rate.count_bits_per_sec() / 8);
+                      (c.beyond + kHostDelay).count_nanos(),
+                      kNicRate.count_bits_per_sec() / 8);
   }
   return c;
 }
@@ -180,13 +180,13 @@ void TransportMux::release(TcpConnection& c) {
 
 Duration TransportMux::rto_for(const TcpConnection& c, const HalfStream& h) const {
   // Static RTO estimate: 4x the fixed path RTT (propagation + endpoint
-  // turnaround + serialization slop), floored at min_rto, doubled per
+  // turnaround + serialization slop), floored at kMinRto, doubled per
   // backoff step. No SRTT tracking — queueing in this fabric is bounded
-  // well below min_rto, so the floor dominates except inter-DC.
-  const Duration path_rtt = 2 * (c.beyond + params_.host_delay) + Duration::micros(100);
+  // well below kMinRto, so the floor dominates except inter-DC.
+  const Duration path_rtt = 2 * (c.beyond + kHostDelay) + Duration::micros(100);
   const std::int64_t base =
-      std::max(params_.min_rto.count_nanos(), 4 * path_rtt.count_nanos());
-  return Duration::nanos(base << std::min(h.backoff, params_.max_backoff));
+      std::max(kMinRto.count_nanos(), 4 * path_rtt.count_nanos());
+  return Duration::nanos(base << std::min(h.backoff, kMaxBackoff));
 }
 
 bool TransportMux::path_lost(TcpConnection& c) {
@@ -355,7 +355,7 @@ void TransportMux::pump(TcpConnection& c, Dir dir) {
     pump_sack_recovery(c, dir);
     return;
   }
-  const std::int64_t mss = params_.mss_bytes;
+  const std::int64_t mss = kMssBytes;
   while (true) {
     if (h.rtx_next >= 0) {
       const std::int64_t seq = h.rtx_next;
@@ -400,7 +400,7 @@ void TransportMux::send_sack_selected(TcpConnection& c, Dir dir, const SackNextS
 
 void TransportMux::pump_sack_recovery(TcpConnection& c, Dir dir) {
   HalfStream& h = half(c, dir);
-  const std::int64_t mss = params_.mss_bytes;
+  const std::int64_t mss = kMssBytes;
   while (sack_pipe(h) < h.cwnd) {
     const SackNextSeg ns = sack_next_seg(h, mss);
     if (ns.seq < 0 || ns.len <= 0) break;
@@ -414,7 +414,7 @@ void TransportMux::send_segment(TcpConnection& c, Dir dir, std::int64_t seq,
   const TimePoint now = sim_->now();
   if (h.tx_clock < now) h.tx_clock = now;
   const TimePoint at = h.tx_clock;
-  const Duration serialization = params_.nic_rate.transmission_time(
+  const Duration serialization = kNicRate.transmission_time(
       DataSize::bytes(core::wire::tcp_frame_bytes(len)));
   h.tx_clock += std::max(serialization, h.pace_gap);
 
@@ -457,7 +457,7 @@ void TransportMux::on_ack_at_sender(TcpConnection& c, Dir dir, std::int64_t ackn
                                     bool ece, std::int64_t sack_lo,
                                     std::int64_t sack_hi) {
   HalfStream& h = half(c, dir);
-  const std::int64_t mss = params_.mss_bytes;
+  const std::int64_t mss = kMssBytes;
   const bool dctcp = params_.cc == CongestionControl::kDctcp;
   const bool sack = params_.recovery == LossRecovery::kSack;
   if (sack && sack_hi > sack_lo) {
@@ -516,7 +516,7 @@ void TransportMux::on_ack_at_sender(TcpConnection& c, Dir dir, std::int64_t ackn
       // Observation window closed (~one RTT of data acked): fold the mark
       // fraction into alpha and open the next window at snd_nxt.
       h.alpha_q16 = dctcp_alpha_update(h.alpha_q16, h.window_marked_bytes,
-                                       h.window_acked_bytes, params_.dctcp_gain_shift);
+                                       h.window_acked_bytes, kDctcpGainShift);
       h.window_acked_bytes = 0;
       h.window_marked_bytes = 0;
       h.ce_window_end = h.snd_nxt;
@@ -533,12 +533,12 @@ void TransportMux::on_ack_at_sender(TcpConnection& c, Dir dir, std::int64_t ackn
       // kSack holds cwnd at ssthresh and lets sack_pipe absorb the dupack
       // (the block recorded above already shrank it); NewReno inflates.
       if (!sack) h.cwnd += mss;
-    } else if (sack ? sack_should_enter_recovery(h, params_)
-                    : h.dupacks >= params_.dupack_threshold) {
+    } else if (sack ? sack_should_enter_recovery(h)
+                    : h.dupacks >= kDupackThreshold) {
       if (sack) {
-        enter_sack_recovery(h, params_);
+        enter_sack_recovery(h);
       } else {
-        enter_fast_recovery(h, params_);
+        enter_fast_recovery(h);
       }
       ++stats_.fast_retransmits;
       emit(sack ? Ev::kSackRecovery : Ev::kFastRecovery, c, dir, 0, 0, h.ssthresh,
@@ -636,9 +636,9 @@ void TransportMux::on_rto_event(std::uint32_t tag, Dir dir) {
     return;
   }
   if (params_.recovery == LossRecovery::kSack) {
-    apply_rto_sack(h, params_);  // scoreboard forgotten: go-back-N fallback
+    apply_rto_sack(h);  // scoreboard forgotten: go-back-N fallback
   } else {
-    apply_rto(h, params_);
+    apply_rto(h);
   }
   ++stats_.rto_fired;
   emit(Ev::kRto, c, dir, h.snd_una, 0, h.cwnd, h.backoff);
@@ -660,7 +660,7 @@ void TransportMux::arm_hs(TcpConnection& c) {
   const Duration base = rto_for(c, c.out);
   c.hs_deadline =
       sim_->now() + Duration::nanos(base.count_nanos()
-                                    << std::min(c.hs_tries, params_.max_backoff));
+                                    << std::min(c.hs_tries, kMaxBackoff));
   if (c.hs_timer_scheduled) return;
   c.hs_timer_scheduled = true;
   const std::uint32_t tag = c.tag;
@@ -681,7 +681,7 @@ void TransportMux::on_hs_event(std::uint32_t tag) {
     sim_->schedule_at(c.hs_deadline, [this, tag] { on_hs_event(tag); });
     return;
   }
-  if (++c.hs_tries >= params_.max_handshake_tries) {
+  if (++c.hs_tries >= kMaxHandshakeTries) {
     ++stats_.handshake_failures;
     release(c);
     return;
@@ -805,7 +805,7 @@ void TransportMux::on_delivered(const core::SimPacket& pkt) {
     const bool ece = f.ece;
     const std::int64_t blo = pkt.sack_lo;
     const std::int64_t bhi = pkt.sack_hi;
-    sim_->schedule_after(c.beyond + params_.host_delay,
+    sim_->schedule_after(c.beyond + kHostDelay,
                          [this, tag, ackno, ece, blo, bhi] {
       TcpConnection* cp2 = resolve(tag);
       if (cp2 != nullptr) on_ack_at_sender(*cp2, Dir::kIn, ackno, ece, blo, bhi);

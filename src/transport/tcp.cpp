@@ -24,24 +24,24 @@ std::int64_t ssthresh_on_loss(std::int64_t inflight, std::int64_t mss) {
   return std::max(inflight / 2, 2 * mss);
 }
 
-void enter_fast_recovery(HalfStream& h, const TcpParams& p) {
-  h.ssthresh = ssthresh_on_loss(h.inflight(), p.mss_bytes);
-  h.cwnd = h.ssthresh + p.dupack_threshold * p.mss_bytes;
+void enter_fast_recovery(HalfStream& h) {
+  h.ssthresh = ssthresh_on_loss(h.inflight(), kMssBytes);
+  h.cwnd = h.ssthresh + kDupackThreshold * kMssBytes;
   h.in_recovery = true;
   h.recover = h.snd_nxt;
   h.rtx_next = h.snd_una;
   h.dupacks = 0;
 }
 
-void apply_rto(HalfStream& h, const TcpParams& p) {
-  h.ssthresh = ssthresh_on_loss(h.inflight(), p.mss_bytes);
-  h.cwnd = p.mss_bytes;
+void apply_rto(HalfStream& h) {
+  h.ssthresh = ssthresh_on_loss(h.inflight(), kMssBytes);
+  h.cwnd = kMssBytes;
   h.in_recovery = false;
   h.dupacks = 0;
   h.rtx_next = -1;
   // Go-back-N: transmission restarts from the lowest unacknowledged byte.
   h.snd_nxt = h.snd_una;
-  h.backoff = std::min(h.backoff + 1, p.max_backoff);
+  h.backoff = std::min(h.backoff + 1, kMaxBackoff);
 }
 
 std::int64_t dctcp_alpha_update(std::int64_t alpha_q16, std::int64_t marked_bytes,
@@ -243,22 +243,22 @@ std::int64_t sack_pipe(const HalfStream& h) {
          sack_rtx_out_bytes(h);
 }
 
-bool sack_should_enter_recovery(const HalfStream& h, const TcpParams& p) {
-  if (h.dupacks >= p.dupack_threshold) return true;
+bool sack_should_enter_recovery(const HalfStream& h) {
+  if (h.dupacks >= kDupackThreshold) return true;
   const std::int64_t sacked = sack_sacked_bytes(h);
   if (sacked <= 0) return false;
   // RFC 6675 IsLost(snd_una): enough segments above the hole arrived that
-  // reordering is ruled out even before dupack_threshold dupacks.
-  if (sacked >= static_cast<std::int64_t>(p.dupack_threshold) * p.mss_bytes) return true;
+  // reordering is ruled out even before kDupackThreshold dupacks.
+  if (sacked >= static_cast<std::int64_t>(kDupackThreshold) * kMssBytes) return true;
   // RFC 5827 early retransmit: a window under 4 segments cannot generate 3
   // dupacks, so the threshold shrinks to (outstanding − 1).
-  const std::int64_t oseg = (h.inflight() + p.mss_bytes - 1) / p.mss_bytes;
+  const std::int64_t oseg = (h.inflight() + kMssBytes - 1) / kMssBytes;
   if (oseg < 4 && h.dupacks >= std::max<std::int64_t>(1, oseg - 1)) return true;
   return false;
 }
 
-void enter_sack_recovery(HalfStream& h, const TcpParams& p) {
-  h.ssthresh = ssthresh_on_loss(h.inflight(), p.mss_bytes);
+void enter_sack_recovery(HalfStream& h) {
+  h.ssthresh = ssthresh_on_loss(h.inflight(), kMssBytes);
   // No dupack inflation: sack_pipe gates what the recovery pump may send,
   // so cwnd drops straight to the halved value (RFC 6675 §5).
   h.cwnd = h.ssthresh;
@@ -299,13 +299,13 @@ SackNextSeg sack_next_seg(const HalfStream& h, std::int64_t mss) {
   return {};
 }
 
-void apply_rto_sack(HalfStream& h, const TcpParams& p) {
+void apply_rto_sack(HalfStream& h) {
   // Fall back to go-back-N: the scoreboard is forgotten wholesale (RFC 2018
   // receivers may renege, so a timeout must not trust sacked ranges) and the
   // per-episode retransmission state resets with it.
   h.sack_count = 0;
   h.rescue_done = false;
-  apply_rto(h, p);
+  apply_rto(h);
   h.high_rtx = h.snd_una;
 }
 

@@ -68,11 +68,6 @@ RackSimulation::RackSimulation(const topology::Fleet& fleet, RackSimConfig confi
   if (!config_.monitored_host.is_valid()) {
     throw std::invalid_argument{"RackSimulation: monitored_host required"};
   }
-  if (config_.uplink_ports < 1) {
-    // The ECMP spread and every uplink-counter analysis assume at least one
-    // CSW-facing port; a rack with none would wedge all cross-rack traffic.
-    throw std::invalid_argument{"RackSimulation: uplink_ports must be >= 1"};
-  }
   rack_ = fleet.host(config_.monitored_host).rack;
   const topology::Rack& rack = fleet.rack(rack_);
   num_host_ports_ = rack.hosts.size();
@@ -91,13 +86,13 @@ RackSimulation::RackSimulation(const topology::Fleet& fleet, RackSimConfig confi
         config_.monitored_host.value(), config_.obs.flight_recorder);
     telemetry::FlightRecorders::add(tracepoints_.get());
     telemetry::FlightRecorders::arm_crash_dump();
-    probe_ = std::make_unique<telemetry::TimeSeriesProbe>(config_.obs.probe_period,
+    probe_ = std::make_unique<telemetry::TimeSeriesProbe>(telemetry::kProbePeriod,
                                                           config_.obs.series_capacity);
   }
 #endif
 
   switching::SwitchConfig sw = config_.rsw;
-  sw.num_ports = num_host_ports_ + static_cast<std::size_t>(config_.uplink_ports);
+  sw.num_ports = num_host_ports_ + static_cast<std::size_t>(kRackUplinkPorts);
   const double shrink = switching::apply_fault_profile(sw, config_.faults, config_.seed);
   // ECN marking composes with buffer-shrink faults: an explicit threshold
   // scales by the same factor as the buffer (keeping K meaningful inside
@@ -183,7 +178,7 @@ RackSimulation::RackSimulation(const topology::Fleet& fleet, RackSimConfig confi
   // set keeps per-run behaviour easy to reason about. Failed uplinks leave
   // the ECMP set; degraded ones stay but run slower. If every uplink failed
   // the full set is kept (a rack with zero uplinks would wedge the run).
-  for (int p = 0; p < config_.uplink_ports; ++p) {
+  for (int p = 0; p < kRackUplinkPorts; ++p) {
     const std::size_t port = num_host_ports_ + static_cast<std::size_t>(p);
     if (!faulted_) {
       live_uplinks_.push_back(port);
@@ -213,7 +208,7 @@ RackSimulation::RackSimulation(const topology::Fleet& fleet, RackSimConfig confi
     live_uplinks_.push_back(port);
   }
   if (live_uplinks_.empty()) {
-    for (int p = 0; p < config_.uplink_ports; ++p) {
+    for (int p = 0; p < kRackUplinkPorts; ++p) {
       live_uplinks_.push_back(num_host_ports_ + static_cast<std::size_t>(p));
     }
   }
@@ -303,7 +298,7 @@ RackSimResult RackSimulation::run() {
   }
   if (probe_) {
     probe_timer_ = std::make_unique<sim::PeriodicTimer>(
-        sim_, config_.obs.probe_period,
+        sim_, telemetry::kProbePeriod,
         [this](core::TimePoint now) { probe_->sample_tick(now.count_nanos()); });
   }
 

@@ -46,17 +46,6 @@ TEST(ArenaTest, OversizedRequestGetsDedicatedChunk) {
   std::memset(p, 0xAB, 1 << 20);
 }
 
-TEST(ArenaTest, ResetRecyclesChunksWithoutNewSystemMemory) {
-  Arena arena;
-  for (int i = 0; i < 3000; ++i) arena.allocate(64, 8);
-  const std::int64_t grown = arena.bytes_from_system();
-  const std::int64_t reused_before = arena.chunks_reused();
-  arena.reset();
-  for (int i = 0; i < 3000; ++i) arena.allocate(64, 8);
-  EXPECT_EQ(arena.bytes_from_system(), grown);  // no new mallocs
-  EXPECT_GT(arena.chunks_reused(), reused_before);
-}
-
 TEST(PoolTest, CreateDestroyRecyclesSlots) {
   Arena arena;
   Pool<std::int64_t> pool{arena};

@@ -29,38 +29,6 @@ TEST(LogNormalTest, RejectsBadParams) {
   EXPECT_THROW(LogNormal(1.0, -0.1), std::invalid_argument);
 }
 
-TEST(BoundedParetoTest, SamplesWithinBounds) {
-  BoundedPareto d{1.2, 10.0, 1e6};
-  RngStream rng{4};
-  for (int i = 0; i < 10'000; ++i) {
-    const double v = d.sample(rng);
-    EXPECT_GE(v, 10.0);
-    EXPECT_LE(v, 1e6);
-  }
-}
-
-TEST(BoundedParetoTest, HeavyTailOrdering) {
-  // Lower alpha -> heavier tail -> larger p99.
-  RngStream rng1{5};
-  RngStream rng2{5};
-  BoundedPareto heavy{0.8, 1.0, 1e9};
-  BoundedPareto light{2.5, 1.0, 1e9};
-  std::vector<double> hs, ls;
-  for (int i = 0; i < 20'000; ++i) {
-    hs.push_back(heavy.sample(rng1));
-    ls.push_back(light.sample(rng2));
-  }
-  std::sort(hs.begin(), hs.end());
-  std::sort(ls.begin(), ls.end());
-  EXPECT_GT(hs[static_cast<std::size_t>(0.99 * 20'000)],
-            ls[static_cast<std::size_t>(0.99 * 20'000)]);
-}
-
-TEST(BoundedParetoTest, RejectsBadParams) {
-  EXPECT_THROW(BoundedPareto(0.0, 1.0, 2.0), std::invalid_argument);
-  EXPECT_THROW(BoundedPareto(1.0, 2.0, 1.0), std::invalid_argument);
-}
-
 TEST(ZipfTest, RankZeroMostPopular) {
   Zipf z{100, 1.0};
   RngStream rng{6};
@@ -87,45 +55,6 @@ TEST(ZipfTest, EmpiricalMatchesPmf) {
   for (std::size_t k = 0; k < 10; ++k) {
     EXPECT_NEAR(static_cast<double>(counts[k]) / n, z.pmf(k), 0.01);
   }
-}
-
-TEST(EmpiricalCdfTest, InterpolatesKnots) {
-  EmpiricalCdf cdf{{{0.0, 100.0}, {0.5, 1000.0}, {1.0, 100000.0}}};
-  EXPECT_DOUBLE_EQ(cdf.quantile(0.0), 100.0);
-  EXPECT_DOUBLE_EQ(cdf.quantile(0.5), 1000.0);
-  EXPECT_DOUBLE_EQ(cdf.quantile(1.0), 100000.0);
-  // Log-linear midpoint between 100 and 1000 is ~316.
-  EXPECT_NEAR(cdf.quantile(0.25), 316.2, 1.0);
-}
-
-TEST(EmpiricalCdfTest, RejectsBadKnots) {
-  using Knots = std::vector<EmpiricalCdf::Knot>;
-  EXPECT_THROW((EmpiricalCdf{Knots{{0.0, 1.0}}}), std::invalid_argument);
-  EXPECT_THROW(EmpiricalCdf{(Knots{{0.1, 1.0}, {1.0, 2.0}})}, std::invalid_argument);
-  EXPECT_THROW(EmpiricalCdf{(Knots{{0.0, 2.0}, {1.0, 1.0}})}, std::invalid_argument);
-}
-
-TEST(DiscreteChoiceTest, ProbabilitiesNormalized) {
-  DiscreteChoice d{{1.0, 3.0}};
-  EXPECT_NEAR(d.probability(0), 0.25, 1e-9);
-  EXPECT_NEAR(d.probability(1), 0.75, 1e-9);
-  EXPECT_EQ(d.probability(2), 0.0);
-}
-
-TEST(DiscreteChoiceTest, EmpiricalFrequencies) {
-  DiscreteChoice d{{63.1, 15.2, 5.6, 16.1}};  // Table 2 Web row
-  RngStream rng{9};
-  std::vector<int> counts(4, 0);
-  const int n = 100'000;
-  for (int i = 0; i < n; ++i) ++counts[d.sample(rng)];
-  EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.631, 0.01);
-  EXPECT_NEAR(static_cast<double>(counts[3]) / n, 0.161, 0.01);
-}
-
-TEST(DiscreteChoiceTest, RejectsBadWeights) {
-  EXPECT_THROW((DiscreteChoice{std::vector<double>{}}), std::invalid_argument);
-  EXPECT_THROW((DiscreteChoice{std::vector<double>{-1.0, 2.0}}), std::invalid_argument);
-  EXPECT_THROW((DiscreteChoice{std::vector<double>{0.0, 0.0}}), std::invalid_argument);
 }
 
 TEST(DiurnalProfileTest, PeakToTroughRatio) {

@@ -137,30 +137,5 @@ TEST(CdfTest, MergeEmptyIsNoOp) {
   EXPECT_DOUBLE_EQ(empty.median(), 4.0);
 }
 
-TEST(LogHistogramTest, BinBoundaries) {
-  LogHistogram h{1.0, 10.0, 5};  // [1,10), [10,100), ...
-  EXPECT_EQ(h.bin_of(0.5), 0u);
-  EXPECT_EQ(h.bin_of(5.0), 0u);
-  EXPECT_EQ(h.bin_of(10.0), 1u);
-  EXPECT_EQ(h.bin_of(99.0), 1u);
-  EXPECT_EQ(h.bin_of(1e12), 4u);  // clamps to last bin
-  EXPECT_DOUBLE_EQ(h.bin_lower(2), 100.0);
-}
-
-TEST(LogHistogramTest, CountsAndWeights) {
-  LogHistogram h{1.0, 2.0, 10};
-  h.add(1.5);
-  h.add(3.0, 5);
-  EXPECT_EQ(h.bin_count(0), 1);
-  EXPECT_EQ(h.bin_count(1), 5);
-  EXPECT_EQ(h.total(), 6);
-}
-
-TEST(LogHistogramTest, RejectsBadParams) {
-  EXPECT_THROW(LogHistogram(0.0, 2.0, 4), std::invalid_argument);
-  EXPECT_THROW(LogHistogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(LogHistogram(1.0, 2.0, 0), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace fbdcsim::core

@@ -83,39 +83,5 @@ TEST_F(LinkStatsTest, RejectsZeroHorizon) {
   EXPECT_THROW(LinkStats(net_, Duration{}), std::invalid_argument);
 }
 
-TEST_F(LinkStatsTest, MergeSumsPerMinuteCharges) {
-  const core::LinkId link = net_.access_uplink(core::HostId{0});
-  LinkStats a{net_, Duration::minutes(2)};
-  LinkStats b{net_, Duration::minutes(2)};
-  a.add(link, TimePoint::zero(), Duration::seconds(60), DataSize::bytes(7'500'000'000));
-  b.add(link, TimePoint::zero(), Duration::seconds(60), DataSize::bytes(7'500'000'000));
-  b.add(link, TimePoint::from_seconds(60.0), Duration::seconds(60),
-        DataSize::bytes(7'500'000'000));
-
-  // Serial reference: all three charges into one accumulator.
-  LinkStats serial{net_, Duration::minutes(2)};
-  serial.add(link, TimePoint::zero(), Duration::seconds(60), DataSize::bytes(7'500'000'000));
-  serial.add(link, TimePoint::zero(), Duration::seconds(60), DataSize::bytes(7'500'000'000));
-  serial.add(link, TimePoint::from_seconds(60.0), Duration::seconds(60),
-             DataSize::bytes(7'500'000'000));
-
-  a.merge(b);
-  EXPECT_DOUBLE_EQ(a.utilization(link, 0), serial.utilization(link, 0));
-  EXPECT_DOUBLE_EQ(a.utilization(link, 1), serial.utilization(link, 1));
-  EXPECT_NEAR(a.utilization(link, 0), 0.20, 1e-9);
-}
-
-TEST_F(LinkStatsTest, MergeRejectsMismatchedShapes) {
-  LinkStats two_minutes{net_, Duration::minutes(2)};
-  LinkStats one_minute{net_, Duration::minutes(1)};
-  EXPECT_THROW(two_minutes.merge(one_minute), std::invalid_argument);
-
-  const topology::Fleet other_fleet =
-      topology::build_single_cluster_fleet(topology::ClusterType::kHadoop, 3, 2);
-  const topology::Network other_net = topology::FourPostBuilder{}.build(other_fleet);
-  LinkStats other{other_net, Duration::minutes(2)};
-  EXPECT_THROW(two_minutes.merge(other), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace fbdcsim::monitoring

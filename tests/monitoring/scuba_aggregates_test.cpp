@@ -2,7 +2,9 @@
 // sums kept as rows land. Each must equal a plain scan of rows() — the
 // per-row double sums the queries used to compute — bit for bit: on a
 // faulted pipeline with partial rows, on hand-built rows with invalid
-// cluster ids, and for shard tables merged in either order.
+// cluster ids, and for shard tables merged in either order. The per-host
+// outbound_by_dest_role query scans the rows itself; it is checked against
+// the same kind of scan on the faulted pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -178,6 +180,50 @@ TEST(ScubaAggregatesTest, FaultedPipelineWithPartialRowsMatchesRowScan) {
   expect_all_match_scan(t, fleet, kRate);
   // Another rate: the sums are stored unscaled.
   expect_all_match_scan(t, fleet, 30'000);
+}
+
+/// The row scan behind outbound_by_dest_role: one source host's non-partial
+/// rows, estimated bytes summed per destination role.
+std::vector<double> scan_outbound(const ScubaTable& t, core::HostId src, std::int64_t rate) {
+  std::vector<double> out(8, 0.0);  // indexed by HostRole
+  for (const TaggedSample& r : t.rows()) {
+    if (r.partial || r.src_host != src) continue;
+    out[static_cast<std::size_t>(r.dst_role)] += est(r, rate);
+  }
+  return out;
+}
+
+TEST(ScubaAggregatesTest, OutboundByDestRoleMatchesRowScan) {
+  const topology::Fleet fleet = two_dc_fleet();
+  faults::FaultConfig cfg = faults::heavy_profile();
+  cfg.tag_failure_prob = 0.2;
+  const faults::FaultPlan plan{cfg};
+  constexpr std::int64_t kRate = 50;
+  FbflowPipeline pipeline{fleet, kRate, core::RngStream{11}, &plan};
+  // Host 0 sends nothing, so it has no rows of its own.
+  const core::HostId silent = fleet.hosts()[0].id;
+  const core::HostId talker = fleet.hosts()[1].id;
+  for (const auto& f : fleet_flows(fleet)) {
+    if (f.src_host != silent) pipeline.offer_flow(f);
+  }
+  ASSERT_GT(pipeline.partial_rows(), 0);
+  const ScubaTable& t = pipeline.scuba();
+
+  for (const core::HostId host : {talker, silent}) {
+    const auto got = t.outbound_by_dest_role(host, kRate);
+    const std::vector<double> want = scan_outbound(t, host, kRate);
+    ASSERT_EQ(got.size(), want.size());
+    double total = 0.0;
+    for (const auto& [role, bytes] : got) {
+      EXPECT_EQ(bytes, want[static_cast<std::size_t>(role)]) << core::to_string(role);
+      total += bytes;
+    }
+    if (host == talker) {
+      EXPECT_GT(total, 0.0);
+    } else {
+      EXPECT_EQ(total, 0.0);
+    }
+  }
 }
 
 TEST(ScubaAggregatesTest, InvalidClusterIdsGiveTheRowScanAnswers) {

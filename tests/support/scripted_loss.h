@@ -99,7 +99,7 @@ struct ScenarioOutcome {
 
 /// Runs one scripted-loss scenario: `segments` MSS-sized segments pushed at
 /// t0 over an intra-rack connection (reply_delay = stack turnaround only,
-/// so RTT is microseconds and min_rto = 200 ms dominates any timeout).
+/// so RTT is microseconds and kMinRto = 200 ms dominates any timeout).
 ///
 /// The congestion window is capped at `window_segments` (default 9): the
 /// receiver's bounded reorder buffer holds kMaxOooRanges = 8 out-of-order
@@ -118,15 +118,15 @@ inline ScenarioOutcome run_loss_scenario(transport::LossRecovery recovery,
   ScriptedLossSink sink;
   transport::TcpParams params;
   params.recovery = recovery;
-  params.max_cwnd = core::DataSize::bytes(window_segments * params.mss_bytes);
+  params.max_cwnd = core::DataSize::bytes(window_segments * transport::kMssBytes);
   params.initial_window_segments = window_segments;
   transport::TransportMux mux{sim, fleet, sink, params, /*faults=*/nullptr};
   mux.set_observers(/*recorder=*/nullptr, ledger);
   sink.sim = &sim;
   sink.mux = &mux;
-  sink.mss = params.mss_bytes;
+  sink.mss = transport::kMssBytes;
   sink.drop = std::move(drop);
-  sink.target_bytes = segments * params.mss_bytes;
+  sink.target_bytes = segments * transport::kMssBytes;
   sink.ledger = ledger;
 
   const auto& hosts = fleet.rack(fleet.host(core::HostId{0}).rack).hosts;

@@ -4,7 +4,6 @@
 
 #include <stdexcept>
 
-#include "fbdcsim/telemetry/export.h"
 #include "fbdcsim/telemetry/telemetry.h"
 
 namespace fbdcsim::telemetry {
@@ -127,77 +126,6 @@ TEST(SnapshotTest, LookupReturnsNullWhenAbsent) {
   EXPECT_EQ(snap.counter("absent"), nullptr);
   EXPECT_EQ(snap.gauge("absent"), nullptr);
   EXPECT_EQ(snap.histogram("absent"), nullptr);
-}
-
-Snapshot make_snapshot(std::int64_t c, std::int64_t g, std::int64_t h_lo,
-                       std::int64_t h_hi, const char* extra = nullptr) {
-  MetricsRegistry reg;
-  reg.counter("c", Kind::kSim).add(c);
-  reg.gauge("g", Kind::kWall).set(g);
-  Histogram& h = reg.histogram("h", Kind::kWall);
-  for (std::int64_t v = h_lo; v <= h_hi; ++v) h.observe(v);
-  if (extra != nullptr) reg.counter(extra, Kind::kSim).add(1);
-  return reg.snapshot();
-}
-
-TEST(SnapshotTest, MergeSumsCountersMaxesGaugesCombinesHistograms) {
-  Snapshot a = make_snapshot(10, 3, 1, 5);
-  const Snapshot b = make_snapshot(32, 9, 6, 10, "only_in_b");
-  a.merge(b);
-  EXPECT_EQ(a.counter("c")->value, 42);
-  EXPECT_EQ(a.counter("only_in_b")->value, 1);
-  EXPECT_EQ(a.gauge("g")->value, 9);
-  const auto* h = a.histogram("h");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 10);
-  EXPECT_EQ(h->min, 1);
-  EXPECT_EQ(h->max, 10);
-  EXPECT_DOUBLE_EQ(h->sum, 55.0);
-}
-
-TEST(SnapshotTest, MergeIsAssociativeAndCommutative) {
-  const Snapshot s1 = make_snapshot(1, 5, 1, 3, "a");
-  const Snapshot s2 = make_snapshot(2, 9, 10, 12, "b");
-  const Snapshot s3 = make_snapshot(4, 7, 100, 104, "c");
-
-  Snapshot left = s1;   // (s1 + s2) + s3
-  left.merge(s2);
-  left.merge(s3);
-  Snapshot right = s2;  // s1 + (s2 + s3)
-  right.merge(s3);
-  Snapshot right_total = s1;
-  right_total.merge(right);
-  Snapshot reversed = s3;  // s3 + s2 + s1
-  reversed.merge(s2);
-  reversed.merge(s1);
-
-  // to_json is byte-stable for identical snapshots, so it doubles as a
-  // deep-equality probe.
-  EXPECT_EQ(to_json(left), to_json(right_total));
-  EXPECT_EQ(to_json(left), to_json(reversed));
-}
-
-TEST(SnapshotTest, MergeKindMismatchThrows) {
-  MetricsRegistry ra, rb;
-  (void)ra.counter("x", Kind::kSim);
-  (void)rb.counter("x", Kind::kWall);
-  Snapshot a = ra.snapshot();
-  EXPECT_THROW(a.merge(rb.snapshot()), std::invalid_argument);
-}
-
-TEST(SnapshotTest, MergeIntoEmptyHistogramPreservesIdentity) {
-  MetricsRegistry ra, rb;
-  (void)ra.histogram("h", Kind::kWall);  // registered, never observed
-  rb.histogram("h", Kind::kWall).observe(7);
-  Snapshot a = ra.snapshot();
-  a.merge(rb.snapshot());
-  const auto* h = a.histogram("h");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->name, "h");
-  EXPECT_EQ(h->kind, Kind::kWall);
-  EXPECT_EQ(h->count, 1);
-  EXPECT_EQ(h->min, 7);
-  EXPECT_EQ(h->max, 7);
 }
 
 // The macro layer. Under -DFBDCSIM_TELEMETRY=OFF the macros expand to

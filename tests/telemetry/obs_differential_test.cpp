@@ -50,7 +50,6 @@ workload::RackSimConfig obs_config(const topology::Fleet& fleet, HostRole role,
   cfg.transport = workload::Transport::kTcp;
   cfg.faults = plan;
   cfg.obs.mode = ObsConfig::Mode::kOn;
-  cfg.obs.probe_period = core::Duration::micros(20);
   cfg.obs.series_capacity = 32;
   cfg.obs.flight_recorder = 128;
   cfg.obs.flows = true;

@@ -123,12 +123,12 @@ TEST(PathDelay, DefaultsReproduceLegacyConstantsWhereTheTablesCoincide) {
   auto one_way = [&](const LocalityCase& c) {
     const auto pair = find_pair(f, c.want);
     EXPECT_TRUE(pair.has_value()) << c.name;
-    return one_way_beyond_rsw(f, pair->first, pair->second, p.per_hop_one_way,
-                              p.inter_site_one_way);
+    return one_way_beyond_rsw(f, pair->first, pair->second, transport::kPerHopOneWay,
+                              transport::kInterSiteOneWay);
   };
   EXPECT_EQ(one_way(kCases[0]).count_nanos(), 0);
-  EXPECT_EQ(one_way(kCases[1]).count_nanos(), p.cluster_one_way.count_nanos());
-  EXPECT_EQ(one_way(kCases[4]).count_nanos(), p.interdc_one_way.count_nanos());
+  EXPECT_EQ(one_way(kCases[1]).count_nanos(), transport::kClusterOneWay.count_nanos());
+  EXPECT_EQ(one_way(kCases[4]).count_nanos(), transport::kInterdcOneWay.count_nanos());
   EXPECT_EQ(one_way(kCases[2]).count_nanos(), 50'000);
   EXPECT_EQ(one_way(kCases[3]).count_nanos(), 50'000);
 }

@@ -35,7 +35,6 @@ TEST(DctcpLaws, AlphaStaysWithinUnitBounds) {
 
 TEST(DctcpLaws, AlphaConvergesToConstantMarkFraction) {
   core::RngStream rng{0xA1FA};
-  const TcpParams p;
   for (int i = 0; i < kCases; ++i) {
     const std::int64_t acked = rng.uniform_int(1460, 64 * 1460);
     const std::int64_t marked = rng.uniform_int(0, acked);
@@ -45,25 +44,24 @@ TEST(DctcpLaws, AlphaConvergesToConstantMarkFraction) {
     //   alpha' = alpha - alpha/2^g + F/2^g
     // is F, up to the 2^g-unit quantization of the two shift terms.
     for (int step = 0; step < 512; ++step) {
-      alpha = dctcp_alpha_update(alpha, marked, acked, p.dctcp_gain_shift);
+      alpha = dctcp_alpha_update(alpha, marked, acked, kDctcpGainShift);
     }
     const std::int64_t fraction_q16 = marked * kDctcpAlphaUnit / acked;
     EXPECT_NEAR(static_cast<double>(alpha), static_cast<double>(fraction_q16),
-                static_cast<double>(2 << p.dctcp_gain_shift))
+                static_cast<double>(2 << kDctcpGainShift))
         << "alpha must settle at the steady mark fraction (F=" << fraction_q16 << ")";
   }
 }
 
 TEST(DctcpLaws, AlphaWithZeroMarksDecaysMonotonicallyToExactlyZero) {
   core::RngStream rng{0x2E80};
-  const TcpParams p;
   for (int i = 0; i < kCases; ++i) {
     std::int64_t alpha = rng.uniform_int(1, kDctcpAlphaUnit);
     const std::int64_t acked = rng.uniform_int(1, 1 << 22);
     std::int64_t prev = alpha;
     int steps = 0;
     while (alpha > 0 && steps < 100'000) {
-      alpha = dctcp_alpha_update(alpha, 0, acked, p.dctcp_gain_shift);
+      alpha = dctcp_alpha_update(alpha, 0, acked, kDctcpGainShift);
       EXPECT_LT(alpha, prev) << "zero-mark windows must strictly decay alpha";
       prev = alpha;
       ++steps;
@@ -78,9 +76,9 @@ TEST(DctcpLaws, CwndAfterMarkNeverBelowOneMssAndNeverGrows) {
   for (int i = 0; i < kCases; ++i) {
     const std::int64_t cwnd = rng.uniform_int(1, p.max_cwnd.count_bytes());
     const std::int64_t alpha = rng.uniform_int(-1000, kDctcpAlphaUnit + 1000);
-    const std::int64_t next = dctcp_cwnd_after_mark(cwnd, alpha, p.mss_bytes);
-    EXPECT_GE(next, p.mss_bytes) << "reduction must floor at one MSS";
-    EXPECT_LE(next, std::max(cwnd, p.mss_bytes)) << "a mark must never grow cwnd";
+    const std::int64_t next = dctcp_cwnd_after_mark(cwnd, alpha, kMssBytes);
+    EXPECT_GE(next, kMssBytes) << "reduction must floor at one MSS";
+    EXPECT_LE(next, std::max(cwnd, kMssBytes)) << "a mark must never grow cwnd";
   }
 }
 
@@ -88,14 +86,14 @@ TEST(DctcpLaws, FullAlphaHalvesLikeRenoZeroAlphaIsIdentity) {
   core::RngStream rng{0x50F7};
   const TcpParams p;
   for (int i = 0; i < kCases; ++i) {
-    const std::int64_t cwnd = rng.uniform_int(2 * p.mss_bytes, p.max_cwnd.count_bytes());
+    const std::int64_t cwnd = rng.uniform_int(2 * kMssBytes, p.max_cwnd.count_bytes());
     // alpha = 1.0: cwnd(1 - 1/2) — the Reno halving.
-    EXPECT_EQ(dctcp_cwnd_after_mark(cwnd, kDctcpAlphaUnit, p.mss_bytes),
-              std::max(p.mss_bytes, cwnd - cwnd / 2));
+    EXPECT_EQ(dctcp_cwnd_after_mark(cwnd, kDctcpAlphaUnit, kMssBytes),
+              std::max(kMssBytes, cwnd - cwnd / 2));
     // alpha = 0: a DCTCP sender that has seen no marks reacts to a stray
     // ECE with the identity — the law-level half of the "zero marks is
     // bitwise NewReno" property (the growth path shares cwnd_after_ack).
-    EXPECT_EQ(dctcp_cwnd_after_mark(cwnd, 0, p.mss_bytes), cwnd);
+    EXPECT_EQ(dctcp_cwnd_after_mark(cwnd, 0, kMssBytes), cwnd);
   }
 }
 
@@ -109,15 +107,15 @@ TEST(DctcpLaws, ZeroMarkWindowsShareTheNewRenoGrowthLawBitwise) {
     // EWMA each window; its cwnd must stay bitwise equal throughout
     // because an unmarked window never touches cwnd outside
     // cwnd_after_ack.
-    std::int64_t reno_cwnd = rng.uniform_int(p.mss_bytes, cap);
+    std::int64_t reno_cwnd = rng.uniform_int(kMssBytes, cap);
     std::int64_t dctcp_cwnd = reno_cwnd;
     std::int64_t alpha = rng.uniform_int(0, kDctcpAlphaUnit);
-    const std::int64_t ssthresh = rng.uniform_int(2 * p.mss_bytes, cap);
+    const std::int64_t ssthresh = rng.uniform_int(2 * kMssBytes, cap);
     for (int step = 0; step < 64; ++step) {
-      const std::int64_t acked = rng.uniform_int(1, 3 * p.mss_bytes);
-      reno_cwnd = cwnd_after_ack(reno_cwnd, ssthresh, acked, p.mss_bytes, cap);
-      dctcp_cwnd = cwnd_after_ack(dctcp_cwnd, ssthresh, acked, p.mss_bytes, cap);
-      alpha = dctcp_alpha_update(alpha, 0, acked, p.dctcp_gain_shift);
+      const std::int64_t acked = rng.uniform_int(1, 3 * kMssBytes);
+      reno_cwnd = cwnd_after_ack(reno_cwnd, ssthresh, acked, kMssBytes, cap);
+      dctcp_cwnd = cwnd_after_ack(dctcp_cwnd, ssthresh, acked, kMssBytes, cap);
+      alpha = dctcp_alpha_update(alpha, 0, acked, kDctcpGainShift);
       ASSERT_EQ(dctcp_cwnd, reno_cwnd) << "step " << step;
     }
   }

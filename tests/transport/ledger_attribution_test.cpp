@@ -21,7 +21,7 @@ using telemetry::FlowLedgerDump;
 using telemetry::FlowLedgerRecord;
 using telemetry::FlowRtxKind;
 
-constexpr std::int64_t kMss = transport::TcpParams{}.mss_bytes;
+constexpr std::int64_t kMss = transport::kMssBytes;
 
 FlowLedgerRecord single_record(FlowLedger& ledger) {
   ledger.finalize();

@@ -4,7 +4,7 @@
 // holes, a contiguous burst, full tail loss, penultimate-segment loss, and
 // a lost retransmission. Every scenario runs under BOTH laws and asserts
 // exact retransmit counts, timeout counts, and recovery-time bounds; the
-// intra-rack RTT is microseconds while min_rto is 200 ms, so "repaired by
+// intra-rack RTT is microseconds while kMinRto is 200 ms, so "repaired by
 // dupacks" versus "waited for the timer" differ by three orders of
 // magnitude and the bounds have enormous margins.
 #include <gtest/gtest.h>
@@ -21,8 +21,6 @@ namespace {
 
 using tests::ScenarioOutcome;
 using tests::run_loss_scenario;
-
-const core::Duration kMinRto = TcpParams{}.min_rto;
 
 /// Drops attempt 1 of every listed segment.
 tests::ScriptedDrop drop_once(std::vector<std::int64_t> segments) {
@@ -144,7 +142,7 @@ TEST(LossScenario, BurstLossSackNeverResendsDeliveredBytes) {
 TEST(LossScenario, FullTailLossWaitsForTheTimerUnderBothLaws) {
   // The last three segments all vanish: nothing arrives after the holes,
   // so no dupacks and no SACK blocks exist — selective acknowledgments
-  // cannot beat physics. Both laws wait out min_rto, then go-back-N
+  // cannot beat physics. Both laws wait out kMinRto, then go-back-N
   // resends the tail (the three lost segments plus the delayed-ACK
   // straggler in front of them that was never cumulatively acknowledged).
   for (const LossRecovery rec : {LossRecovery::kNewReno, LossRecovery::kSack}) {

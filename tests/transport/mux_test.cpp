@@ -161,7 +161,7 @@ TEST(TransportMux, BytesConservationLossless) {
   EXPECT_EQ(s.bytes_delivered, bytes);
   EXPECT_EQ(s.retransmit_segments, 0) << "no loss, no retransmissions";
   EXPECT_EQ(s.rto_fired, 0);
-  const std::int64_t mss = TcpParams{}.mss_bytes;
+  const std::int64_t mss = kMssBytes;
   EXPECT_EQ(s.segments_sent, (bytes + mss - 1) / mss) << "MSS segmentation exactly";
   // Every data frame is MSS-sized except possibly the last.
   for (const SimPacket& p : h.sink.sent) {

@@ -222,28 +222,28 @@ TEST(SackLaws, RtoClearsTheScoreboardAndFallsBackToGoBackN) {
   for (int i = 0; i < kCases; ++i) {
     HalfStream h;
     h.snd_una = rng.uniform_int(0, 1'000'000);
-    h.snd_nxt = h.max_sent = h.snd_una + rng.uniform_int(1, 64) * p.mss_bytes;
-    h.cwnd = rng.uniform_int(p.mss_bytes, p.max_cwnd.count_bytes());
+    h.snd_nxt = h.max_sent = h.snd_una + rng.uniform_int(1, 64) * kMssBytes;
+    h.cwnd = rng.uniform_int(kMssBytes, p.max_cwnd.count_bytes());
     h.in_recovery = rng.bernoulli(0.5);
     h.rescue_done = rng.bernoulli(0.5);
     h.high_rtx = rng.uniform_int(h.snd_una, h.snd_nxt);
     for (int op = 0; op < 6; ++op) {
-      const std::int64_t lo = h.snd_una + rng.uniform_int(0, 40) * p.mss_bytes;
-      (void)sack_record(h, lo, lo + p.mss_bytes);
+      const std::int64_t lo = h.snd_una + rng.uniform_int(0, 40) * kMssBytes;
+      (void)sack_record(h, lo, lo + kMssBytes);
     }
-    const int backoff_before = static_cast<int>(rng.uniform_int(0, p.max_backoff + 2));
+    const int backoff_before = static_cast<int>(rng.uniform_int(0, kMaxBackoff + 2));
     h.backoff = backoff_before;
 
-    apply_rto_sack(h, p);
+    apply_rto_sack(h);
     EXPECT_EQ(h.sack_count, 0) << "a timeout must not trust sacked ranges";
     EXPECT_EQ(sack_sacked_bytes(h), 0);
     EXPECT_FALSE(h.rescue_done);
     EXPECT_EQ(h.high_rtx, h.snd_una);
     EXPECT_EQ(h.snd_nxt, h.snd_una) << "go-back-N restarts from snd_una";
-    EXPECT_EQ(h.cwnd, p.mss_bytes);
+    EXPECT_EQ(h.cwnd, kMssBytes);
     EXPECT_FALSE(h.in_recovery);
     EXPECT_EQ(h.rtx_next, -1);
-    EXPECT_EQ(h.backoff, std::min(backoff_before + 1, p.max_backoff));
+    EXPECT_EQ(h.backoff, std::min(backoff_before + 1, kMaxBackoff));
   }
 }
 
@@ -253,17 +253,17 @@ TEST(SackLaws, EnterSackRecoveryInvariants) {
   for (int i = 0; i < kCases; ++i) {
     HalfStream h;
     h.snd_una = rng.uniform_int(0, 1'000'000);
-    h.snd_nxt = h.max_sent = h.snd_una + rng.uniform_int(1, 64) * p.mss_bytes;
-    h.cwnd = rng.uniform_int(p.mss_bytes, p.max_cwnd.count_bytes());
-    h.dupacks = p.dupack_threshold;
+    h.snd_nxt = h.max_sent = h.snd_una + rng.uniform_int(1, 64) * kMssBytes;
+    h.cwnd = rng.uniform_int(kMssBytes, p.max_cwnd.count_bytes());
+    h.dupacks = kDupackThreshold;
     h.rescue_done = true;
     h.high_rtx = h.snd_nxt;  // stale episode state must be reset
     const std::int64_t inflight = h.inflight();
 
-    enter_sack_recovery(h, p);
+    enter_sack_recovery(h);
     EXPECT_TRUE(h.in_recovery);
     EXPECT_EQ(h.recover, h.snd_nxt) << "recovery point is the send high-water";
-    EXPECT_EQ(h.ssthresh, ssthresh_on_loss(inflight, p.mss_bytes));
+    EXPECT_EQ(h.ssthresh, ssthresh_on_loss(inflight, kMssBytes));
     EXPECT_EQ(h.cwnd, h.ssthresh) << "no dupack inflation: sack_pipe gates sending";
     EXPECT_EQ(h.high_rtx, h.snd_una);
     EXPECT_FALSE(h.rescue_done);
@@ -273,34 +273,33 @@ TEST(SackLaws, EnterSackRecoveryInvariants) {
 }
 
 TEST(SackLaws, ShouldEnterRecoveryTriggers) {
-  const TcpParams p = params();
-  const std::int64_t mss = p.mss_bytes;
-  // Classic threshold: dupack_threshold dupacks suffice, scoreboard or not.
+  const std::int64_t mss = kMssBytes;
+  // Classic threshold: kDupackThreshold dupacks suffice, scoreboard or not.
   {
     HalfStream h;
     h.snd_una = 0;
     h.snd_nxt = h.max_sent = 64 * mss;
-    h.dupacks = p.dupack_threshold;
-    EXPECT_TRUE(sack_should_enter_recovery(h, p));
-    h.dupacks = p.dupack_threshold - 1;
-    EXPECT_FALSE(sack_should_enter_recovery(h, p))
+    h.dupacks = kDupackThreshold;
+    EXPECT_TRUE(sack_should_enter_recovery(h));
+    h.dupacks = kDupackThreshold - 1;
+    EXPECT_FALSE(sack_should_enter_recovery(h))
         << "an empty scoreboard adds no earlier trigger";
   }
-  // RFC 6675 IsLost: dupack_threshold segments sacked above the hole prove
+  // RFC 6675 IsLost: kDupackThreshold segments sacked above the hole prove
   // the loss before the dupack counter gets there.
   {
     HalfStream h;
     h.snd_una = 0;
     h.snd_nxt = h.max_sent = 64 * mss;
     h.dupacks = 1;
-    (void)sack_record(h, mss, mss + p.dupack_threshold * mss);
-    EXPECT_TRUE(sack_should_enter_recovery(h, p));
+    (void)sack_record(h, mss, mss + kDupackThreshold * mss);
+    EXPECT_TRUE(sack_should_enter_recovery(h));
     HalfStream less;
     less.snd_una = 0;
     less.snd_nxt = less.max_sent = 64 * mss;
     less.dupacks = 1;
-    (void)sack_record(less, mss, mss + (p.dupack_threshold * mss - 1));
-    EXPECT_FALSE(sack_should_enter_recovery(less, p));
+    (void)sack_record(less, mss, mss + (kDupackThreshold * mss - 1));
+    EXPECT_FALSE(sack_should_enter_recovery(less));
   }
   // RFC 5827 early retransmit: a 2-segment window can never yield 3
   // dupacks; one dupack plus one sacked segment is proof enough.
@@ -310,7 +309,7 @@ TEST(SackLaws, ShouldEnterRecoveryTriggers) {
     h.snd_nxt = h.max_sent = 2 * mss;
     h.dupacks = 1;
     (void)sack_record(h, mss, 2 * mss);
-    EXPECT_TRUE(sack_should_enter_recovery(h, p));
+    EXPECT_TRUE(sack_should_enter_recovery(h));
   }
   // Early retransmit never fires without SACK evidence (a lone dupack on a
   // tiny window could be reordering), nor on windows of 4+ segments.
@@ -319,13 +318,13 @@ TEST(SackLaws, ShouldEnterRecoveryTriggers) {
     bare.snd_una = 0;
     bare.snd_nxt = bare.max_sent = 2 * mss;
     bare.dupacks = 2;
-    EXPECT_FALSE(sack_should_enter_recovery(bare, p));
+    EXPECT_FALSE(sack_should_enter_recovery(bare));
     HalfStream wide;
     wide.snd_una = 0;
     wide.snd_nxt = wide.max_sent = 8 * mss;
     wide.dupacks = 1;
     (void)sack_record(wide, mss, 2 * mss);
-    EXPECT_FALSE(sack_should_enter_recovery(wide, p));
+    EXPECT_FALSE(sack_should_enter_recovery(wide));
   }
 }
 
@@ -380,13 +379,12 @@ TEST(SackLaws, NextSegPrefersTheLowestHoleAboveHighRtx) {
 }
 
 TEST(SackLaws, RescueFiresOncePerEpisodeAndTargetsTheTail) {
-  const TcpParams p = params();
-  const std::int64_t mss = p.mss_bytes;
+  const std::int64_t mss = kMssBytes;
   HalfStream h;
   h.snd_una = 0;
   h.demand = h.snd_nxt = h.max_sent = 10 * mss;
-  h.dupacks = p.dupack_threshold;
-  enter_sack_recovery(h, p);
+  h.dupacks = kDupackThreshold;
+  enter_sack_recovery(h);
   // Everything below the recovery point is sacked except the tail segment:
   // no rule-1 hole (high_rtx past the front), no new data — only the
   // rescue can touch the unsacked tail.
@@ -412,8 +410,7 @@ TEST(SackLaws, RescueFiresOncePerEpisodeAndTargetsTheTail) {
 }
 
 TEST(SackLaws, ReceiverSackBlockReportsTheMaximalContiguousRange) {
-  const TcpParams p = params();
-  const std::int64_t mss = p.mss_bytes;
+  const std::int64_t mss = kMssBytes;
   // Deterministic walk first: the block always covers the out-of-order
   // segment that just landed, grown to its maximal contiguous extent.
   HalfStream h;

@@ -347,12 +347,6 @@ TEST(TransportRack, TcpModeIsBitIdenticalAcrossThreadCounts) {
 TEST(TransportRack, DegenerateRackConfigsAreRejected) {
   const topology::Fleet fleet = build_rack_experiment_fleet();
   RackSimConfig cfg = default_rack_config(fleet, HostRole::kWeb, core::Duration::millis(100));
-  cfg.uplink_ports = 0;
-  EXPECT_THROW((RackSimulation{fleet, cfg}), std::invalid_argument)
-      << "a rack without uplinks would wedge all cross-rack traffic";
-  cfg.uplink_ports = -3;
-  EXPECT_THROW((RackSimulation{fleet, cfg}), std::invalid_argument);
-  cfg.uplink_ports = 4;
   cfg.monitored_host = core::HostId{};
   EXPECT_THROW((RackSimulation{fleet, cfg}), std::invalid_argument);
 }
