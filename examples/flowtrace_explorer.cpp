@@ -10,16 +10,14 @@
 // Usage:
 //   flowtrace_explorer [--heavy] [--worst N] [--flow ID]
 //                      [web|cache-f|cache-l|hadoop|multifeed|slb|db] [seconds]
-//   flowtrace_explorer --file <flows.jsonl> [--worst N] [--flow ID]
 //
-// The first form runs a live TCP capture (add --heavy for the heavy fault
-// profile, which makes the attribution stories non-trivial); the second
-// loads a bench_<name>.flows.jsonl export.
+// Runs a live TCP capture with the ledger on (add --heavy for the heavy
+// fault profile, which makes the attribution stories non-trivial). Runs are
+// seeded, so the same arguments reproduce the same capture.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -45,28 +43,6 @@ core::HostRole parse_role(const char* name) {
   if (s == "db") return core::HostRole::kDatabase;
   std::fprintf(stderr, "unknown role '%s'\n", name);
   std::exit(1);
-}
-
-std::optional<std::string> read_file(const char* path) {
-  std::FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return std::nullopt;
-  std::string out;
-  char buf[65536];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
-}
-
-/// All records of every dump, flattened (source ids stay on the records'
-/// owning dump; this tool treats the file as one population).
-std::vector<telemetry::FlowLedgerRecord> flatten(
-    const std::vector<telemetry::FlowLedgerDump>& dumps) {
-  std::vector<telemetry::FlowLedgerRecord> out;
-  for (const telemetry::FlowLedgerDump& d : dumps) {
-    out.insert(out.end(), d.records.begin(), d.records.end());
-  }
-  return out;
 }
 
 void print_worst(const std::vector<telemetry::FlowLedgerRecord>& records, int worst_n) {
@@ -223,7 +199,6 @@ void print_timeline(const std::vector<telemetry::FlowLedgerRecord>& records,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* file = nullptr;
   bool heavy = false;
   int worst_n = 10;
   std::int64_t flow_id = -1;
@@ -231,8 +206,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--heavy") == 0) {
       heavy = true;
-    } else if (std::strcmp(argv[i], "--file") == 0 && i + 1 < argc) {
-      file = argv[++i];
     } else if (std::strcmp(argv[i], "--worst") == 0 && i + 1 < argc) {
       worst_n = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--flow") == 0 && i + 1 < argc) {
@@ -242,53 +215,33 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<telemetry::FlowLedgerDump> dumps;
-  if (file != nullptr) {
-    const std::optional<std::string> text = read_file(file);
-    if (!text) {
-      std::fprintf(stderr, "cannot read %s\n", file);
-      return 1;
-    }
-    std::string error;
-    std::optional<std::vector<telemetry::FlowLedgerDump>> parsed =
-        telemetry::flows_from_jsonl(*text, &error);
-    if (!parsed) {
-      std::fprintf(stderr, "%s: %s\n", file, error.c_str());
-      return 1;
-    }
-    dumps = std::move(*parsed);
-    std::printf("=== %s: %zu source(s) ===\n", file, dumps.size());
-  } else {
-    const core::HostRole role =
-        !positional.empty() ? parse_role(positional[0]) : core::HostRole::kCacheLeader;
-    const std::int64_t seconds = positional.size() > 1 ? std::atoll(positional[1]) : 5;
-    const topology::Fleet fleet = workload::build_rack_experiment_fleet();
-    workload::RackSimConfig cfg =
-        workload::default_rack_config(fleet, role, core::Duration::seconds(seconds));
-    cfg.transport = workload::Transport::kTcp;
-    cfg.obs.mode = telemetry::ObsConfig::Mode::kOn;
-    cfg.obs.flows = true;
-    cfg.obs.flow_capacity = 65536;
-    const faults::FaultPlan plan{faults::heavy_profile()};
-    if (heavy) cfg.faults = &plan;
-    workload::RackSimulation sim{fleet, cfg};
-    workload::RackSimResult result = sim.run();
-    std::printf("=== %s host, %lld s TCP capture, faults=%s ===\n", core::to_string(role),
-                static_cast<long long>(seconds), heavy ? "heavy" : "off");
-    dumps.push_back(std::move(result.flows));
-  }
+  const core::HostRole role =
+      !positional.empty() ? parse_role(positional[0]) : core::HostRole::kCacheLeader;
+  const std::int64_t seconds = positional.size() > 1 ? std::atoll(positional[1]) : 5;
+  const topology::Fleet fleet = workload::build_rack_experiment_fleet();
+  workload::RackSimConfig cfg =
+      workload::default_rack_config(fleet, role, core::Duration::seconds(seconds));
+  cfg.transport = workload::Transport::kTcp;
+  cfg.obs.mode = telemetry::ObsConfig::Mode::kOn;
+  cfg.obs.flows = true;
+  cfg.obs.flow_capacity = 65536;
+  const faults::FaultPlan plan{faults::heavy_profile()};
+  if (heavy) cfg.faults = &plan;
+  workload::RackSimulation sim{fleet, cfg};
+  const workload::RackSimResult result = sim.run();
+  std::printf("=== %s host, %lld s TCP capture, faults=%s ===\n", core::to_string(role),
+              static_cast<long long>(seconds), heavy ? "heavy" : "off");
 
-  const std::vector<telemetry::FlowLedgerRecord> records = flatten(dumps);
-  std::int64_t total = 0;
-  for (const telemetry::FlowLedgerDump& d : dumps) total += d.total;
+  const std::vector<telemetry::FlowLedgerRecord>& records = result.flows.records;
+  const std::int64_t total = result.flows.total;
   std::int64_t completed = 0;
   for (const telemetry::FlowLedgerRecord& r : records) completed += r.completed() ? 1 : 0;
   std::printf("transfers: %zu retained of %lld closed; %lld completed, %zu incomplete\n",
               records.size(), static_cast<long long>(total),
               static_cast<long long>(completed), records.size() - completed);
   if (records.empty()) {
-    std::printf("no ledger records (was the capture run with FBDCSIM_OBS=flows "
-                "and transport=tcp?)\n");
+    std::printf("no ledger records (no transfer closed, or the build has "
+                "FBDCSIM_TELEMETRY=OFF)\n");
     return 0;
   }
 

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
             last_delivery = sim.now();
             if (pkt.ecn == core::Ecn::kCe) record_signal(pkt.header.timestamp);
           }};
-      sw.set_drop_hook([&](std::size_t, const switching::SimPacket&) {
+      sw.set_drop_hook([&](std::size_t, const switching::SimPacket&, std::int64_t) {
         record_signal(sim.now());
       });
 

@@ -68,7 +68,13 @@ class Cdf {
   /// Absorbs another CDF's samples (the sharded-accumulator merge step:
   /// quantiles of the merged set are independent of merge order).
   void merge(const Cdf& other) {
-    samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
+    // An empty destination takes a copy: the same samples, and no range
+    // insert into a null buffer (which GCC 12 flags as a memmove overflow).
+    if (samples_.empty()) {
+      samples_ = other.samples_;
+    } else {
+      samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
+    }
     sorted_ = false;
   }
 

@@ -24,7 +24,6 @@ class FaultPlan;
 
 namespace fbdcsim::telemetry {
 class TimeSeriesProbe;
-class TracePointLog;
 }  // namespace fbdcsim::telemetry
 
 namespace fbdcsim::switching {
@@ -97,13 +96,16 @@ class SharedBufferSwitch {
   /// Called when a packet completes transmission on `port`.
   using DeliverFn = std::function<void(std::size_t port, const SimPacket&)>;
   /// Called when DT admission rejects a packet at `port` (after the drop is
-  /// counted). Lets transport models react to actual shared-buffer drops.
-  using DropFn = std::function<void(std::size_t port, const SimPacket&)>;
+  /// counted), with the bytes queued on that port at the rejection. The
+  /// switch's only observer: the rack records its drop tracepoint and
+  /// notifies the transport model from here.
+  using DropFn =
+      std::function<void(std::size_t port, const SimPacket&, std::int64_t queued_bytes)>;
 
   SharedBufferSwitch(sim::Simulator& sim, SwitchConfig config, DeliverFn deliver);
 
-  /// Installs (or clears) the drop-notification hook. Null by default: the
-  /// scripted path never pays for the callback.
+  /// Installs (or clears) the drop-notification hook. Null by default: a
+  /// run with nothing to notify never pays for the callback.
   void set_drop_hook(DropFn on_drop) { on_drop_ = std::move(on_drop); }
 
   /// Offers a packet to egress `port` at the current simulated time.
@@ -132,10 +134,6 @@ class SharedBufferSwitch {
 
   void set_port_rate(std::size_t port, core::DataRate rate) { ports_.at(port).rate = rate; }
 
-  /// Installs (or clears) the tracepoint sink. Null by default — the
-  /// non-observed path pays one pointer compare per drop, nothing more.
-  void set_trace_log(telemetry::TracePointLog* log) { trace_log_ = log; }
-
   /// Registers this switch's sim-time gauges on `probe`: shared-buffer
   /// occupancy, per-port queue depth, and cumulative tx bytes. The switch
   /// must outlive the probe's sampling.
@@ -160,7 +158,6 @@ class SharedBufferSwitch {
   SwitchConfig config_;
   DeliverFn deliver_;
   DropFn on_drop_;
-  telemetry::TracePointLog* trace_log_{nullptr};
   // Packet queue nodes come from the switch's arena and recycle through the
   // pool free list, so steady-state enqueue/dequeue never calls malloc.
   // Declared before ports_ so queues are destroyed before their pool.

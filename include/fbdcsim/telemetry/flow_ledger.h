@@ -49,9 +49,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -302,12 +300,5 @@ class FlowLedger {
 ///    "rtx":[{"t_ns":N,"seq":N,"len":N,"kind":"dupack|rto","cause_id":N}],
 ///    "episodes":[{"kind":S,"start_ns":N,"end_ns":N,"detail":N}]}
 [[nodiscard]] std::string flows_to_jsonl(std::vector<FlowLedgerDump> dumps);
-
-/// Parses flows_to_jsonl output back into per-source dumps (total =
-/// records retained, stray_events = 0 — neither is serialized). Returns
-/// std::nullopt on malformed input and, when `error` is non-null, explains
-/// why. flows_to_jsonl(*flows_from_jsonl(s)) == s for canonical s.
-[[nodiscard]] std::optional<std::vector<FlowLedgerDump>> flows_from_jsonl(
-    std::string_view jsonl, std::string* error = nullptr);
 
 }  // namespace fbdcsim::telemetry

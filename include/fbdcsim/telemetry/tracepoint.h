@@ -16,8 +16,9 @@
 // pid, never interleaved with the wall-clock spans of trace.h (the
 // determinism contract made visible, DESIGN.md §11).
 //
-// The switch and the rack simulation instrument through FBDCSIM_T_TRACEPOINT
-// below: a null-log check, or nothing at all when the build has
+// The rack simulation instruments through FBDCSIM_T_TRACEPOINT below —
+// fault epochs, and packet drops from the switch's one drop hook: a
+// null-log check, or nothing at all when the build has
 // -DFBDCSIM_TELEMETRY=OFF. TransportMux instead hands every TransportEvent to
 // record(const TransportEvent&), which keeps the four transport kinds and
 // ignores the rest. RackSimulation creates and attaches the log only when

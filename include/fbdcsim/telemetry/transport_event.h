@@ -1,12 +1,14 @@
 // TransportEvent: the one typed record TransportMux reports per
 // instrumentation site (DESIGN.md §11, §14).
 //
-// Each site builds one event and hands it to the mux's two fixed sinks:
-// the flight recorder (TracePointLog::record) keeps the four kinds it has
-// always recorded — RTO fire, fast-recovery entry and exit, handshake
-// retry — and the FlowLedger (FlowLedger::record) folds every kind into
-// its per-transfer records. Both read the same fields, so the recorder
-// and the ledger cannot disagree about what a flow did.
+// Each site builds one event, and the mux feeds it to three consumers:
+// its own Stats (TransportMux::count derives ten counters from the kinds
+// below — see DESIGN.md §14's table), the flight recorder
+// (TracePointLog::record keeps RTO fire, fast-recovery entry and exit, and
+// handshake retry), and the FlowLedger (FlowLedger::record folds every kind
+// into its per-transfer records). All three read the same fields, so the
+// counters, the recorder and the ledger cannot disagree about what a flow
+// did.
 #pragma once
 
 #include <cstdint>

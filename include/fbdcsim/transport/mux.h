@@ -24,11 +24,13 @@
 // path RTT.
 //
 // Observability (DESIGN.md §11/§14): each instrumentation site reports one
-// telemetry::TransportEvent through the private emit(), the only place the
-// mux tests its two sinks for null — the flight recorder (TracePointLog) and
-// the per-flow ledger (FlowLedger). A connection's birth context goes to the
-// ledger's on_birth, the one event too wide for TransportEvent. With both
-// sinks null (the default) every site is one predictable branch.
+// telemetry::TransportEvent through the private emit(). emit() first folds
+// the event into Stats (count()), then hands it to whichever of the two
+// sinks is installed — the flight recorder (TracePointLog) and the per-flow
+// ledger (FlowLedger) — so a counter and the records of the same kind
+// cannot disagree. A connection's birth context goes to the ledger's
+// on_birth, the one event too wide for TransportEvent. With both sinks null
+// (the default) every site is its counter increments plus one branch.
 //
 // Engine contract (DESIGN.md §9/§10): every scheduled lambda fits
 // sim::InlineAction's inline storage (events stay heap-free) and
@@ -69,33 +71,44 @@ class TransportMux final : public DemandSink {
   /// connections' in-progress byte counts are NOT included — sum those via
   /// find_connection / for_each_connection).
   struct Stats {
-    std::int64_t connections_created{0};
-    std::int64_t connections_destroyed{0};
-    std::int64_t handshakes_completed{0};
-    std::int64_t handshake_failures{0};
-    std::int64_t segments_sent{0};
-    std::int64_t retransmit_segments{0};
-    std::int64_t fast_retransmits{0};
-    std::int64_t rto_fired{0};
-    std::int64_t path_loss_drops{0};
-    std::int64_t switch_drop_notifications{0};
-    std::int64_t bytes_demanded{0};
-    std::int64_t bytes_delivered{0};  // receiver-side in-order advance
-    std::int64_t bytes_retransmitted{0};
-    // Retransmissions split by repair kind (all recovery modes): a segment
-    // resent while its half-stream is in fast recovery was dupack-driven;
-    // anything else is the go-back-N stream after a timeout.
+    // Derived from the event stream: count() folds each TransportEvent into
+    // these as emit() reports it, so they always equal what the recorder and
+    // the ledger saw (the event kind that feeds each is named).
+    std::int64_t connections_destroyed{0};  // kRelease
+    std::int64_t handshakes_completed{0};   // kEstablished
+    std::int64_t bytes_demanded{0};         // sum of kDemand len
+    std::int64_t retransmit_segments{0};    // kRetransmit
+    std::int64_t bytes_retransmitted{0};    // sum of kRetransmit len
+    // Retransmissions split by repair kind (kRetransmit a, all recovery
+    // modes): a segment resent while its half-stream is in fast recovery
+    // was dupack-driven; anything else is the go-back-N stream after a
+    // timeout.
     std::int64_t rtx_dupack_segments{0};
     std::int64_t rtx_rto_segments{0};
+    std::int64_t fast_retransmits{0};        // kFastRecovery + kSackRecovery
+    std::int64_t rto_fired{0};               // kRto
+    std::int64_t dctcp_cwnd_reductions{0};   // kEcnReduction (cc == kDctcp only)
+
+    // Direct counts: no TransportEvent carries these facts — per-segment
+    // sends, deliveries and SACK/ECN marks (an event per segment would put
+    // a ledger call on every packet), births (which go to the ledger's
+    // on_birth), handshake give-ups (reported only as a kRelease),
+    // control-packet path loss, and switch notifications for stale tags or
+    // zero payloads.
+    std::int64_t connections_created{0};
+    std::int64_t handshake_failures{0};
+    std::int64_t segments_sent{0};
+    std::int64_t path_loss_drops{0};
+    std::int64_t switch_drop_notifications{0};
+    std::int64_t bytes_delivered{0};  // receiver-side in-order advance
     // SACK (recovery == kSack only; zero otherwise):
     std::int64_t sack_blocks_recorded{0};    // scoreboard merges that added bytes
     std::int64_t sack_bytes{0};              // bytes newly marked sacked
     std::int64_t sack_retransmits{0};        // pipe-gated hole retransmissions
     std::int64_t sack_rescue_retransmits{0}; // rule-4 tail rescues
     // DCTCP (cc == kDctcp only; zero otherwise):
-    std::int64_t ecn_ce_segments{0};       // CE-marked data seen at receivers
-    std::int64_t ecn_echoed_acks{0};       // ACKs sent with ECE set
-    std::int64_t dctcp_cwnd_reductions{0}; // once-per-window ECE reactions
+    std::int64_t ecn_ce_segments{0};  // CE-marked data seen at receivers
+    std::int64_t ecn_echoed_acks{0};  // ACKs sent with ECE set
   };
 
   /// `sink` is the rack simulation (must outlive the mux); `faults` may be
@@ -218,12 +231,16 @@ class TransportMux final : public DemandSink {
   void emit_now(TcpConnection& c, Dir dir, std::int64_t payload, core::TcpFlags flags,
                 std::int64_t seq, std::int64_t ackno, std::int64_t sack_lo = 0,
                 std::int64_t sack_hi = 0);
-  /// Reports one TransportEvent about `c`, stamped now, to whichever sinks
-  /// are installed (telemetry/transport_event.h names each kind's fields).
-  /// Inline so that, with no sink installed, a site is one branch.
+  /// Reports one TransportEvent about `c`, stamped now: count() folds it
+  /// into stats_, then whichever sinks are installed record it
+  /// (telemetry/transport_event.h names each kind's fields). Inline, and
+  /// every site passes a constant kind, so with no sink installed a site
+  /// compiles to its counter increments plus one branch.
   inline void emit(telemetry::TransportEventKind kind, const TcpConnection& c, Dir dir = Dir::kOut,
             std::int64_t seq = 0, std::int64_t len = 0, std::int64_t a = 0,
             std::int64_t b = 0);
+  /// The Stats fields derived from events (the first group of Stats).
+  inline void count(const telemetry::TransportEvent& e);
 
   sim::Simulator* sim_;
   const topology::Fleet* fleet_;

@@ -83,8 +83,8 @@ class FleetFlowGenerator {
   /// Streams every generated flow record to `visit` (no buffering).
   void generate(const Visit& visit) const;
 
-  /// Generates flows for a single host (all epochs) — used by tests, the
-  /// Table 2 bench, and runtime::ShardedFleetRunner. The host's randomness
+  /// Generates flows for a single host (all epochs) — used by
+  /// runtime::ShardedFleetRunner and tests. The host's randomness
   /// is forked from the root seed by host ID, so this is safe to call
   /// concurrently for distinct hosts and the output never depends on which
   /// other hosts were generated first.

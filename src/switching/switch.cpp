@@ -8,7 +8,6 @@
 #include "fbdcsim/faults/fault_plan.h"
 #include "fbdcsim/telemetry/telemetry.h"
 #include "fbdcsim/telemetry/timeseries.h"
-#include "fbdcsim/telemetry/tracepoint.h"
 
 namespace fbdcsim::switching {
 
@@ -52,9 +51,7 @@ bool SharedBufferSwitch::enqueue(std::size_t port_index, const SimPacket& packet
       buffered_bytes_ + bytes > config_.buffer_total.count_bytes()) {
     ++port.counters.dropped_packets;
     port.counters.dropped_bytes += bytes;
-    FBDCSIM_T_TRACEPOINT(trace_log_, arrival.count_nanos(), PacketDrop, port_index, bytes,
-                         port.queued_bytes);
-    if (on_drop_) on_drop_(port_index, packet);
+    if (on_drop_) on_drop_(port_index, packet, port.queued_bytes);
     return false;
   }
 

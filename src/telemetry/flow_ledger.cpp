@@ -454,257 +454,4 @@ std::string flows_to_jsonl(std::vector<FlowLedgerDump> dumps) {
   return out;
 }
 
-// ---- parser (inverse of flows_to_jsonl, canonical input) ----
-
-namespace {
-
-struct Cursor {
-  const char* p;
-  const char* end;
-
-  [[nodiscard]] bool done() const { return p >= end; }
-  [[nodiscard]] bool eat(char c) {
-    if (done() || *p != c) return false;
-    ++p;
-    return true;
-  }
-  [[nodiscard]] bool peek(char c) const { return !done() && *p == c; }
-};
-
-bool parse_int(Cursor& c, std::int64_t& out) {
-  const bool neg = c.eat('-');
-  if (c.done() || *c.p < '0' || *c.p > '9') return false;
-  std::int64_t v = 0;
-  while (!c.done() && *c.p >= '0' && *c.p <= '9') {
-    v = v * 10 + (*c.p - '0');
-    ++c.p;
-  }
-  out = neg ? -v : v;
-  return true;
-}
-
-bool parse_string(Cursor& c, std::string& out) {
-  if (!c.eat('"')) return false;
-  out.clear();
-  while (!c.done() && *c.p != '"') {
-    if (*c.p == '\\') return false;  // canonical output never escapes
-    out += *c.p++;
-  }
-  return c.eat('"');
-}
-
-bool parse_key(Cursor& c, const char* key) {
-  std::string k;
-  return parse_string(c, k) && k == key && c.eat(':');
-}
-
-template <typename Enum, std::size_t N>
-bool enum_from_string(const std::string& s, const Enum (&values)[N], Enum& out) {
-  for (const Enum v : values) {
-    if (s == to_string(v)) {
-      out = v;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool parse_tuple(const std::string& s, core::FiveTuple& out) {
-  const auto arrow = s.find("->");
-  const auto slash = s.rfind('/');
-  if (arrow == std::string::npos || slash == std::string::npos || slash < arrow) {
-    return false;
-  }
-  const auto endpoint = [](const std::string& part, core::Ipv4Addr& addr,
-                           core::Port& port) {
-    const auto colon = part.rfind(':');
-    if (colon == std::string::npos) return false;
-    if (!core::Ipv4Addr::try_parse(part.substr(0, colon), addr)) return false;
-    std::int64_t p = 0;
-    Cursor c{part.data() + colon + 1, part.data() + part.size()};
-    if (!parse_int(c, p) || !c.done() || p < 0 || p > 65535) return false;
-    port = static_cast<core::Port>(p);
-    return true;
-  };
-  if (!endpoint(s.substr(0, arrow), out.src_ip, out.src_port)) return false;
-  if (!endpoint(s.substr(arrow + 2, slash - arrow - 2), out.dst_ip, out.dst_port)) {
-    return false;
-  }
-  const std::string proto = s.substr(slash + 1);
-  if (proto == "tcp") {
-    out.protocol = core::Protocol::kTcp;
-  } else if (proto == "udp") {
-    out.protocol = core::Protocol::kUdp;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-constexpr core::HostRole kAllRoles[] = {
-    core::HostRole::kWeb,       core::HostRole::kCacheFollower,
-    core::HostRole::kCacheLeader, core::HostRole::kHadoop,
-    core::HostRole::kMultifeed, core::HostRole::kSlb,
-    core::HostRole::kDatabase,  core::HostRole::kService};
-constexpr core::Locality kAllLocalities[] = {
-    core::Locality::kIntraRack, core::Locality::kIntraCluster,
-    core::Locality::kIntraDatacenter, core::Locality::kInterDatacenter};
-constexpr FlowDropCause kAllCauses[] = {FlowDropCause::kSwitchBuffer,
-                                        FlowDropCause::kPathLoss,
-                                        FlowDropCause::kScripted};
-constexpr FlowRtxKind kAllRtxKinds[] = {FlowRtxKind::kDupack, FlowRtxKind::kRto};
-constexpr FlowEpisodeKind kAllEpisodeKinds[] = {
-    FlowEpisodeKind::kFastRecovery, FlowEpisodeKind::kSackRecovery,
-    FlowEpisodeKind::kRto, FlowEpisodeKind::kEcnReduction};
-
-bool parse_record_line(Cursor& c, std::uint64_t& source, FlowLedgerRecord& r) {
-  std::int64_t v = 0;
-  std::string s;
-  const auto int_field = [&](const char* key, std::int64_t& out) {
-    return c.eat(',') && parse_key(c, key) && parse_int(c, out);
-  };
-  if (!c.eat('{') || !parse_key(c, "source") || !parse_int(c, v) || v < 0) return false;
-  source = static_cast<std::uint64_t>(v);
-  if (!int_field("id", r.id)) return false;
-  if (!int_field("tag", v) || v < 0) return false;
-  r.flow_tag = static_cast<std::uint32_t>(v);
-  if (!c.eat(',') || !parse_key(c, "dir") || !parse_string(c, s)) return false;
-  if (s == "out") {
-    r.dir = 0;
-  } else if (s == "in") {
-    r.dir = 1;
-  } else {
-    return false;
-  }
-  if (!c.eat(',') || !parse_key(c, "role") || !parse_string(c, s) ||
-      !enum_from_string(s, kAllRoles, r.role)) {
-    return false;
-  }
-  if (!c.eat(',') || !parse_key(c, "peer_role") || !parse_string(c, s) ||
-      !enum_from_string(s, kAllRoles, r.peer_role)) {
-    return false;
-  }
-  if (!c.eat(',') || !parse_key(c, "locality") || !parse_string(c, s) ||
-      !enum_from_string(s, kAllLocalities, r.locality)) {
-    return false;
-  }
-  if (!c.eat(',') || !parse_key(c, "tuple") || !parse_string(c, s) ||
-      !parse_tuple(s, r.tuple)) {
-    return false;
-  }
-  if (!int_field("born_ns", r.conn_born_ns)) return false;
-  if (!int_field("syn_sends", r.syn_sends)) return false;
-  if (!int_field("established_ns", r.established_ns)) return false;
-  if (!int_field("start_ns", r.start_ns)) return false;
-  if (!int_field("completed_ns", r.completed_ns)) return false;
-  if (!int_field("bytes", r.bytes)) return false;
-  if (!int_field("rtx_bytes", r.rtx_bytes)) return false;
-  if (!int_field("rtt_ns", r.rtt_ns)) return false;
-  if (!int_field("bottleneck_bps", r.bottleneck_bps)) return false;
-  if (!int_field("ideal_ns", r.ideal_ns)) return false;
-  if (!int_field("drops_total", r.drops_total)) return false;
-  if (!int_field("rtx_total", r.rtx_total)) return false;
-  if (!int_field("rto_count", r.rto_count)) return false;
-  if (!int_field("ecn_reductions", r.ecn_reductions)) return false;
-
-  if (!c.eat(',') || !parse_key(c, "drops") || !c.eat('[')) return false;
-  while (!c.peek(']')) {
-    if (r.drop_count >= kFlowMaxDrops) return false;
-    if (r.drop_count > 0 && !c.eat(',')) return false;
-    FlowDropEvent& e = r.drops[r.drop_count];
-    if (!c.eat('{') || !parse_key(c, "id") || !parse_int(c, e.id)) return false;
-    if (!int_field("t_ns", e.t_ns)) return false;
-    if (!int_field("seq", e.seq)) return false;
-    if (!int_field("len", e.len)) return false;
-    if (!c.eat(',') || !parse_key(c, "cause") || !parse_string(c, s) ||
-        !enum_from_string(s, kAllCauses, e.cause)) {
-      return false;
-    }
-    if (!int_field("switch", v) || v < 0) return false;
-    e.switch_id = static_cast<std::uint64_t>(v);
-    if (!int_field("port", v)) return false;
-    e.port = static_cast<std::int32_t>(v);
-    if (!int_field("fault_epoch", e.fault_epoch)) return false;
-    if (!int_field("claimed", v) || (v != 0 && v != 1)) return false;
-    e.claimed = v == 1;
-    if (!c.eat('}')) return false;
-    ++r.drop_count;
-  }
-  if (!c.eat(']')) return false;
-
-  if (!c.eat(',') || !parse_key(c, "rtx") || !c.eat('[')) return false;
-  while (!c.peek(']')) {
-    if (r.rtx_count >= kFlowMaxRtx) return false;
-    if (r.rtx_count > 0 && !c.eat(',')) return false;
-    FlowRtxEvent& e = r.rtxs[r.rtx_count];
-    if (!c.eat('{') || !parse_key(c, "t_ns") || !parse_int(c, e.t_ns)) return false;
-    if (!int_field("seq", e.seq)) return false;
-    if (!int_field("len", e.len)) return false;
-    if (!c.eat(',') || !parse_key(c, "kind") || !parse_string(c, s) ||
-        !enum_from_string(s, kAllRtxKinds, e.kind)) {
-      return false;
-    }
-    if (!int_field("cause_id", e.cause_id)) return false;
-    if (!c.eat('}')) return false;
-    ++r.rtx_count;
-  }
-  if (!c.eat(']')) return false;
-
-  if (!c.eat(',') || !parse_key(c, "episodes") || !c.eat('[')) return false;
-  while (!c.peek(']')) {
-    if (r.episode_count >= kFlowMaxEpisodes) return false;
-    if (r.episode_count > 0 && !c.eat(',')) return false;
-    FlowEpisode& e = r.episodes[r.episode_count];
-    if (!c.eat('{') || !parse_key(c, "kind") || !parse_string(c, s) ||
-        !enum_from_string(s, kAllEpisodeKinds, e.kind)) {
-      return false;
-    }
-    if (!int_field("start_ns", e.start_ns)) return false;
-    if (!int_field("end_ns", e.end_ns)) return false;
-    if (!int_field("detail", e.detail)) return false;
-    if (!c.eat('}')) return false;
-    ++r.episode_count;
-  }
-  return c.eat(']') && c.eat('}');
-}
-
-}  // namespace
-
-std::optional<std::vector<FlowLedgerDump>> flows_from_jsonl(std::string_view jsonl,
-                                                            std::string* error) {
-  const auto fail = [error](std::size_t line_no, const char* why) {
-    if (error != nullptr) {
-      *error = "line " + std::to_string(line_no) + ": " + why;
-    }
-    return std::nullopt;
-  };
-  std::vector<FlowLedgerDump> dumps;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos < jsonl.size()) {
-    ++line_no;
-    auto nl = jsonl.find('\n', pos);
-    if (nl == std::string_view::npos) return fail(line_no, "missing trailing newline");
-    const std::string_view line = jsonl.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    Cursor c{line.data(), line.data() + line.size()};
-    std::uint64_t source = 0;
-    FlowLedgerRecord r;
-    if (!parse_record_line(c, source, r) || !c.done()) {
-      return fail(line_no, "malformed flow record");
-    }
-    if (dumps.empty() || dumps.back().source_id != source) {
-      FlowLedgerDump dump;
-      dump.source_id = source;
-      dumps.push_back(std::move(dump));
-    }
-    dumps.back().records.push_back(r);
-  }
-  for (FlowLedgerDump& dump : dumps) {
-    dump.total = static_cast<std::int64_t>(dump.records.size());
-  }
-  return dumps;
-}
-
 }  // namespace fbdcsim::telemetry

@@ -175,7 +175,6 @@ void TransportMux::release(TcpConnection& c) {
   s.live = false;
   s.gen = static_cast<std::uint8_t>(s.gen + 1);
   free_slots_.push_back(idx);
-  ++stats_.connections_destroyed;
 }
 
 Duration TransportMux::rto_for(const TcpConnection& c, const HalfStream& h) const {
@@ -228,11 +227,51 @@ void TransportMux::emit_now(TcpConnection& c, Dir dir, std::int64_t payload,
   }
 }
 
+void TransportMux::count(const telemetry::TransportEvent& e) {
+  switch (e.kind) {
+    case Ev::kDemand:
+      stats_.bytes_demanded += e.len;
+      break;
+    case Ev::kRetransmit:
+      ++stats_.retransmit_segments;
+      stats_.bytes_retransmitted += e.len;
+      if (e.a == static_cast<std::int64_t>(telemetry::FlowRtxKind::kDupack)) {
+        ++stats_.rtx_dupack_segments;
+      } else {
+        ++stats_.rtx_rto_segments;
+      }
+      break;
+    case Ev::kFastRecovery:
+    case Ev::kSackRecovery:
+      ++stats_.fast_retransmits;
+      break;
+    case Ev::kRto:
+      ++stats_.rto_fired;
+      break;
+    case Ev::kEcnReduction:
+      ++stats_.dctcp_cwnd_reductions;
+      break;
+    case Ev::kEstablished:
+      ++stats_.handshakes_completed;
+      break;
+    case Ev::kRelease:
+      ++stats_.connections_destroyed;
+      break;
+    case Ev::kAcked:
+    case Ev::kDrop:
+    case Ev::kRecoveryExit:
+    case Ev::kSyn:
+    case Ev::kHandshakeRetry:
+      break;
+  }
+}
+
 void TransportMux::emit(telemetry::TransportEventKind kind, const TcpConnection& c, Dir dir,
                         std::int64_t seq, std::int64_t len, std::int64_t a, std::int64_t b) {
-  if (recorder_ == nullptr && ledger_ == nullptr) return;
   const telemetry::TransportEvent e{kind, static_cast<std::uint8_t>(dir), c.tag,
                                     sim_->now().count_nanos(), seq, len, a, b};
+  count(e);
+  if (recorder_ == nullptr && ledger_ == nullptr) return;
   if (recorder_ != nullptr) recorder_->record(e);
   if (ledger_ != nullptr) ledger_->record(e);
 }
@@ -292,7 +331,6 @@ void TransportMux::establish(TcpConnection& c) {
   c.state = ConnState::kEstablished;
   c.hs_tries = 0;
   emit(Ev::kEstablished, c);
-  ++stats_.handshakes_completed;
   pump(c, Dir::kOut);
   pump(c, Dir::kIn);
   if (c.close_pending) try_close(c);
@@ -343,7 +381,6 @@ void TransportMux::on_demand(std::uint32_t tag, Dir dir, std::int64_t bytes,
   HalfStream& h = half(*cp, dir);
   h.demand += bytes;
   h.pace_gap = std::max(pace_gap, Duration::nanos(0));
-  stats_.bytes_demanded += bytes;
   emit(Ev::kDemand, *cp, dir, 0, bytes);
   pump(*cp, dir);
 }
@@ -421,15 +458,8 @@ void TransportMux::send_segment(TcpConnection& c, Dir dir, std::int64_t seq,
   ++stats_.segments_sent;
   if (seq < h.max_sent) {
     h.retransmitted_bytes += len;
-    stats_.bytes_retransmitted += len;
-    ++stats_.retransmit_segments;
-    // Repair-kind split: inside fast recovery the resend was dupack-driven;
+    // Repair kind: inside fast recovery the resend was dupack-driven;
     // otherwise it belongs to a go-back-N stream after a timeout.
-    if (h.in_recovery) {
-      ++stats_.rtx_dupack_segments;
-    } else {
-      ++stats_.rtx_rto_segments;
-    }
     emit(Ev::kRetransmit, c, dir, seq, len,
          static_cast<std::int64_t>(h.in_recovery ? telemetry::FlowRtxKind::kDupack
                                                  : telemetry::FlowRtxKind::kRto));
@@ -480,7 +510,6 @@ void TransportMux::on_ack_at_sender(TcpConnection& c, Dir dir, std::int64_t ackn
         h.cwnd = dctcp_cwnd_after_mark(h.cwnd, h.alpha_q16, mss);
         h.ssthresh = h.cwnd;
         h.cwnd_reduced_this_window = true;
-        ++stats_.dctcp_cwnd_reductions;
         emit(Ev::kEcnReduction, c, dir, 0, 0, h.cwnd);
       }
     }
@@ -540,7 +569,6 @@ void TransportMux::on_ack_at_sender(TcpConnection& c, Dir dir, std::int64_t ackn
       } else {
         enter_fast_recovery(h);
       }
-      ++stats_.fast_retransmits;
       emit(sack ? Ev::kSackRecovery : Ev::kFastRecovery, c, dir, 0, 0, h.ssthresh,
            h.inflight());
       if (sack) {
@@ -640,7 +668,6 @@ void TransportMux::on_rto_event(std::uint32_t tag, Dir dir) {
   } else {
     apply_rto(h);
   }
-  ++stats_.rto_fired;
   emit(Ev::kRto, c, dir, h.snd_una, 0, h.cwnd, h.backoff);
   arm_rto(c, dir);
   pump(c, dir);

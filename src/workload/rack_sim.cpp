@@ -133,11 +133,20 @@ RackSimulation::RackSimulation(const topology::Fleet& fleet, RackSimConfig confi
   if (config_.transport == Transport::kTcp) {
     transport_ = std::make_unique<transport::TransportMux>(
         sim_, fleet, *this, config_.tcp, config_.faults);
-    rsw_->set_drop_hook([this](std::size_t port, const SimPacket& packet) {
-      transport_->on_dropped(port, packet);
-    });
   }
-  if (tracepoints_) rsw_->set_trace_log(tracepoints_.get());
+  // The switch's one drop hook feeds both drop observers: the flight
+  // recorder's PacketDrop tracepoint, then the transport's on_dropped.
+  // Installed only when one of them exists, so obs-off scripted runs pay
+  // nothing per drop.
+  if (tracepoints_ || transport_) {
+    rsw_->set_drop_hook(
+        [this](std::size_t port, const SimPacket& packet,
+               [[maybe_unused]] std::int64_t queued_bytes) {
+          FBDCSIM_T_TRACEPOINT(tracepoints_.get(), sim_.now().count_nanos(), PacketDrop,
+                               port, packet.header.frame_bytes, queued_bytes);
+          if (transport_) transport_->on_dropped(port, packet);
+        });
+  }
 #if FBDCSIM_TELEMETRY_ENABLED
   // FBDCSIM_OBS=flows: the per-flow causal ledger. TCP mode only — scripted
   // packets have no transport lifecycle to record. Switch-drop attributions
