@@ -7,14 +7,10 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "fbdcsim/core/distributions.h"
-#include "fbdcsim/core/rng.h"
-#include "fbdcsim/services/connections.h"
-#include "fbdcsim/services/params.h"
-#include "fbdcsim/services/peer_selection.h"
 #include "fbdcsim/services/traffic_model.h"
-#include "fbdcsim/topology/entities.h"
 
 namespace fbdcsim::services {
 
@@ -24,20 +20,12 @@ class MultifeedModel : public TrafficModel {
  public:
   MultifeedModel(const topology::Fleet& fleet, core::HostId self, const ServiceMix& mix,
                  core::RngStream rng);
-  void start(sim::Simulator& sim, TrafficSink& sink) override;
 
  private:
+  void schedule_first() override;
   void schedule_next_request();
 
-  const topology::Fleet* fleet_;
-  core::HostId self_;
-  const ServiceMix* mix_;
-  core::RngStream rng_;
-  PeerSelector peers_;
-  ConnectionTable conns_;
   core::LogNormal response_size_;
-  sim::Simulator* sim_{nullptr};
-  std::unique_ptr<Wire> wire_;
 };
 
 /// Layer-4 software load balancers: user requests in from the edge, pages
@@ -47,20 +35,12 @@ class SlbModel : public TrafficModel {
  public:
   SlbModel(const topology::Fleet& fleet, core::HostId self, const ServiceMix& mix,
            core::RngStream rng);
-  void start(sim::Simulator& sim, TrafficSink& sink) override;
 
  private:
+  void schedule_first() override;
   void schedule_next_request();
 
-  const topology::Fleet* fleet_;
-  core::HostId self_;
-  const ServiceMix* mix_;
-  core::RngStream rng_;
-  PeerSelector peers_;
-  ConnectionTable conns_;
   core::LogNormal page_size_;
-  sim::Simulator* sim_{nullptr};
-  std::unique_ptr<Wire> wire_;
 };
 
 /// MySQL database servers: serve cache-leader queries and replicate to
@@ -70,22 +50,14 @@ class DatabaseModel : public TrafficModel {
  public:
   DatabaseModel(const topology::Fleet& fleet, core::HostId self, const ServiceMix& mix,
                 core::RngStream rng);
-  void start(sim::Simulator& sim, TrafficSink& sink) override;
 
  private:
+  void schedule_first() override;
   void schedule_next_query();
   void schedule_next_replication();
 
-  const topology::Fleet* fleet_;
-  core::HostId self_;
-  const ServiceMix* mix_;
-  core::RngStream rng_;
-  PeerSelector peers_;
-  ConnectionTable conns_;
   core::LogNormal response_size_;
   std::vector<core::HostId> replica_peers_;
-  sim::Simulator* sim_{nullptr};
-  std::unique_ptr<Wire> wire_;
 };
 
 /// Miscellaneous supporting services: log sinks, config distribution,
@@ -94,19 +66,11 @@ class ServiceHostModel : public TrafficModel {
  public:
   ServiceHostModel(const topology::Fleet& fleet, core::HostId self, const ServiceMix& mix,
                    core::RngStream rng);
-  void start(sim::Simulator& sim, TrafficSink& sink) override;
 
  private:
+  void schedule_first() override;
   void schedule_next_message();
 
-  const topology::Fleet* fleet_;
-  core::HostId self_;
-  const ServiceMix* mix_;
-  core::RngStream rng_;
-  PeerSelector peers_;
-  ConnectionTable conns_;
-  sim::Simulator* sim_{nullptr};
-  std::unique_ptr<Wire> wire_;
 };
 
 /// Constructs the model matching a host's role.

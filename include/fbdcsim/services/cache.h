@@ -20,15 +20,11 @@
 // are born established, matching the paper's long-lived cache sessions.
 #pragma once
 
-#include <memory>
+#include <optional>
+#include <vector>
 
 #include "fbdcsim/core/distributions.h"
-#include "fbdcsim/core/rng.h"
-#include "fbdcsim/services/connections.h"
-#include "fbdcsim/services/params.h"
-#include "fbdcsim/services/peer_selection.h"
 #include "fbdcsim/services/traffic_model.h"
-#include "fbdcsim/topology/entities.h"
 
 namespace fbdcsim::services {
 
@@ -37,26 +33,18 @@ class CacheFollowerModel : public TrafficModel {
   CacheFollowerModel(const topology::Fleet& fleet, core::HostId self, const ServiceMix& mix,
                      core::RngStream rng);
 
-  void start(sim::Simulator& sim, TrafficSink& sink) override;
-
   /// Number of hot-object surge events so far (observability for tests).
   [[nodiscard]] std::int64_t surges_started() const { return surges_started_; }
   [[nodiscard]] std::int64_t surges_mitigated() const { return surges_mitigated_; }
 
  private:
+  void schedule_first() override;
   void schedule_next_get();
   void serve_get(double rate_multiplier);
   void schedule_next_surge();
   void schedule_next_ephemeral();
   void schedule_next_misc();
 
-  const topology::Fleet* fleet_;
-  core::HostId self_;
-  const ServiceMix* mix_;
-  core::RngStream rng_;
-
-  PeerSelector peers_;
-  ConnectionTable conns_;
   core::LogNormal object_size_;
 
   /// Shard leaders this follower fills from and the handful of background
@@ -75,10 +63,6 @@ class CacheFollowerModel : public TrafficModel {
   std::vector<std::vector<core::HostId>> web_hosts_by_rack_;
   std::int64_t weight_epoch_{-1};
 
-  sim::Simulator* sim_{nullptr};
-  TrafficSink* sink_{nullptr};
-  std::unique_ptr<Wire> wire_;
-
   /// Extra demand multiplier contributed by active surges.
   double surge_multiplier_{1.0};
   std::int64_t surges_started_{0};
@@ -90,9 +74,8 @@ class CacheLeaderModel : public TrafficModel {
   CacheLeaderModel(const topology::Fleet& fleet, core::HostId self, const ServiceMix& mix,
                    core::RngStream rng);
 
-  void start(sim::Simulator& sim, TrafficSink& sink) override;
-
  private:
+  void schedule_first() override;
   void schedule_next_coherency();
   void schedule_next_db_op();
   void schedule_next_fill();
@@ -102,13 +85,6 @@ class CacheLeaderModel : public TrafficModel {
   /// Follower scope chosen per Table 3's Cache locality mix.
   [[nodiscard]] Scope follower_scope();
 
-  const topology::Fleet* fleet_;
-  core::HostId self_;
-  const ServiceMix* mix_;
-  core::RngStream rng_;
-
-  PeerSelector peers_;
-  ConnectionTable conns_;
   core::LogNormal coherency_size_;
   core::LogNormal object_size_;
 
@@ -116,10 +92,6 @@ class CacheLeaderModel : public TrafficModel {
   std::vector<core::HostId> db_peers_;
   std::vector<core::HostId> mf_peers_;
   std::vector<core::HostId> misc_peers_;
-
-  sim::Simulator* sim_{nullptr};
-  TrafficSink* sink_{nullptr};
-  std::unique_ptr<Wire> wire_;
 };
 
 }  // namespace fbdcsim::services

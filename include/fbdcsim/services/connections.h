@@ -4,8 +4,10 @@
 // ephemeral (SYN/FIN-delimited) connections, reproducing the paper's §5.1
 // observation that most service traffic rides pooled connections while a
 // steady rate of ephemeral flows produces the SYN-interarrival pattern of
-// Figure 14. Wire helpers segment transaction payloads into MTU-bounded
-// frames with delayed ACKs in the reverse direction.
+// Figure 14. Wire segments transaction payloads into MTU-bounded frames
+// with delayed ACKs in the reverse direction. Every operation takes the
+// transport::Dir of the end that acts — kOut for self, kIn for the peer —
+// and its replies travel the opposite way, so one code path serves both.
 #pragma once
 
 #include <cstdint>
@@ -13,18 +15,21 @@
 #include <vector>
 
 #include "fbdcsim/core/packet.h"
-#include "fbdcsim/core/rng.h"
 #include "fbdcsim/core/units.h"
-#include "fbdcsim/services/traffic_model.h"
 #include "fbdcsim/sim/simulator.h"
 #include "fbdcsim/topology/entities.h"
+#include "fbdcsim/transport/demand.h"
 
 namespace fbdcsim::services {
 
+using transport::Dir;
+
+class TrafficSink;
+
 /// One transport connection between the modelled host and a peer.
 /// Invariant: `tuple` is always oriented self -> peer, regardless of which
-/// side initiated the connection (inbound-initiated connections simply have
-/// the well-known port on the self side).
+/// side initiated the connection (connections the peer opened, Dir::kIn,
+/// simply have the service port on the self side).
 struct Connection {
   core::FiveTuple tuple;
   core::HostId peer;
@@ -40,28 +45,24 @@ class ConnectionTable {
   ConnectionTable(const topology::Fleet& fleet, core::HostId self)
       : fleet_{&fleet}, self_{self} {}
 
-  /// The pooled connection to (peer, service port), created on first use.
-  Connection& pooled(core::HostId peer, core::Port dst_port);
+  /// The pooled connection the `dir` end opened to the other end's
+  /// `service_port` (kOut: self to peer:service_port; kIn: peer to
+  /// self:service_port), created on first use. The opener holds a fresh
+  /// ephemeral port; the tuple stays self -> peer per the Connection
+  /// invariant.
+  Connection& pooled(Dir dir, core::HostId peer, core::Port service_port);
 
-  /// A fresh ephemeral connection (new source port each call).
-  [[nodiscard]] Connection ephemeral(core::HostId peer, core::Port dst_port);
-
-  /// A fresh inbound-initiated ephemeral connection: the well-known port
-  /// `self_port` is on the self side, the peer uses a fresh ephemeral port.
-  /// (Tuple stays self -> peer per the Connection invariant; use with
-  /// Wire::open_inbound, which emits the peer's SYN on the reverse path.)
-  [[nodiscard]] Connection ephemeral_inbound(core::HostId peer, core::Port self_port);
-
-  /// The pooled connection initiated by peer toward self, created on first
-  /// use. Tuple orientation is self -> peer like every Connection.
-  Connection& pooled_inbound(core::HostId peer, core::Port self_port);
+  /// A fresh ephemeral connection (new ephemeral port each call), oriented
+  /// like pooled(). Use with Wire::open in the same `dir`.
+  [[nodiscard]] Connection ephemeral(Dir dir, core::HostId peer, core::Port service_port);
 
   [[nodiscard]] core::HostId self() const { return self_; }
   [[nodiscard]] std::size_t pooled_count() const { return pool_.size(); }
 
  private:
-  [[nodiscard]] core::FiveTuple make_tuple(core::HostId peer, core::Port dst_port,
-                                           core::Port src_port) const;
+  [[nodiscard]] core::FiveTuple make_tuple(Dir dir, core::HostId peer,
+                                           core::Port service_port,
+                                           core::Port opener_port) const;
   /// The next ephemeral port no pooled connection holds.
   [[nodiscard]] core::Port next_port();
 
@@ -76,8 +77,10 @@ class ConnectionTable {
 
 /// Emits the packet streams of application-level transactions over a
 /// connection, handling MTU segmentation, delayed ACKs, handshakes and
-/// teardown. "Outbound" means the modelled host transmits; "inbound" means
-/// packets arrive from the network for the modelled host.
+/// teardown. Each operation runs in a Dir: its data (or SYN) travels in
+/// `dir` — kOut leaves the modelled host through host_send, kIn arrives
+/// from the network through host_receive — and the ACKs and handshake
+/// replies travel the opposite way.
 ///
 /// Two backends share this interface. When the sink exposes no transport
 /// (scripted mode), Wire emits the pre-shaped packet timeline itself —
@@ -88,48 +91,39 @@ class ConnectionTable {
 /// that keep the service models' transaction pacing unchanged.
 class Wire {
  public:
-  Wire(sim::Simulator& sim, TrafficSink& sink, core::HostId self)
-      : sim_{&sim}, sink_{&sink}, mux_{sink.transport()}, self_{self} {}
+  /// Unbound until assigned a bound Wire (TrafficModel::start does).
+  Wire() = default;
+  Wire(sim::Simulator& sim, TrafficSink& sink, core::HostId self);
 
-  /// Sends `payload` bytes from self to the connection's peer, starting at
-  /// `start` with `gap` between segments. Inbound delayed ACKs (one per two
-  /// segments) are synthesized for peers outside the modelled rack when
-  /// `ack_inbound` is true. Returns the time the last segment is sent.
-  core::TimePoint send(const Connection& conn, core::DataSize payload, core::TimePoint start,
-                       core::Duration gap = core::Duration::micros(2), bool ack_inbound = true);
+  /// The `dir` end sends `payload` bytes to the other end, starting at
+  /// `start` with `gap` between segments. With `ack` the receiving end
+  /// answers with delayed ACKs (one per two segments, and the last). Pass
+  /// false when the reply piggybacks the ACK — the request leg of a
+  /// request-response exchange, as real TCP does (this is what keeps the
+  /// paper's packet-size medians from drowning in pure ACKs). Returns the
+  /// time the last segment is sent.
+  core::TimePoint send(Dir dir, const Connection& conn, core::DataSize payload,
+                       core::TimePoint start, core::Duration gap = core::Duration::micros(2),
+                       bool ack = true);
 
-  /// Synthesizes `payload` bytes arriving from the connection's peer
-  /// starting at `start`; outbound delayed ACKs are sent in response when
-  /// `ack_outbound` is true. Pass false for the request leg of a
-  /// request-response exchange — the response piggybacks the ACK, as real
-  /// TCP does (this is what keeps the paper's packet-size medians from
-  /// drowning in pure ACKs).
-  core::TimePoint receive(const Connection& conn, core::DataSize payload, core::TimePoint start,
-                          core::Duration gap = core::Duration::micros(2),
-                          bool ack_outbound = true);
-
-  /// Emits an outbound three-way-handshake opening (SYN out, SYN-ACK in,
-  /// ACK out) beginning at `start`; returns when the connection is usable.
-  core::TimePoint open(const Connection& conn, core::TimePoint start,
+  /// The `dir` end opens the connection with a three-way handshake (SYN,
+  /// SYN-ACK back, final ACK) beginning at `start`; returns when the
+  /// connection is usable.
+  core::TimePoint open(Dir dir, const Connection& conn, core::TimePoint start,
                        core::Duration rtt = core::Duration::micros(60));
-
-  /// Emits an inbound handshake (peer opens a connection to self).
-  core::TimePoint open_inbound(const Connection& conn, core::TimePoint start,
-                               core::Duration rtt = core::Duration::micros(60));
 
   /// Emits FIN/ACK teardown initiated by self at `start`.
   void close(const Connection& conn, core::TimePoint start,
              core::Duration rtt = core::Duration::micros(60));
 
  private:
-  void emit_out(const core::FiveTuple& tuple, core::HostId peer, core::TimePoint at,
-                std::int64_t payload, core::TcpFlags flags);
-  void emit_in(const core::FiveTuple& tuple_from_peer, core::HostId peer, core::TimePoint at,
-               std::int64_t payload, core::TcpFlags flags);
+  /// Schedules one packet of `conn` travelling in `dir` at `at`.
+  void emit(Dir dir, const Connection& conn, core::TimePoint at, std::int64_t payload,
+            core::TcpFlags flags);
 
-  sim::Simulator* sim_;
-  TrafficSink* sink_;
-  transport::DemandSink* mux_;  // null in scripted mode
+  sim::Simulator* sim_{nullptr};
+  TrafficSink* sink_{nullptr};
+  transport::DemandSink* mux_{nullptr};  // null in scripted mode
   core::HostId self_;
 };
 

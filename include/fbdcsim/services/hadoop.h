@@ -14,16 +14,12 @@
 // the flow-level TCP engine, so the Figure 12 bimodality is emergent.
 #pragma once
 
-#include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "fbdcsim/core/distributions.h"
-#include "fbdcsim/core/rng.h"
-#include "fbdcsim/services/connections.h"
-#include "fbdcsim/services/params.h"
-#include "fbdcsim/services/peer_selection.h"
 #include "fbdcsim/services/traffic_model.h"
-#include "fbdcsim/topology/entities.h"
 
 namespace fbdcsim::services {
 
@@ -32,33 +28,25 @@ class HadoopModel : public TrafficModel {
   HadoopModel(const topology::Fleet& fleet, core::HostId self, const ServiceMix& mix,
               core::RngStream rng);
 
-  void start(sim::Simulator& sim, TrafficSink& sink) override;
-
   [[nodiscard]] bool busy() const { return busy_; }
   [[nodiscard]] std::span<const core::HostId> partners() const { return partners_; }
 
  private:
+  void schedule_first() override;
   void enter_quiet();
   void enter_busy();
   void schedule_next_transfer();
-  void launch_transfer(bool inbound);
+  /// A rack neighbour when `rack_local`, else a member of the cluster
+  /// partner set; nullopt when that set is empty.
+  [[nodiscard]] std::optional<core::HostId> pick_partner(bool rack_local);
+  /// One bulk transfer on a fresh connection, sent by the `dir` end.
+  void launch_transfer(Dir dir);
   void start_shuffle_streams(std::uint64_t epoch);
-  void schedule_stream_chunk(std::uint64_t epoch, Connection conn, bool inbound,
+  void schedule_stream_chunk(std::uint64_t epoch, Connection conn, Dir dir,
                              core::TimePoint at);
   void schedule_next_control();
 
-  const topology::Fleet* fleet_;
-  core::HostId self_;
-  const ServiceMix* mix_;
-  core::RngStream rng_;
-
-  PeerSelector peers_;
-  ConnectionTable conns_;
   core::LogNormal transfer_size_;
-
-  sim::Simulator* sim_{nullptr};
-  TrafficSink* sink_{nullptr};
-  std::unique_ptr<Wire> wire_;
 
   bool busy_{false};
   std::uint64_t phase_epoch_{0};  // invalidates stale phase-scoped events

@@ -37,6 +37,36 @@ enum class Scope : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Scope scope);
 
+/// Whether `candidate` lies within `scope` of `self`. Both simulation tiers
+/// select peers by this one predicate: PeerSelector for the rack models,
+/// workload::RoleIndex for fleet flows. It does not test identity — both
+/// callers exclude `self` themselves.
+[[nodiscard]] inline bool in_scope(const topology::Host& self, const topology::Host& candidate,
+                                   Scope scope) {
+  const topology::Host& c = candidate;
+  switch (scope) {
+    case Scope::kSameRack:
+      return c.rack == self.rack;
+    case Scope::kSameCluster:
+      return c.cluster == self.cluster;
+    case Scope::kSameClusterOtherRack:
+      return c.cluster == self.cluster && c.rack != self.rack;
+    case Scope::kSameDatacenterOtherCluster:
+      return c.datacenter == self.datacenter && c.cluster != self.cluster;
+    case Scope::kSameDatacenter:
+      return c.datacenter == self.datacenter;
+    case Scope::kOtherDatacentersSameSite:
+      return c.site == self.site && c.datacenter != self.datacenter;
+    case Scope::kOtherSites:
+      return c.site != self.site;
+    case Scope::kOtherDatacenters:
+      return c.datacenter != self.datacenter;
+    case Scope::kAnywhere:
+      return true;
+  }
+  return false;
+}
+
 /// Selects peers of a given role within a scope, uniformly (load-balanced)
 /// or Zipf-skewed (for the load-balancing-off ablation). Candidate lists
 /// are resolved once per (role, scope) and cached.
@@ -72,8 +102,6 @@ class PeerSelector {
   [[nodiscard]] const topology::Fleet& fleet() const { return *fleet_; }
 
  private:
-  [[nodiscard]] bool in_scope(const topology::Host& candidate, Scope scope) const;
-
   const topology::Fleet* fleet_;
   core::HostId self_;
   std::map<std::pair<core::HostRole, Scope>, std::vector<core::HostId>> cache_;

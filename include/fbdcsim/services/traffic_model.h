@@ -7,10 +7,23 @@
 // see workload/rack_sim.h.) This mirrors the paper's methodology exactly —
 // port mirroring sees one host's bidirectional stream — and lets a 2-minute
 // trace of a 300-rack fleet cost only the monitored rack's packets.
+//
+// TrafficModel is also the skeleton every per-role model derives from: it
+// holds the state they all share (the mix, the RNG stream, the peer
+// selector, the connection table, the simulator and the Wire) and its
+// start() binds them before handing over to the model's own first schedule.
 #pragma once
 
+#include <optional>
+#include <span>
+
 #include "fbdcsim/core/packet.h"
+#include "fbdcsim/core/rng.h"
+#include "fbdcsim/services/connections.h"
+#include "fbdcsim/services/params.h"
+#include "fbdcsim/services/peer_selection.h"
 #include "fbdcsim/sim/simulator.h"
+#include "fbdcsim/topology/entities.h"
 #include "fbdcsim/transport/demand.h"
 
 namespace fbdcsim::services {
@@ -42,14 +55,37 @@ class TrafficModel {
  public:
   virtual ~TrafficModel() = default;
 
-  TrafficModel() = default;
   TrafficModel(const TrafficModel&) = delete;
   TrafficModel& operator=(const TrafficModel&) = delete;
 
-  /// Begins generating traffic. The model must only schedule events at or
-  /// after the current simulated time and deliver packets through `sink`
-  /// (which must outlive the simulation run).
-  virtual void start(sim::Simulator& sim, TrafficSink& sink) = 0;
+  /// Begins generating traffic: binds the model to `sim` and `sink` (which
+  /// must outlive the simulation run), then calls schedule_first().
+  void start(sim::Simulator& sim, TrafficSink& sink);
+
+ protected:
+  TrafficModel(const topology::Fleet& fleet, core::HostId self, const ServiceMix& mix,
+               core::RngStream rng);
+
+  /// Schedules the model's first events, only at or after the current
+  /// simulated time. Called once, by start().
+  virtual void schedule_first() = 0;
+
+  /// A peer of `role` within `scope`: uniform while load balancing is on,
+  /// Zipf-skewed in the load-balancing-off ablation.
+  [[nodiscard]] std::optional<core::HostId> pick_balanced(core::HostRole role, Scope scope);
+
+  /// One of `hosts` (which must be non-empty), drawn uniformly.
+  [[nodiscard]] core::HostId pick_from(std::span<const core::HostId> hosts);
+
+  [[nodiscard]] const topology::Fleet& fleet() const { return peers_.fleet(); }
+  [[nodiscard]] core::HostId self() const { return peers_.self(); }
+
+  const ServiceMix* mix_;
+  core::RngStream rng_;
+  PeerSelector peers_;
+  ConnectionTable conns_;
+  sim::Simulator* sim_{nullptr};
+  Wire wire_;
 };
 
 }  // namespace fbdcsim::services

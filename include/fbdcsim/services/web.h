@@ -20,12 +20,7 @@
 #include <memory>
 
 #include "fbdcsim/core/distributions.h"
-#include "fbdcsim/core/rng.h"
-#include "fbdcsim/services/connections.h"
-#include "fbdcsim/services/params.h"
-#include "fbdcsim/services/peer_selection.h"
 #include "fbdcsim/services/traffic_model.h"
-#include "fbdcsim/topology/entities.h"
 
 namespace fbdcsim::services {
 
@@ -34,21 +29,13 @@ class WebServerModel : public TrafficModel {
   WebServerModel(const topology::Fleet& fleet, core::HostId self, const ServiceMix& mix,
                  core::RngStream rng);
 
-  void start(sim::Simulator& sim, TrafficSink& sink) override;
-
  private:
+  void schedule_first() override;
   void schedule_next_user_request();
   void serve_user_request();
   void schedule_next_misc();
   void schedule_next_ephemeral();
 
-  const topology::Fleet* fleet_;
-  core::HostId self_;
-  const ServiceMix* mix_;
-  core::RngStream rng_;
-
-  PeerSelector peers_;
-  ConnectionTable conns_;
   core::LogNormal slb_response_;
   core::LogNormal hot_response_;
   core::LogNormal cold_response_;
@@ -62,9 +49,6 @@ class WebServerModel : public TrafficModel {
   /// enclosing second (Figure 11).
   std::unique_ptr<core::Zipf> object_popularity_;
 
-  sim::Simulator* sim_{nullptr};
-  TrafficSink* sink_{nullptr};
-  std::unique_ptr<Wire> wire_;
   double misc_bytes_per_sec_{0.0};
 };
 

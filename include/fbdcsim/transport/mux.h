@@ -21,7 +21,9 @@
 // modelled host acks them with real packets. Forward propagation beyond
 // the RSW is folded into each half's feedback path, so first-byte timing
 // matches the scripted path and the feedback-loop length equals the full
-// path RTT.
+// path RTT. A transport::Dir (demand.h) names a half — kOut the out half,
+// kIn the in half — and DemandSink's open and app_send take one, so both
+// halves run the same code.
 //
 // Observability (DESIGN.md §11/§14): each instrumentation site reports one
 // telemetry::TransportEvent through the private emit(). emit() first folds
@@ -122,16 +124,11 @@ class TransportMux final : public DemandSink {
   TransportMux& operator=(const TransportMux&) = delete;
 
   // ---- DemandSink (called by services::Wire) ----
-  void open(const core::FiveTuple& tuple, core::HostId self, core::HostId peer,
+  void open(Dir dir, const core::FiveTuple& tuple, core::HostId self, core::HostId peer,
             core::TimePoint start) override;
-  void open_inbound(const core::FiveTuple& tuple, core::HostId self, core::HostId peer,
-                    core::TimePoint start) override;
-  void app_send(const core::FiveTuple& tuple, core::HostId self, core::HostId peer,
+  void app_send(Dir dir, const core::FiveTuple& tuple, core::HostId self, core::HostId peer,
                 std::int64_t bytes, core::TimePoint start,
                 core::Duration pace_gap) override;
-  void app_receive(const core::FiveTuple& tuple, core::HostId self, core::HostId peer,
-                   std::int64_t bytes, core::TimePoint start,
-                   core::Duration pace_gap) override;
   void app_close(const core::FiveTuple& tuple, core::HostId self, core::HostId peer,
                  core::TimePoint start) override;
 
@@ -179,12 +176,9 @@ class TransportMux final : public DemandSink {
     std::uint8_t gen{0};
     bool live{false};
   };
-  enum class Dir : std::uint8_t { kOut = 0, kIn = 1 };
   /// Control packets / bookkeeping steps small enough to share one event
-  /// shape. kXxxOut emits via host_send, kXxxIn via host_receive.
+  /// shape. kXxxIn emits via host_receive.
   enum class Ctrl : std::uint8_t {
-    kBeginOpen,     // self's handshake starts (emit SYN)
-    kBeginInbound,  // peer's SYN arrives at the RSW
     kSynAckIn,      // peer's SYN-ACK arrives (outbound open)
     kHsAckIn,       // peer's final handshake ACK arrives (inbound open)
     kFinAckIn,      // peer's FIN-ACK arrives
@@ -204,6 +198,12 @@ class TransportMux final : public DemandSink {
 
   void establish(TcpConnection& c);
   void on_ctrl(std::uint32_t tag, Ctrl ctrl);
+  /// The `dir` end's handshake starts: self's SYN leaves, or the peer's
+  /// SYN arrives at the RSW.
+  void on_open(std::uint32_t tag, Dir dir);
+  /// Emits the opener's SYN (self's in kSynSent, the peer's in
+  /// kSynReceived) and reports it.
+  void send_syn(TcpConnection& c);
   void on_demand(std::uint32_t tag, Dir dir, std::int64_t bytes, core::Duration pace_gap);
   void on_ack_at_sender(TcpConnection& c, Dir dir, std::int64_t ackno, bool ece,
                         std::int64_t sack_lo = 0, std::int64_t sack_hi = 0);

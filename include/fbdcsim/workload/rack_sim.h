@@ -16,6 +16,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "fbdcsim/core/pod_vector.h"
@@ -164,6 +165,9 @@ class RackSimulation : public services::TrafficSink {
   [[nodiscard]] const switching::SharedBufferSwitch& rack_switch() const { return *rsw_; }
 
  private:
+  /// The RSW port facing `host`, or nullopt when `host` is not a member of
+  /// this rack.
+  [[nodiscard]] std::optional<std::size_t> downlink_port(core::HostId host) const;
   [[nodiscard]] std::size_t egress_port_for(const services::SimPacket& packet) const;
   void observe(const core::PacketHeader& header);
 

@@ -26,32 +26,24 @@ DataSize lognormal_size(core::LogNormal& dist, core::RngStream& rng, std::int64_
 
 MultifeedModel::MultifeedModel(const topology::Fleet& fleet, core::HostId self,
                                const ServiceMix& mix, core::RngStream rng)
-    : fleet_{&fleet},
-      self_{self},
-      mix_{&mix},
-      rng_{rng},
-      peers_{fleet, self},
-      conns_{fleet, self},
+    : TrafficModel{fleet, self, mix, rng},
       response_size_{static_cast<double>(mix.multifeed.response_median.count_bytes()),
                      mix.multifeed.response_sigma} {}
 
-void MultifeedModel::start(sim::Simulator& sim, TrafficSink& sink) {
-  sim_ = &sim;
-  wire_ = std::make_unique<Wire>(sim, sink, self_);
+void MultifeedModel::schedule_first() {
   schedule_next_request();
 }
 
 void MultifeedModel::schedule_next_request() {
   const double rate = mix_->multifeed.requests_served_per_sec;
   sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / rate)), [this] {
-    const auto web = mix_->load_balancing_enabled
-                         ? peers_.pick(HostRole::kWeb, Scope::kSameCluster, rng_)
-                         : peers_.pick_skewed(HostRole::kWeb, Scope::kSameCluster, rng_);
+    const auto web = pick_balanced(HostRole::kWeb, Scope::kSameCluster);
     if (web) {
-      Connection& conn = conns_.pooled_inbound(*web, core::ports::kMultifeed);
-      const TimePoint got = wire_->receive(conn, mix_->web.multifeed_request, sim_->now());
+      Connection& conn = conns_.pooled(Dir::kIn, *web, core::ports::kMultifeed);
+      const TimePoint got =
+          wire_.send(Dir::kIn, conn, mix_->web.multifeed_request, sim_->now());
       const DataSize resp = lognormal_size(response_size_, rng_, 64);
-      wire_->send(conn, resp, got + Duration::micros(250));
+      wire_.send(Dir::kOut, conn, resp, got + Duration::micros(250));
     }
     schedule_next_request();
   });
@@ -63,18 +55,11 @@ void MultifeedModel::schedule_next_request() {
 
 SlbModel::SlbModel(const topology::Fleet& fleet, core::HostId self, const ServiceMix& mix,
                    core::RngStream rng)
-    : fleet_{&fleet},
-      self_{self},
-      mix_{&mix},
-      rng_{rng},
-      peers_{fleet, self},
-      conns_{fleet, self},
+    : TrafficModel{fleet, self, mix, rng},
       page_size_{static_cast<double>(mix.web.slb_response_mean.count_bytes()),
                  mix.web.slb_response_sigma} {}
 
-void SlbModel::start(sim::Simulator& sim, TrafficSink& sink) {
-  sim_ = &sim;
-  wire_ = std::make_unique<Wire>(sim, sink, self_);
+void SlbModel::schedule_first() {
   schedule_next_request();
 }
 
@@ -83,16 +68,14 @@ void SlbModel::schedule_next_request() {
   sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / rate)), [this] {
     // Forward a user request to a Web server; the page comes back after
     // the Web tier's fan-out completes (a few ms).
-    const auto web = mix_->load_balancing_enabled
-                         ? peers_.pick(HostRole::kWeb, Scope::kSameCluster, rng_)
-                         : peers_.pick_skewed(HostRole::kWeb, Scope::kSameCluster, rng_);
+    const auto web = pick_balanced(HostRole::kWeb, Scope::kSameCluster);
     if (web) {
-      Connection& conn = conns_.pooled(*web, core::ports::kHttp);
-      const TimePoint sent = wire_->send(conn, mix_->slb.request_size, sim_->now());
+      Connection& conn = conns_.pooled(Dir::kOut, *web, core::ports::kHttp);
+      const TimePoint sent = wire_.send(Dir::kOut, conn, mix_->slb.request_size, sim_->now());
       const DataSize page = lognormal_size(page_size_, rng_, 256);
-      wire_->receive(conn, page, sent + Duration::millis(2) +
-                                     Duration::micros(static_cast<std::int64_t>(
-                                         rng_.exponential(1500.0))));
+      wire_.send(Dir::kIn, conn, page,
+                 sent + Duration::millis(2) +
+                     Duration::micros(static_cast<std::int64_t>(rng_.exponential(1500.0))));
     }
     schedule_next_request();
   });
@@ -104,18 +87,11 @@ void SlbModel::schedule_next_request() {
 
 DatabaseModel::DatabaseModel(const topology::Fleet& fleet, core::HostId self,
                              const ServiceMix& mix, core::RngStream rng)
-    : fleet_{&fleet},
-      self_{self},
-      mix_{&mix},
-      rng_{rng},
-      peers_{fleet, self},
-      conns_{fleet, self},
+    : TrafficModel{fleet, self, mix, rng},
       response_size_{static_cast<double>(mix.database.response_median.count_bytes()),
                      mix.database.response_sigma} {}
 
-void DatabaseModel::start(sim::Simulator& sim, TrafficSink& sink) {
-  sim_ = &sim;
-  wire_ = std::make_unique<Wire>(sim, sink, self_);
+void DatabaseModel::schedule_first() {
   schedule_next_query();
   schedule_next_replication();
 }
@@ -127,10 +103,11 @@ void DatabaseModel::schedule_next_query() {
     const Scope scope = rng_.bernoulli(0.6) ? Scope::kSameDatacenter : Scope::kOtherDatacenters;
     const auto leader = peers_.pick(HostRole::kCacheLeader, scope, rng_);
     if (leader) {
-      Connection& conn = conns_.pooled_inbound(*leader, core::ports::kMysql);
-      const TimePoint got = wire_->receive(conn, mix_->cache_leader.db_op_size, sim_->now());
+      Connection& conn = conns_.pooled(Dir::kIn, *leader, core::ports::kMysql);
+      const TimePoint got =
+          wire_.send(Dir::kIn, conn, mix_->cache_leader.db_op_size, sim_->now());
       const DataSize resp = lognormal_size(response_size_, rng_, 128);
-      wire_->send(conn, resp, got + Duration::micros(500));
+      wire_.send(Dir::kOut, conn, resp, got + Duration::micros(500));
     }
     schedule_next_query();
   });
@@ -163,10 +140,9 @@ void DatabaseModel::schedule_next_replication() {
     // inter-DC destinations (binlog shipping to intermediate and remote
     // replicas).
     if (!replica_peers_.empty()) {
-      const core::HostId peer = replica_peers_[static_cast<std::size_t>(
-          rng_.uniform_int(0, static_cast<std::int64_t>(replica_peers_.size()) - 1))];
-      Connection& conn = conns_.pooled(peer, core::ports::kMysql);
-      wire_->send(conn, mix_->database.replication_message, sim_->now());
+      const core::HostId peer = pick_from(replica_peers_);
+      Connection& conn = conns_.pooled(Dir::kOut, peer, core::ports::kMysql);
+      wire_.send(Dir::kOut, conn, mix_->database.replication_message, sim_->now());
     }
     schedule_next_replication();
   });
@@ -178,12 +154,9 @@ void DatabaseModel::schedule_next_replication() {
 
 ServiceHostModel::ServiceHostModel(const topology::Fleet& fleet, core::HostId self,
                                    const ServiceMix& mix, core::RngStream rng)
-    : fleet_{&fleet}, self_{self}, mix_{&mix}, rng_{rng}, peers_{fleet, self},
-      conns_{fleet, self} {}
+    : TrafficModel{fleet, self, mix, rng} {}
 
-void ServiceHostModel::start(sim::Simulator& sim, TrafficSink& sink) {
-  sim_ = &sim;
-  wire_ = std::make_unique<Wire>(sim, sink, self_);
+void ServiceHostModel::schedule_first() {
   schedule_next_message();
 }
 
@@ -206,9 +179,9 @@ void ServiceHostModel::schedule_next_message() {
     }
     const auto peer = peers_.pick(HostRole::kService, scope, rng_);
     if (peer) {
-      Connection& conn = conns_.pooled(*peer, core::ports::kSlb);
-      const TimePoint sent = wire_->send(conn, p2.message, sim_->now());
-      wire_->receive(conn, DataSize::bytes(300), sent + Duration::micros(400));
+      Connection& conn = conns_.pooled(Dir::kOut, *peer, core::ports::kSlb);
+      const TimePoint sent = wire_.send(Dir::kOut, conn, p2.message, sim_->now());
+      wire_.send(Dir::kIn, conn, DataSize::bytes(300), sent + Duration::micros(400));
     }
     schedule_next_message();
   });

@@ -25,12 +25,7 @@ DataSize sampled_size(core::LogNormal& dist, core::RngStream& rng, std::int64_t 
 
 CacheFollowerModel::CacheFollowerModel(const topology::Fleet& fleet, core::HostId self,
                                        const ServiceMix& mix, core::RngStream rng)
-    : fleet_{&fleet},
-      self_{self},
-      mix_{&mix},
-      rng_{rng},
-      peers_{fleet, self},
-      conns_{fleet, self},
+    : TrafficModel{fleet, self, mix, rng},
       object_size_{static_cast<double>(mix.cache_follower.object_median.count_bytes()),
                    mix.cache_follower.object_sigma} {
   // Shard map: this follower's objects belong to a handful of shards, each
@@ -49,10 +44,7 @@ CacheFollowerModel::CacheFollowerModel(const topology::Fleet& fleet, core::HostI
   misc_peers_.insert(misc_peers_.end(), remote_misc.begin(), remote_misc.end());
 }
 
-void CacheFollowerModel::start(sim::Simulator& sim, TrafficSink& sink) {
-  sim_ = &sim;
-  sink_ = &sink;
-  wire_ = std::make_unique<Wire>(sim, sink, self_);
+void CacheFollowerModel::schedule_first() {
   schedule_next_get();
   schedule_next_surge();
   schedule_next_ephemeral();
@@ -72,7 +64,7 @@ void CacheFollowerModel::refresh_rack_weights() {
   if (web_hosts_by_rack_.empty()) {
     std::unordered_map<std::uint32_t, std::size_t> rack_index;
     for (const core::HostId h : peers_.candidates(HostRole::kWeb, Scope::kSameCluster)) {
-      const auto rack = fleet_->host(h).rack.value();
+      const auto rack = fleet().host(h).rack.value();
       auto [it, inserted] = rack_index.try_emplace(rack, web_hosts_by_rack_.size());
       if (inserted) web_hosts_by_rack_.emplace_back();
       web_hosts_by_rack_[it->second].push_back(h);
@@ -103,8 +95,7 @@ std::optional<core::HostId> CacheFollowerModel::pick_requester() {
   const auto& hosts =
       web_hosts_by_rack_[static_cast<std::size_t>(
           std::distance(rack_weight_cdf_.begin(), it))];
-  return hosts[static_cast<std::size_t>(
-      rng_.uniform_int(0, static_cast<std::int64_t>(hosts.size()) - 1))];
+  return pick_from(hosts);
 }
 
 void CacheFollowerModel::serve_get(double /*rate_multiplier*/) {
@@ -117,28 +108,27 @@ void CacheFollowerModel::serve_get(double /*rate_multiplier*/) {
   const auto web = pick_requester();
   if (!web) return;
 
-  Connection& conn = conns_.pooled_inbound(*web, core::ports::kMemcache);
+  Connection& conn = conns_.pooled(Dir::kIn, *web, core::ports::kMemcache);
   // The response piggybacks the ACK of the request (no standalone ACK).
-  const TimePoint got = wire_->receive(conn, mix_->web.cache_get_request, now,
-                                       Duration::micros(2), /*ack_outbound=*/false);
+  const TimePoint got = wire_.send(Dir::kIn, conn, mix_->web.cache_get_request, now,
+                                   Duration::micros(2), /*ack=*/false);
 
   const Duration service = Duration::micros(static_cast<std::int64_t>(40 + rng_.exponential(60.0)));
   const DataSize object = sampled_size(object_size_, rng_, 32);
 
   if (rng_.bernoulli(p.miss_rate) && !leader_peers_.empty()) {
     // Miss: fill from the shard's leader before answering.
-    const core::HostId leader = leader_peers_[static_cast<std::size_t>(
-        rng_.uniform_int(0, static_cast<std::int64_t>(leader_peers_.size()) - 1))];
+    const core::HostId leader = pick_from(leader_peers_);
     const bool remote =
-        fleet_->host(leader).datacenter != fleet_->host(self_).datacenter;
-    Connection& fill = conns_.pooled(leader, core::ports::kCacheCoherence);
-    const TimePoint asked = wire_->send(fill, p.fill_request, got + service);
+        fleet().host(leader).datacenter != fleet().host(self()).datacenter;
+    Connection& fill = conns_.pooled(Dir::kOut, leader, core::ports::kCacheCoherence);
+    const TimePoint asked = wire_.send(Dir::kOut, fill, p.fill_request, got + service);
     const Duration fill_rtt = remote ? Duration::millis(35) : Duration::micros(400);
-    const TimePoint filled = wire_->receive(fill, object, asked + fill_rtt);
-    wire_->send(conn, object, filled + Duration::micros(20));
+    const TimePoint filled = wire_.send(Dir::kIn, fill, object, asked + fill_rtt);
+    wire_.send(Dir::kOut, conn, object, filled + Duration::micros(20));
     return;
   }
-  wire_->send(conn, object, got + service);
+  wire_.send(Dir::kOut, conn, object, got + service);
 }
 
 void CacheFollowerModel::schedule_next_misc() {
@@ -152,10 +142,9 @@ void CacheFollowerModel::schedule_next_misc() {
   if (rate <= 0.0) return;
   sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / rate)), [this] {
     if (!misc_peers_.empty()) {
-      const core::HostId svc = misc_peers_[static_cast<std::size_t>(
-          rng_.uniform_int(0, static_cast<std::int64_t>(misc_peers_.size()) - 1))];
-      Connection& conn = conns_.pooled(svc, core::ports::kSlb);
-      wire_->send(conn, mix_->cache_follower.misc_message, sim_->now());
+      const core::HostId svc = pick_from(misc_peers_);
+      Connection& conn = conns_.pooled(Dir::kOut, svc, core::ports::kSlb);
+      wire_.send(Dir::kOut, conn, mix_->cache_follower.misc_message, sim_->now());
     }
     schedule_next_misc();
   });
@@ -193,11 +182,12 @@ void CacheFollowerModel::schedule_next_ephemeral() {
     // health checks, shard moves. Small exchanges on fresh connections.
     const auto peer = peers_.pick(HostRole::kWeb, Scope::kSameCluster, rng_);
     if (peer) {
-      const Connection conn = conns_.ephemeral(*peer, core::ports::kMemcache);
-      const TimePoint opened = wire_->open(conn, sim_->now());
-      const TimePoint sent = wire_->send(conn, DataSize::bytes(400), opened);
-      const TimePoint answered = wire_->receive(conn, DataSize::bytes(600), sent + Duration::micros(150));
-      wire_->close(conn, answered + Duration::micros(30));
+      const Connection conn = conns_.ephemeral(Dir::kOut, *peer, core::ports::kMemcache);
+      const TimePoint opened = wire_.open(Dir::kOut, conn, sim_->now());
+      const TimePoint sent = wire_.send(Dir::kOut, conn, DataSize::bytes(400), opened);
+      const TimePoint answered =
+          wire_.send(Dir::kIn, conn, DataSize::bytes(600), sent + Duration::micros(150));
+      wire_.close(conn, answered + Duration::micros(30));
     }
     schedule_next_ephemeral();
   });
@@ -209,12 +199,7 @@ void CacheFollowerModel::schedule_next_ephemeral() {
 
 CacheLeaderModel::CacheLeaderModel(const topology::Fleet& fleet, core::HostId self,
                                    const ServiceMix& mix, core::RngStream rng)
-    : fleet_{&fleet},
-      self_{self},
-      mix_{&mix},
-      rng_{rng},
-      peers_{fleet, self},
-      conns_{fleet, self},
+    : TrafficModel{fleet, self, mix, rng},
       coherency_size_{static_cast<double>(mix.cache_leader.coherency_msg_median.count_bytes()),
                       mix.cache_leader.coherency_sigma},
       object_size_{static_cast<double>(mix.cache_follower.object_median.count_bytes()),
@@ -228,10 +213,7 @@ CacheLeaderModel::CacheLeaderModel(const topology::Fleet& fleet, core::HostId se
   misc_peers_ = peers_.pick_set(HostRole::kService, Scope::kSameDatacenter, 6, setup);
 }
 
-void CacheLeaderModel::start(sim::Simulator& sim, TrafficSink& sink) {
-  sim_ = &sim;
-  sink_ = &sink;
-  wire_ = std::make_unique<Wire>(sim, sink, self_);
+void CacheLeaderModel::schedule_first() {
   schedule_next_coherency();
   schedule_next_db_op();
   schedule_next_fill();
@@ -265,11 +247,11 @@ void CacheLeaderModel::schedule_next_coherency() {
         sim_->now().count_nanos() / 250'000'000LL);
     const auto peer = peers_.pick_skewed(role, scope, rng_, 1.05, rotation);
     if (peer) {
-      Connection& conn = conns_.pooled(*peer, core::ports::kCacheCoherence);
+      Connection& conn = conns_.pooled(Dir::kOut, *peer, core::ports::kCacheCoherence);
       const DataSize msg = sampled_size(coherency_size_, rng_, 64);
       // Invalidations are pipelined fire-and-forget; the TCP-level delayed
       // ACK synthesized by Wire::send is the only reverse traffic.
-      wire_->send(conn, msg, sim_->now());
+      wire_.send(Dir::kOut, conn, msg, sim_->now());
     }
     schedule_next_coherency();
   });
@@ -282,13 +264,12 @@ void CacheLeaderModel::schedule_next_db_op() {
     // Databases are reached in this DC and across the backbone ("single
     // geographically distributed instance", §4.2).
     if (!db_peers_.empty()) {
-      const core::HostId db = db_peers_[static_cast<std::size_t>(
-          rng_.uniform_int(0, static_cast<std::int64_t>(db_peers_.size()) - 1))];
-      const bool remote = fleet_->host(db).datacenter != fleet_->host(self_).datacenter;
-      Connection& conn = conns_.pooled(db, core::ports::kMysql);
-      const TimePoint sent = wire_->send(conn, p2.db_op_size, sim_->now());
+      const core::HostId db = pick_from(db_peers_);
+      const bool remote = fleet().host(db).datacenter != fleet().host(self()).datacenter;
+      Connection& conn = conns_.pooled(Dir::kOut, db, core::ports::kMysql);
+      const TimePoint sent = wire_.send(Dir::kOut, conn, p2.db_op_size, sim_->now());
       const Duration rtt = remote ? Duration::millis(35) : Duration::micros(600);
-      wire_->receive(conn, DataSize::bytes(900), sent + rtt);
+      wire_.send(Dir::kIn, conn, DataSize::bytes(900), sent + rtt);
     }
     schedule_next_db_op();
   });
@@ -304,10 +285,11 @@ void CacheLeaderModel::schedule_next_fill() {
     const auto follower =
         peers_.pick(HostRole::kCacheFollower, Scope::kSameDatacenterOtherCluster, rng_);
     if (follower) {
-      Connection& conn = conns_.pooled_inbound(*follower, core::ports::kCacheCoherence);
-      const TimePoint got = wire_->receive(conn, mix_->cache_follower.fill_request, sim_->now());
+      Connection& conn = conns_.pooled(Dir::kIn, *follower, core::ports::kCacheCoherence);
+      const TimePoint got =
+          wire_.send(Dir::kIn, conn, mix_->cache_follower.fill_request, sim_->now());
       const DataSize object = sampled_size(object_size_, rng_, 32);
-      wire_->send(conn, object, got + Duration::micros(120));
+      wire_.send(Dir::kOut, conn, object, got + Duration::micros(120));
     }
     schedule_next_fill();
   });
@@ -320,10 +302,10 @@ void CacheLeaderModel::schedule_next_ephemeral() {
     const Scope scope = follower_scope();
     const auto peer = peers_.pick(HostRole::kCacheFollower, scope, rng_);
     if (peer) {
-      const Connection conn = conns_.ephemeral(*peer, core::ports::kCacheCoherence);
-      const TimePoint opened = wire_->open(conn, sim_->now());
-      const TimePoint sent = wire_->send(conn, DataSize::bytes(500), opened);
-      wire_->close(conn, sent + Duration::micros(100));
+      const Connection conn = conns_.ephemeral(Dir::kOut, *peer, core::ports::kCacheCoherence);
+      const TimePoint opened = wire_.open(Dir::kOut, conn, sim_->now());
+      const TimePoint sent = wire_.send(Dir::kOut, conn, DataSize::bytes(500), opened);
+      wire_.close(conn, sent + Duration::micros(100));
     }
     schedule_next_ephemeral();
   });
@@ -346,16 +328,14 @@ void CacheLeaderModel::schedule_next_misc() {
     const CacheLeaderParams& p2 = mix_->cache_leader;
     if (rng_.bernoulli(mf_rate / total_rate)) {
       if (!mf_peers_.empty()) {
-        const core::HostId mf = mf_peers_[static_cast<std::size_t>(
-            rng_.uniform_int(0, static_cast<std::int64_t>(mf_peers_.size()) - 1))];
-        Connection& conn = conns_.pooled(mf, core::ports::kMultifeed);
-        wire_->send(conn, p2.multifeed_msg, sim_->now());
+        const core::HostId mf = pick_from(mf_peers_);
+        Connection& conn = conns_.pooled(Dir::kOut, mf, core::ports::kMultifeed);
+        wire_.send(Dir::kOut, conn, p2.multifeed_msg, sim_->now());
       }
     } else if (!misc_peers_.empty()) {
-      const core::HostId svc = misc_peers_[static_cast<std::size_t>(
-          rng_.uniform_int(0, static_cast<std::int64_t>(misc_peers_.size()) - 1))];
-      Connection& conn = conns_.pooled(svc, core::ports::kSlb);
-      wire_->send(conn, p2.misc_message, sim_->now());
+      const core::HostId svc = pick_from(misc_peers_);
+      Connection& conn = conns_.pooled(Dir::kOut, svc, core::ports::kSlb);
+      wire_.send(Dir::kOut, conn, p2.misc_message, sim_->now());
     }
     schedule_next_misc();
   });

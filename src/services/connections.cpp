@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "fbdcsim/services/traffic_model.h"
+
 namespace fbdcsim::services {
 
 namespace {
@@ -11,13 +13,15 @@ using core::TimePoint;
 using namespace core::wire;
 }  // namespace
 
-core::FiveTuple ConnectionTable::make_tuple(core::HostId peer, core::Port dst_port,
-                                            core::Port src_port) const {
+core::FiveTuple ConnectionTable::make_tuple(Dir dir, core::HostId peer,
+                                            core::Port service_port,
+                                            core::Port opener_port) const {
+  const bool out = dir == Dir::kOut;
   return core::FiveTuple{
       fleet_->host(self_).addr,
       fleet_->host(peer).addr,
-      src_port,
-      dst_port,
+      out ? opener_port : service_port,
+      out ? service_port : opener_port,
       core::Protocol::kTcp,
   };
 }
@@ -34,69 +38,47 @@ core::Port ConnectionTable::next_port() {
   }
 }
 
-Connection& ConnectionTable::pooled(core::HostId peer, core::Port dst_port) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(peer.value()) << 16) | dst_port;
+Connection& ConnectionTable::pooled(Dir dir, core::HostId peer, core::Port service_port) {
+  const std::uint64_t key = (dir == Dir::kIn ? 0x8000'0000'0000'0000ULL : 0) |
+                            (static_cast<std::uint64_t>(peer.value()) << 16) | service_port;
   auto it = pool_.find(key);
   if (it == pool_.end()) {
-    const core::Port src = next_port();
-    pooled_ports_[src - core::ports::kEphemeralBase] = true;
-    it = pool_.emplace(key, Connection{make_tuple(peer, dst_port, src), peer, true}).first;
-  }
-  return it->second;
-}
-
-Connection ConnectionTable::ephemeral(core::HostId peer, core::Port dst_port) {
-  const core::Port src = next_port();
-  return Connection{make_tuple(peer, dst_port, src), peer, false};
-}
-
-Connection ConnectionTable::ephemeral_inbound(core::HostId peer, core::Port self_port) {
-  const core::Port peer_port = next_port();  // peer's ephemeral source port
-  // Self -> peer orientation: well-known port on self, ephemeral on peer.
-  return Connection{make_tuple(peer, peer_port, self_port), peer, false};
-}
-
-Connection& ConnectionTable::pooled_inbound(core::HostId peer, core::Port self_port) {
-  const std::uint64_t key = 0x8000'0000'0000'0000ULL |
-                            (static_cast<std::uint64_t>(peer.value()) << 16) | self_port;
-  auto it = pool_.find(key);
-  if (it == pool_.end()) {
-    const core::Port peer_port = next_port();
-    pooled_ports_[peer_port - core::ports::kEphemeralBase] = true;
-    it = pool_.emplace(key, Connection{make_tuple(peer, peer_port, self_port), peer, true})
+    const core::Port opener_port = next_port();
+    pooled_ports_[opener_port - core::ports::kEphemeralBase] = true;
+    it = pool_.emplace(key, Connection{make_tuple(dir, peer, service_port, opener_port), peer,
+                                       true})
              .first;
   }
   return it->second;
 }
 
-void Wire::emit_out(const core::FiveTuple& tuple, core::HostId peer, TimePoint at,
-                    std::int64_t payload, core::TcpFlags flags) {
-  sim_->schedule_at(at, [this, tuple, peer, payload, flags] {
+Connection ConnectionTable::ephemeral(Dir dir, core::HostId peer, core::Port service_port) {
+  return Connection{make_tuple(dir, peer, service_port, next_port()), peer, false};
+}
+
+Wire::Wire(sim::Simulator& sim, TrafficSink& sink, core::HostId self)
+    : sim_{&sim}, sink_{&sink}, mux_{sink.transport()}, self_{self} {}
+
+void Wire::emit(Dir dir, const Connection& conn, TimePoint at, std::int64_t payload,
+                core::TcpFlags flags) {
+  const core::FiveTuple tuple = transport::oriented(conn.tuple, dir);
+  const core::HostId peer = conn.peer;
+  sim_->schedule_at(at, [this, dir, tuple, peer, payload, flags] {
     SimPacket pkt;
     pkt.header.timestamp = sim_->now();
     pkt.header.tuple = tuple;
     pkt.header.payload_bytes = payload;
     pkt.header.frame_bytes = tcp_frame_bytes(payload);
     pkt.header.flags = flags;
-    pkt.src = self_;
-    pkt.dst = peer;
-    sink_->host_send(pkt);
-  });
-}
-
-void Wire::emit_in(const core::FiveTuple& tuple_from_peer, core::HostId peer, TimePoint at,
-                   std::int64_t payload, core::TcpFlags flags) {
-  sim_->schedule_at(at, [this, tuple_from_peer, peer, payload, flags] {
-    SimPacket pkt;
-    pkt.header.timestamp = sim_->now();
-    pkt.header.tuple = tuple_from_peer;
-    pkt.header.payload_bytes = payload;
-    pkt.header.frame_bytes = tcp_frame_bytes(payload);
-    pkt.header.flags = flags;
-    pkt.src = peer;
-    pkt.dst = self_;
-    sink_->host_receive(pkt);
+    if (dir == Dir::kOut) {
+      pkt.src = self_;
+      pkt.dst = peer;
+      sink_->host_send(pkt);
+    } else {
+      pkt.src = peer;
+      pkt.dst = self_;
+      sink_->host_receive(pkt);
+    }
   });
 }
 
@@ -111,10 +93,10 @@ TimePoint scripted_last_segment(TimePoint start, std::int64_t bytes, Duration ga
 }
 }  // namespace
 
-TimePoint Wire::send(const Connection& conn, core::DataSize payload, TimePoint start,
-                     Duration gap, bool ack_inbound) {
+TimePoint Wire::send(Dir dir, const Connection& conn, core::DataSize payload,
+                     TimePoint start, Duration gap, bool ack) {
   if (mux_ != nullptr) {
-    mux_->app_send(conn.tuple, self_, conn.peer, payload.count_bytes(), start, gap);
+    mux_->app_send(dir, conn.tuple, self_, conn.peer, payload.count_bytes(), start, gap);
     return scripted_last_segment(start, payload.count_bytes(), gap);
   }
   std::int64_t remaining = payload.count_bytes();
@@ -125,63 +107,26 @@ TimePoint Wire::send(const Connection& conn, core::DataSize payload, TimePoint s
     const std::int64_t seg = std::min<std::int64_t>(remaining, kMaxTcpPayloadBytes);
     remaining -= seg;
     const core::TcpFlags flags{.ack = true, .psh = remaining == 0};
-    emit_out(conn.tuple, conn.peer, at, seg, flags);
+    emit(dir, conn, at, seg, flags);
     ++segments;
-    // Delayed ACK: peer acknowledges every second segment (and the last).
-    if (ack_inbound && (segments % 2 == 0 || remaining == 0)) {
-      emit_in(conn.tuple.reversed(), conn.peer, at + ack_delay, 0, core::TcpFlags{.ack = true});
+    // Delayed ACK: the receiver acknowledges every second segment (and the last).
+    if (ack && (segments % 2 == 0 || remaining == 0)) {
+      emit(transport::opposite(dir), conn, at + ack_delay, 0, core::TcpFlags{.ack = true});
     }
     if (remaining > 0) at += gap;
   }
   return at;
 }
 
-TimePoint Wire::receive(const Connection& conn, core::DataSize payload, TimePoint start,
-                        Duration gap, bool ack_outbound) {
+TimePoint Wire::open(Dir dir, const Connection& conn, TimePoint start, Duration rtt) {
   if (mux_ != nullptr) {
-    mux_->app_receive(conn.tuple, self_, conn.peer, payload.count_bytes(), start, gap);
-    return scripted_last_segment(start, payload.count_bytes(), gap);
-  }
-  std::int64_t remaining = payload.count_bytes();
-  TimePoint at = start;
-  int segments = 0;
-  const Duration ack_delay = Duration::micros(80);
-  const core::FiveTuple from_peer = conn.tuple.reversed();
-  while (remaining > 0) {
-    const std::int64_t seg = std::min<std::int64_t>(remaining, kMaxTcpPayloadBytes);
-    remaining -= seg;
-    const core::TcpFlags flags{.ack = true, .psh = remaining == 0};
-    emit_in(from_peer, conn.peer, at, seg, flags);
-    ++segments;
-    if (ack_outbound && (segments % 2 == 0 || remaining == 0)) {
-      emit_out(conn.tuple, conn.peer, at + ack_delay, 0, core::TcpFlags{.ack = true});
-    }
-    if (remaining > 0) at += gap;
-  }
-  return at;
-}
-
-TimePoint Wire::open(const Connection& conn, TimePoint start, Duration rtt) {
-  if (mux_ != nullptr) {
-    mux_->open(conn.tuple, self_, conn.peer, start);
+    mux_->open(dir, conn.tuple, self_, conn.peer, start);
     return start + rtt;
   }
-  emit_out(conn.tuple, conn.peer, start, 0, core::TcpFlags{.syn = true});
-  emit_in(conn.tuple.reversed(), conn.peer, start + rtt / 2, 0,
-          core::TcpFlags{.syn = true, .ack = true});
-  emit_out(conn.tuple, conn.peer, start + rtt, 0, core::TcpFlags{.ack = true});
-  return start + rtt;
-}
-
-TimePoint Wire::open_inbound(const Connection& conn, TimePoint start, Duration rtt) {
-  if (mux_ != nullptr) {
-    mux_->open_inbound(conn.tuple, self_, conn.peer, start);
-    return start + rtt;
-  }
-  // The peer initiates: its SYN travels on the reverse (peer -> self) path.
-  emit_in(conn.tuple.reversed(), conn.peer, start, 0, core::TcpFlags{.syn = true});
-  emit_out(conn.tuple, conn.peer, start + rtt / 2, 0, core::TcpFlags{.syn = true, .ack = true});
-  emit_in(conn.tuple.reversed(), conn.peer, start + rtt, 0, core::TcpFlags{.ack = true});
+  emit(dir, conn, start, 0, core::TcpFlags{.syn = true});
+  emit(transport::opposite(dir), conn, start + rtt / 2, 0,
+       core::TcpFlags{.syn = true, .ack = true});
+  emit(dir, conn, start + rtt, 0, core::TcpFlags{.ack = true});
   return start + rtt;
 }
 
@@ -190,10 +135,9 @@ void Wire::close(const Connection& conn, TimePoint start, Duration rtt) {
     mux_->app_close(conn.tuple, self_, conn.peer, start);
     return;
   }
-  emit_out(conn.tuple, conn.peer, start, 0, core::TcpFlags{.ack = true, .fin = true});
-  emit_in(conn.tuple.reversed(), conn.peer, start + rtt / 2, 0,
-          core::TcpFlags{.ack = true, .fin = true});
-  emit_out(conn.tuple, conn.peer, start + rtt, 0, core::TcpFlags{.ack = true});
+  emit(Dir::kOut, conn, start, 0, core::TcpFlags{.ack = true, .fin = true});
+  emit(Dir::kIn, conn, start + rtt / 2, 0, core::TcpFlags{.ack = true, .fin = true});
+  emit(Dir::kOut, conn, start + rtt, 0, core::TcpFlags{.ack = true});
 }
 
 }  // namespace fbdcsim::services

@@ -15,12 +15,7 @@ using core::TimePoint;
 
 HadoopModel::HadoopModel(const topology::Fleet& fleet, core::HostId self,
                          const ServiceMix& mix, core::RngStream rng)
-    : fleet_{&fleet},
-      self_{self},
-      mix_{&mix},
-      rng_{rng},
-      peers_{fleet, self},
-      conns_{fleet, self},
+    : TrafficModel{fleet, self, mix, rng},
       transfer_size_{static_cast<double>(mix.hadoop.transfer_median.count_bytes()),
                      mix.hadoop.transfer_sigma} {
   // Rack-local peers: the whole rack (fairly even spread, §4.2).
@@ -36,18 +31,12 @@ HadoopModel::HadoopModel(const topology::Fleet& fleet, core::HostId self,
                                   mix.hadoop.partner_fraction * 10.0));
   std::unordered_set<std::uint32_t> chosen;
   while (partners_.size() < std::min(want, cluster_peers.size())) {
-    const auto idx = static_cast<std::size_t>(
-        rng_.uniform_int(0, static_cast<std::int64_t>(cluster_peers.size()) - 1));
-    if (chosen.insert(cluster_peers[idx].value()).second) {
-      partners_.push_back(cluster_peers[idx]);
-    }
+    const core::HostId peer = pick_from(cluster_peers);
+    if (chosen.insert(peer.value()).second) partners_.push_back(peer);
   }
 }
 
-void HadoopModel::start(sim::Simulator& sim, TrafficSink& sink) {
-  sim_ = &sim;
-  sink_ = &sink;
-  wire_ = std::make_unique<Wire>(sim, sink, self_);
+void HadoopModel::schedule_first() {
   schedule_next_control();
   // Start in a random phase position so co-located nodes desynchronize.
   if (rng_.bernoulli(mix_->hadoop.busy_period_mean.to_seconds() /
@@ -88,33 +77,28 @@ void HadoopModel::start_shuffle_streams(std::uint64_t epoch) {
   // streams produce the ~25 concurrent connections of §6.4.
   const HadoopParams& p = mix_->hadoop;
   for (int i = 0; i < p.shuffle_streams; ++i) {
-    const bool rack_local = rng_.bernoulli(p.rack_local_fraction) && !rack_partners_.empty();
-    core::HostId peer;
-    if (rack_local) {
-      peer = rack_partners_[static_cast<std::size_t>(
-          rng_.uniform_int(0, static_cast<std::int64_t>(rack_partners_.size()) - 1))];
-    } else if (!partners_.empty()) {
-      peer = partners_[static_cast<std::size_t>(
-          rng_.uniform_int(0, static_cast<std::int64_t>(partners_.size()) - 1))];
-    } else {
-      continue;
-    }
-    const bool inbound = i % 2 == 0;  // half fetches, half serves/writes
-    const Connection conn = inbound
-                                ? conns_.ephemeral_inbound(peer, core::ports::kMapReduceShuffle)
-                                : conns_.ephemeral(peer, core::ports::kMapReduceShuffle);
-    const TimePoint opened = inbound ? wire_->open_inbound(conn, sim_->now())
-                                     : wire_->open(conn, sim_->now());
-    schedule_stream_chunk(epoch, conn, inbound, opened + Duration::micros(100));
+    const auto peer =
+        pick_partner(rng_.bernoulli(p.rack_local_fraction) && !rack_partners_.empty());
+    if (!peer) continue;
+    const Dir dir = i % 2 == 0 ? Dir::kIn : Dir::kOut;  // half fetches, half serves/writes
+    const Connection conn = conns_.ephemeral(dir, *peer, core::ports::kMapReduceShuffle);
+    const TimePoint opened = wire_.open(dir, conn, sim_->now());
+    schedule_stream_chunk(epoch, conn, dir, opened + Duration::micros(100));
   }
 }
 
-void HadoopModel::schedule_stream_chunk(std::uint64_t epoch, Connection conn, bool inbound,
+std::optional<core::HostId> HadoopModel::pick_partner(bool rack_local) {
+  if (rack_local) return pick_from(rack_partners_);
+  if (partners_.empty()) return std::nullopt;
+  return pick_from(partners_);
+}
+
+void HadoopModel::schedule_stream_chunk(std::uint64_t epoch, Connection conn, Dir dir,
                                         TimePoint at) {
   if (at < sim_->now()) at = sim_->now();
-  sim_->schedule_at(at, [this, epoch, conn, inbound] {
+  sim_->schedule_at(at, [this, epoch, conn, dir] {
     if (epoch != phase_epoch_ || !busy_) {
-      wire_->close(conn, sim_->now());
+      wire_.close(conn, sim_->now());
       return;
     }
     const HadoopParams& p = mix_->hadoop;
@@ -124,11 +108,10 @@ void HadoopModel::schedule_stream_chunk(std::uint64_t epoch, Connection conn, bo
         512, static_cast<std::int64_t>(chunk_dist.sample(rng_))));
     // Streams are disk/application bound (~0.3-0.5 Gbps), not line rate.
     const Duration gap = Duration::micros(static_cast<std::int64_t>(25 + rng_.exponential(10.0)));
-    const TimePoint done = inbound ? wire_->receive(conn, chunk, sim_->now(), gap)
-                                   : wire_->send(conn, chunk, sim_->now(), gap);
+    const TimePoint done = wire_.send(dir, conn, chunk, sim_->now(), gap);
     const Duration wait = Duration::from_seconds(
         rng_.exponential(p.stream_interval_mean.to_seconds()));
-    schedule_stream_chunk(epoch, conn, inbound, done + wait);
+    schedule_stream_chunk(epoch, conn, dir, done + wait);
   });
 }
 
@@ -142,26 +125,17 @@ void HadoopModel::schedule_next_transfer() {
     // fetches it. Synthesize inbound transfers from outside the rack only
     // (rack-local inbound comes from neighbours' models; see
     // traffic_model.h).
-    launch_transfer(/*inbound=*/rng_.bernoulli(0.5));
+    launch_transfer(rng_.bernoulli(0.5) ? Dir::kIn : Dir::kOut);
     schedule_next_transfer();
   });
 }
 
-void HadoopModel::launch_transfer(bool inbound) {
+void HadoopModel::launch_transfer(Dir dir) {
   const HadoopParams& p = mix_->hadoop;
 
-  const bool rack_local = !inbound && rng_.bernoulli(p.rack_local_fraction) &&
-                          !rack_partners_.empty();
-  core::HostId peer;
-  if (rack_local) {
-    peer = rack_partners_[static_cast<std::size_t>(
-        rng_.uniform_int(0, static_cast<std::int64_t>(rack_partners_.size()) - 1))];
-  } else if (!partners_.empty()) {
-    peer = partners_[static_cast<std::size_t>(
-        rng_.uniform_int(0, static_cast<std::int64_t>(partners_.size()) - 1))];
-  } else {
-    return;
-  }
+  const auto peer = pick_partner(dir == Dir::kOut && rng_.bernoulli(p.rack_local_fraction) &&
+                                 !rack_partners_.empty());
+  if (!peer) return;
 
   const auto bytes = std::min<std::int64_t>(
       std::max<std::int64_t>(128, static_cast<std::int64_t>(transfer_size_.sample(rng_))),
@@ -173,17 +147,10 @@ void HadoopModel::launch_transfer(bool inbound) {
   const Duration gap = Duration::micros(static_cast<std::int64_t>(2 + rng_.exponential(10.0)));
   const TimePoint now = sim_->now();
 
-  if (inbound) {
-    const Connection conn = conns_.ephemeral_inbound(peer, core::ports::kMapReduceShuffle);
-    const TimePoint opened = wire_->open_inbound(conn, now);
-    const TimePoint done = wire_->receive(conn, size, opened, gap);
-    wire_->close(conn, done + Duration::micros(50));
-  } else {
-    const Connection conn = conns_.ephemeral(peer, core::ports::kMapReduceShuffle);
-    const TimePoint opened = wire_->open(conn, now);
-    const TimePoint done = wire_->send(conn, size, opened, gap);
-    wire_->close(conn, done + Duration::micros(50));
-  }
+  const Connection conn = conns_.ephemeral(dir, *peer, core::ports::kMapReduceShuffle);
+  const TimePoint opened = wire_.open(dir, conn, now);
+  const TimePoint done = wire_.send(dir, conn, size, opened, gap);
+  wire_.close(conn, done + Duration::micros(50));
 }
 
 void HadoopModel::schedule_next_control() {
@@ -196,15 +163,15 @@ void HadoopModel::schedule_next_control() {
     if (rng_.bernoulli(p2.misc_bytes_fraction)) {
       const auto svc = peers_.pick(HostRole::kService, Scope::kSameDatacenter, rng_);
       if (svc) {
-        Connection& conn = conns_.pooled(*svc, core::ports::kSlb);
-        wire_->send(conn, p2.control_msg, sim_->now());
+        Connection& conn = conns_.pooled(Dir::kOut, *svc, core::ports::kSlb);
+        wire_.send(Dir::kOut, conn, p2.control_msg, sim_->now());
       }
     } else {
       const auto peer = peers_.pick(HostRole::kHadoop, Scope::kSameClusterOtherRack, rng_);
       if (peer) {
-        Connection& conn = conns_.pooled(*peer, core::ports::kHdfs);
-        const TimePoint sent = wire_->send(conn, p2.control_msg, sim_->now());
-        wire_->receive(conn, DataSize::bytes(200), sent + Duration::micros(250));
+        Connection& conn = conns_.pooled(Dir::kOut, *peer, core::ports::kHdfs);
+        const TimePoint sent = wire_.send(Dir::kOut, conn, p2.control_msg, sim_->now());
+        wire_.send(Dir::kIn, conn, DataSize::bytes(200), sent + Duration::micros(250));
       }
     }
     schedule_next_control();

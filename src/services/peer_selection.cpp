@@ -20,39 +20,15 @@ const char* to_string(Scope scope) {
   return "?";
 }
 
-bool PeerSelector::in_scope(const topology::Host& c, Scope scope) const {
-  const topology::Host& s = fleet_->host(self_);
-  switch (scope) {
-    case Scope::kSameRack:
-      return c.rack == s.rack;
-    case Scope::kSameCluster:
-      return c.cluster == s.cluster;
-    case Scope::kSameClusterOtherRack:
-      return c.cluster == s.cluster && c.rack != s.rack;
-    case Scope::kSameDatacenterOtherCluster:
-      return c.datacenter == s.datacenter && c.cluster != s.cluster;
-    case Scope::kSameDatacenter:
-      return c.datacenter == s.datacenter;
-    case Scope::kOtherDatacentersSameSite:
-      return c.site == s.site && c.datacenter != s.datacenter;
-    case Scope::kOtherSites:
-      return c.site != s.site;
-    case Scope::kOtherDatacenters:
-      return c.datacenter != s.datacenter;
-    case Scope::kAnywhere:
-      return true;
-  }
-  return false;
-}
-
 std::span<const core::HostId> PeerSelector::candidates(core::HostRole role, Scope scope) {
   const auto key = std::make_pair(role, scope);
   auto it = cache_.find(key);
   if (it == cache_.end()) {
+    const topology::Host& self = fleet_->host(self_);
     std::vector<core::HostId> list;
     for (const topology::Host& h : fleet_->hosts()) {
       if (h.id == self_ || h.role != role) continue;
-      if (in_scope(h, scope)) list.push_back(h.id);
+      if (in_scope(self, h, scope)) list.push_back(h.id);
     }
     it = cache_.emplace(key, std::move(list)).first;
   }

@@ -14,12 +14,7 @@ using core::TimePoint;
 
 WebServerModel::WebServerModel(const topology::Fleet& fleet, core::HostId self,
                                const ServiceMix& mix, core::RngStream rng)
-    : fleet_{&fleet},
-      self_{self},
-      mix_{&mix},
-      rng_{rng},
-      peers_{fleet, self},
-      conns_{fleet, self},
+    : TrafficModel{fleet, self, mix, rng},
       slb_response_{static_cast<double>(mix.web.slb_response_mean.count_bytes()),
                     mix.web.slb_response_sigma},
       hot_response_{static_cast<double>(mix.hot_objects.hot_object_median.count_bytes()),
@@ -52,10 +47,7 @@ WebServerModel::WebServerModel(const topology::Fleet& fleet, core::HostId self,
                                                     mix.hot_objects.zipf_exponent);
 }
 
-void WebServerModel::start(sim::Simulator& sim, TrafficSink& sink) {
-  sim_ = &sim;
-  sink_ = &sink;
-  wire_ = std::make_unique<Wire>(sim, sink, self_);
+void WebServerModel::schedule_first() {
   schedule_next_user_request();
   schedule_next_misc();
   schedule_next_ephemeral();
@@ -74,15 +66,13 @@ void WebServerModel::serve_user_request() {
   const TimePoint now = sim_->now();
 
   // 1. The user request arrives from an SLB over a pooled connection.
-  const auto slb = mix_->load_balancing_enabled
-                       ? peers_.pick(HostRole::kSlb, Scope::kSameCluster, rng_)
-                       : peers_.pick_skewed(HostRole::kSlb, Scope::kSameCluster, rng_);
+  const auto slb = pick_balanced(HostRole::kSlb, Scope::kSameCluster);
   TimePoint ready = now;
   if (slb) {
-    Connection& in = conns_.pooled_inbound(*slb, core::ports::kHttp);
+    Connection& in = conns_.pooled(Dir::kIn, *slb, core::ports::kHttp);
     // The page response piggybacks the ACK of the user request.
-    ready = wire_->receive(in, mix_->slb.request_size, now, Duration::micros(2),
-                           /*ack_outbound=*/false);
+    ready = wire_.send(Dir::kIn, in, mix_->slb.request_size, now, Duration::micros(2),
+                       /*ack=*/false);
   }
 
   // 2. After think time, a burst of cache gets spread over the cluster's
@@ -114,18 +104,18 @@ void WebServerModel::serve_user_request() {
         80 + rng_.exponential(120.0)));
 
     if (mix_->connection_pooling_enabled) {
-      Connection& conn = conns_.pooled(*follower, core::ports::kMemcache);
+      Connection& conn = conns_.pooled(Dir::kOut, *follower, core::ports::kMemcache);
       // The cache response piggybacks the request's ACK.
       const TimePoint sent =
-          wire_->send(conn, w.cache_get_request, at, Duration::micros(2), false);
-      wire_->receive(conn, response, sent + service);
+          wire_.send(Dir::kOut, conn, w.cache_get_request, at, Duration::micros(2), false);
+      wire_.send(Dir::kIn, conn, response, sent + service);
     } else {
       // Pooling-off ablation: every get pays a handshake and teardown.
-      const Connection conn = conns_.ephemeral(*follower, core::ports::kMemcache);
-      const TimePoint open_done = wire_->open(conn, at);
-      const TimePoint sent = wire_->send(conn, w.cache_get_request, open_done);
-      const TimePoint resp_done = wire_->receive(conn, response, sent + service);
-      wire_->close(conn, resp_done + Duration::micros(20));
+      const Connection conn = conns_.ephemeral(Dir::kOut, *follower, core::ports::kMemcache);
+      const TimePoint open_done = wire_.open(Dir::kOut, conn, at);
+      const TimePoint sent = wire_.send(Dir::kOut, conn, w.cache_get_request, open_done);
+      const TimePoint resp_done = wire_.send(Dir::kIn, conn, response, sent + service);
+      wire_.close(conn, resp_done + Duration::micros(20));
     }
     at += w.burst_gap;
   }
@@ -135,25 +125,25 @@ void WebServerModel::serve_user_request() {
   for (int m = 0; m < mf_calls; ++m) {
     const auto mf = peers_.pick(HostRole::kMultifeed, Scope::kSameCluster, rng_);
     if (!mf) break;
-    Connection& conn = conns_.pooled(*mf, core::ports::kMultifeed);
+    Connection& conn = conns_.pooled(Dir::kOut, *mf, core::ports::kMultifeed);
     const TimePoint sent =
-        wire_->send(conn, w.multifeed_request, at, Duration::micros(2), false);
+        wire_.send(Dir::kOut, conn, w.multifeed_request, at, Duration::micros(2), false);
     const DataSize mf_resp = DataSize::bytes(std::max<std::int64_t>(
         64, static_cast<std::int64_t>(
                 core::LogNormal{static_cast<double>(
                                     mix_->multifeed.response_median.count_bytes()),
                                 mix_->multifeed.response_sigma}
                     .sample(rng_))));
-    wire_->receive(conn, mf_resp, sent + Duration::micros(300));
+    wire_.send(Dir::kIn, conn, mf_resp, sent + Duration::micros(300));
     at += w.burst_gap;
   }
 
   // 4. Response back to the SLB.
   if (slb) {
-    Connection& in = conns_.pooled_inbound(*slb, core::ports::kHttp);
+    Connection& in = conns_.pooled(Dir::kIn, *slb, core::ports::kHttp);
     const DataSize page = DataSize::bytes(std::max<std::int64_t>(
         256, static_cast<std::int64_t>(slb_response_.sample(rng_))));
-    wire_->send(in, page, at + Duration::micros(200));
+    wire_.send(Dir::kOut, in, page, at + Duration::micros(200));
   }
 }
 
@@ -166,13 +156,14 @@ void WebServerModel::schedule_next_ephemeral() {
   sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / rate)), [this] {
     const auto peer = peers_.pick(HostRole::kCacheFollower, Scope::kSameCluster, rng_);
     if (peer) {
-      const Connection conn = conns_.ephemeral(*peer, core::ports::kMemcache);
-      const TimePoint opened = wire_->open(conn, sim_->now());
-      const TimePoint sent = wire_->send(conn, mix_->web.cache_get_request, opened);
+      const Connection conn = conns_.ephemeral(Dir::kOut, *peer, core::ports::kMemcache);
+      const TimePoint opened = wire_.open(Dir::kOut, conn, sim_->now());
+      const TimePoint sent = wire_.send(Dir::kOut, conn, mix_->web.cache_get_request, opened);
       const DataSize response = DataSize::bytes(std::max<std::int64_t>(
           32, static_cast<std::int64_t>(cache_response_.sample(rng_))));
-      const TimePoint done = wire_->receive(conn, response, sent + Duration::micros(150));
-      wire_->close(conn, done + Duration::micros(20));
+      const TimePoint done =
+          wire_.send(Dir::kIn, conn, response, sent + Duration::micros(150));
+      wire_.close(conn, done + Duration::micros(20));
     }
     schedule_next_ephemeral();
   });
@@ -188,10 +179,9 @@ void WebServerModel::schedule_next_misc() {
     // Background traffic (logging, config, static-asset replication) to
     // the fixed endpoint group, which spans this and other datacenters.
     if (!misc_peers_.empty()) {
-      const core::HostId peer = misc_peers_[static_cast<std::size_t>(
-          rng_.uniform_int(0, static_cast<std::int64_t>(misc_peers_.size()) - 1))];
-      Connection& conn = conns_.pooled(peer, core::ports::kSlb);
-      wire_->send(conn, w2.misc_message, sim_->now());
+      const core::HostId peer = pick_from(misc_peers_);
+      Connection& conn = conns_.pooled(Dir::kOut, peer, core::ports::kSlb);
+      wire_.send(Dir::kOut, conn, w2.misc_message, sim_->now());
     }
     schedule_next_misc();
   });

@@ -202,7 +202,7 @@ void TransportMux::emit_now(TcpConnection& c, Dir dir, std::int64_t payload,
                             std::int64_t sack_lo, std::int64_t sack_hi) {
   core::SimPacket pkt;
   pkt.header.timestamp = sim_->now();
-  pkt.header.tuple = dir == Dir::kOut ? c.tuple : c.tuple.reversed();
+  pkt.header.tuple = oriented(c.tuple, dir);
   pkt.header.payload_bytes = payload;
   // A SACK block rides as a TCP option, so the carrying ACK's frame grows.
   // Only kSack receivers with buffered out-of-order data ever attach one.
@@ -278,21 +278,14 @@ void TransportMux::emit(telemetry::TransportEventKind kind, const TcpConnection&
 
 // ---- DemandSink ----
 
-void TransportMux::open(const core::FiveTuple& tuple, core::HostId self, core::HostId peer,
-                        TimePoint start) {
+void TransportMux::open(Dir dir, const core::FiveTuple& tuple, core::HostId self,
+                        core::HostId peer, TimePoint start) {
   TcpConnection& c = ensure(tuple, self, peer, ConnState::kClosed);
   const std::uint32_t tag = c.tag;
-  sim_->schedule_at(start, [this, tag] { on_ctrl(tag, Ctrl::kBeginOpen); });
+  sim_->schedule_at(start, [this, tag, dir] { on_open(tag, dir); });
 }
 
-void TransportMux::open_inbound(const core::FiveTuple& tuple, core::HostId self,
-                                core::HostId peer, TimePoint start) {
-  TcpConnection& c = ensure(tuple, self, peer, ConnState::kClosed);
-  const std::uint32_t tag = c.tag;
-  sim_->schedule_at(start, [this, tag] { on_ctrl(tag, Ctrl::kBeginInbound); });
-}
-
-void TransportMux::app_send(const core::FiveTuple& tuple, core::HostId self,
+void TransportMux::app_send(Dir dir, const core::FiveTuple& tuple, core::HostId self,
                             core::HostId peer, std::int64_t bytes, TimePoint start,
                             Duration pace_gap) {
   if (bytes <= 0) return;
@@ -301,20 +294,8 @@ void TransportMux::app_send(const core::FiveTuple& tuple, core::HostId self,
   TcpConnection& c = ensure(tuple, self, peer, ConnState::kEstablished);
   const std::uint32_t tag = c.tag;
   const std::int64_t gap_ns = pace_gap.count_nanos();
-  sim_->schedule_at(start, [this, tag, bytes, gap_ns] {
-    on_demand(tag, Dir::kOut, bytes, Duration::nanos(gap_ns));
-  });
-}
-
-void TransportMux::app_receive(const core::FiveTuple& tuple, core::HostId self,
-                               core::HostId peer, std::int64_t bytes, TimePoint start,
-                               Duration pace_gap) {
-  if (bytes <= 0) return;
-  TcpConnection& c = ensure(tuple, self, peer, ConnState::kEstablished);
-  const std::uint32_t tag = c.tag;
-  const std::int64_t gap_ns = pace_gap.count_nanos();
-  sim_->schedule_at(start, [this, tag, bytes, gap_ns] {
-    on_demand(tag, Dir::kIn, bytes, Duration::nanos(gap_ns));
+  sim_->schedule_at(start, [this, tag, dir, bytes, gap_ns] {
+    on_demand(tag, dir, bytes, Duration::nanos(gap_ns));
   });
 }
 
@@ -341,22 +322,6 @@ void TransportMux::on_ctrl(std::uint32_t tag, Ctrl ctrl) {
   if (cp == nullptr) return;
   TcpConnection& c = *cp;
   switch (ctrl) {
-    case Ctrl::kBeginOpen:
-      if (c.state == ConnState::kClosed) {
-        c.state = ConnState::kSynSent;
-        emit(Ev::kSyn, c);
-        emit_now(c, Dir::kOut, 0, core::TcpFlags{.syn = true}, 0, 0);
-        arm_hs(c);
-      }
-      break;
-    case Ctrl::kBeginInbound:
-      if (c.state == ConnState::kClosed) {
-        c.state = ConnState::kSynReceived;
-        emit(Ev::kSyn, c);
-        emit_now(c, Dir::kIn, 0, core::TcpFlags{.syn = true}, 0, 0);
-        arm_hs(c);
-      }
-      break;
     case Ctrl::kSynAckIn:
       emit_now(c, Dir::kIn, 0, core::TcpFlags{.syn = true, .ack = true}, 0, 0);
       break;
@@ -372,6 +337,20 @@ void TransportMux::on_ctrl(std::uint32_t tag, Ctrl ctrl) {
       try_close(c);
       break;
   }
+}
+
+void TransportMux::on_open(std::uint32_t tag, Dir dir) {
+  TcpConnection* cp = resolve(tag);
+  if (cp == nullptr || cp->state != ConnState::kClosed) return;
+  cp->state = dir == Dir::kOut ? ConnState::kSynSent : ConnState::kSynReceived;
+  send_syn(*cp);
+  arm_hs(*cp);
+}
+
+void TransportMux::send_syn(TcpConnection& c) {
+  emit(Ev::kSyn, c);
+  emit_now(c, c.state == ConnState::kSynSent ? Dir::kOut : Dir::kIn, 0,
+           core::TcpFlags{.syn = true}, 0, 0);
 }
 
 void TransportMux::on_demand(std::uint32_t tag, Dir dir, std::int64_t bytes,
@@ -717,14 +696,10 @@ void TransportMux::on_hs_event(std::uint32_t tag) {
        static_cast<std::int64_t>(c.state));
   switch (c.state) {
     case ConnState::kSynSent:
-      emit(Ev::kSyn, c);
-      emit_now(c, Dir::kOut, 0, core::TcpFlags{.syn = true}, 0, 0);
-      break;
     case ConnState::kSynReceived:
-      // Covers both a lost peer SYN and a lost SYN-ACK: replaying the SYN
-      // re-triggers our SYN-ACK on delivery.
-      emit(Ev::kSyn, c);
-      emit_now(c, Dir::kIn, 0, core::TcpFlags{.syn = true}, 0, 0);
+      // In kSynReceived this covers both a lost peer SYN and a lost
+      // SYN-ACK: replaying the SYN re-triggers our SYN-ACK on delivery.
+      send_syn(c);
       break;
     case ConnState::kFinWait:
       emit_now(c, Dir::kOut, 0, core::TcpFlags{.ack = true, .fin = true}, 0,

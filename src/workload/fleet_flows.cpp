@@ -93,26 +93,7 @@ HostId RoleIndex::pick(HostId src_id, HostRole role, Scope scope, core::RngStrea
     const HostId cand = (*bucket)[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(bucket->size()) - 1))];
     if (cand == src_id) continue;
-    const topology::Host& c = fleet_->host(cand);
-    bool ok = false;
-    switch (scope) {
-      case Scope::kSameRack: ok = c.rack == src.rack; break;
-      case Scope::kSameCluster: ok = c.cluster == src.cluster; break;
-      case Scope::kSameClusterOtherRack:
-        ok = c.cluster == src.cluster && c.rack != src.rack;
-        break;
-      case Scope::kSameDatacenter: ok = c.datacenter == src.datacenter; break;
-      case Scope::kSameDatacenterOtherCluster:
-        ok = c.datacenter == src.datacenter && c.cluster != src.cluster;
-        break;
-      case Scope::kOtherDatacentersSameSite:
-        ok = c.site == src.site && c.datacenter != src.datacenter;
-        break;
-      case Scope::kOtherSites: ok = c.site != src.site; break;
-      case Scope::kOtherDatacenters: ok = c.datacenter != src.datacenter; break;
-      case Scope::kAnywhere: ok = true; break;
-    }
-    if (ok) return cand;
+    if (services::in_scope(src, fleet_->host(cand), scope)) return cand;
   }
   return HostId::invalid();
 }

@@ -247,19 +247,18 @@ RackSimulation::~RackSimulation() {
   if (tracepoints_) telemetry::FlightRecorders::remove(tracepoints_.get());
 }
 
+std::optional<std::size_t> RackSimulation::downlink_port(core::HostId host) const {
+  if (fleet_->host(host).rack != rack_) return std::nullopt;
+  // The host's position within the rack. A host that claims this rack but
+  // is missing from its member list (inconsistent fleet) has no port.
+  const auto& hosts = fleet_->rack(rack_).hosts;
+  const auto it = std::find(hosts.begin(), hosts.end(), host);
+  if (it == hosts.end()) return std::nullopt;
+  return static_cast<std::size_t>(std::distance(hosts.begin(), it));
+}
+
 std::size_t RackSimulation::egress_port_for(const SimPacket& packet) const {
-  const topology::Host& dst = fleet_->host(packet.dst);
-  if (dst.rack == rack_) {
-    // Downlink port: the destination host's position within the rack.
-    const auto& hosts = fleet_->rack(rack_).hosts;
-    const auto it = std::find(hosts.begin(), hosts.end(), packet.dst);
-    if (it != hosts.end()) {
-      return static_cast<std::size_t>(std::distance(hosts.begin(), it));
-    }
-    // Host claims this rack but is missing from its member list
-    // (inconsistent fleet) — route via an uplink rather than indexing a
-    // port that does not exist.
-  }
+  if (const auto port = downlink_port(packet.dst)) return *port;
   // Uplink: ECMP over the live CSW-facing ports by 5-tuple hash. Fault-free
   // runs hash over all uplinks (identical to the pre-fault behaviour).
   const std::size_t h = std::hash<core::FiveTuple>{}(packet.header.tuple);
@@ -289,12 +288,8 @@ void RackSimulation::host_send(const SimPacket& packet) {
 
 void RackSimulation::host_receive(const SimPacket& packet) {
   observe(packet.header);
-  const topology::Host& dst = fleet_->host(packet.dst);
-  if (dst.rack != rack_) return;  // not for this rack (defensive)
-  const auto& hosts = fleet_->rack(rack_).hosts;
-  const auto it = std::find(hosts.begin(), hosts.end(), packet.dst);
-  if (it == hosts.end()) return;  // inconsistent fleet: no downlink port
-  rsw_->enqueue(static_cast<std::size_t>(std::distance(hosts.begin(), it)), packet);
+  // Not for a host of this rack (defensive): nothing to deliver.
+  if (const auto port = downlink_port(packet.dst)) rsw_->enqueue(*port, packet);
 }
 
 transport::DemandSink* RackSimulation::transport() { return transport_.get(); }

@@ -7,6 +7,7 @@
 #include "fbdcsim/analysis/heavy_hitters.h"
 #include "fbdcsim/monitoring/fbflow.h"
 #include "fbdcsim/services/connections.h"
+#include "fbdcsim/services/traffic_model.h"
 #include "fbdcsim/switching/switch.h"
 #include "fbdcsim/topology/fabric.h"
 #include "fbdcsim/topology/standard_fleet.h"
@@ -124,11 +125,12 @@ TEST_P(WireConservationSweep, PayloadConserved) {
   const core::HostId peer = fleet.hosts()[3].id;
   services::ConnectionTable table{fleet, self};
   services::Wire wire{sim, sink, self};
-  const services::Connection& conn = table.pooled(peer, 80);
+  const services::Connection& conn = table.pooled(services::Dir::kOut, peer, 80);
 
   const std::int64_t payload = GetParam();
-  wire.send(conn, DataSize::bytes(payload), TimePoint::zero(), Duration::micros(1), false);
-  wire.receive(conn, DataSize::bytes(payload), TimePoint::zero(), Duration::micros(1), false);
+  for (const services::Dir dir : {services::Dir::kOut, services::Dir::kIn}) {
+    wire.send(dir, conn, DataSize::bytes(payload), TimePoint::zero(), Duration::micros(1), false);
+  }
   sim.run();
   EXPECT_EQ(out_payload, payload);
   EXPECT_EQ(in_payload, payload);

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "fbdcsim/services/traffic_model.h"
 #include "fbdcsim/topology/standard_fleet.h"
 
 namespace fbdcsim::services {
@@ -42,15 +43,15 @@ class WireTest : public ::testing::Test {
 };
 
 TEST_F(WireTest, PooledConnectionIsStable) {
-  Connection& a = table_.pooled(peer_, 80);
-  Connection& b = table_.pooled(peer_, 80);
+  Connection& a = table_.pooled(Dir::kOut, peer_, 80);
+  Connection& b = table_.pooled(Dir::kOut, peer_, 80);
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(a.tuple, b.tuple);
   EXPECT_TRUE(a.pooled);
 }
 
 TEST_F(WireTest, PooledTupleOrientationIsSelfToPeer) {
-  const Connection& c = table_.pooled(peer_, 80);
+  const Connection& c = table_.pooled(Dir::kOut, peer_, 80);
   EXPECT_EQ(c.tuple.src_ip, fleet_.host(self_).addr);
   EXPECT_EQ(c.tuple.dst_ip, fleet_.host(peer_).addr);
   EXPECT_EQ(c.tuple.dst_port, 80);
@@ -58,8 +59,8 @@ TEST_F(WireTest, PooledTupleOrientationIsSelfToPeer) {
 }
 
 TEST_F(WireTest, EphemeralConnectionsGetFreshPorts) {
-  const Connection a = table_.ephemeral(peer_, 80);
-  const Connection b = table_.ephemeral(peer_, 80);
+  const Connection a = table_.ephemeral(Dir::kOut, peer_, 80);
+  const Connection b = table_.ephemeral(Dir::kOut, peer_, 80);
   EXPECT_NE(a.tuple.src_port, b.tuple.src_port);
   EXPECT_FALSE(a.pooled);
 }
@@ -72,16 +73,16 @@ TEST_F(WireTest, EphemeralPortsWrapInsideRangeAndSkipPooledPorts) {
   std::vector<bool> held(65536, false);
   const auto pool_more = [&](core::Port first_service_port) {
     for (core::Port p = first_service_port; p < first_service_port + 50; ++p) {
-      held[table_.pooled(peer_, p).tuple.src_port] = true;
-      held[table_.pooled_inbound(peer_, p).tuple.dst_port] = true;
+      held[table_.pooled(Dir::kOut, peer_, p).tuple.src_port] = true;
+      held[table_.pooled(Dir::kIn, peer_, p).tuple.dst_port] = true;
     }
   };
   pool_more(1);
   for (int i = 0; i < 40'000; ++i) {
     // More pooled connections appear after the first wrap too.
     if (i == 20'000) pool_more(1'001);
-    const core::Port out = table_.ephemeral(peer_, 80).tuple.src_port;
-    const core::Port in = table_.ephemeral_inbound(peer_, 11211).tuple.dst_port;
+    const core::Port out = table_.ephemeral(Dir::kOut, peer_, 80).tuple.src_port;
+    const core::Port in = table_.ephemeral(Dir::kIn, peer_, 11211).tuple.dst_port;
     for (const core::Port port : {out, in}) {
       ASSERT_GE(port, core::ports::kEphemeralBase) << "allocation " << i;
       ASSERT_FALSE(held[port]) << "allocation " << i << " reissued pooled port " << port;
@@ -91,19 +92,19 @@ TEST_F(WireTest, EphemeralPortsWrapInsideRangeAndSkipPooledPorts) {
 }
 
 TEST_F(WireTest, InboundConnectionKeepsSelfToPeerOrientation) {
-  const Connection c = table_.ephemeral_inbound(peer_, 11211);
+  const Connection c = table_.ephemeral(Dir::kIn, peer_, 11211);
   EXPECT_EQ(c.tuple.src_ip, fleet_.host(self_).addr);
   EXPECT_EQ(c.tuple.src_port, 11211);  // well-known port on self side
-  Connection& p = table_.pooled_inbound(peer_, 11211);
+  Connection& p = table_.pooled(Dir::kIn, peer_, 11211);
   EXPECT_EQ(p.tuple.src_ip, fleet_.host(self_).addr);
   EXPECT_EQ(p.tuple.src_port, 11211);
-  EXPECT_EQ(&p, &table_.pooled_inbound(peer_, 11211));
+  EXPECT_EQ(&p, &table_.pooled(Dir::kIn, peer_, 11211));
 }
 
 TEST_F(WireTest, SendSegmentsAtMss) {
-  const Connection& c = table_.pooled(peer_, 80);
-  wire_.send(c, DataSize::bytes(3000), TimePoint::zero(), Duration::micros(1),
-             /*ack_inbound=*/false);
+  const Connection& c = table_.pooled(Dir::kOut, peer_, 80);
+  wire_.send(Dir::kOut, c, DataSize::bytes(3000), TimePoint::zero(), Duration::micros(1),
+             /*ack=*/false);
   sim_.run();
   // 3000 B = 1460 + 1460 + 80.
   ASSERT_EQ(sink_.sent.size(), 3u);
@@ -119,8 +120,8 @@ TEST_F(WireTest, SendSegmentsAtMss) {
 }
 
 TEST_F(WireTest, SendSynthesizesDelayedAcks) {
-  const Connection& c = table_.pooled(peer_, 80);
-  wire_.send(c, DataSize::bytes(4 * 1460), TimePoint::zero());
+  const Connection& c = table_.pooled(Dir::kOut, peer_, 80);
+  wire_.send(Dir::kOut, c, DataSize::bytes(4 * 1460), TimePoint::zero());
   sim_.run();
   EXPECT_EQ(sink_.sent.size(), 4u);
   // Delayed ACK: one per two segments.
@@ -134,17 +135,17 @@ TEST_F(WireTest, SendSynthesizesDelayedAcks) {
 }
 
 TEST_F(WireTest, ReceiveAckSuppression) {
-  const Connection& c = table_.pooled(peer_, 80);
-  wire_.receive(c, DataSize::bytes(500), TimePoint::zero(), Duration::micros(1),
-                /*ack_outbound=*/false);
+  const Connection& c = table_.pooled(Dir::kOut, peer_, 80);
+  wire_.send(Dir::kIn, c, DataSize::bytes(500), TimePoint::zero(), Duration::micros(1),
+             /*ack=*/false);
   sim_.run();
   EXPECT_EQ(sink_.received.size(), 1u);
   EXPECT_TRUE(sink_.sent.empty());  // no standalone ACK
 }
 
 TEST_F(WireTest, OpenEmitsHandshake) {
-  const Connection c = table_.ephemeral(peer_, 80);
-  const TimePoint done = wire_.open(c, TimePoint::zero(), Duration::micros(100));
+  const Connection c = table_.ephemeral(Dir::kOut, peer_, 80);
+  const TimePoint done = wire_.open(Dir::kOut, c, TimePoint::zero(), Duration::micros(100));
   sim_.run();
   EXPECT_EQ(done, TimePoint::from_nanos(100'000));
   ASSERT_EQ(sink_.sent.size(), 2u);      // SYN + final ACK
@@ -157,8 +158,8 @@ TEST_F(WireTest, OpenEmitsHandshake) {
 }
 
 TEST_F(WireTest, OpenInboundSynComesFromPeer) {
-  const Connection c = table_.ephemeral_inbound(peer_, 11211);
-  wire_.open_inbound(c, TimePoint::zero());
+  const Connection c = table_.ephemeral(Dir::kIn, peer_, 11211);
+  wire_.open(Dir::kIn, c, TimePoint::zero());
   sim_.run();
   ASSERT_EQ(sink_.received.size(), 2u);  // SYN + final ACK from peer
   EXPECT_TRUE(sink_.received[0].header.flags.syn);
@@ -169,8 +170,124 @@ TEST_F(WireTest, OpenInboundSynComesFromPeer) {
   EXPECT_TRUE(sink_.sent[0].header.flags.ack);
 }
 
+/// What one Wire operation hands the sink, run alone on a fresh simulator:
+/// `sent` went through host_send, `received` through host_receive.
+struct Emitted {
+  std::vector<SimPacket> sent;
+  std::vector<SimPacket> received;
+};
+
+template <typename Op>
+Emitted emitted_by(core::HostId self, Op op) {
+  sim::Simulator sim;
+  RecordingSink sink;
+  Wire wire{sim, sink, self};
+  op(wire);
+  sim.run();
+  return Emitted{std::move(sink.sent), std::move(sink.received)};
+}
+
+/// `in` is `out` seen from the other end, packet for packet: each tuple
+/// passes through `mirror`, src and dst trade places, and timestamps, flags,
+/// payload and frame bytes are equal.
+template <typename Mirror>
+void expect_mirrored(const std::vector<SimPacket>& out, const std::vector<SimPacket>& in,
+                     Mirror mirror) {
+  ASSERT_EQ(in.size(), out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const core::PacketHeader& o = out[i].header;
+    const core::PacketHeader& n = in[i].header;
+    EXPECT_EQ(n.timestamp, o.timestamp) << "packet " << i;
+    EXPECT_EQ(n.tuple, mirror(o.tuple)) << "packet " << i;
+    EXPECT_EQ(n.flags, o.flags) << "packet " << i;
+    EXPECT_EQ(n.payload_bytes, o.payload_bytes) << "packet " << i;
+    EXPECT_EQ(n.frame_bytes, o.frame_bytes) << "packet " << i;
+    EXPECT_EQ(in[i].src, out[i].dst) << "packet " << i;
+    EXPECT_EQ(in[i].dst, out[i].src) << "packet " << i;
+  }
+}
+
+/// The sink side swaps too: what self sends in `out` arrives for self in
+/// `in`, and the other way round.
+template <typename Mirror>
+void expect_mirrored(const Emitted& out, const Emitted& in, Mirror mirror) {
+  ASSERT_FALSE(out.sent.empty());
+  ASSERT_FALSE(out.received.empty());
+  expect_mirrored(out.sent, in.received, mirror);
+  expect_mirrored(out.received, in.sent, mirror);
+}
+
+TEST_F(WireTest, InDirectionMirrorsOutDirection) {
+  const auto reversed = [](const core::FiveTuple& t) { return t.reversed(); };
+  const TimePoint t0 = TimePoint::from_seconds(0.5);
+  const DataSize bytes = DataSize::bytes(5 * 1460 + 100);
+  const Duration gap = Duration::micros(3);
+  const Duration rtt = Duration::micros(90);
+
+  // On one connection the Dir::kIn form emits the Dir::kOut form's packets
+  // with every tuple reversed.
+  const Connection c = table_.pooled(Dir::kOut, peer_, 80);
+  for (const bool ack : {true, false}) {
+    TimePoint out_done;
+    TimePoint in_done;
+    const Emitted out = emitted_by(self_, [&](Wire& w) {
+      out_done = w.send(Dir::kOut, c, bytes, t0, gap, ack);
+    });
+    const Emitted in = emitted_by(self_, [&](Wire& w) {
+      in_done = w.send(Dir::kIn, c, bytes, t0, gap, ack);
+    });
+    EXPECT_EQ(in_done, out_done);
+    if (ack) {
+      expect_mirrored(out, in, reversed);
+    } else {
+      EXPECT_TRUE(out.received.empty());
+      EXPECT_TRUE(in.sent.empty());
+      expect_mirrored(out.sent, in.received, reversed);
+    }
+  }
+  {
+    TimePoint out_done;
+    TimePoint in_done;
+    const Emitted out =
+        emitted_by(self_, [&](Wire& w) { out_done = w.open(Dir::kOut, c, t0, rtt); });
+    const Emitted in =
+        emitted_by(self_, [&](Wire& w) { in_done = w.open(Dir::kIn, c, t0, rtt); });
+    EXPECT_EQ(in_done, out_done);
+    expect_mirrored(out, in, reversed);
+  }
+
+  // The table's Dir::kIn forms give the peer the fresh port and keep the
+  // service port on self, so the tuple is the Dir::kOut form's with its
+  // ports exchanged; their packets are the Dir::kOut form's with self and
+  // peer exchanged.
+  const auto endpoints_swapped = [](const core::FiveTuple& t) {
+    return core::FiveTuple{t.dst_ip, t.src_ip, t.src_port, t.dst_port, t.protocol};
+  };
+  for (const bool pooled : {true, false}) {
+    ConnectionTable out_table{fleet_, self_};
+    ConnectionTable in_table{fleet_, self_};
+    const Connection out_conn = pooled ? out_table.pooled(Dir::kOut, peer_, 80)
+                                       : out_table.ephemeral(Dir::kOut, peer_, 80);
+    const Connection in_conn = pooled ? in_table.pooled(Dir::kIn, peer_, 80)
+                                      : in_table.ephemeral(Dir::kIn, peer_, 80);
+    EXPECT_EQ(in_conn.pooled, pooled);
+    EXPECT_EQ(out_conn.pooled, pooled);
+    EXPECT_EQ(in_conn.peer, out_conn.peer);
+    const core::FiveTuple& o = out_conn.tuple;
+    EXPECT_EQ(in_conn.tuple,
+              (core::FiveTuple{o.src_ip, o.dst_ip, o.dst_port, o.src_port, o.protocol}));
+    const Emitted out = emitted_by(self_, [&](Wire& w) {
+      w.send(Dir::kOut, out_conn, bytes, w.open(Dir::kOut, out_conn, t0, rtt), gap);
+    });
+    const Emitted in = emitted_by(self_, [&](Wire& w) {
+      w.send(Dir::kIn, in_conn, bytes, w.open(Dir::kIn, in_conn, t0, rtt), gap);
+    });
+    expect_mirrored(out, in, endpoints_swapped);
+  }
+}
+
 TEST_F(WireTest, CloseEmitsFinExchange) {
-  const Connection c = table_.ephemeral(peer_, 80);
+  const Connection c = table_.ephemeral(Dir::kOut, peer_, 80);
   wire_.close(c, TimePoint::zero());
   sim_.run();
   ASSERT_EQ(sink_.sent.size(), 2u);
@@ -180,8 +297,8 @@ TEST_F(WireTest, CloseEmitsFinExchange) {
 }
 
 TEST_F(WireTest, TimestampsMatchSimClock) {
-  const Connection& c = table_.pooled(peer_, 80);
-  wire_.send(c, DataSize::bytes(2 * 1460), TimePoint::from_seconds(1.0),
+  const Connection& c = table_.pooled(Dir::kOut, peer_, 80);
+  wire_.send(Dir::kOut, c, DataSize::bytes(2 * 1460), TimePoint::from_seconds(1.0),
              Duration::micros(5), false);
   sim_.run();
   ASSERT_EQ(sink_.sent.size(), 2u);

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
 
 #include "fbdcsim/topology/standard_fleet.h"
+#include "fbdcsim/workload/fleet_flows.h"
 
 namespace fbdcsim::services {
 namespace {
@@ -84,6 +86,50 @@ TEST(PeerSelectionTest, ScopesPartitionByConstruction) {
   const auto rack = sel.candidates(core::HostRole::kWeb, Scope::kSameRack);
   const auto other = sel.candidates(core::HostRole::kWeb, Scope::kSameClusterOtherRack);
   EXPECT_EQ(whole.size(), rack.size() + other.size());
+}
+
+TEST(PeerSelectionTest, FleetTierPicksStayInPeerSelectorScope) {
+  // The fleet tier (workload::RoleIndex) and the rack tier (PeerSelector)
+  // must agree on what every Scope means: a fleet flow's destination is
+  // always one the rack models could have chosen.
+  const topology::Fleet fleet = topology::build_standard_fleet();
+  const workload::RoleIndex index{fleet};
+  const std::array<core::HostRole, 8> roles{
+      core::HostRole::kWeb,       core::HostRole::kCacheFollower, core::HostRole::kCacheLeader,
+      core::HostRole::kHadoop,    core::HostRole::kMultifeed,     core::HostRole::kSlb,
+      core::HostRole::kDatabase,  core::HostRole::kService};
+  const std::array<Scope, 9> scopes{Scope::kSameRack,
+                                    Scope::kSameCluster,
+                                    Scope::kSameClusterOtherRack,
+                                    Scope::kSameDatacenterOtherCluster,
+                                    Scope::kSameDatacenter,
+                                    Scope::kOtherDatacentersSameSite,
+                                    Scope::kOtherSites,
+                                    Scope::kOtherDatacenters,
+                                    Scope::kAnywhere};
+  core::RngStream rng{23};
+  for (const core::HostRole self_role : roles) {
+    const auto hosts = fleet.hosts_with_role(self_role);
+    if (hosts.empty()) continue;  // the default rack mix leaves no SLB racks
+    const core::HostId self = hosts.front();
+    PeerSelector sel{fleet, self};
+    for (const Scope scope : scopes) {
+      int picked = 0;
+      for (const core::HostRole role : roles) {
+        const auto candidates = sel.candidates(role, scope);
+        const std::set<core::HostId> allowed(candidates.begin(), candidates.end());
+        for (int i = 0; i < 32; ++i) {
+          const core::HostId pick = index.pick(self, role, scope, rng);
+          if (!pick.is_valid()) continue;
+          ++picked;
+          EXPECT_TRUE(allowed.contains(pick))
+              << to_string(scope) << ": " << core::to_string(role) << " host " << pick.value()
+              << " picked for " << core::to_string(self_role) << " host " << self.value();
+        }
+      }
+      EXPECT_GT(picked, 0) << to_string(scope) << " from " << core::to_string(self_role);
+    }
+  }
 }
 
 TEST(PeerSelectionTest, PickIsRoughlyUniform) {

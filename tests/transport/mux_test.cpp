@@ -101,7 +101,7 @@ struct Harness {
 
 TEST(TransportMux, HandshakeEmitsRealSynSynAckAck) {
   Harness h;
-  h.mux.open(h.tuple, h.self, h.peer, TimePoint::zero() + Duration::micros(10));
+  h.mux.open(Dir::kOut, h.tuple, h.self, h.peer, TimePoint::zero() + Duration::micros(10));
   h.run();
 
   EXPECT_EQ(h.mux.stats().handshakes_completed, 1);
@@ -126,7 +126,7 @@ TEST(TransportMux, HandshakeEmitsRealSynSynAckAck) {
 
 TEST(TransportMux, InboundHandshakeCompletes) {
   Harness h;
-  h.mux.open_inbound(h.tuple, h.self, h.peer, TimePoint::zero() + Duration::micros(10));
+  h.mux.open(Dir::kIn, h.tuple, h.self, h.peer, TimePoint::zero() + Duration::micros(10));
   h.run();
   EXPECT_EQ(h.mux.stats().handshakes_completed, 1);
   int syns_in = 0;
@@ -141,8 +141,8 @@ TEST(TransportMux, InboundHandshakeCompletes) {
 TEST(TransportMux, PooledConnectionsSkipTheHandshake) {
   Harness h;
   const std::int64_t bytes = 10 * 1460;
-  h.mux.app_send(h.tuple, h.self, h.peer, bytes, TimePoint::zero() + Duration::micros(10),
-                 Duration::nanos(0));
+  h.mux.app_send(Dir::kOut, h.tuple, h.self, h.peer, bytes,
+                 TimePoint::zero() + Duration::micros(10), Duration::nanos(0));
   h.run();
   EXPECT_EQ(h.count_sent(/*syn=*/true, /*fin=*/false, /*data=*/false), 0)
       << "pooled connections' handshakes predate the run";
@@ -153,8 +153,8 @@ TEST(TransportMux, PooledConnectionsSkipTheHandshake) {
 TEST(TransportMux, BytesConservationLossless) {
   Harness h;
   const std::int64_t bytes = 1'000'000;
-  h.mux.app_send(h.tuple, h.self, h.peer, bytes, TimePoint::zero() + Duration::micros(10),
-                 Duration::nanos(0));
+  h.mux.app_send(Dir::kOut, h.tuple, h.self, h.peer, bytes,
+                 TimePoint::zero() + Duration::micros(10), Duration::nanos(0));
   h.run();
   const TransportMux::Stats& s = h.mux.stats();
   EXPECT_EQ(s.bytes_demanded, bytes);
@@ -174,8 +174,8 @@ TEST(TransportMux, BytesConservationLossless) {
 TEST(TransportMux, AppReceiveDrivesTheInboundHalf) {
   Harness h;
   const std::int64_t bytes = 500'000;
-  h.mux.app_receive(h.tuple, h.self, h.peer, bytes,
-                    TimePoint::zero() + Duration::micros(10), Duration::nanos(0));
+  h.mux.app_send(Dir::kIn, h.tuple, h.self, h.peer, bytes,
+                 TimePoint::zero() + Duration::micros(10), Duration::nanos(0));
   h.run();
   EXPECT_EQ(h.mux.stats().bytes_delivered, bytes);
   std::int64_t data_in = 0;
@@ -192,8 +192,8 @@ TEST(TransportMux, SwitchDropsTriggerRetransmissionAndRecovery) {
   Harness h;
   h.sink.drop_every = 13;
   const std::int64_t bytes = 2'000'000;
-  h.mux.app_send(h.tuple, h.self, h.peer, bytes, TimePoint::zero() + Duration::micros(10),
-                 Duration::nanos(0));
+  h.mux.app_send(Dir::kOut, h.tuple, h.self, h.peer, bytes,
+                 TimePoint::zero() + Duration::micros(10), Duration::nanos(0));
   h.run(Duration::seconds(30));  // room for RTO-driven tail recovery
   const TransportMux::Stats& s = h.mux.stats();
   EXPECT_EQ(s.bytes_delivered, bytes) << "loss recovery must deliver everything";
@@ -206,8 +206,8 @@ TEST(TransportMux, SwitchDropsTriggerRetransmissionAndRecovery) {
 TEST(TransportMux, CloseDrainsThenFinExchangeReleasesTheConnection) {
   Harness h;
   const TimePoint t0 = TimePoint::zero() + Duration::micros(10);
-  h.mux.open(h.tuple, h.self, h.peer, t0);
-  h.mux.app_send(h.tuple, h.self, h.peer, 100'000, t0 + Duration::micros(50),
+  h.mux.open(Dir::kOut, h.tuple, h.self, h.peer, t0);
+  h.mux.app_send(Dir::kOut, h.tuple, h.self, h.peer, 100'000, t0 + Duration::micros(50),
                  Duration::nanos(0));
   h.mux.app_close(h.tuple, h.self, h.peer, t0 + Duration::micros(60));
   h.run();
@@ -238,8 +238,8 @@ TEST(TransportMux, PathLossIsRecoveredAndCounted) {
   const core::FiveTuple tuple{h.fleet.host(h.self).addr, h.fleet.host(remote).addr,
                               40'001, 11'211, core::Protocol::kTcp};
   const std::int64_t bytes = 400'000;
-  h.mux.app_send(tuple, h.self, remote, bytes, TimePoint::zero() + Duration::micros(10),
-                 Duration::nanos(0));
+  h.mux.app_send(Dir::kOut, tuple, h.self, remote, bytes,
+                 TimePoint::zero() + Duration::micros(10), Duration::nanos(0));
   h.run(Duration::seconds(30));
   const TransportMux::Stats& s = h.mux.stats();
   EXPECT_EQ(s.bytes_delivered, bytes);
@@ -252,11 +252,11 @@ TEST(TransportMux, RunsAreDeterministic) {
     Harness h;
     h.sink.drop_every = 17;
     const TimePoint t0 = TimePoint::zero() + Duration::micros(10);
-    h.mux.open(h.tuple, h.self, h.peer, t0);
-    h.mux.app_send(h.tuple, h.self, h.peer, 750'000, t0 + Duration::micros(40),
+    h.mux.open(Dir::kOut, h.tuple, h.self, h.peer, t0);
+    h.mux.app_send(Dir::kOut, h.tuple, h.self, h.peer, 750'000, t0 + Duration::micros(40),
                    Duration::nanos(0));
-    h.mux.app_receive(h.tuple, h.self, h.peer, 250'000, t0 + Duration::micros(45),
-                      Duration::nanos(0));
+    h.mux.app_send(Dir::kIn, h.tuple, h.self, h.peer, 250'000, t0 + Duration::micros(45),
+                   Duration::nanos(0));
     h.run(Duration::seconds(30));
     std::uint64_t hash = h.sink.sent.size() * 1'000'003 + h.sink.received.size();
     for (const SimPacket& p : h.sink.sent) {
