@@ -84,7 +84,7 @@ workload::RackSimResult run_capture(const topology::Fleet& fleet, core::HostRole
     // The cwnd-evolution sections below ride on the observability layer.
     // FBDCSIM_OBS may refine the knobs; the bench needs at least `on`, and
     // caps the series length so four roles' traces stay report-sized.
-    cfg.obs = telemetry::obs_config_from_env();
+    cfg.obs = bench::obs_config();
     if (!cfg.obs.enabled()) cfg.obs.mode = telemetry::ObsConfig::Mode::kOn;
     cfg.obs.series_capacity = 64;
   }
@@ -333,7 +333,7 @@ int main() {
       cfg.rsw.buffer_total = core::DataSize::kilobytes(32);
       cfg.mix = workload::scale_rates(cfg.mix, 4.0);
       // Occupancy tail via the probe (same series fig15 reads).
-      cfg.obs = telemetry::obs_config_from_env();
+      cfg.obs = bench::obs_config();
       if (!cfg.obs.enabled()) cfg.obs.mode = telemetry::ObsConfig::Mode::kOn;
       cfg.obs.series_capacity = 256;
       workload::RackSimulation rack{fleet, cfg};

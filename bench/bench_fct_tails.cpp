@@ -76,7 +76,7 @@ workload::RackSimResult run_tcp_capture(const topology::Fleet& fleet, core::Host
   // The ledger is this bench's entire subject: force the flows level on
   // (FBDCSIM_OBS may refine the other knobs) and size the ring for the
   // capture.
-  cfg.obs = telemetry::obs_config_from_env();
+  cfg.obs = bench::obs_config();
   if (!cfg.obs.enabled()) cfg.obs.mode = telemetry::ObsConfig::Mode::kOn;
   cfg.obs.flows = true;
   if (cfg.obs.flow_capacity < kLedgerCapacity) cfg.obs.flow_capacity = kLedgerCapacity;

@@ -63,7 +63,7 @@ HourStats run_hour(const topology::Fleet& fleet, core::HostRole role, double diu
   cfg.rsw.dt_alpha = 2.0;
   // Occupancy comes from the probe. FBDCSIM_OBS may refine the knobs
   // (e.g. dump mode); the bench needs at least `on`.
-  cfg.obs = telemetry::obs_config_from_env();
+  cfg.obs = bench::obs_config();
   if (!cfg.obs.enabled()) cfg.obs.mode = telemetry::ObsConfig::Mode::kOn;
   if (tweak) tweak(cfg);
 

@@ -5,9 +5,11 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <utility>
 
 #include "fbdcsim/runtime/parallel_capture.h"
+#include "fbdcsim/telemetry/json.h"
 
 #ifndef FBDCSIM_GIT_REV
 #define FBDCSIM_GIT_REV "unknown"
@@ -35,8 +37,43 @@ std::optional<std::int64_t> bench_seconds_env() {
   return v;
 }
 
+namespace {
+
+/// Resolves one FBDCSIM_* knob for the whole bench run: `Parse` reads the
+/// variable (diagnosing a malformed value on stderr) and runs again only
+/// when the variable's value changes, so the banner, the report, every
+/// BenchEnv and every capture share one parse and one diagnostic.
+template <auto Parse>
+decltype(Parse()) resolve_knob(const char* name) {
+  static std::mutex mu;
+  static std::optional<std::pair<std::optional<std::string>, decltype(Parse())>> last;
+  const char* env = std::getenv(name);
+  const auto raw = env != nullptr ? std::optional<std::string>{env} : std::nullopt;
+  const std::lock_guard<std::mutex> lock{mu};
+  if (!last || last->first != raw) last.emplace(raw, Parse());
+  return last->second;
+}
+
+/// A value rendered with a fixed printf format (the report's %.6g extras,
+/// %.6f wall time and %.1f rate).
+std::string format_double(const char* format, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, format, v);
+  return buf;
+}
+
+}  // namespace
+
+telemetry::ObsConfig obs_config() {
+  return resolve_knob<&telemetry::obs_config_from_env>("FBDCSIM_OBS");
+}
+
+faults::FaultConfig fault_config() {
+  return resolve_knob<&faults::fault_config_from_env>("FBDCSIM_FAULTS");
+}
+
 std::int64_t BenchEnv::effective_seconds(std::int64_t nominal) {
-  return bench_seconds_env().value_or(nominal);
+  return resolve_knob<&bench_seconds_env>("FBDCSIM_BENCH_SECONDS").value_or(nominal);
 }
 
 RoleTrace BenchEnv::capture(core::HostRole role, std::int64_t seconds, const Tweak& tweak) {
@@ -68,7 +105,7 @@ runtime::ThreadPool& BenchEnv::pool() {
 
 const faults::FaultPlan* BenchEnv::fault_plan() {
   if (!fault_plan_) {
-    const faults::FaultConfig cfg = faults::fault_config_from_env();
+    const faults::FaultConfig cfg = fault_config();
     fault_plan_.emplace(cfg.profile == faults::Profile::kOff
                             ? nullptr
                             : std::make_unique<faults::FaultPlan>(cfg));
@@ -77,17 +114,17 @@ const faults::FaultPlan* BenchEnv::fault_plan() {
 }
 
 const telemetry::ObsConfig& BenchEnv::obs() {
-  if (!obs_) obs_ = telemetry::obs_config_from_env();
+  if (!obs_) obs_ = obs_config();
   return *obs_;
 }
 
 transport::CongestionControl BenchEnv::cc() {
-  if (!cc_) cc_ = transport::cc_from_env();
+  if (!cc_) cc_ = resolve_knob<&transport::cc_from_env>("FBDCSIM_CC");
   return *cc_;
 }
 
 transport::LossRecovery BenchEnv::recovery() {
-  if (!recovery_) recovery_ = transport::recovery_from_env();
+  if (!recovery_) recovery_ = resolve_knob<&transport::recovery_from_env>("FBDCSIM_RECOVERY");
   return *recovery_;
 }
 
@@ -150,7 +187,7 @@ void banner(const char* experiment, const char* paper_ref, std::uint64_t seed) {
               git_revision());
   // Only announce faults when a profile is active, so fault-free bench
   // output stays byte-identical to pre-fault-layer runs.
-  const faults::FaultConfig fc = faults::fault_config_from_env();
+  const faults::FaultConfig fc = fault_config();
   if (fc.profile != faults::Profile::kOff) {
     std::printf("faults: %s (FBDCSIM_FAULTS)\n", faults::to_string(fc.profile));
   }
@@ -179,6 +216,31 @@ std::string resolve_out_path(const std::string& filename) {
 
 namespace {
 
+/// Writes one report file and names it on stderr as "<label><path><note>";
+/// false when the file cannot be opened.
+bool write_report_file(const char* label, const std::string& path, const std::string& text,
+                       const char* note = "") {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
+  std::fprintf(stderr, "%s%s%s\n", label, path.c_str(), note);
+  return true;
+}
+
+/// Sets `key` to a pre-rendered JSON value: overwritten in place when
+/// present, appended otherwise (first-insertion order).
+void upsert(std::vector<std::pair<std::string, std::string>>& entries, const std::string& key,
+            std::string json) {
+  for (auto& [k, v] : entries) {
+    if (k == key) {
+      v = std::move(json);
+      return;
+    }
+  }
+  entries.emplace_back(key, std::move(json));
+}
+
 /// "foo.json" -> "foo<insert>.json"; other extensions just get the suffix.
 std::string sibling_path_for(const std::string& report_path, const std::string& insert) {
   const std::string suffix = ".json";
@@ -194,28 +256,18 @@ std::string sibling_path_for(const std::string& report_path, const std::string& 
 BenchReport::BenchReport(std::string name, std::uint64_t seed)
     : name_{std::move(name)}, seed_{seed}, start_{std::chrono::steady_clock::now()} {}
 
-void BenchReport::set_extra(const std::string& key, std::string json_value) {
-  for (auto& [k, v] : extras_) {
-    if (k == key) {
-      v = std::move(json_value);
-      return;
-    }
-  }
-  extras_.emplace_back(key, std::move(json_value));
-}
-
 void BenchReport::add_extra(const std::string& key, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", value);
-  set_extra(key, buf);
+  upsert(extras_, key, format_double("%.6g", value));
 }
 
 void BenchReport::add_extra(const std::string& key, std::int64_t value) {
-  set_extra(key, std::to_string(value));
+  upsert(extras_, key, std::to_string(value));
 }
 
 void BenchReport::add_extra(const std::string& key, const std::string& value) {
-  set_extra(key, "\"" + telemetry::json_escape(value) + "\"");
+  std::string json;
+  telemetry::JsonWriter{json}.value(value);
+  upsert(extras_, key, std::move(json));
 }
 
 std::string BenchReport::report_path() const {
@@ -236,14 +288,7 @@ std::string BenchReport::flows_path() const {
 
 void BenchReport::add_timeseries(const std::string& key,
                                  const std::vector<telemetry::SeriesSnapshot>& series) {
-  const std::string json = telemetry::timeseries_to_json(series);
-  for (auto& [k, v] : timeseries_) {
-    if (k == key) {
-      v = json;
-      return;
-    }
-  }
-  timeseries_.emplace_back(key, json);
+  upsert(timeseries_, key, telemetry::timeseries_to_json(series));
 }
 
 void BenchReport::add_tracepoints(telemetry::TracePointDump dump) {
@@ -262,128 +307,75 @@ std::string BenchReport::to_json() const {
   const double wall = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                                     start_)
                           .count();
-  std::string out = "{";
-  out += "\"bench\":\"" + telemetry::json_escape(name_) + "\"";
-  out += ",\"schema\":1";
-  out += ",\"git\":\"" + telemetry::json_escape(git_revision()) + "\"";
-  out += ",\"seed\":" + std::to_string(seed_);
-  out += ",\"threads\":" + std::to_string(runtime::env_thread_count());
-  if (const auto secs = bench_seconds_env()) {
-    out += ",\"bench_seconds\":" + std::to_string(*secs);
+  std::string out;
+  telemetry::JsonWriter w{out};
+  w.begin_object()
+      .field("bench", name_)
+      .field("schema", 1)
+      .field("git", git_revision())
+      .field("seed", seed_)
+      .field("threads", runtime::env_thread_count())
+      .key("bench_seconds");
+  if (const auto secs = resolve_knob<&bench_seconds_env>("FBDCSIM_BENCH_SECONDS")) {
+    w.value(*secs);
   } else {
-    out += ",\"bench_seconds\":null";
+    w.null();
   }
-  {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6f", wall);
-    out += ",\"wall_seconds\":";
-    out += buf;
-  }
-  out += ",\"status\":" + std::to_string(status_);
-  out += std::string{",\"telemetry_enabled\":"} +
-         (FBDCSIM_TELEMETRY_ENABLED ? "true" : "false");
+  w.key("wall_seconds")
+      .raw(format_double("%.6f", wall))
+      .field("status", status_)
+      .field("telemetry_enabled", FBDCSIM_TELEMETRY_ENABLED != 0);
   // The active fault profile, only when one is on — fault-free reports stay
   // byte-identical to pre-fault-layer ones (absent field means "off").
-  {
-    const faults::FaultConfig fc = faults::fault_config_from_env();
-    if (fc.profile != faults::Profile::kOff) {
-      out += ",\"faults\":\"" + telemetry::json_escape(faults::to_string(fc.profile)) + "\"";
-    }
+  if (const faults::FaultConfig fc = fault_config(); fc.profile != faults::Profile::kOff) {
+    w.field("faults", faults::to_string(fc.profile));
   }
   // Derived rates for the headline metrics (null until their inputs exist).
-  out += ",\"derived\":{";
+  w.key("derived").begin_object().key("sim_events_per_sec");
   const auto* events = snap.counter("sim.events");
   const auto* sim_wall = snap.counter("sim.run_wall_us");
   if (events != nullptr && sim_wall != nullptr && sim_wall->value > 0) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.1f",
-                  static_cast<double>(events->value) /
-                      (static_cast<double>(sim_wall->value) / 1e6));
-    out += "\"sim_events_per_sec\":";
-    out += buf;
+    w.raw(format_double("%.1f", static_cast<double>(events->value) /
+                                    (static_cast<double>(sim_wall->value) / 1e6)));
   } else {
-    out += "\"sim_events_per_sec\":null";
+    w.null();
   }
-  out += "}";
-  // Bench-specific scalars (speedups, per-engine rates, ...). Only present
-  // when the bench recorded some, so older reports stay byte-identical.
-  if (!extras_.empty()) {
-    out += ",\"extra\":{";
-    bool first = true;
-    for (const auto& [key, value] : extras_) {
-      if (!first) out += ",";
-      first = false;
-      out += "\"" + telemetry::json_escape(key) + "\":" + value;
-    }
-    out += "}";
-  }
-  // Probe snapshots (observability runs only) — absent otherwise so
-  // pre-observability reports stay byte-identical.
-  if (!timeseries_.empty()) {
-    out += ",\"timeseries\":{";
-    bool first = true;
-    for (const auto& [key, value] : timeseries_) {
-      if (!first) out += ",";
-      first = false;
-      out += "\"" + telemetry::json_escape(key) + "\":" + value;
-    }
-    out += "}";
+  w.end_object();
+  // Bench-specific scalars (speedups, per-engine rates, ...) and probe
+  // snapshots (observability runs only). Each section is present only when
+  // something was added, so older reports stay byte-identical.
+  for (const auto& [section, entries] :
+       {std::pair{"extra", &extras_}, std::pair{"timeseries", &timeseries_}}) {
+    if (entries->empty()) continue;
+    w.key(section).begin_object();
+    for (const auto& [key, value] : *entries) w.key(key).raw(value);
+    w.end_object();
   }
   // FCT tail analytics (FBDCSIM_OBS=flows runs that computed one) — absent
   // otherwise so pre-ledger reports stay byte-identical.
-  if (!fct_json_.empty()) {
-    out += ",\"fct\":" + fct_json_;
-  }
-  out += ",\"metrics\":" + telemetry::to_json(snap);
-  out += "}";
+  if (!fct_json_.empty()) w.key("fct").raw(fct_json_);
+  w.key("metrics").raw(telemetry::to_json(snap)).end_object();
   return out;
 }
 
 BenchReport::~BenchReport() {
   const std::string path = report_path();
-  if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-    const std::string json = to_json();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fputc('\n', f);
-    std::fclose(f);
-    std::fprintf(stderr, "bench report: %s\n", path.c_str());
-  } else {
+  if (!write_report_file("bench report: ", path, to_json() + '\n')) {
     std::fprintf(stderr, "bench report: cannot write %s\n", path.c_str());
   }
-
   const auto events = telemetry::Tracer::global().events();
   if (!events.empty() || !tracepoint_dumps_.empty()) {
-    const std::string tpath = trace_path();
-    if (std::FILE* f = std::fopen(tpath.c_str(), "w")) {
-      // Dumps add sim-clock instants on their own pid.
-      const std::string json = telemetry::to_chrome_trace(events, tracepoint_dumps_);
-      std::fwrite(json.data(), 1, json.size(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
-      std::fprintf(stderr, "bench trace:  %s (load in chrome://tracing or "
-                           "https://ui.perfetto.dev)\n",
-                   tpath.c_str());
-    }
+    // Dumps add sim-clock instants on their own pid.
+    write_report_file("bench trace:  ", trace_path(),
+                      telemetry::to_chrome_trace(events, tracepoint_dumps_) + '\n',
+                      " (load in chrome://tracing or https://ui.perfetto.dev)");
   }
-
   if (!tracepoint_dumps_.empty()) {
-    const std::string jpath = tracepoints_path();
-    if (std::FILE* f = std::fopen(jpath.c_str(), "w")) {
-      const std::string jsonl = telemetry::tracepoints_to_jsonl(tracepoint_dumps_);
-      std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "bench tracepoints: %s\n", jpath.c_str());
-    }
+    write_report_file("bench tracepoints: ", tracepoints_path(),
+                      telemetry::tracepoints_to_jsonl(tracepoint_dumps_));
   }
-
   if (!flow_dumps_.empty()) {
-    const std::string fpath = flows_path();
-    if (std::FILE* f = std::fopen(fpath.c_str(), "w")) {
-      const std::string jsonl = telemetry::flows_to_jsonl(flow_dumps_);
-      std::fwrite(jsonl.data(), 1, jsonl.size(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "bench flows: %s\n", fpath.c_str());
-    }
+    write_report_file("bench flows: ", flows_path(), telemetry::flows_to_jsonl(flow_dumps_));
   }
 }
 

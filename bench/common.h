@@ -102,8 +102,6 @@ class BenchReport {
   [[nodiscard]] std::string to_json() const;
 
  private:
-  void set_extra(const std::string& key, std::string json_value);
-
   std::string name_;
   std::uint64_t seed_;
   int status_{0};
@@ -122,6 +120,13 @@ class BenchReport {
 /// malformed; malformed — including out-of-range — values are diagnosed on
 /// stderr once per call).
 [[nodiscard]] std::optional<std::int64_t> bench_seconds_env();
+
+/// FBDCSIM_OBS and FBDCSIM_FAULTS as resolved for this bench run. Each knob
+/// is parsed once per distinct value — BenchEnv, banner(), BenchReport and
+/// the benches' own capture configs all read it through here — so a
+/// malformed value is diagnosed once per run.
+[[nodiscard]] telemetry::ObsConfig obs_config();
+[[nodiscard]] faults::FaultConfig fault_config();
 
 /// Resolves FBDCSIM_BENCH_OUT to a concrete path for `filename`: unset (or
 /// empty, with a diagnostic) keeps the working directory, a directory

@@ -22,17 +22,16 @@
 
 namespace fbdcsim::services {
 
-/// Where a peer may be, relative to the selecting host.
+/// Where a peer may be, relative to the selecting host. The values are fixed:
+/// deleting a scope leaves a gap rather than renumbering the scopes after it,
+/// so a scope prints (in logs and test names) as the same number it always had.
 enum class Scope : std::uint8_t {
-  kSameRack,                 // own rack, excluding self
-  kSameCluster,              // own cluster (any rack), excluding self
-  kSameClusterOtherRack,     // own cluster, different rack
-  kSameDatacenterOtherCluster,
-  kSameDatacenter,           // own DC, any cluster, excluding self
-  kOtherDatacentersSameSite,
-  kOtherSites,
-  kOtherDatacenters,         // anywhere outside own DC
-  kAnywhere,                 // whole fleet, excluding self
+  kSameRack = 0,                     // own rack, excluding self
+  kSameCluster = 1,                  // own cluster (any rack), excluding self
+  kSameClusterOtherRack = 2,         // own cluster, different rack
+  kSameDatacenterOtherCluster = 3,
+  kSameDatacenter = 4,               // own DC, any cluster, excluding self
+  kOtherDatacenters = 7,             // anywhere outside own DC
 };
 
 [[nodiscard]] const char* to_string(Scope scope);
@@ -55,14 +54,8 @@ enum class Scope : std::uint8_t {
       return c.datacenter == self.datacenter && c.cluster != self.cluster;
     case Scope::kSameDatacenter:
       return c.datacenter == self.datacenter;
-    case Scope::kOtherDatacentersSameSite:
-      return c.site == self.site && c.datacenter != self.datacenter;
-    case Scope::kOtherSites:
-      return c.site != self.site;
     case Scope::kOtherDatacenters:
       return c.datacenter != self.datacenter;
-    case Scope::kAnywhere:
-      return true;
   }
   return false;
 }

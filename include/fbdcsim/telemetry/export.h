@@ -9,12 +9,16 @@
 //   - to_chrome_trace: wall-clock spans and sim-clock tracepoints as a
 //     Chrome trace-event JSON document, loadable in chrome://tracing and
 //     https://ui.perfetto.dev.
+//
+// Both JSON documents are written by JsonWriter (json.h), the one writer
+// behind every JSON document fbdcsim emits.
 #pragma once
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "fbdcsim/telemetry/json.h"
 #include "fbdcsim/telemetry/metrics.h"
 #include "fbdcsim/telemetry/trace.h"
 #include "fbdcsim/telemetry/tracepoint.h"
@@ -39,8 +43,5 @@ void print_summary(std::FILE* out, const Snapshot& snapshot);
 /// list yields the spans-only document.
 [[nodiscard]] std::string to_chrome_trace(const std::vector<TraceEvent>& events,
                                           std::vector<TracePointDump> tracepoints);
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-[[nodiscard]] std::string json_escape(const std::string& s);
 
 }  // namespace fbdcsim::telemetry

@@ -44,7 +44,8 @@
 // in a bounded ring (completion order, oldest evicted first) —
 // so flows_to_jsonl output is bit-identical across FBDCSIM_THREADS
 // settings, and empty (byte-identical-off) unless
-// FBDCSIM_OBS=flows opted in.
+// FBDCSIM_OBS=flows opted in. flows_to_jsonl renders through JsonWriter
+// (json.h), the one writer behind every JSON document fbdcsim emits.
 #pragma once
 
 #include <cstddef>

@@ -232,10 +232,18 @@ class MetricsRegistry {
     std::unique_ptr<T> metric;
   };
 
+  template <typename T>
+  using Map = std::map<std::string, Entry<T>, std::less<>>;
+
+  /// The one registration path: returns `name` from `map`, or creates it
+  /// there. Throws when it exists with another kind or as another type.
+  template <typename T>
+  T& find_or_create(Map<T>& map, const char* type, std::string_view name, Kind kind);
+
   mutable std::mutex mu_;
-  std::map<std::string, Entry<Counter>, std::less<>> counters_;
-  std::map<std::string, Entry<Gauge>, std::less<>> gauges_;
-  std::map<std::string, Entry<Histogram>, std::less<>> histograms_;
+  Map<Counter> counters_;
+  Map<Gauge> gauges_;
+  Map<Histogram> histograms_;
 };
 
 }  // namespace fbdcsim::telemetry

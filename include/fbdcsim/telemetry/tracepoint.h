@@ -14,7 +14,9 @@
 // bit-identical across FBDCSIM_THREADS=1/2/8 and merge orders.
 // The Chrome-trace rendering emits sim-clock instant events on their own
 // pid, never interleaved with the wall-clock spans of trace.h (the
-// determinism contract made visible, DESIGN.md §11).
+// determinism contract made visible, DESIGN.md §11). Both renderings go
+// through JsonWriter (json.h), the one writer behind every JSON document
+// fbdcsim emits, and order dumps with its sort_by_source.
 //
 // The rack simulation instruments through FBDCSIM_T_TRACEPOINT below —
 // fault epochs, and packet drops from the switch's one drop hook: a

@@ -1,6 +1,6 @@
 #include "fbdcsim/analysis/fct.h"
 
-#include <cstdio>
+#include "fbdcsim/telemetry/json.h"
 
 namespace fbdcsim::analysis {
 
@@ -8,26 +8,15 @@ namespace {
 
 /// %.17g round-trips doubles exactly; quantiles of identical sample sets
 /// therefore render identically, which the determinism harness relies on.
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_quantiles(std::string& out, const char* key, const core::Cdf& cdf) {
-  out += '"';
-  out += key;
-  out += "\":{\"p50\":";
-  append_double(out, cdf.quantile(0.50));
-  out += ",\"p90\":";
-  append_double(out, cdf.quantile(0.90));
-  out += ",\"p99\":";
-  append_double(out, cdf.quantile(0.99));
-  out += ",\"p999\":";
-  append_double(out, cdf.quantile(0.999));
-  out += ",\"max\":";
-  append_double(out, cdf.max());
-  out += '}';
+void write_quantiles(telemetry::JsonWriter& w, const char* key, const core::Cdf& cdf) {
+  w.key(key)
+      .begin_object()
+      .field("p50", cdf.quantile(0.50))
+      .field("p90", cdf.quantile(0.90))
+      .field("p99", cdf.quantile(0.99))
+      .field("p999", cdf.quantile(0.999))
+      .field("max", cdf.max())
+      .end_object();
 }
 
 }  // namespace
@@ -92,38 +81,31 @@ FctCell FctTable::overall() const {
 }
 
 std::string FctTable::to_json() const {
-  std::string out = "{\"completed\":";
-  out += std::to_string(completed_);
-  out += ",\"incomplete\":";
-  out += std::to_string(incomplete_);
-  out += ",\"cells\":[";
-  bool first = true;
+  std::string out;
+  telemetry::JsonWriter w{out};
+  w.begin_object()
+      .field("completed", completed_)
+      .field("incomplete", incomplete_)
+      .key("cells")
+      .begin_array();
   for (int role = 0; role < kNumFctRoles; ++role) {
     for (int loc = 0; loc < core::kNumLocalities; ++loc) {
       for (int b = 0; b < kNumFctSizeBuckets; ++b) {
         const FctCell& c = cells_[index(role, loc, b)];
         if (c.count == 0) continue;
-        if (!first) out += ',';
-        first = false;
-        out += "{\"role\":\"";
-        out += core::to_string(static_cast<core::HostRole>(role));
-        out += "\",\"locality\":\"";
-        out += core::to_string(static_cast<core::Locality>(loc));
-        out += "\",\"bucket\":\"";
-        out += fct_size_bucket_name(b);
-        out += "\",\"count\":";
-        out += std::to_string(c.count);
-        out += ",\"bytes\":";
-        out += std::to_string(c.bytes);
-        out += ',';
-        append_quantiles(out, "fct_us", c.fct_us);
-        out += ',';
-        append_quantiles(out, "slowdown", c.slowdown);
-        out += '}';
+        w.begin_object()
+            .field("role", core::to_string(static_cast<core::HostRole>(role)))
+            .field("locality", core::to_string(static_cast<core::Locality>(loc)))
+            .field("bucket", fct_size_bucket_name(b))
+            .field("count", c.count)
+            .field("bytes", c.bytes);
+        write_quantiles(w, "fct_us", c.fct_us);
+        write_quantiles(w, "slowdown", c.slowdown);
+        w.end_object();
       }
     }
   }
-  out += "]}";
+  w.end_array().end_object();
   return out;
 }
 

@@ -12,10 +12,7 @@ const char* to_string(Scope scope) {
     case Scope::kSameClusterOtherRack: return "same-cluster-other-rack";
     case Scope::kSameDatacenterOtherCluster: return "same-dc-other-cluster";
     case Scope::kSameDatacenter: return "same-dc";
-    case Scope::kOtherDatacentersSameSite: return "other-dc-same-site";
-    case Scope::kOtherSites: return "other-sites";
     case Scope::kOtherDatacenters: return "other-dcs";
-    case Scope::kAnywhere: return "anywhere";
   }
   return "?";
 }

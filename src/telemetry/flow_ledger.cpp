@@ -1,9 +1,9 @@
 #include "fbdcsim/telemetry/flow_ledger.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 #include <utility>
+
+#include "fbdcsim/telemetry/json.h"
 
 namespace fbdcsim::telemetry {
 
@@ -323,133 +323,79 @@ FlowLedgerDump FlowLedger::take() {
 
 namespace {
 
-void append_int(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out += buf;
-}
-
-void append_uint(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
-void append_record(std::string& out, std::uint64_t source,
-                   const FlowLedgerRecord& r) {
-  out += "{\"source\":";
-  append_uint(out, source);
-  out += ",\"id\":";
-  append_int(out, r.id);
-  out += ",\"tag\":";
-  append_uint(out, r.flow_tag);
-  out += ",\"dir\":\"";
-  out += r.dir == 0 ? "out" : "in";
-  out += "\",\"role\":\"";
-  out += core::to_string(r.role);
-  out += "\",\"peer_role\":\"";
-  out += core::to_string(r.peer_role);
-  out += "\",\"locality\":\"";
-  out += core::to_string(r.locality);
-  out += "\",\"tuple\":\"";
-  out += r.tuple.to_string();
-  out += "\",\"born_ns\":";
-  append_int(out, r.conn_born_ns);
-  out += ",\"syn_sends\":";
-  append_int(out, r.syn_sends);
-  out += ",\"established_ns\":";
-  append_int(out, r.established_ns);
-  out += ",\"start_ns\":";
-  append_int(out, r.start_ns);
-  out += ",\"completed_ns\":";
-  append_int(out, r.completed_ns);
-  out += ",\"bytes\":";
-  append_int(out, r.bytes);
-  out += ",\"rtx_bytes\":";
-  append_int(out, r.rtx_bytes);
-  out += ",\"rtt_ns\":";
-  append_int(out, r.rtt_ns);
-  out += ",\"bottleneck_bps\":";
-  append_int(out, r.bottleneck_bps);
-  out += ",\"ideal_ns\":";
-  append_int(out, r.ideal_ns);
-  out += ",\"drops_total\":";
-  append_int(out, r.drops_total);
-  out += ",\"rtx_total\":";
-  append_int(out, r.rtx_total);
-  out += ",\"rto_count\":";
-  append_int(out, r.rto_count);
-  out += ",\"ecn_reductions\":";
-  append_int(out, r.ecn_reductions);
-  out += ",\"drops\":[";
+void append_record(std::string& out, std::uint64_t source, const FlowLedgerRecord& r) {
+  JsonWriter w{out};
+  w.begin_object()
+      .field("source", source)
+      .field("id", r.id)
+      .field("tag", r.flow_tag)
+      .field("dir", r.dir == 0 ? "out" : "in")
+      .field("role", core::to_string(r.role))
+      .field("peer_role", core::to_string(r.peer_role))
+      .field("locality", core::to_string(r.locality))
+      .field("tuple", r.tuple.to_string())
+      .field("born_ns", r.conn_born_ns)
+      .field("syn_sends", r.syn_sends)
+      .field("established_ns", r.established_ns)
+      .field("start_ns", r.start_ns)
+      .field("completed_ns", r.completed_ns)
+      .field("bytes", r.bytes)
+      .field("rtx_bytes", r.rtx_bytes)
+      .field("rtt_ns", r.rtt_ns)
+      .field("bottleneck_bps", r.bottleneck_bps)
+      .field("ideal_ns", r.ideal_ns)
+      .field("drops_total", r.drops_total)
+      .field("rtx_total", r.rtx_total)
+      .field("rto_count", r.rto_count)
+      .field("ecn_reductions", r.ecn_reductions)
+      .key("drops")
+      .begin_array();
   for (std::size_t i = 0; i < r.drop_count; ++i) {
     const FlowDropEvent& e = r.drops[i];
-    if (i > 0) out += ',';
-    out += "{\"id\":";
-    append_int(out, e.id);
-    out += ",\"t_ns\":";
-    append_int(out, e.t_ns);
-    out += ",\"seq\":";
-    append_int(out, e.seq);
-    out += ",\"len\":";
-    append_int(out, e.len);
-    out += ",\"cause\":\"";
-    out += to_string(e.cause);
-    out += "\",\"switch\":";
-    append_uint(out, e.switch_id);
-    out += ",\"port\":";
-    append_int(out, e.port);
-    out += ",\"fault_epoch\":";
-    append_int(out, e.fault_epoch);
-    out += ",\"claimed\":";
-    out += e.claimed ? '1' : '0';
-    out += '}';
+    w.begin_object()
+        .field("id", e.id)
+        .field("t_ns", e.t_ns)
+        .field("seq", e.seq)
+        .field("len", e.len)
+        .field("cause", to_string(e.cause))
+        .field("switch", e.switch_id)
+        .field("port", e.port)
+        .field("fault_epoch", e.fault_epoch)
+        .field("claimed", e.claimed ? 1 : 0)
+        .end_object();
   }
-  out += "],\"rtx\":[";
+  w.end_array().key("rtx").begin_array();
   for (std::size_t i = 0; i < r.rtx_count; ++i) {
     const FlowRtxEvent& e = r.rtxs[i];
-    if (i > 0) out += ',';
-    out += "{\"t_ns\":";
-    append_int(out, e.t_ns);
-    out += ",\"seq\":";
-    append_int(out, e.seq);
-    out += ",\"len\":";
-    append_int(out, e.len);
-    out += ",\"kind\":\"";
-    out += to_string(e.kind);
-    out += "\",\"cause_id\":";
-    append_int(out, e.cause_id);
-    out += '}';
+    w.begin_object()
+        .field("t_ns", e.t_ns)
+        .field("seq", e.seq)
+        .field("len", e.len)
+        .field("kind", to_string(e.kind))
+        .field("cause_id", e.cause_id)
+        .end_object();
   }
-  out += "],\"episodes\":[";
+  w.end_array().key("episodes").begin_array();
   for (std::size_t i = 0; i < r.episode_count; ++i) {
     const FlowEpisode& e = r.episodes[i];
-    if (i > 0) out += ',';
-    out += "{\"kind\":\"";
-    out += to_string(e.kind);
-    out += "\",\"start_ns\":";
-    append_int(out, e.start_ns);
-    out += ",\"end_ns\":";
-    append_int(out, e.end_ns);
-    out += ",\"detail\":";
-    append_int(out, e.detail);
-    out += '}';
+    w.begin_object()
+        .field("kind", to_string(e.kind))
+        .field("start_ns", e.start_ns)
+        .field("end_ns", e.end_ns)
+        .field("detail", e.detail)
+        .end_object();
   }
-  out += "]}\n";
+  w.end_array().end_object();
+  out += '\n';
 }
 
 }  // namespace
 
 std::string flows_to_jsonl(std::vector<FlowLedgerDump> dumps) {
-  std::stable_sort(dumps.begin(), dumps.end(),
-                   [](const FlowLedgerDump& a, const FlowLedgerDump& b) {
-                     return a.source_id < b.source_id;
-                   });
+  sort_by_source(dumps);
   std::string out;
   for (const FlowLedgerDump& dump : dumps) {
-    for (const FlowLedgerRecord& r : dump.records) {
-      append_record(out, dump.source_id, r);
-    }
+    for (const FlowLedgerRecord& r : dump.records) append_record(out, dump.source_id, r);
   }
   return out;
 }

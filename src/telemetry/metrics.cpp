@@ -120,64 +120,39 @@ MetricsRegistry& MetricsRegistry::global() {
   return *registry;
 }
 
-Counter& MetricsRegistry::counter(std::string_view name, Kind kind) {
+template <typename T>
+T& MetricsRegistry::find_or_create(Map<T>& map, const char* type, std::string_view name,
+                                   Kind kind) {
   std::lock_guard<std::mutex> lk{mu_};
-  const auto it = counters_.find(name);
-  if (it != counters_.end()) {
+  const auto it = map.find(name);
+  if (it != map.end()) {
     if (it->second.kind != kind) {
-      throw std::invalid_argument{"MetricsRegistry: counter '" + std::string{name} +
-                                  "' re-declared with a different kind"};
+      throw std::invalid_argument{"MetricsRegistry: " + std::string{type} + " '" +
+                                  std::string{name} + "' re-declared with a different kind"};
     }
     return *it->second.metric;
   }
-  if (gauges_.count(name) != 0 || histograms_.count(name) != 0) {
+  // Not in its own map, so any hit is another metric type.
+  if (counters_.count(name) + gauges_.count(name) + histograms_.count(name) != 0) {
     throw std::invalid_argument{"MetricsRegistry: '" + std::string{name} +
                                 "' already exists as another metric type"};
   }
-  auto& entry = counters_[std::string{name}];
+  auto& entry = map[std::string{name}];
   entry.kind = kind;
-  entry.metric = std::make_unique<Counter>();
+  entry.metric = std::make_unique<T>();
   return *entry.metric;
+}
+
+Counter& MetricsRegistry::counter(std::string_view name, Kind kind) {
+  return find_or_create(counters_, "counter", name, kind);
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name, Kind kind) {
-  std::lock_guard<std::mutex> lk{mu_};
-  const auto it = gauges_.find(name);
-  if (it != gauges_.end()) {
-    if (it->second.kind != kind) {
-      throw std::invalid_argument{"MetricsRegistry: gauge '" + std::string{name} +
-                                  "' re-declared with a different kind"};
-    }
-    return *it->second.metric;
-  }
-  if (counters_.count(name) != 0 || histograms_.count(name) != 0) {
-    throw std::invalid_argument{"MetricsRegistry: '" + std::string{name} +
-                                "' already exists as another metric type"};
-  }
-  auto& entry = gauges_[std::string{name}];
-  entry.kind = kind;
-  entry.metric = std::make_unique<Gauge>();
-  return *entry.metric;
+  return find_or_create(gauges_, "gauge", name, kind);
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name, Kind kind) {
-  std::lock_guard<std::mutex> lk{mu_};
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end()) {
-    if (it->second.kind != kind) {
-      throw std::invalid_argument{"MetricsRegistry: histogram '" + std::string{name} +
-                                  "' re-declared with a different kind"};
-    }
-    return *it->second.metric;
-  }
-  if (counters_.count(name) != 0 || gauges_.count(name) != 0) {
-    throw std::invalid_argument{"MetricsRegistry: '" + std::string{name} +
-                                "' already exists as another metric type"};
-  }
-  auto& entry = histograms_[std::string{name}];
-  entry.kind = kind;
-  entry.metric = std::make_unique<Histogram>();
-  return *entry.metric;
+  return find_or_create(histograms_, "histogram", name, kind);
 }
 
 Snapshot MetricsRegistry::snapshot() const {

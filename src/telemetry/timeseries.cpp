@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "fbdcsim/telemetry/json.h"
+
 namespace fbdcsim::telemetry {
 
 TimeSeries::TimeSeries(std::string name, std::int64_t period_ns, std::size_t capacity)
@@ -111,43 +113,30 @@ std::string timeseries_to_json(const std::vector<SeriesSnapshot>& series) {
   std::sort(ordered.begin(), ordered.end(),
             [](const SeriesSnapshot* a, const SeriesSnapshot* b) { return a->name < b->name; });
 
-  std::string out = "{\"series\":{";
-  bool first = true;
+  std::string out;
+  JsonWriter w{out};
+  w.begin_object().key("series").begin_object();
   for (const SeriesSnapshot* s : ordered) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    // Probe names are plain identifiers; escaping handled upstream if ever
-    // needed (names never contain quotes or control characters today).
-    out += s->name;
-    out += "\":{\"period_ns\":";
-    out += std::to_string(s->period_ns);
-    out += ",\"bin_samples\":";
-    out += std::to_string(s->bin_samples);
-    out += ",\"samples\":";
-    out += std::to_string(s->samples);
-    out += ",\"bins\":[";
-    bool first_bin = true;
+    w.key(s->name)
+        .begin_object()
+        .field("period_ns", s->period_ns)
+        .field("bin_samples", s->bin_samples)
+        .field("samples", s->samples)
+        .key("bins")
+        .begin_array();
     for (const SeriesBin& b : s->bins) {
-      if (!first_bin) out += ',';
-      first_bin = false;
-      out += '[';
-      out += std::to_string(b.start_ns);
-      out += ',';
-      out += std::to_string(b.count);
-      out += ',';
-      out += std::to_string(b.min);
-      out += ',';
-      out += std::to_string(b.max);
-      out += ',';
-      out += std::to_string(b.last);
-      out += ',';
-      out += std::to_string(b.sum);
-      out += ']';
+      w.begin_array()
+          .value(b.start_ns)
+          .value(b.count)
+          .value(b.min)
+          .value(b.max)
+          .value(b.last)
+          .value(b.sum)
+          .end_array();
     }
-    out += "]}";
+    w.end_array().end_object();
   }
-  out += "}}";
+  w.end_object().end_object();
   return out;
 }
 

@@ -6,6 +6,8 @@
 #include <mutex>
 #include <utility>
 
+#include "fbdcsim/telemetry/json.h"
+
 namespace fbdcsim::telemetry {
 
 const char* to_string(TracePointKind kind) {
@@ -137,26 +139,20 @@ void FlightRecorders::arm_crash_dump() {
 }
 
 std::string tracepoints_to_jsonl(std::vector<TracePointDump> dumps) {
-  std::stable_sort(dumps.begin(), dumps.end(),
-                   [](const TracePointDump& a, const TracePointDump& b) {
-                     return a.source_id < b.source_id;
-                   });
+  sort_by_source(dumps);
   std::string out;
   for (const TracePointDump& d : dumps) {
     for (const TracePointRecord& r : d.records) {
-      out += "{\"source\":";
-      out += std::to_string(d.source_id);
-      out += ",\"t_ns\":";
-      out += std::to_string(r.t_ns);
-      out += ",\"kind\":\"";
-      out += to_string(r.kind);
-      out += "\",\"entity\":";
-      out += std::to_string(r.entity);
-      out += ",\"a\":";
-      out += std::to_string(r.a);
-      out += ",\"b\":";
-      out += std::to_string(r.b);
-      out += "}\n";
+      JsonWriter{out}
+          .begin_object()
+          .field("source", d.source_id)
+          .field("t_ns", r.t_ns)
+          .field("kind", to_string(r.kind))
+          .field("entity", r.entity)
+          .field("a", r.a)
+          .field("b", r.b)
+          .end_object();
+      out += '\n';
     }
   }
   return out;

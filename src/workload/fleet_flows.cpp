@@ -72,10 +72,7 @@ const std::vector<HostId>* RoleIndex::bucket_for(const topology::Host& src, Host
     case Scope::kSameDatacenter:
     case Scope::kSameDatacenterOtherCluster:
       return &by_dc_role_[src.datacenter.value()][r];
-    case Scope::kOtherDatacentersSameSite:
-    case Scope::kOtherSites:
     case Scope::kOtherDatacenters:
-    case Scope::kAnywhere:
       return &by_role_[r];
   }
   return nullptr;

@@ -8,10 +8,12 @@
 
 #include <cstdlib>
 #include <optional>
+#include <regex>
 #include <string>
 #include <vector>
 
 #include "common.h"
+#include "fbdcsim/analysis/fct.h"
 #include "fbdcsim/faults/fault_plan.h"
 #include "fbdcsim/runtime/thread_pool.h"
 #include "fbdcsim/telemetry/obs.h"
@@ -433,6 +435,66 @@ TEST(BenchReportObsTest, TracepointsPathSitsNextToTheReport) {
   EXPECT_EQ(report.report_path(), "/tmp/obs_path_test/bench_pathcheck.json");
   EXPECT_EQ(report.tracepoints_path(),
             "/tmp/obs_path_test/bench_pathcheck.tracepoints.jsonl");
+}
+
+TEST(ExporterBytes, BenchReportJsonIsExact) {
+  // Every knob the report reads is fixed; git and wall_seconds are masked
+  // below. The metrics section is to_json's (pinned in telemetry_test).
+  EnvVarGuard out_guard{"FBDCSIM_BENCH_OUT"};
+  out_guard.set(::testing::TempDir().c_str());
+  EnvVarGuard threads_guard{"FBDCSIM_THREADS"};
+  threads_guard.set("3");
+  EnvVarGuard seconds_guard{"FBDCSIM_BENCH_SECONDS"};
+  seconds_guard.set("5");
+  EnvVarGuard faults_guard{"FBDCSIM_FAULTS"};
+  faults_guard.set("light");
+  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
+  reg.reset();
+  reg.counter("sim.events", telemetry::Kind::kSim).add(2'500);
+  reg.counter("sim.run_wall_us", telemetry::Kind::kWall).add(1'000);
+
+  BenchReport report{"pin_probe", 7};
+  report.set_status(2);
+  report.add_extra("ratio", 2.0 / 3.0);
+  report.add_extra("count", std::int64_t{-42});
+  report.add_extra("label \"q\"", std::string{"a\"b\\c\n"});
+  report.add_extra("count", std::int64_t{43});  // overwrite keeps the slot
+  telemetry::TimeSeriesProbe probe{core::Duration::micros(10), 2};
+  std::int64_t v = 5;
+  probe.add_gauge("g", [&v] { return v; });
+  for (int i = 0; i < 5; ++i) {
+    probe.sample_tick(i * 10'000);
+    v -= 3;
+  }
+  report.add_timeseries("rack 1", probe.snapshot());
+  analysis::FctTable fct;
+  telemetry::FlowLedgerRecord r;
+  r.bytes = 3'000;
+  r.start_ns = 1'000;
+  r.completed_ns = 21'000;
+  r.ideal_ns = 8'000;
+  fct.add(r);
+  report.add_fct(fct.to_json());
+
+  std::string json = report.to_json();
+  json = std::regex_replace(json, std::regex{R"("git":"[^"]*")"}, R"("git":"REV")");
+  json = std::regex_replace(json, std::regex{R"("wall_seconds":[0-9]+\.[0-9]{6},)"},
+                            R"("wall_seconds":W,)");
+  const std::string expected =
+      std::string{
+          R"({"bench":"pin_probe","schema":1,"git":"REV","seed":7,"threads":3,)"
+          R"("bench_seconds":5,"wall_seconds":W,"status":2,"telemetry_enabled":)"} +
+      (FBDCSIM_TELEMETRY_ENABLED ? "true" : "false") +
+      R"(,"faults":"light","derived":{"sim_events_per_sec":2500000.0},)"
+      R"("extra":{"ratio":0.666667,"count":43,"label \"q\"":"a\"b\\c\n"},)"
+      R"("timeseries":{"rack 1":{"series":{"g":{"period_ns":10000,"bin_samples":4,)"
+      R"("samples":5,"bins":[[0,4,-4,5,-4,2],[40000,1,-7,-7,-7,-7]]}}}},)"
+      R"("fct":{"completed":1,"incomplete":0,"cells":[{"role":"Web",)"
+      R"("locality":"Intra-Rack","bucket":"le4k","count":1,"bytes":3000,)"
+      R"("fct_us":{"p50":20,"p90":20,"p99":20,"p999":20,"max":20},"slowdown":{"p50":2.5,)"
+      R"("p90":2.5,"p99":2.5,"p999":2.5,"max":2.5}}]},"metrics":)" +
+      telemetry::to_json(reg.snapshot()) + "}";
+  EXPECT_EQ(json, expected);
 }
 
 }  // namespace

@@ -56,13 +56,7 @@ TEST_P(PeerSelectionScopeTest, AllCandidatesSatisfyScope) {
           EXPECT_NE(c.cluster, s.cluster);
           break;
         case Scope::kSameDatacenter: EXPECT_EQ(c.datacenter, s.datacenter); break;
-        case Scope::kOtherDatacentersSameSite:
-          EXPECT_EQ(c.site, s.site);
-          EXPECT_NE(c.datacenter, s.datacenter);
-          break;
-        case Scope::kOtherSites: EXPECT_NE(c.site, s.site); break;
         case Scope::kOtherDatacenters: EXPECT_NE(c.datacenter, s.datacenter); break;
-        case Scope::kAnywhere: break;
       }
     }
   }
@@ -73,9 +67,7 @@ INSTANTIATE_TEST_SUITE_P(AllScopes, PeerSelectionScopeTest,
                                            Scope::kSameClusterOtherRack,
                                            Scope::kSameDatacenterOtherCluster,
                                            Scope::kSameDatacenter,
-                                           Scope::kOtherDatacentersSameSite,
-                                           Scope::kOtherSites, Scope::kOtherDatacenters,
-                                           Scope::kAnywhere));
+                                           Scope::kOtherDatacenters));
 
 TEST(PeerSelectionTest, ScopesPartitionByConstruction) {
   // SameCluster == SameRack + SameClusterOtherRack (as candidate sets).
@@ -98,15 +90,12 @@ TEST(PeerSelectionTest, FleetTierPicksStayInPeerSelectorScope) {
       core::HostRole::kWeb,       core::HostRole::kCacheFollower, core::HostRole::kCacheLeader,
       core::HostRole::kHadoop,    core::HostRole::kMultifeed,     core::HostRole::kSlb,
       core::HostRole::kDatabase,  core::HostRole::kService};
-  const std::array<Scope, 9> scopes{Scope::kSameRack,
+  const std::array<Scope, 6> scopes{Scope::kSameRack,
                                     Scope::kSameCluster,
                                     Scope::kSameClusterOtherRack,
                                     Scope::kSameDatacenterOtherCluster,
                                     Scope::kSameDatacenter,
-                                    Scope::kOtherDatacentersSameSite,
-                                    Scope::kOtherSites,
-                                    Scope::kOtherDatacenters,
-                                    Scope::kAnywhere};
+                                    Scope::kOtherDatacenters};
   core::RngStream rng{23};
   for (const core::HostRole self_role : roles) {
     const auto hosts = fleet.hosts_with_role(self_role);
