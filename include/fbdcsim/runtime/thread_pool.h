@@ -24,8 +24,9 @@
 namespace fbdcsim::runtime {
 
 /// Effective worker count: FBDCSIM_THREADS if set to a valid positive
-/// integer (malformed values are diagnosed on stderr and ignored),
-/// otherwise the hardware concurrency (at least 1).
+/// integer (malformed values are ignored, and each distinct one is
+/// diagnosed on stderr once per process), otherwise the hardware
+/// concurrency (at least 1). Thread-safe.
 [[nodiscard]] int env_thread_count();
 
 /// A fixed pool of worker threads draining a bounded FIFO task queue.

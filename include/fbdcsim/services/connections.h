@@ -10,8 +10,8 @@
 // and its replies travel the opposite way, so one code path serves both.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "fbdcsim/core/packet.h"
@@ -40,6 +40,12 @@ struct Connection {
 /// deterministically in turn from the ephemeral range [kEphemeralBase,
 /// 65535], wrapping at its end; a port a pooled connection holds is never
 /// handed out again, so no live pooled tuple is ever reissued.
+///
+/// The pool is one flat open-addressed array (power-of-two capacity,
+/// Fibonacci hash of the pool key, linear probing, doubled before it is
+/// more than 7/8 full), so a lookup is one probe in the common case. Entries
+/// move when it grows: the table gives no reference stability, and
+/// pooled() returns the connection by value.
 class ConnectionTable {
  public:
   ConnectionTable(const topology::Fleet& fleet, core::HostId self)
@@ -50,16 +56,30 @@ class ConnectionTable {
   /// self:service_port), created on first use. The opener holds a fresh
   /// ephemeral port; the tuple stays self -> peer per the Connection
   /// invariant.
-  Connection& pooled(Dir dir, core::HostId peer, core::Port service_port);
+  [[nodiscard]] Connection pooled(Dir dir, core::HostId peer, core::Port service_port);
 
   /// A fresh ephemeral connection (new ephemeral port each call), oriented
   /// like pooled(). Use with Wire::open in the same `dir`.
   [[nodiscard]] Connection ephemeral(Dir dir, core::HostId peer, core::Port service_port);
 
   [[nodiscard]] core::HostId self() const { return self_; }
-  [[nodiscard]] std::size_t pooled_count() const { return pool_.size(); }
+  [[nodiscard]] std::size_t pooled_count() const { return pooled_count_; }
 
  private:
+  /// One pool entry. `key` packs (dir, peer, service_port); kEmptyKey marks
+  /// a free slot.
+  struct Slot {
+    std::uint64_t key;
+    Connection conn;
+  };
+  /// Bits 48-62 of a real key are always 0, so no key is all ones.
+  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
+  static constexpr int kMinCapacityLog2 = 4;
+
+  /// The slot holding `key`, or the empty slot where it belongs.
+  [[nodiscard]] std::size_t find_slot(std::uint64_t key) const;
+  /// Doubles the capacity and reinserts every entry.
+  void grow();
   [[nodiscard]] core::FiveTuple make_tuple(Dir dir, core::HostId peer,
                                            core::Port service_port,
                                            core::Port opener_port) const;
@@ -69,7 +89,11 @@ class ConnectionTable {
   const topology::Fleet* fleet_;
   core::HostId self_;
   core::Port next_port_{core::ports::kEphemeralBase};
-  std::unordered_map<std::uint64_t, Connection> pool_;
+  std::vector<Slot> slots_ = std::vector<Slot>(std::size_t{1} << kMinCapacityLog2,
+                                               Slot{kEmptyKey, {}});
+  /// 64 - log2(capacity): the hash keeps the product's top bits.
+  int shift_{64 - kMinCapacityLog2};
+  std::size_t pooled_count_{0};
   /// Indexed by port - kEphemeralBase: true while a pooled connection holds it.
   std::vector<bool> pooled_ports_ =
       std::vector<bool>(65536 - core::ports::kEphemeralBase, false);

@@ -42,6 +42,9 @@ struct Host {
   DatacenterId datacenter;
   SiteId site;
   HostRole role{HostRole::kService};
+  /// The host's index in its Rack::hosts, which is also its RSW downlink
+  /// port. Sits in the padding after `role`.
+  std::uint16_t rack_slot{0};
   core::Ipv4Addr addr;
 };
 

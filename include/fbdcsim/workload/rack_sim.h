@@ -163,11 +163,11 @@ class RackSimulation : public services::TrafficSink {
   /// The rack switch, for reading per-port counters after a run. Ports
   /// [0, hosts in the rack) are host downlinks, the rest uplinks.
   [[nodiscard]] const switching::SharedBufferSwitch& rack_switch() const { return *rsw_; }
+  /// The RSW port facing `host` (its Host::rack_slot), or nullopt when
+  /// `host` is not a member of this rack.
+  [[nodiscard]] std::optional<std::size_t> downlink_port(core::HostId host) const;
 
  private:
-  /// The RSW port facing `host`, or nullopt when `host` is not a member of
-  /// this rack.
-  [[nodiscard]] std::optional<std::size_t> downlink_port(core::HostId host) const;
   [[nodiscard]] std::size_t egress_port_for(const services::SimPacket& packet) const;
   void observe(const core::PacketHeader& header);
 

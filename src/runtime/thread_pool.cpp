@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <exception>
 #include <limits>
+#include <set>
+#include <string>
 #include <utility>
 
 #include "fbdcsim/telemetry/telemetry.h"
@@ -32,10 +34,17 @@ int env_thread_count() {
     if (end != env && *end == '\0' && v >= 1 && v <= 4096) {
       return static_cast<int>(v);
     }
-    std::fprintf(stderr,
-                 "FBDCSIM_THREADS='%s' is not a positive integer; "
-                 "using hardware concurrency instead\n",
-                 env);
+    // Banners, reports and every default pool read the variable; say what
+    // is wrong with each distinct value once per process.
+    static std::mutex mu;
+    static std::set<std::string, std::less<>> diagnosed;
+    const std::lock_guard<std::mutex> lk{mu};
+    if (diagnosed.emplace(env).second) {
+      std::fprintf(stderr,
+                   "FBDCSIM_THREADS='%s' is not a positive integer; "
+                   "using hardware concurrency instead\n",
+                   env);
+    }
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

@@ -39,7 +39,7 @@ void MultifeedModel::schedule_next_request() {
   sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / rate)), [this] {
     const auto web = pick_balanced(HostRole::kWeb, Scope::kSameCluster);
     if (web) {
-      Connection& conn = conns_.pooled(Dir::kIn, *web, core::ports::kMultifeed);
+      const Connection conn = conns_.pooled(Dir::kIn, *web, core::ports::kMultifeed);
       const TimePoint got =
           wire_.send(Dir::kIn, conn, mix_->web.multifeed_request, sim_->now());
       const DataSize resp = lognormal_size(response_size_, rng_, 64);
@@ -70,7 +70,7 @@ void SlbModel::schedule_next_request() {
     // the Web tier's fan-out completes (a few ms).
     const auto web = pick_balanced(HostRole::kWeb, Scope::kSameCluster);
     if (web) {
-      Connection& conn = conns_.pooled(Dir::kOut, *web, core::ports::kHttp);
+      const Connection conn = conns_.pooled(Dir::kOut, *web, core::ports::kHttp);
       const TimePoint sent = wire_.send(Dir::kOut, conn, mix_->slb.request_size, sim_->now());
       const DataSize page = lognormal_size(page_size_, rng_, 256);
       wire_.send(Dir::kIn, conn, page,
@@ -103,7 +103,7 @@ void DatabaseModel::schedule_next_query() {
     const Scope scope = rng_.bernoulli(0.6) ? Scope::kSameDatacenter : Scope::kOtherDatacenters;
     const auto leader = peers_.pick(HostRole::kCacheLeader, scope, rng_);
     if (leader) {
-      Connection& conn = conns_.pooled(Dir::kIn, *leader, core::ports::kMysql);
+      const Connection conn = conns_.pooled(Dir::kIn, *leader, core::ports::kMysql);
       const TimePoint got =
           wire_.send(Dir::kIn, conn, mix_->cache_leader.db_op_size, sim_->now());
       const DataSize resp = lognormal_size(response_size_, rng_, 128);
@@ -141,7 +141,7 @@ void DatabaseModel::schedule_next_replication() {
     // replicas).
     if (!replica_peers_.empty()) {
       const core::HostId peer = pick_from(replica_peers_);
-      Connection& conn = conns_.pooled(Dir::kOut, peer, core::ports::kMysql);
+      const Connection conn = conns_.pooled(Dir::kOut, peer, core::ports::kMysql);
       wire_.send(Dir::kOut, conn, mix_->database.replication_message, sim_->now());
     }
     schedule_next_replication();
@@ -179,7 +179,7 @@ void ServiceHostModel::schedule_next_message() {
     }
     const auto peer = peers_.pick(HostRole::kService, scope, rng_);
     if (peer) {
-      Connection& conn = conns_.pooled(Dir::kOut, *peer, core::ports::kSlb);
+      const Connection conn = conns_.pooled(Dir::kOut, *peer, core::ports::kSlb);
       const TimePoint sent = wire_.send(Dir::kOut, conn, p2.message, sim_->now());
       wire_.send(Dir::kIn, conn, DataSize::bytes(300), sent + Duration::micros(400));
     }

@@ -108,7 +108,7 @@ void CacheFollowerModel::serve_get(double /*rate_multiplier*/) {
   const auto web = pick_requester();
   if (!web) return;
 
-  Connection& conn = conns_.pooled(Dir::kIn, *web, core::ports::kMemcache);
+  const Connection conn = conns_.pooled(Dir::kIn, *web, core::ports::kMemcache);
   // The response piggybacks the ACK of the request (no standalone ACK).
   const TimePoint got = wire_.send(Dir::kIn, conn, mix_->web.cache_get_request, now,
                                    Duration::micros(2), /*ack=*/false);
@@ -121,7 +121,7 @@ void CacheFollowerModel::serve_get(double /*rate_multiplier*/) {
     const core::HostId leader = pick_from(leader_peers_);
     const bool remote =
         fleet().host(leader).datacenter != fleet().host(self()).datacenter;
-    Connection& fill = conns_.pooled(Dir::kOut, leader, core::ports::kCacheCoherence);
+    const Connection fill = conns_.pooled(Dir::kOut, leader, core::ports::kCacheCoherence);
     const TimePoint asked = wire_.send(Dir::kOut, fill, p.fill_request, got + service);
     const Duration fill_rtt = remote ? Duration::millis(35) : Duration::micros(400);
     const TimePoint filled = wire_.send(Dir::kIn, fill, object, asked + fill_rtt);
@@ -143,7 +143,7 @@ void CacheFollowerModel::schedule_next_misc() {
   sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / rate)), [this] {
     if (!misc_peers_.empty()) {
       const core::HostId svc = pick_from(misc_peers_);
-      Connection& conn = conns_.pooled(Dir::kOut, svc, core::ports::kSlb);
+      const Connection conn = conns_.pooled(Dir::kOut, svc, core::ports::kSlb);
       wire_.send(Dir::kOut, conn, mix_->cache_follower.misc_message, sim_->now());
     }
     schedule_next_misc();
@@ -247,7 +247,7 @@ void CacheLeaderModel::schedule_next_coherency() {
         sim_->now().count_nanos() / 250'000'000LL);
     const auto peer = peers_.pick_skewed(role, scope, rng_, 1.05, rotation);
     if (peer) {
-      Connection& conn = conns_.pooled(Dir::kOut, *peer, core::ports::kCacheCoherence);
+      const Connection conn = conns_.pooled(Dir::kOut, *peer, core::ports::kCacheCoherence);
       const DataSize msg = sampled_size(coherency_size_, rng_, 64);
       // Invalidations are pipelined fire-and-forget; the TCP-level delayed
       // ACK synthesized by Wire::send is the only reverse traffic.
@@ -266,7 +266,7 @@ void CacheLeaderModel::schedule_next_db_op() {
     if (!db_peers_.empty()) {
       const core::HostId db = pick_from(db_peers_);
       const bool remote = fleet().host(db).datacenter != fleet().host(self()).datacenter;
-      Connection& conn = conns_.pooled(Dir::kOut, db, core::ports::kMysql);
+      const Connection conn = conns_.pooled(Dir::kOut, db, core::ports::kMysql);
       const TimePoint sent = wire_.send(Dir::kOut, conn, p2.db_op_size, sim_->now());
       const Duration rtt = remote ? Duration::millis(35) : Duration::micros(600);
       wire_.send(Dir::kIn, conn, DataSize::bytes(900), sent + rtt);
@@ -285,7 +285,7 @@ void CacheLeaderModel::schedule_next_fill() {
     const auto follower =
         peers_.pick(HostRole::kCacheFollower, Scope::kSameDatacenterOtherCluster, rng_);
     if (follower) {
-      Connection& conn = conns_.pooled(Dir::kIn, *follower, core::ports::kCacheCoherence);
+      const Connection conn = conns_.pooled(Dir::kIn, *follower, core::ports::kCacheCoherence);
       const TimePoint got =
           wire_.send(Dir::kIn, conn, mix_->cache_follower.fill_request, sim_->now());
       const DataSize object = sampled_size(object_size_, rng_, 32);
@@ -329,12 +329,12 @@ void CacheLeaderModel::schedule_next_misc() {
     if (rng_.bernoulli(mf_rate / total_rate)) {
       if (!mf_peers_.empty()) {
         const core::HostId mf = pick_from(mf_peers_);
-        Connection& conn = conns_.pooled(Dir::kOut, mf, core::ports::kMultifeed);
+        const Connection conn = conns_.pooled(Dir::kOut, mf, core::ports::kMultifeed);
         wire_.send(Dir::kOut, conn, p2.multifeed_msg, sim_->now());
       }
     } else if (!misc_peers_.empty()) {
       const core::HostId svc = pick_from(misc_peers_);
-      Connection& conn = conns_.pooled(Dir::kOut, svc, core::ports::kSlb);
+      const Connection conn = conns_.pooled(Dir::kOut, svc, core::ports::kSlb);
       wire_.send(Dir::kOut, conn, p2.misc_message, sim_->now());
     }
     schedule_next_misc();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "fbdcsim/services/traffic_model.h"
 
@@ -27,7 +28,7 @@ core::FiveTuple ConnectionTable::make_tuple(Dir dir, core::HostId peer,
 }
 
 core::Port ConnectionTable::next_port() {
-  if (pool_.size() >= pooled_ports_.size()) {
+  if (pooled_count_ >= pooled_ports_.size()) {
     throw std::length_error{"ConnectionTable: pooled connections hold every ephemeral port"};
   }
   while (true) {
@@ -38,18 +39,36 @@ core::Port ConnectionTable::next_port() {
   }
 }
 
-Connection& ConnectionTable::pooled(Dir dir, core::HostId peer, core::Port service_port) {
+std::size_t ConnectionTable::find_slot(std::uint64_t key) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = static_cast<std::size_t>((key * 0x9E37'79B9'7F4A'7C15ULL) >> shift_);
+  while (slots_[i].key != key && slots_[i].key != kEmptyKey) i = (i + 1) & mask;
+  return i;
+}
+
+void ConnectionTable::grow() {
+  const std::vector<Slot> old =
+      std::exchange(slots_, std::vector<Slot>(slots_.size() * 2, Slot{kEmptyKey, {}}));
+  --shift_;
+  for (const Slot& s : old) {
+    if (s.key != kEmptyKey) slots_[find_slot(s.key)] = s;
+  }
+}
+
+Connection ConnectionTable::pooled(Dir dir, core::HostId peer, core::Port service_port) {
   const std::uint64_t key = (dir == Dir::kIn ? 0x8000'0000'0000'0000ULL : 0) |
                             (static_cast<std::uint64_t>(peer.value()) << 16) | service_port;
-  auto it = pool_.find(key);
-  if (it == pool_.end()) {
-    const core::Port opener_port = next_port();
-    pooled_ports_[opener_port - core::ports::kEphemeralBase] = true;
-    it = pool_.emplace(key, Connection{make_tuple(dir, peer, service_port, opener_port), peer,
-                                       true})
-             .first;
+  std::size_t i = find_slot(key);
+  if (slots_[i].key == key) return slots_[i].conn;
+  if ((pooled_count_ + 1) * 8 > slots_.size() * 7) {
+    grow();
+    i = find_slot(key);
   }
-  return it->second;
+  const core::Port opener_port = next_port();
+  pooled_ports_[opener_port - core::ports::kEphemeralBase] = true;
+  slots_[i] = Slot{key, Connection{make_tuple(dir, peer, service_port, opener_port), peer, true}};
+  ++pooled_count_;
+  return slots_[i].conn;
 }
 
 Connection ConnectionTable::ephemeral(Dir dir, core::HostId peer, core::Port service_port) {

@@ -163,13 +163,13 @@ void HadoopModel::schedule_next_control() {
     if (rng_.bernoulli(p2.misc_bytes_fraction)) {
       const auto svc = peers_.pick(HostRole::kService, Scope::kSameDatacenter, rng_);
       if (svc) {
-        Connection& conn = conns_.pooled(Dir::kOut, *svc, core::ports::kSlb);
+        const Connection conn = conns_.pooled(Dir::kOut, *svc, core::ports::kSlb);
         wire_.send(Dir::kOut, conn, p2.control_msg, sim_->now());
       }
     } else {
       const auto peer = peers_.pick(HostRole::kHadoop, Scope::kSameClusterOtherRack, rng_);
       if (peer) {
-        Connection& conn = conns_.pooled(Dir::kOut, *peer, core::ports::kHdfs);
+        const Connection conn = conns_.pooled(Dir::kOut, *peer, core::ports::kHdfs);
         const TimePoint sent = wire_.send(Dir::kOut, conn, p2.control_msg, sim_->now());
         wire_.send(Dir::kIn, conn, DataSize::bytes(200), sent + Duration::micros(250));
       }

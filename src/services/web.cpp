@@ -69,7 +69,7 @@ void WebServerModel::serve_user_request() {
   const auto slb = pick_balanced(HostRole::kSlb, Scope::kSameCluster);
   TimePoint ready = now;
   if (slb) {
-    Connection& in = conns_.pooled(Dir::kIn, *slb, core::ports::kHttp);
+    const Connection in = conns_.pooled(Dir::kIn, *slb, core::ports::kHttp);
     // The page response piggybacks the ACK of the user request.
     ready = wire_.send(Dir::kIn, in, mix_->slb.request_size, now, Duration::micros(2),
                        /*ack=*/false);
@@ -104,7 +104,7 @@ void WebServerModel::serve_user_request() {
         80 + rng_.exponential(120.0)));
 
     if (mix_->connection_pooling_enabled) {
-      Connection& conn = conns_.pooled(Dir::kOut, *follower, core::ports::kMemcache);
+      const Connection conn = conns_.pooled(Dir::kOut, *follower, core::ports::kMemcache);
       // The cache response piggybacks the request's ACK.
       const TimePoint sent =
           wire_.send(Dir::kOut, conn, w.cache_get_request, at, Duration::micros(2), false);
@@ -125,7 +125,7 @@ void WebServerModel::serve_user_request() {
   for (int m = 0; m < mf_calls; ++m) {
     const auto mf = peers_.pick(HostRole::kMultifeed, Scope::kSameCluster, rng_);
     if (!mf) break;
-    Connection& conn = conns_.pooled(Dir::kOut, *mf, core::ports::kMultifeed);
+    const Connection conn = conns_.pooled(Dir::kOut, *mf, core::ports::kMultifeed);
     const TimePoint sent =
         wire_.send(Dir::kOut, conn, w.multifeed_request, at, Duration::micros(2), false);
     const DataSize mf_resp = DataSize::bytes(std::max<std::int64_t>(
@@ -140,7 +140,7 @@ void WebServerModel::serve_user_request() {
 
   // 4. Response back to the SLB.
   if (slb) {
-    Connection& in = conns_.pooled(Dir::kIn, *slb, core::ports::kHttp);
+    const Connection in = conns_.pooled(Dir::kIn, *slb, core::ports::kHttp);
     const DataSize page = DataSize::bytes(std::max<std::int64_t>(
         256, static_cast<std::int64_t>(slb_response_.sample(rng_))));
     wire_.send(Dir::kOut, in, page, at + Duration::micros(200));
@@ -180,7 +180,7 @@ void WebServerModel::schedule_next_misc() {
     // the fixed endpoint group, which spans this and other datacenters.
     if (!misc_peers_.empty()) {
       const core::HostId peer = pick_from(misc_peers_);
-      Connection& conn = conns_.pooled(Dir::kOut, peer, core::ports::kSlb);
+      const Connection conn = conns_.pooled(Dir::kOut, peer, core::ports::kSlb);
       wire_.send(Dir::kOut, conn, w2.misc_message, sim_->now());
     }
     schedule_next_misc();

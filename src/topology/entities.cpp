@@ -96,7 +96,9 @@ HostId FleetBuilder::add_host(RackId rack) {
   const core::Ipv4Addr addr =
       AddressPlan::address_for(rk.datacenter.value(), rack_in_dc, host_in_rack);
 
-  fleet_.hosts_.push_back(Host{id, rack, rk.cluster, rk.datacenter, rk.site, rk.role, addr});
+  // address_for bounds host_in_rack to 8 bits, so the slot fits.
+  fleet_.hosts_.push_back(Host{id, rack, rk.cluster, rk.datacenter, rk.site, rk.role,
+                               static_cast<std::uint16_t>(host_in_rack), addr});
   rk.hosts.push_back(id);
   return id;
 }

@@ -248,13 +248,9 @@ RackSimulation::~RackSimulation() {
 }
 
 std::optional<std::size_t> RackSimulation::downlink_port(core::HostId host) const {
-  if (fleet_->host(host).rack != rack_) return std::nullopt;
-  // The host's position within the rack. A host that claims this rack but
-  // is missing from its member list (inconsistent fleet) has no port.
-  const auto& hosts = fleet_->rack(rack_).hosts;
-  const auto it = std::find(hosts.begin(), hosts.end(), host);
-  if (it == hosts.end()) return std::nullopt;
-  return static_cast<std::size_t>(std::distance(hosts.begin(), it));
+  const topology::Host& h = fleet_->host(host);
+  if (h.rack != rack_) return std::nullopt;
+  return h.rack_slot;
 }
 
 std::size_t RackSimulation::egress_port_for(const SimPacket& packet) const {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -121,6 +122,30 @@ TEST(EnvThreadCountTest, RejectsMalformedValues) {
   }
   ::unsetenv("FBDCSIM_THREADS");
   EXPECT_GE(env_thread_count(), 1);
+}
+
+TEST(EnvThreadCountTest, DiagnosesEachMalformedValueOnce) {
+  const auto lines = [](const std::string& s) {
+    return static_cast<int>(std::count(s.begin(), s.end(), '\n'));
+  };
+  ::unsetenv("FBDCSIM_THREADS");
+  const int fallback = env_thread_count();  // hardware concurrency
+  ::setenv("FBDCSIM_THREADS", "bogus-once", 1);
+  testing::internal::CaptureStderr();
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(env_thread_count(), fallback);
+  const std::string first = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(lines(first), 1) << first;
+  EXPECT_NE(first.find("'bogus-once'"), std::string::npos) << first;
+
+  ::setenv("FBDCSIM_THREADS", "also-bogus", 1);
+  testing::internal::CaptureStderr();
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(env_thread_count(), fallback);
+  ::setenv("FBDCSIM_THREADS", "bogus-once", 1);
+  EXPECT_EQ(env_thread_count(), fallback);
+  const std::string second = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(lines(second), 1) << second;
+  EXPECT_NE(second.find("'also-bogus'"), std::string::npos) << second;
+  ::unsetenv("FBDCSIM_THREADS");
 }
 
 }  // namespace

@@ -43,11 +43,56 @@ class WireTest : public ::testing::Test {
 };
 
 TEST_F(WireTest, PooledConnectionIsStable) {
-  Connection& a = table_.pooled(Dir::kOut, peer_, 80);
-  Connection& b = table_.pooled(Dir::kOut, peer_, 80);
-  EXPECT_EQ(&a, &b);
+  const Connection a = table_.pooled(Dir::kOut, peer_, 80);
+  const Connection b = table_.pooled(Dir::kOut, peer_, 80);
   EXPECT_EQ(a.tuple, b.tuple);
+  EXPECT_EQ(a.peer, b.peer);
   EXPECT_TRUE(a.pooled);
+  EXPECT_TRUE(b.pooled);
+  EXPECT_EQ(table_.pooled_count(), 1u);
+}
+
+TEST_F(WireTest, PooledTableKeepsEveryTupleAcrossGrowth) {
+  // 5,000 peers x 2 dirs x 2 service ports: 20,000 entries, so the flat
+  // table doubles from its minimum capacity many times over.
+  const topology::Fleet big =
+      topology::build_single_cluster_fleet(topology::ClusterType::kHadoop, 160, 32);
+  ASSERT_GT(big.hosts().size(), 5'000u);
+  const core::HostId self = big.hosts().front().id;
+  ConnectionTable table{big, self};
+  struct Made {
+    Dir dir;
+    core::HostId peer;
+    core::Port service_port;
+    Connection conn;
+  };
+  std::vector<Made> made;
+  for (std::uint32_t i = 1; i <= 5'000; ++i) {
+    const core::HostId peer{i};
+    for (const Dir dir : {Dir::kOut, Dir::kIn}) {
+      for (const core::Port port : {core::Port{80}, core::Port{11211}}) {
+        made.push_back({dir, peer, port, table.pooled(dir, peer, port)});
+      }
+    }
+  }
+  ASSERT_EQ(table.pooled_count(), made.size());
+
+  std::vector<bool> seen(65536, false);
+  for (std::size_t n = 0; n < made.size(); ++n) {
+    const Made& m = made[n];
+    const core::Port opener =
+        m.dir == Dir::kOut ? m.conn.tuple.src_port : m.conn.tuple.dst_port;
+    // Ports are handed out in creation order, as before the flat table.
+    EXPECT_EQ(std::size_t{opener}, core::ports::kEphemeralBase + n);
+    EXPECT_FALSE(seen[opener]) << "opener port " << opener << " reused";
+    seen[opener] = true;
+
+    const Connection again = table.pooled(m.dir, m.peer, m.service_port);
+    ASSERT_EQ(again.tuple, m.conn.tuple) << "entry " << n;
+    EXPECT_EQ(again.peer, m.peer);
+    EXPECT_TRUE(again.pooled);
+  }
+  EXPECT_EQ(table.pooled_count(), made.size());
 }
 
 TEST_F(WireTest, PooledTupleOrientationIsSelfToPeer) {
@@ -95,10 +140,14 @@ TEST_F(WireTest, InboundConnectionKeepsSelfToPeerOrientation) {
   const Connection c = table_.ephemeral(Dir::kIn, peer_, 11211);
   EXPECT_EQ(c.tuple.src_ip, fleet_.host(self_).addr);
   EXPECT_EQ(c.tuple.src_port, 11211);  // well-known port on self side
-  Connection& p = table_.pooled(Dir::kIn, peer_, 11211);
+  const Connection p = table_.pooled(Dir::kIn, peer_, 11211);
   EXPECT_EQ(p.tuple.src_ip, fleet_.host(self_).addr);
   EXPECT_EQ(p.tuple.src_port, 11211);
-  EXPECT_EQ(&p, &table_.pooled(Dir::kIn, peer_, 11211));
+  const Connection again = table_.pooled(Dir::kIn, peer_, 11211);
+  EXPECT_EQ(again.tuple, p.tuple);
+  EXPECT_EQ(again.peer, p.peer);
+  EXPECT_TRUE(again.pooled);
+  EXPECT_EQ(table_.pooled_count(), 1u);
 }
 
 TEST_F(WireTest, SendSegmentsAtMss) {

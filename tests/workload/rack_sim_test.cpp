@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <optional>
 #include <tuple>
 
 #include "fbdcsim/topology/standard_fleet.h"
@@ -189,6 +191,50 @@ TEST(RackSimulationTest, RequiresMonitoredHost) {
   const topology::Fleet fleet = small_rack_fleet();
   RackSimConfig cfg;
   EXPECT_THROW(RackSimulation(fleet, cfg), std::invalid_argument);
+}
+
+void expect_rack_slots_index_rack_hosts(const topology::Fleet& fleet) {
+  std::size_t checked = 0;
+  for (const topology::Rack& rack : fleet.racks()) {
+    for (std::size_t i = 0; i < rack.hosts.size(); ++i, ++checked) {
+      ASSERT_EQ(std::size_t{fleet.host(rack.hosts[i]).rack_slot}, i)
+          << "rack " << rack.id.value();
+    }
+  }
+  EXPECT_EQ(checked, fleet.num_hosts());
+}
+
+TEST(HostRackSlotTest, EqualsIndexInRackHosts) {
+  static_assert(sizeof(topology::Host) == 28, "rack_slot must fit in Host's padding");
+  expect_rack_slots_index_rack_hosts(build_rack_experiment_fleet());
+  expect_rack_slots_index_rack_hosts(build_fleet_experiment_fleet());
+}
+
+TEST(RswDownlinkPortTest, MatchesRackScanAndRejectsOtherRacks) {
+  const topology::Fleet fleet = build_rack_experiment_fleet();
+  const RackSimConfig cfg = quick_config(fleet, HostRole::kCacheFollower);
+  const RackSimulation sim{fleet, cfg};
+  const topology::Host& self = fleet.host(cfg.monitored_host);
+  const auto& members = fleet.rack(self.rack).hosts;
+  ASSERT_GT(members.size(), 1u);
+  for (const core::HostId h : members) {
+    const auto scanned = static_cast<std::size_t>(
+        std::distance(members.begin(), std::find(members.begin(), members.end(), h)));
+    EXPECT_EQ(sim.downlink_port(h), std::optional<std::size_t>{scanned});
+  }
+
+  // Hosts elsewhere have no downlink here, even those whose slot is a
+  // valid port number of this rack.
+  std::optional<core::HostId> same_cluster;
+  std::optional<core::HostId> other_dc;
+  for (const topology::Host& h : fleet.hosts()) {
+    if (h.rack == self.rack || h.rack_slot >= members.size()) continue;
+    if (!same_cluster && h.cluster == self.cluster && h.rack_slot > 0) same_cluster = h.id;
+    if (!other_dc && h.datacenter != self.datacenter) other_dc = h.id;
+  }
+  ASSERT_TRUE(same_cluster && other_dc);
+  EXPECT_EQ(sim.downlink_port(*same_cluster), std::nullopt);
+  EXPECT_EQ(sim.downlink_port(*other_dc), std::nullopt);
 }
 
 TEST(ScaleRatesTest, ScalesEveryRateField) {
