@@ -23,7 +23,6 @@ class MultifeedModel : public TrafficModel {
 
  private:
   void schedule_first() override;
-  void schedule_next_request();
 
   core::LogNormal response_size_;
 };
@@ -38,7 +37,6 @@ class SlbModel : public TrafficModel {
 
  private:
   void schedule_first() override;
-  void schedule_next_request();
 
   core::LogNormal page_size_;
 };
@@ -53,8 +51,6 @@ class DatabaseModel : public TrafficModel {
 
  private:
   void schedule_first() override;
-  void schedule_next_query();
-  void schedule_next_replication();
 
   core::LogNormal response_size_;
   std::vector<core::HostId> replica_peers_;
@@ -69,8 +65,7 @@ class ServiceHostModel : public TrafficModel {
 
  private:
   void schedule_first() override;
-  void schedule_next_message();
-
+  void send_message();
 };
 
 /// Constructs the model matching a host's role.

@@ -39,11 +39,9 @@ class CacheFollowerModel : public TrafficModel {
 
  private:
   void schedule_first() override;
-  void schedule_next_get();
-  void serve_get(double rate_multiplier);
-  void schedule_next_surge();
-  void schedule_next_ephemeral();
-  void schedule_next_misc();
+  void serve_get();
+  /// A hot-object surge: raises the get rate for the surge's lifetime.
+  void start_surge();
 
   core::LogNormal object_size_;
 
@@ -76,11 +74,7 @@ class CacheLeaderModel : public TrafficModel {
 
  private:
   void schedule_first() override;
-  void schedule_next_coherency();
-  void schedule_next_db_op();
-  void schedule_next_fill();
-  void schedule_next_ephemeral();
-  void schedule_next_misc();
+  void send_coherency();
 
   /// Follower scope chosen per Table 3's Cache locality mix.
   [[nodiscard]] Scope follower_scope();
@@ -92,6 +86,10 @@ class CacheLeaderModel : public TrafficModel {
   std::vector<core::HostId> db_peers_;
   std::vector<core::HostId> mf_peers_;
   std::vector<core::HostId> misc_peers_;
+
+  /// Multifeed-invalidation and background message rates (per second).
+  double mf_rate_{0.0};
+  double misc_rate_{0.0};
 };
 
 }  // namespace fbdcsim::services

@@ -35,7 +35,10 @@ class HadoopModel : public TrafficModel {
   void schedule_first() override;
   void enter_quiet();
   void enter_busy();
-  void schedule_next_transfer();
+  /// Whether the busy phase numbered `epoch` is still running.
+  [[nodiscard]] bool in_busy_phase(std::uint64_t epoch) const {
+    return busy_ && epoch == phase_epoch_;
+  }
   /// A rack neighbour when `rack_local`, else a member of the cluster
   /// partner set; nullopt when that set is empty.
   [[nodiscard]] std::optional<core::HostId> pick_partner(bool rack_local);
@@ -44,7 +47,7 @@ class HadoopModel : public TrafficModel {
   void start_shuffle_streams(std::uint64_t epoch);
   void schedule_stream_chunk(std::uint64_t epoch, Connection conn, Dir dir,
                              core::TimePoint at);
-  void schedule_next_control();
+  void send_control();
 
   core::LogNormal transfer_size_;
 

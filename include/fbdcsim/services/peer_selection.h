@@ -8,8 +8,9 @@
 // policies; the LB-off ablation swaps uniform choice for a Zipf-skewed one.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <vector>
@@ -62,13 +63,15 @@ enum class Scope : std::uint8_t {
 
 /// Selects peers of a given role within a scope, uniformly (load-balanced)
 /// or Zipf-skewed (for the load-balancing-off ablation). Candidate lists
-/// are resolved once per (role, scope) and cached.
+/// are resolved on first use per (role, scope) and kept in a fixed table,
+/// so every later lookup is one index.
 class PeerSelector {
  public:
   PeerSelector(const topology::Fleet& fleet, core::HostId self)
       : fleet_{&fleet}, self_{self} {}
 
   /// All candidates of `role` within `scope` (stable order, self excluded).
+  /// The span stays valid for the selector's lifetime.
   [[nodiscard]] std::span<const core::HostId> candidates(core::HostRole role, Scope scope);
 
   /// Uniform choice; nullopt if no candidate exists.
@@ -84,21 +87,40 @@ class PeerSelector {
                                                         double zipf_exponent = 1.2,
                                                         std::uint64_t rotation = 0);
 
-  /// A fixed set of up to `count` distinct peers of `role` within `scope`.
-  /// Services do not scatter their background/shard traffic over the whole
-  /// fleet: log sinks, shard leaders, and replica sets are small, stable
-  /// peer groups. Models draw such groups once at construction.
-  [[nodiscard]] std::vector<core::HostId> pick_set(core::HostRole role, Scope scope,
-                                                   std::size_t count, core::RngStream& rng);
+  /// How many peers a fixed set draws from one scope.
+  struct ScopeCount {
+    Scope scope;
+    std::size_t count;
+  };
+
+  /// A fixed set of peers of `role`: up to `count` distinct ones from each
+  /// listed scope, concatenated in list order. Services do not scatter
+  /// their background/shard traffic over the whole fleet: log sinks, shard
+  /// leaders, and replica sets are small, stable peer groups. Models draw
+  /// such groups once at construction.
+  [[nodiscard]] std::vector<core::HostId> pick_set(core::HostRole role,
+                                                   std::initializer_list<ScopeCount> scopes,
+                                                   core::RngStream& rng);
 
   [[nodiscard]] core::HostId self() const { return self_; }
   [[nodiscard]] const topology::Fleet& fleet() const { return *fleet_; }
 
  private:
+  /// One (role, scope) pair: its candidates once resolved, and the Zipf
+  /// table over them once a skewed pick asks for one.
+  struct Entry {
+    bool resolved{false};
+    std::vector<core::HostId> candidates;
+    std::optional<core::Zipf> zipf;
+  };
+  static constexpr std::size_t kRoles = 8;       // core::HostRole values
+  static constexpr std::size_t kScopeSlots = 8;  // Scope values span 0..7
+
+  [[nodiscard]] Entry& entry(core::HostRole role, Scope scope);
+
   const topology::Fleet* fleet_;
   core::HostId self_;
-  std::map<std::pair<core::HostRole, Scope>, std::vector<core::HostId>> cache_;
-  std::map<std::pair<core::HostRole, Scope>, core::Zipf> zipf_cache_;
+  std::array<Entry, kRoles * kScopeSlots> entries_;
 };
 
 }  // namespace fbdcsim::services

@@ -12,11 +12,19 @@
 // holds the state they all share (the mix, the RNG stream, the peer
 // selector, the connection table, the simulator and the Wire) and its
 // start() binds them before handing over to the model's own first schedule.
+// Every request process a model runs is one arrivals() loop — a Poisson
+// process with a rate and a body — so a model is its constructor (fixed
+// peer sets, size distributions), its schedule_first() (one arrivals() per
+// traffic class) and the bodies those loops run.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 
+#include "fbdcsim/core/distributions.h"
 #include "fbdcsim/core/packet.h"
 #include "fbdcsim/core/rng.h"
 #include "fbdcsim/services/connections.h"
@@ -70,9 +78,41 @@ class TrafficModel {
   /// simulated time. Called once, by start().
   virtual void schedule_first() = 0;
 
+  /// Runs one Poisson arrival process: waits Exp(1 / rate()), runs `body`,
+  /// and repeats. `rate` is re-read before every draw (the cache
+  /// follower's get rate follows its surges); a rate that is not positive
+  /// ends the process, so a silenced model schedules nothing. The
+  /// re-arming event captures both callables, which must fit
+  /// InlineAction's inline buffer.
+  template <typename Rate, typename Body>
+  void arrivals(Rate rate, Body body) {
+    const double r = rate();
+    if (!(r > 0.0)) return;
+    auto next = [this, rate, body] {
+      body();
+      arrivals(rate, body);
+    };
+    static_assert(sim::InlineAction::fits_inline<decltype(next)>,
+                  "arrival captures must stay inline");
+    sim_->schedule_after(core::Duration::from_seconds(rng_.exponential(1.0 / r)),
+                         std::move(next));
+  }
+
+  /// One draw of the log-normal `dist`, floored at `floor_bytes`.
+  [[nodiscard]] core::DataSize floored_size(const core::LogNormal& dist,
+                                            std::int64_t floor_bytes) {
+    return core::DataSize::bytes(
+        std::max(floor_bytes, static_cast<std::int64_t>(dist.sample(rng_))));
+  }
+
   /// A peer of `role` within `scope`: uniform while load balancing is on,
   /// Zipf-skewed in the load-balancing-off ablation.
   [[nodiscard]] std::optional<core::HostId> pick_balanced(core::HostRole role, Scope scope);
+
+  /// A one-way `message` over a pooled connection to one member of the
+  /// fixed peer `group`, drawn uniformly; nothing when the group is empty.
+  void send_to_group(std::span<const core::HostId> group, core::Port port,
+                     core::DataSize message);
 
   /// One of `hosts` (which must be non-empty), drawn uniformly.
   [[nodiscard]] core::HostId pick_from(std::span<const core::HostId> hosts);

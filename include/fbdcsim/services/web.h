@@ -31,10 +31,7 @@ class WebServerModel : public TrafficModel {
 
  private:
   void schedule_first() override;
-  void schedule_next_user_request();
   void serve_user_request();
-  void schedule_next_misc();
-  void schedule_next_ephemeral();
 
   core::LogNormal slb_response_;
   core::LogNormal hot_response_;

@@ -27,7 +27,6 @@ enum class ConnState : std::uint8_t {
   kSynReceived,  // peer's SYN arrived, self sent SYN-ACK (inbound open)
   kEstablished,
   kFinWait,      // FIN sent, waiting for peer's FIN-ACK
-  kDone,         // teardown complete; slot ready for recycling
 };
 
 /// One direction's sender + receiver state. Byte indices are absolute
@@ -79,10 +78,6 @@ struct HalfStream {
   std::int64_t ooo_hi[kMaxOooRanges] = {};
   int ooo_count{0};
   int segs_since_ack{0};
-
-  // -- accounting (bytes-conservation property tests) --
-  std::int64_t retransmitted_bytes{0};
-  std::int64_t switch_dropped_segments{0};
 
   [[nodiscard]] std::int64_t inflight() const { return snd_nxt - snd_una; }
 };

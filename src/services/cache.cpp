@@ -12,11 +12,6 @@ using core::DataSize;
 using core::Duration;
 using core::HostRole;
 using core::TimePoint;
-
-DataSize sampled_size(core::LogNormal& dist, core::RngStream& rng, std::int64_t floor_bytes) {
-  return DataSize::bytes(
-      std::max(floor_bytes, static_cast<std::int64_t>(dist.sample(rng))));
-}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -33,30 +28,47 @@ CacheFollowerModel::CacheFollowerModel(const topology::Fleet& fleet, core::HostI
   // Figure 9's per-host flow sizes stay tight — only the Web-facing
   // response traffic is spread wide).
   core::RngStream setup = rng_.fork("peer-sets");
-  leader_peers_ = peers_.pick_set(HostRole::kCacheLeader,
-                                  Scope::kSameDatacenterOtherCluster, 12, setup);
-  const auto remote_leaders =
-      peers_.pick_set(HostRole::kCacheLeader, Scope::kOtherDatacenters, 4, setup);
-  leader_peers_.insert(leader_peers_.end(), remote_leaders.begin(), remote_leaders.end());
-  misc_peers_ = peers_.pick_set(HostRole::kService, Scope::kSameDatacenter, 5, setup);
-  const auto remote_misc =
-      peers_.pick_set(HostRole::kService, Scope::kOtherDatacenters, 3, setup);
-  misc_peers_.insert(misc_peers_.end(), remote_misc.begin(), remote_misc.end());
+  leader_peers_ = peers_.pick_set(
+      HostRole::kCacheLeader,
+      {{Scope::kSameDatacenterOtherCluster, 12}, {Scope::kOtherDatacenters, 4}}, setup);
+  misc_peers_ = peers_.pick_set(
+      HostRole::kService, {{Scope::kSameDatacenter, 5}, {Scope::kOtherDatacenters, 3}}, setup);
 }
 
 void CacheFollowerModel::schedule_first() {
-  schedule_next_get();
-  schedule_next_surge();
-  schedule_next_ephemeral();
-  schedule_next_misc();
-}
-
-void CacheFollowerModel::schedule_next_get() {
-  const double rate = mix_->cache_follower.gets_served_per_sec * surge_multiplier_;
-  sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / rate)), [this] {
-    serve_get(surge_multiplier_);
-    schedule_next_get();
-  });
+  arrivals(
+      [this] { return mix_->cache_follower.gets_served_per_sec * surge_multiplier_; },
+      [this] { serve_get(); });
+  // Surge inter-arrival: a handful per minute per follower; the top-50 hot
+  // list churns on the order of minutes (§5.2).
+  arrivals([] { return 3.0 / 60.0; }, [this] { start_surge(); });
+  // Short-lived administrative / one-shot connections: stats pulls, health
+  // checks, shard moves. Small exchanges on fresh connections.
+  arrivals([this] { return mix_->cache_follower.ephemeral_per_sec; },
+           [this] {
+             const auto peer = peers_.pick(HostRole::kWeb, Scope::kSameCluster, rng_);
+             if (!peer) return;
+             const Connection conn = conns_.ephemeral(Dir::kOut, *peer, core::ports::kMemcache);
+             const TimePoint opened = wire_.open(Dir::kOut, conn, sim_->now());
+             const TimePoint sent = wire_.send(Dir::kOut, conn, DataSize::bytes(400), opened);
+             const TimePoint answered =
+                 wire_.send(Dir::kIn, conn, DataSize::bytes(600), sent + Duration::micros(150));
+             wire_.close(conn, answered + Duration::micros(30));
+           });
+  // Background traffic ("Rest", 5.5% of Table 2's cache-f row): logging and
+  // service chatter to Service hosts in this and other datacenters.
+  arrivals(
+      [this] {
+        const CacheFollowerParams& p = mix_->cache_follower;
+        const double fg_bytes = p.gets_served_per_sec *
+                                static_cast<double>(p.object_median.count_bytes()) * 1.8;
+        const double misc_bytes =
+            fg_bytes * p.misc_bytes_fraction / (1.0 - p.misc_bytes_fraction);
+        return misc_bytes / static_cast<double>(p.misc_message.count_bytes());
+      },
+      [this] {
+        send_to_group(misc_peers_, core::ports::kSlb, mix_->cache_follower.misc_message);
+      });
 }
 
 void CacheFollowerModel::refresh_rack_weights() {
@@ -98,7 +110,7 @@ std::optional<core::HostId> CacheFollowerModel::pick_requester() {
   return pick_from(hosts);
 }
 
-void CacheFollowerModel::serve_get(double /*rate_multiplier*/) {
+void CacheFollowerModel::serve_get() {
   const CacheFollowerParams& p = mix_->cache_follower;
   const TimePoint now = sim_->now();
 
@@ -114,7 +126,7 @@ void CacheFollowerModel::serve_get(double /*rate_multiplier*/) {
                                    Duration::micros(2), /*ack=*/false);
 
   const Duration service = Duration::micros(static_cast<std::int64_t>(40 + rng_.exponential(60.0)));
-  const DataSize object = sampled_size(object_size_, rng_, 32);
+  const DataSize object = floored_size(object_size_, 32);
 
   if (rng_.bernoulli(p.miss_rate) && !leader_peers_.empty()) {
     // Miss: fill from the shard's leader before answering.
@@ -131,66 +143,22 @@ void CacheFollowerModel::serve_get(double /*rate_multiplier*/) {
   wire_.send(Dir::kOut, conn, object, got + service);
 }
 
-void CacheFollowerModel::schedule_next_misc() {
-  const CacheFollowerParams& p = mix_->cache_follower;
-  // Background traffic ("Rest", 5.5% of Table 2's cache-f row): logging and
-  // service chatter to Service hosts in this and other datacenters.
-  const double fg_bytes = p.gets_served_per_sec *
-                          static_cast<double>(p.object_median.count_bytes()) * 1.8;
-  const double misc_bytes = fg_bytes * p.misc_bytes_fraction / (1.0 - p.misc_bytes_fraction);
-  const double rate = misc_bytes / static_cast<double>(p.misc_message.count_bytes());
-  if (rate <= 0.0) return;
-  sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / rate)), [this] {
-    if (!misc_peers_.empty()) {
-      const core::HostId svc = pick_from(misc_peers_);
-      const Connection conn = conns_.pooled(Dir::kOut, svc, core::ports::kSlb);
-      wire_.send(Dir::kOut, conn, mix_->cache_follower.misc_message, sim_->now());
-    }
-    schedule_next_misc();
-  });
-}
-
-void CacheFollowerModel::schedule_next_surge() {
-  // Surge inter-arrival: a handful per minute per follower; the top-50 hot
-  // list churns on the order of minutes (§5.2).
-  const double surges_per_sec = 3.0 / 60.0;
-  sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / surges_per_sec)), [this] {
-    const HotObjectParams& hp = mix_->hot_objects;
-    ++surges_started_;
-    // A hot object adds demand. With mitigation the cache tells Web
-    // servers to cache the object within a short reaction time and the
-    // surge collapses; without it the surge runs its full course, and is
-    // larger (no replication spreads the shard).
-    const double magnitude = hp.mitigation_enabled ? rng_.uniform(0.05, 0.25)
-                                                   : rng_.uniform(0.5, 3.0);
-    const Duration lifetime =
-        hp.mitigation_enabled
-            ? Duration::from_seconds(0.2 + rng_.exponential(0.8))
-            : Duration::from_seconds(rng_.exponential(hp.hot_lifetime.to_seconds()));
-    surge_multiplier_ += magnitude;
-    if (hp.mitigation_enabled) ++surges_mitigated_;
-    sim_->schedule_after(lifetime, [this, magnitude] { surge_multiplier_ -= magnitude; });
-    schedule_next_surge();
-  });
-}
-
-void CacheFollowerModel::schedule_next_ephemeral() {
-  const double rate = mix_->cache_follower.ephemeral_per_sec;
-  if (rate <= 0.0) return;
-  sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / rate)), [this] {
-    // Short-lived administrative / one-shot connections: stats pulls,
-    // health checks, shard moves. Small exchanges on fresh connections.
-    const auto peer = peers_.pick(HostRole::kWeb, Scope::kSameCluster, rng_);
-    if (peer) {
-      const Connection conn = conns_.ephemeral(Dir::kOut, *peer, core::ports::kMemcache);
-      const TimePoint opened = wire_.open(Dir::kOut, conn, sim_->now());
-      const TimePoint sent = wire_.send(Dir::kOut, conn, DataSize::bytes(400), opened);
-      const TimePoint answered =
-          wire_.send(Dir::kIn, conn, DataSize::bytes(600), sent + Duration::micros(150));
-      wire_.close(conn, answered + Duration::micros(30));
-    }
-    schedule_next_ephemeral();
-  });
+void CacheFollowerModel::start_surge() {
+  const HotObjectParams& hp = mix_->hot_objects;
+  ++surges_started_;
+  // A hot object adds demand. With mitigation the cache tells Web servers
+  // to cache the object within a short reaction time and the surge
+  // collapses; without it the surge runs its full course, and is larger
+  // (no replication spreads the shard).
+  const double magnitude =
+      hp.mitigation_enabled ? rng_.uniform(0.05, 0.25) : rng_.uniform(0.5, 3.0);
+  const Duration lifetime =
+      hp.mitigation_enabled
+          ? Duration::from_seconds(0.2 + rng_.exponential(0.8))
+          : Duration::from_seconds(rng_.exponential(hp.hot_lifetime.to_seconds()));
+  surge_multiplier_ += magnitude;
+  if (hp.mitigation_enabled) ++surges_mitigated_;
+  sim_->schedule_after(lifetime, [this, magnitude] { surge_multiplier_ -= magnitude; });
 }
 
 // ---------------------------------------------------------------------------
@@ -205,20 +173,75 @@ CacheLeaderModel::CacheLeaderModel(const topology::Fleet& fleet, core::HostId se
       object_size_{static_cast<double>(mix.cache_follower.object_median.count_bytes()),
                    mix.cache_follower.object_sigma} {
   core::RngStream setup = rng_.fork("peer-sets");
-  db_peers_ = peers_.pick_set(HostRole::kDatabase, Scope::kSameDatacenter, 6, setup);
-  const auto remote_dbs =
-      peers_.pick_set(HostRole::kDatabase, Scope::kOtherDatacenters, 10, setup);
-  db_peers_.insert(db_peers_.end(), remote_dbs.begin(), remote_dbs.end());
-  mf_peers_ = peers_.pick_set(HostRole::kMultifeed, Scope::kSameDatacenter, 6, setup);
-  misc_peers_ = peers_.pick_set(HostRole::kService, Scope::kSameDatacenter, 6, setup);
+  db_peers_ = peers_.pick_set(HostRole::kDatabase,
+                              {{Scope::kSameDatacenter, 6}, {Scope::kOtherDatacenters, 10}},
+                              setup);
+  mf_peers_ = peers_.pick_set(HostRole::kMultifeed, {{Scope::kSameDatacenter, 6}}, setup);
+  misc_peers_ = peers_.pick_set(HostRole::kService, {{Scope::kSameDatacenter, 6}}, setup);
+
+  // Multifeed invalidations plus background services, as shares of the
+  // coherency and database bytes.
+  const CacheLeaderParams& p = mix.cache_leader;
+  const double fg_bytes =
+      p.coherency_msgs_per_sec * static_cast<double>(p.coherency_msg_median.count_bytes()) +
+      p.db_ops_per_sec * static_cast<double>(p.db_op_size.count_bytes());
+  mf_rate_ = fg_bytes * p.multifeed_share / static_cast<double>(p.multifeed_msg.count_bytes());
+  misc_rate_ =
+      fg_bytes * p.misc_bytes_fraction / static_cast<double>(p.misc_message.count_bytes());
 }
 
 void CacheLeaderModel::schedule_first() {
-  schedule_next_coherency();
-  schedule_next_db_op();
-  schedule_next_fill();
-  schedule_next_ephemeral();
-  schedule_next_misc();
+  arrivals([this] { return mix_->cache_leader.coherency_msgs_per_sec; },
+           [this] { send_coherency(); });
+  // Databases are reached in this DC and across the backbone ("single
+  // geographically distributed instance", §4.2).
+  arrivals([this] { return mix_->cache_leader.db_ops_per_sec; },
+           [this] {
+             if (db_peers_.empty()) return;
+             const core::HostId db = pick_from(db_peers_);
+             const bool remote = fleet().host(db).datacenter != fleet().host(self()).datacenter;
+             const Connection conn = conns_.pooled(Dir::kOut, db, core::ports::kMysql);
+             const TimePoint sent =
+                 wire_.send(Dir::kOut, conn, mix_->cache_leader.db_op_size, sim_->now());
+             const Duration rtt = remote ? Duration::millis(35) : Duration::micros(600);
+             wire_.send(Dir::kIn, conn, DataSize::bytes(900), sent + rtt);
+           });
+  // Fill requests from followers in this datacenter (inbound), answered
+  // with objects. Rate scales with follower miss traffic.
+  arrivals(
+      [this] {
+        return mix_->cache_follower.gets_served_per_sec * mix_->cache_follower.miss_rate * 0.25;
+      },
+      [this] {
+        const auto follower =
+            peers_.pick(HostRole::kCacheFollower, Scope::kSameDatacenterOtherCluster, rng_);
+        if (!follower) return;
+        const Connection conn =
+            conns_.pooled(Dir::kIn, *follower, core::ports::kCacheCoherence);
+        const TimePoint got =
+            wire_.send(Dir::kIn, conn, mix_->cache_follower.fill_request, sim_->now());
+        wire_.send(Dir::kOut, conn, floored_size(object_size_, 32),
+                   got + Duration::micros(120));
+      });
+  arrivals([this] { return mix_->cache_leader.ephemeral_per_sec; },
+           [this] {
+             const auto peer = peers_.pick(HostRole::kCacheFollower, follower_scope(), rng_);
+             if (!peer) return;
+             const Connection conn =
+                 conns_.ephemeral(Dir::kOut, *peer, core::ports::kCacheCoherence);
+             const TimePoint opened = wire_.open(Dir::kOut, conn, sim_->now());
+             const TimePoint sent = wire_.send(Dir::kOut, conn, DataSize::bytes(500), opened);
+             wire_.close(conn, sent + Duration::micros(100));
+           });
+  arrivals([this] { return mf_rate_ + misc_rate_; },
+           [this] {
+             const CacheLeaderParams& p = mix_->cache_leader;
+             if (rng_.bernoulli(mf_rate_ / (mf_rate_ + misc_rate_))) {
+               send_to_group(mf_peers_, core::ports::kMultifeed, p.multifeed_msg);
+             } else {
+               send_to_group(misc_peers_, core::ports::kSlb, p.misc_message);
+             }
+           });
 }
 
 Scope CacheLeaderModel::follower_scope() {
@@ -232,113 +255,22 @@ Scope CacheLeaderModel::follower_scope() {
   return Scope::kOtherDatacenters;
 }
 
-void CacheLeaderModel::schedule_next_coherency() {
-  const double rate = mix_->cache_leader.coherency_msgs_per_sec;
-  sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / rate)), [this] {
-    const Scope scope = follower_scope();
-    // Coherency partners: followers in Frontend clusters and leaders in
-    // other Cache clusters. Demand is mildly skewed toward the shards
-    // that are currently hot, and the hot set churns every ~500 ms —
-    // this is what makes leader heavy hitters few and short-lived
-    // (Table 4, Figures 10b/17c).
-    const HostRole role = scope == Scope::kSameCluster ? HostRole::kCacheLeader
-                                                       : HostRole::kCacheFollower;
-    const auto rotation = static_cast<std::uint64_t>(
-        sim_->now().count_nanos() / 250'000'000LL);
-    const auto peer = peers_.pick_skewed(role, scope, rng_, 1.05, rotation);
-    if (peer) {
-      const Connection conn = conns_.pooled(Dir::kOut, *peer, core::ports::kCacheCoherence);
-      const DataSize msg = sampled_size(coherency_size_, rng_, 64);
-      // Invalidations are pipelined fire-and-forget; the TCP-level delayed
-      // ACK synthesized by Wire::send is the only reverse traffic.
-      wire_.send(Dir::kOut, conn, msg, sim_->now());
-    }
-    schedule_next_coherency();
-  });
-}
-
-void CacheLeaderModel::schedule_next_db_op() {
-  const CacheLeaderParams& p = mix_->cache_leader;
-  sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / p.db_ops_per_sec)), [this] {
-    const CacheLeaderParams& p2 = mix_->cache_leader;
-    // Databases are reached in this DC and across the backbone ("single
-    // geographically distributed instance", §4.2).
-    if (!db_peers_.empty()) {
-      const core::HostId db = pick_from(db_peers_);
-      const bool remote = fleet().host(db).datacenter != fleet().host(self()).datacenter;
-      const Connection conn = conns_.pooled(Dir::kOut, db, core::ports::kMysql);
-      const TimePoint sent = wire_.send(Dir::kOut, conn, p2.db_op_size, sim_->now());
-      const Duration rtt = remote ? Duration::millis(35) : Duration::micros(600);
-      wire_.send(Dir::kIn, conn, DataSize::bytes(900), sent + rtt);
-    }
-    schedule_next_db_op();
-  });
-}
-
-void CacheLeaderModel::schedule_next_fill() {
-  // Fill requests from followers in this datacenter (inbound), answered
-  // with objects. Rate scales with follower miss traffic.
-  const double rate = mix_->cache_follower.gets_served_per_sec *
-                      mix_->cache_follower.miss_rate * 0.25;
-  if (rate <= 0.0) return;
-  sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / rate)), [this] {
-    const auto follower =
-        peers_.pick(HostRole::kCacheFollower, Scope::kSameDatacenterOtherCluster, rng_);
-    if (follower) {
-      const Connection conn = conns_.pooled(Dir::kIn, *follower, core::ports::kCacheCoherence);
-      const TimePoint got =
-          wire_.send(Dir::kIn, conn, mix_->cache_follower.fill_request, sim_->now());
-      const DataSize object = sampled_size(object_size_, rng_, 32);
-      wire_.send(Dir::kOut, conn, object, got + Duration::micros(120));
-    }
-    schedule_next_fill();
-  });
-}
-
-void CacheLeaderModel::schedule_next_ephemeral() {
-  const double rate = mix_->cache_leader.ephemeral_per_sec;
-  if (rate <= 0.0) return;
-  sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / rate)), [this] {
-    const Scope scope = follower_scope();
-    const auto peer = peers_.pick(HostRole::kCacheFollower, scope, rng_);
-    if (peer) {
-      const Connection conn = conns_.ephemeral(Dir::kOut, *peer, core::ports::kCacheCoherence);
-      const TimePoint opened = wire_.open(Dir::kOut, conn, sim_->now());
-      const TimePoint sent = wire_.send(Dir::kOut, conn, DataSize::bytes(500), opened);
-      wire_.close(conn, sent + Duration::micros(100));
-    }
-    schedule_next_ephemeral();
-  });
-}
-
-void CacheLeaderModel::schedule_next_misc() {
-  const CacheLeaderParams& p = mix_->cache_leader;
-  // Multifeed invalidations plus background services.
-  const double fg_bytes =
-      p.coherency_msgs_per_sec * static_cast<double>(p.coherency_msg_median.count_bytes()) +
-      p.db_ops_per_sec * static_cast<double>(p.db_op_size.count_bytes());
-  const double mf_bytes = fg_bytes * p.multifeed_share;
-  const double misc_bytes = fg_bytes * p.misc_bytes_fraction;
-  const double mf_rate = mf_bytes / static_cast<double>(p.multifeed_msg.count_bytes());
-  const double misc_rate = misc_bytes / static_cast<double>(p.misc_message.count_bytes());
-  const double total_rate = mf_rate + misc_rate;
-  if (total_rate <= 0.0) return;
-  sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / total_rate)),
-                       [this, mf_rate, total_rate] {
-    const CacheLeaderParams& p2 = mix_->cache_leader;
-    if (rng_.bernoulli(mf_rate / total_rate)) {
-      if (!mf_peers_.empty()) {
-        const core::HostId mf = pick_from(mf_peers_);
-        const Connection conn = conns_.pooled(Dir::kOut, mf, core::ports::kMultifeed);
-        wire_.send(Dir::kOut, conn, p2.multifeed_msg, sim_->now());
-      }
-    } else if (!misc_peers_.empty()) {
-      const core::HostId svc = pick_from(misc_peers_);
-      const Connection conn = conns_.pooled(Dir::kOut, svc, core::ports::kSlb);
-      wire_.send(Dir::kOut, conn, p2.misc_message, sim_->now());
-    }
-    schedule_next_misc();
-  });
+void CacheLeaderModel::send_coherency() {
+  const Scope scope = follower_scope();
+  // Coherency partners: followers in Frontend clusters and leaders in other
+  // Cache clusters. Demand is mildly skewed toward the shards that are
+  // currently hot, and the hot set churns every ~500 ms — this is what
+  // makes leader heavy hitters few and short-lived (Table 4, Figures
+  // 10b/17c).
+  const HostRole role =
+      scope == Scope::kSameCluster ? HostRole::kCacheLeader : HostRole::kCacheFollower;
+  const auto rotation = static_cast<std::uint64_t>(sim_->now().count_nanos() / 250'000'000LL);
+  const auto peer = peers_.pick_skewed(role, scope, rng_, 1.05, rotation);
+  if (!peer) return;
+  const Connection conn = conns_.pooled(Dir::kOut, *peer, core::ports::kCacheCoherence);
+  // Invalidations are pipelined fire-and-forget; the TCP-level delayed ACK
+  // synthesized by Wire::send is the only reverse traffic.
+  wire_.send(Dir::kOut, conn, floored_size(coherency_size_, 64), sim_->now());
 }
 
 }  // namespace fbdcsim::services

@@ -37,7 +37,7 @@ HadoopModel::HadoopModel(const topology::Fleet& fleet, core::HostId self,
 }
 
 void HadoopModel::schedule_first() {
-  schedule_next_control();
+  arrivals([this] { return mix_->hadoop.control_msgs_per_sec; }, [this] { send_control(); });
   // Start in a random phase position so co-located nodes desynchronize.
   if (rng_.bernoulli(mix_->hadoop.busy_period_mean.to_seconds() /
                      (mix_->hadoop.busy_period_mean.to_seconds() +
@@ -66,7 +66,18 @@ void HadoopModel::enter_busy() {
   sim_->schedule_after(len, [this, epoch] {
     if (epoch == phase_epoch_) enter_quiet();
   });
-  schedule_next_transfer();
+  // Bulk transfers run for this busy phase only: once the phase ends its
+  // epoch is stale, which reads as a zero rate and ends the loop. Shuffle
+  // is bidirectional: this node both serves map output and fetches it.
+  // Inbound transfers are synthesized from outside the rack only
+  // (rack-local inbound comes from neighbours' models; see traffic_model.h).
+  arrivals(
+      [this, epoch] {
+        return in_busy_phase(epoch) ? mix_->hadoop.transfers_per_sec_busy : 0.0;
+      },
+      [this, epoch] {
+        if (in_busy_phase(epoch)) launch_transfer(rng_.bernoulli(0.5) ? Dir::kIn : Dir::kOut);
+      });
   start_shuffle_streams(epoch);
 }
 
@@ -97,36 +108,21 @@ void HadoopModel::schedule_stream_chunk(std::uint64_t epoch, Connection conn, Di
                                         TimePoint at) {
   if (at < sim_->now()) at = sim_->now();
   sim_->schedule_at(at, [this, epoch, conn, dir] {
-    if (epoch != phase_epoch_ || !busy_) {
+    if (!in_busy_phase(epoch)) {
       wire_.close(conn, sim_->now());
       return;
     }
     const HadoopParams& p = mix_->hadoop;
-    core::LogNormal chunk_dist{static_cast<double>(p.stream_chunk_median.count_bytes()),
-                               p.stream_chunk_sigma};
-    const DataSize chunk = DataSize::bytes(std::max<std::int64_t>(
-        512, static_cast<std::int64_t>(chunk_dist.sample(rng_))));
+    const DataSize chunk = floored_size(
+        core::LogNormal{static_cast<double>(p.stream_chunk_median.count_bytes()),
+                        p.stream_chunk_sigma},
+        512);
     // Streams are disk/application bound (~0.3-0.5 Gbps), not line rate.
     const Duration gap = Duration::micros(static_cast<std::int64_t>(25 + rng_.exponential(10.0)));
     const TimePoint done = wire_.send(dir, conn, chunk, sim_->now(), gap);
     const Duration wait = Duration::from_seconds(
         rng_.exponential(p.stream_interval_mean.to_seconds()));
     schedule_stream_chunk(epoch, conn, dir, done + wait);
-  });
-}
-
-void HadoopModel::schedule_next_transfer() {
-  if (!busy_) return;
-  const std::uint64_t epoch = phase_epoch_;
-  const double rate = mix_->hadoop.transfers_per_sec_busy;
-  sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / rate)), [this, epoch] {
-    if (epoch != phase_epoch_ || !busy_) return;
-    // Shuffle is bidirectional: this node both serves map output and
-    // fetches it. Synthesize inbound transfers from outside the rack only
-    // (rack-local inbound comes from neighbours' models; see
-    // traffic_model.h).
-    launch_transfer(rng_.bernoulli(0.5) ? Dir::kIn : Dir::kOut);
-    schedule_next_transfer();
   });
 }
 
@@ -137,10 +133,8 @@ void HadoopModel::launch_transfer(Dir dir) {
                                  !rack_partners_.empty());
   if (!peer) return;
 
-  const auto bytes = std::min<std::int64_t>(
-      std::max<std::int64_t>(128, static_cast<std::int64_t>(transfer_size_.sample(rng_))),
-      p.transfer_cap.count_bytes());
-  const DataSize size = DataSize::bytes(bytes);
+  const DataSize size = DataSize::bytes(
+      std::min(floored_size(transfer_size_, 128).count_bytes(), p.transfer_cap.count_bytes()));
 
   // Bulk data moves at a pace bounded by disk/app throughput; small
   // transfers go back-to-back.
@@ -153,29 +147,22 @@ void HadoopModel::launch_transfer(Dir dir) {
   wire_.close(conn, done + Duration::micros(50));
 }
 
-void HadoopModel::schedule_next_control() {
+void HadoopModel::send_control() {
   const HadoopParams& p = mix_->hadoop;
-  sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / p.control_msgs_per_sec)),
-                       [this] {
-    const HadoopParams& p2 = mix_->hadoop;
-    // Heartbeats and job-tracker RPCs flow regardless of phase; a sliver
-    // (misc_bytes_fraction, 0.2% in Table 2) leaves the service entirely.
-    if (rng_.bernoulli(p2.misc_bytes_fraction)) {
-      const auto svc = peers_.pick(HostRole::kService, Scope::kSameDatacenter, rng_);
-      if (svc) {
-        const Connection conn = conns_.pooled(Dir::kOut, *svc, core::ports::kSlb);
-        wire_.send(Dir::kOut, conn, p2.control_msg, sim_->now());
-      }
-    } else {
-      const auto peer = peers_.pick(HostRole::kHadoop, Scope::kSameClusterOtherRack, rng_);
-      if (peer) {
-        const Connection conn = conns_.pooled(Dir::kOut, *peer, core::ports::kHdfs);
-        const TimePoint sent = wire_.send(Dir::kOut, conn, p2.control_msg, sim_->now());
-        wire_.send(Dir::kIn, conn, DataSize::bytes(200), sent + Duration::micros(250));
-      }
-    }
-    schedule_next_control();
-  });
+  // Heartbeats and job-tracker RPCs flow regardless of phase; a sliver
+  // (misc_bytes_fraction, 0.2% in Table 2) leaves the service entirely.
+  if (rng_.bernoulli(p.misc_bytes_fraction)) {
+    const auto svc = peers_.pick(HostRole::kService, Scope::kSameDatacenter, rng_);
+    if (!svc) return;
+    const Connection conn = conns_.pooled(Dir::kOut, *svc, core::ports::kSlb);
+    wire_.send(Dir::kOut, conn, p.control_msg, sim_->now());
+    return;
+  }
+  const auto peer = peers_.pick(HostRole::kHadoop, Scope::kSameClusterOtherRack, rng_);
+  if (!peer) return;
+  const Connection conn = conns_.pooled(Dir::kOut, *peer, core::ports::kHdfs);
+  const TimePoint sent = wire_.send(Dir::kOut, conn, p.control_msg, sim_->now());
+  wire_.send(Dir::kIn, conn, DataSize::bytes(200), sent + Duration::micros(250));
 }
 
 }  // namespace fbdcsim::services

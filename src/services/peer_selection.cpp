@@ -17,19 +17,24 @@ const char* to_string(Scope scope) {
   return "?";
 }
 
-std::span<const core::HostId> PeerSelector::candidates(core::HostRole role, Scope scope) {
-  const auto key = std::make_pair(role, scope);
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
+PeerSelector::Entry& PeerSelector::entry(core::HostRole role, Scope scope) {
+  static_assert(static_cast<std::size_t>(core::HostRole::kService) + 1 == kRoles);
+  static_assert(static_cast<std::size_t>(Scope::kOtherDatacenters) < kScopeSlots);
+  Entry& e = entries_[static_cast<std::size_t>(role) * kScopeSlots +
+                      static_cast<std::size_t>(scope)];
+  if (!e.resolved) {
     const topology::Host& self = fleet_->host(self_);
-    std::vector<core::HostId> list;
     for (const topology::Host& h : fleet_->hosts()) {
       if (h.id == self_ || h.role != role) continue;
-      if (in_scope(self, h, scope)) list.push_back(h.id);
+      if (in_scope(self, h, scope)) e.candidates.push_back(h.id);
     }
-    it = cache_.emplace(key, std::move(list)).first;
+    e.resolved = true;
   }
-  return it->second;
+  return e;
+}
+
+std::span<const core::HostId> PeerSelector::candidates(core::HostRole role, Scope scope) {
+  return entry(role, scope).candidates;
 }
 
 std::optional<core::HostId> PeerSelector::pick(core::HostRole role, Scope scope,
@@ -44,14 +49,13 @@ std::optional<core::HostId> PeerSelector::pick_skewed(core::HostRole role, Scope
                                                       core::RngStream& rng,
                                                       double zipf_exponent,
                                                       std::uint64_t rotation) {
-  const auto list = candidates(role, scope);
+  Entry& e = entry(role, scope);
+  const std::span<const core::HostId> list = e.candidates;
   if (list.empty()) return std::nullopt;
-  const auto key = std::make_pair(role, scope);
-  auto it = zipf_cache_.find(key);
-  if (it == zipf_cache_.end() || it->second.exponent() != zipf_exponent) {
-    it = zipf_cache_.insert_or_assign(key, core::Zipf{list.size(), zipf_exponent}).first;
+  if (!e.zipf || e.zipf->exponent() != zipf_exponent) {
+    e.zipf.emplace(list.size(), zipf_exponent);
   }
-  const std::size_t rank = it->second.sample(rng);
+  const std::size_t rank = e.zipf->sample(rng);
   // Scatter ranks over the candidate list with a rotation-dependent
   // affine map, so the hot set is a pseudo-random subset that changes
   // whenever `rotation` advances.
@@ -60,19 +64,20 @@ std::optional<core::HostId> PeerSelector::pick_skewed(core::HostRole role, Scope
   return list[idx];
 }
 
-std::vector<core::HostId> PeerSelector::pick_set(core::HostRole role, Scope scope,
-                                                 std::size_t count, core::RngStream& rng) {
-  const auto list = candidates(role, scope);
+std::vector<core::HostId> PeerSelector::pick_set(core::HostRole role,
+                                                 std::initializer_list<ScopeCount> scopes,
+                                                 core::RngStream& rng) {
   std::vector<core::HostId> out;
-  if (list.empty()) return out;
-  count = std::min(count, list.size());
-  std::set<std::size_t> chosen;
-  while (chosen.size() < count) {
-    chosen.insert(static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(list.size()) - 1)));
+  for (const auto& [scope, want] : scopes) {
+    const auto list = candidates(role, scope);
+    const std::size_t count = std::min(want, list.size());
+    std::set<std::size_t> chosen;
+    while (chosen.size() < count) {
+      chosen.insert(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(list.size()) - 1)));
+    }
+    for (const std::size_t i : chosen) out.push_back(list[i]);
   }
-  out.reserve(count);
-  for (const std::size_t i : chosen) out.push_back(list[i]);
   return out;
 }
 

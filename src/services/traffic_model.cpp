@@ -17,6 +17,13 @@ std::optional<core::HostId> TrafficModel::pick_balanced(core::HostRole role, Sco
                                       : peers_.pick_skewed(role, scope, rng_);
 }
 
+void TrafficModel::send_to_group(std::span<const core::HostId> group, core::Port port,
+                                 core::DataSize message) {
+  if (group.empty()) return;
+  const Connection conn = conns_.pooled(Dir::kOut, pick_from(group), port);
+  wire_.send(Dir::kOut, conn, message, sim_->now());
+}
+
 core::HostId TrafficModel::pick_from(std::span<const core::HostId> hosts) {
   return hosts[static_cast<std::size_t>(
       rng_.uniform_int(0, static_cast<std::int64_t>(hosts.size()) - 1))];

@@ -38,27 +38,39 @@ WebServerModel::WebServerModel(const topology::Fleet& fleet, core::HostId self,
   // Background endpoints (log sinks, config services) are a small fixed
   // group, not the whole fleet.
   core::RngStream setup = rng_.fork("peer-sets");
-  misc_peers_ = peers_.pick_set(HostRole::kService, Scope::kSameDatacenter, 5, setup);
-  const auto remote =
-      peers_.pick_set(HostRole::kService, Scope::kOtherDatacenters, 4, setup);
-  misc_peers_.insert(misc_peers_.end(), remote.begin(), remote.end());
+  misc_peers_ = peers_.pick_set(
+      HostRole::kService, {{Scope::kSameDatacenter, 5}, {Scope::kOtherDatacenters, 4}}, setup);
 
   object_popularity_ = std::make_unique<core::Zipf>(mix.hot_objects.num_objects,
                                                     mix.hot_objects.zipf_exponent);
 }
 
 void WebServerModel::schedule_first() {
-  schedule_next_user_request();
-  schedule_next_misc();
-  schedule_next_ephemeral();
-}
-
-void WebServerModel::schedule_next_user_request() {
-  const double mean_gap = 1.0 / mix_->web.user_requests_per_sec;
-  sim_->schedule_after(Duration::from_seconds(rng_.exponential(mean_gap)), [this] {
-    serve_user_request();
-    schedule_next_user_request();
-  });
+  arrivals([this] { return mix_->web.user_requests_per_sec; },
+           [this] { serve_user_request(); });
+  // Background traffic (logging, config, static-asset replication) to the
+  // fixed endpoint group, which spans this and other datacenters.
+  arrivals(
+      [this] {
+        return misc_bytes_per_sec_ / static_cast<double>(mix_->web.misc_message.count_bytes());
+      },
+      [this] { send_to_group(misc_peers_, core::ports::kSlb, mix_->web.misc_message); });
+  // Ephemeral one-shot exchanges (health checks, config fetches, one-off
+  // RPCs): their rate sets the SYN interarrival of Figure 14 (~2 ms median
+  // for Web servers).
+  arrivals([this] { return mix_->web.ephemeral_per_sec; },
+           [this] {
+             const auto peer = peers_.pick(HostRole::kCacheFollower, Scope::kSameCluster, rng_);
+             if (!peer) return;
+             const Connection conn = conns_.ephemeral(Dir::kOut, *peer, core::ports::kMemcache);
+             const TimePoint opened = wire_.open(Dir::kOut, conn, sim_->now());
+             const TimePoint sent =
+                 wire_.send(Dir::kOut, conn, mix_->web.cache_get_request, opened);
+             const DataSize response = floored_size(cache_response_, 32);
+             const TimePoint done =
+                 wire_.send(Dir::kIn, conn, response, sent + Duration::micros(150));
+             wire_.close(conn, done + Duration::micros(20));
+           });
 }
 
 void WebServerModel::serve_user_request() {
@@ -98,8 +110,7 @@ void WebServerModel::serve_user_request() {
     }
     if (!follower) break;
 
-    const DataSize response = DataSize::bytes(std::max<std::int64_t>(
-        32, static_cast<std::int64_t>((hot ? hot_response_ : cold_response_).sample(rng_))));
+    const DataSize response = floored_size(hot ? hot_response_ : cold_response_, 32);
     const Duration service = Duration::micros(static_cast<std::int64_t>(
         80 + rng_.exponential(120.0)));
 
@@ -128,12 +139,10 @@ void WebServerModel::serve_user_request() {
     const Connection conn = conns_.pooled(Dir::kOut, *mf, core::ports::kMultifeed);
     const TimePoint sent =
         wire_.send(Dir::kOut, conn, w.multifeed_request, at, Duration::micros(2), false);
-    const DataSize mf_resp = DataSize::bytes(std::max<std::int64_t>(
-        64, static_cast<std::int64_t>(
-                core::LogNormal{static_cast<double>(
-                                    mix_->multifeed.response_median.count_bytes()),
-                                mix_->multifeed.response_sigma}
-                    .sample(rng_))));
+    const DataSize mf_resp = floored_size(
+        core::LogNormal{static_cast<double>(mix_->multifeed.response_median.count_bytes()),
+                        mix_->multifeed.response_sigma},
+        64);
     wire_.send(Dir::kIn, conn, mf_resp, sent + Duration::micros(300));
     at += w.burst_gap;
   }
@@ -141,50 +150,8 @@ void WebServerModel::serve_user_request() {
   // 4. Response back to the SLB.
   if (slb) {
     const Connection in = conns_.pooled(Dir::kIn, *slb, core::ports::kHttp);
-    const DataSize page = DataSize::bytes(std::max<std::int64_t>(
-        256, static_cast<std::int64_t>(slb_response_.sample(rng_))));
-    wire_.send(Dir::kOut, in, page, at + Duration::micros(200));
+    wire_.send(Dir::kOut, in, floored_size(slb_response_, 256), at + Duration::micros(200));
   }
-}
-
-void WebServerModel::schedule_next_ephemeral() {
-  // Ephemeral one-shot exchanges (health checks, config fetches, one-off
-  // RPCs): a Poisson process whose rate sets the SYN interarrival of
-  // Figure 14 (~2 ms median for Web servers).
-  const double rate = mix_->web.ephemeral_per_sec;
-  if (rate <= 0.0) return;
-  sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / rate)), [this] {
-    const auto peer = peers_.pick(HostRole::kCacheFollower, Scope::kSameCluster, rng_);
-    if (peer) {
-      const Connection conn = conns_.ephemeral(Dir::kOut, *peer, core::ports::kMemcache);
-      const TimePoint opened = wire_.open(Dir::kOut, conn, sim_->now());
-      const TimePoint sent = wire_.send(Dir::kOut, conn, mix_->web.cache_get_request, opened);
-      const DataSize response = DataSize::bytes(std::max<std::int64_t>(
-          32, static_cast<std::int64_t>(cache_response_.sample(rng_))));
-      const TimePoint done =
-          wire_.send(Dir::kIn, conn, response, sent + Duration::micros(150));
-      wire_.close(conn, done + Duration::micros(20));
-    }
-    schedule_next_ephemeral();
-  });
-}
-
-void WebServerModel::schedule_next_misc() {
-  const WebParams& w = mix_->web;
-  if (misc_bytes_per_sec_ <= 0.0) return;
-  const double msgs_per_sec =
-      misc_bytes_per_sec_ / static_cast<double>(w.misc_message.count_bytes());
-  sim_->schedule_after(Duration::from_seconds(rng_.exponential(1.0 / msgs_per_sec)), [this] {
-    const WebParams& w2 = mix_->web;
-    // Background traffic (logging, config, static-asset replication) to
-    // the fixed endpoint group, which spans this and other datacenters.
-    if (!misc_peers_.empty()) {
-      const core::HostId peer = pick_from(misc_peers_);
-      const Connection conn = conns_.pooled(Dir::kOut, peer, core::ports::kSlb);
-      wire_.send(Dir::kOut, conn, w2.misc_message, sim_->now());
-    }
-    schedule_next_misc();
-  });
 }
 
 }  // namespace fbdcsim::services

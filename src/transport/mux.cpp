@@ -436,7 +436,6 @@ void TransportMux::send_segment(TcpConnection& c, Dir dir, std::int64_t seq,
 
   ++stats_.segments_sent;
   if (seq < h.max_sent) {
-    h.retransmitted_bytes += len;
     // Repair kind: inside fast recovery the resend was dupack-driven;
     // otherwise it belongs to a go-back-N stream after a timeout.
     emit(Ev::kRetransmit, c, dir, seq, len,
@@ -821,7 +820,6 @@ void TransportMux::on_dropped(std::size_t port, const core::SimPacket& pkt) {
   TcpConnection* cp = resolve(pkt.flow_tag);
   if (cp == nullptr || pkt.header.payload_bytes <= 0) return;
   const Dir dir = pkt.src == cp->self ? Dir::kOut : Dir::kIn;
-  ++half(*cp, dir).switch_dropped_segments;
   emit(Ev::kDrop, *cp, dir, static_cast<std::int64_t>(pkt.seq), pkt.header.payload_bytes,
        static_cast<std::int64_t>(telemetry::FlowDropCause::kSwitchBuffer),
        static_cast<std::int64_t>(port));

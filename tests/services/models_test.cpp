@@ -1,17 +1,20 @@
 // Behavioural tests of the per-role traffic models: each model must emit
 // traffic whose destination-service mix, locality, and packet features match
 // the paper's characterization of that role (loose tolerances — these are
-// distributional checks, not golden values).
+// distributional checks, not golden values). ModelStreamDigest is the one
+// exact check: it pins every model's packet streams to committed digests.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <map>
+#include <string_view>
 
 #include "fbdcsim/services/backend.h"
 #include "fbdcsim/services/cache.h"
 #include "fbdcsim/services/hadoop.h"
 #include "fbdcsim/services/web.h"
 #include "fbdcsim/topology/standard_fleet.h"
+#include "../support/rack_fingerprint.h"
 
 namespace fbdcsim::services {
 namespace {
@@ -49,6 +52,8 @@ class CollectingSink : public TrafficSink {
 struct RunResult {
   std::vector<SimPacket> sent;
   std::vector<SimPacket> received;
+  std::uint64_t executed_events{0};
+  std::size_t pending_events{0};
 };
 
 RunResult run_model(const topology::Fleet& fleet, core::HostId host, const ServiceMix& mix,
@@ -58,7 +63,8 @@ RunResult run_model(const topology::Fleet& fleet, core::HostId host, const Servi
   auto model = make_model(fleet, host, mix, core::RngStream{seed});
   model->start(sim, sink);
   sim.run_until(core::TimePoint::zero() + horizon);
-  return RunResult{std::move(sink.sent), std::move(sink.received)};
+  return RunResult{std::move(sink.sent), std::move(sink.received), sim.executed_events(),
+                   sim.pending_events()};
 }
 
 core::HostId first_host_of(const topology::Fleet& fleet, HostRole role) {
@@ -285,6 +291,65 @@ TEST(HadoopModelTest, PartnerSetIsClusterSpread) {
     partner_racks.insert(fleet.host(p).rack.value());
   }
   EXPECT_GE(partner_racks.size(), 4u);
+}
+
+// Pins every model's packet streams bit for bit: each role under the
+// default mix and the two ablations, digested over the sent and received
+// headers (timestamp, tuple, sizes, flags) and the simulator's executed and
+// pending event counts. Any change to a model's RNG draws, their order, or
+// the events it schedules moves a digest. Unlike the rack goldens, this
+// reaches the Multifeed, SLB, Database and Service models too. Regenerate
+// the literals only for an intended change of model behaviour (the failure
+// message prints the new value).
+TEST(ModelStreamDigest, EveryRoleUnderDefaultAndAblationMixes) {
+  struct Case {
+    HostRole role;
+    const char* variant;
+    std::uint64_t digest;
+  };
+  static constexpr Case kCases[] = {
+      {HostRole::kWeb, "default", 0x8817db2925b6856cULL},
+      {HostRole::kWeb, "lb-off", 0xedb6c2a5aead7d3aULL},
+      {HostRole::kWeb, "pooling-off", 0xe8f61df1db59f52aULL},
+      {HostRole::kCacheFollower, "default", 0x22d2c624344070d1ULL},
+      {HostRole::kCacheFollower, "lb-off", 0x1a330b0e26e5fab9ULL},
+      {HostRole::kCacheFollower, "pooling-off", 0x22d2c624344070d1ULL},
+      {HostRole::kCacheLeader, "default", 0xb7f6ba2a3d10cfa1ULL},
+      {HostRole::kCacheLeader, "lb-off", 0xb7f6ba2a3d10cfa1ULL},
+      {HostRole::kCacheLeader, "pooling-off", 0xb7f6ba2a3d10cfa1ULL},
+      {HostRole::kHadoop, "default", 0xef22dc0424f8dd49ULL},
+      {HostRole::kHadoop, "lb-off", 0xef22dc0424f8dd49ULL},
+      {HostRole::kHadoop, "pooling-off", 0xef22dc0424f8dd49ULL},
+      {HostRole::kMultifeed, "default", 0xe3e80ce40c15a17eULL},
+      {HostRole::kMultifeed, "lb-off", 0x37be6ad8e8e514ccULL},
+      {HostRole::kMultifeed, "pooling-off", 0xe3e80ce40c15a17eULL},
+      {HostRole::kSlb, "default", 0xf0028df0f59338d7ULL},
+      {HostRole::kSlb, "lb-off", 0xf483e5e9a96d8236ULL},
+      {HostRole::kSlb, "pooling-off", 0xf0028df0f59338d7ULL},
+      {HostRole::kDatabase, "default", 0x4251a68c3113da80ULL},
+      {HostRole::kDatabase, "lb-off", 0x4251a68c3113da80ULL},
+      {HostRole::kDatabase, "pooling-off", 0x4251a68c3113da80ULL},
+      {HostRole::kService, "default", 0x8c70c301da979c27ULL},
+      {HostRole::kService, "lb-off", 0x8c70c301da979c27ULL},
+      {HostRole::kService, "pooling-off", 0x8c70c301da979c27ULL},
+  };
+  const topology::Fleet fleet = medium_fleet();
+  for (const Case& c : kCases) {
+    ServiceMix mix;
+    if (std::string_view{c.variant} == "lb-off") mix.load_balancing_enabled = false;
+    if (std::string_view{c.variant} == "pooling-off") mix.connection_pooling_enabled = false;
+    const auto result =
+        run_model(fleet, first_host_of(fleet, c.role), mix, Duration::seconds(2), 7);
+    std::uint64_t h = 0;
+    for (const SimPacket& p : result.sent) h = tests::mix_header(h, p.header);
+    h = tests::mix64(h, result.sent.size());
+    for (const SimPacket& p : result.received) h = tests::mix_header(h, p.header);
+    h = tests::mix64(h, result.received.size());
+    h = tests::mix64(h, result.executed_events);
+    h = tests::mix64(h, result.pending_events);
+    EXPECT_EQ(h, c.digest) << core::to_string(c.role) << " " << c.variant << " 0x" << std::hex
+                           << h;
+  }
 }
 
 class BackendModelTest : public ::testing::TestWithParam<HostRole> {};

@@ -32,27 +32,31 @@ inline std::uint64_t mix64(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
+/// Folds one captured header (timestamp, tuple, sizes, flags) into `h`.
+inline std::uint64_t mix_header(std::uint64_t h, const core::PacketHeader& p) {
+  h = mix64(h, static_cast<std::uint64_t>(p.timestamp.count_nanos()));
+  h = mix64(h, p.tuple.src_ip.value());
+  h = mix64(h, p.tuple.dst_ip.value());
+  h = mix64(h, (static_cast<std::uint64_t>(p.tuple.src_port) << 16) | p.tuple.dst_port);
+  h = mix64(h, static_cast<std::uint64_t>(p.tuple.protocol));
+  h = mix64(h, static_cast<std::uint64_t>(p.frame_bytes));
+  h = mix64(h, static_cast<std::uint64_t>(p.payload_bytes));
+  // ece (bit 5) is zero on every scripted/NewReno path, so including it
+  // leaves the pre-DCTCP goldens untouched while letting the DCTCP
+  // differential catch echo-path divergence.
+  h = mix64(h, static_cast<std::uint64_t>(p.flags.syn) |
+                   (static_cast<std::uint64_t>(p.flags.ack) << 1) |
+                   (static_cast<std::uint64_t>(p.flags.fin) << 2) |
+                   (static_cast<std::uint64_t>(p.flags.rst) << 3) |
+                   (static_cast<std::uint64_t>(p.flags.psh) << 4) |
+                   (static_cast<std::uint64_t>(p.flags.ece) << 5));
+  return h;
+}
+
 /// Order-sensitive fingerprint of everything a rack run produces.
 inline std::uint64_t fingerprint(const workload::RackSimResult& r) {
   std::uint64_t h = 0;
-  for (const core::PacketHeader& p : r.trace) {
-    h = mix64(h, static_cast<std::uint64_t>(p.timestamp.count_nanos()));
-    h = mix64(h, p.tuple.src_ip.value());
-    h = mix64(h, p.tuple.dst_ip.value());
-    h = mix64(h, (static_cast<std::uint64_t>(p.tuple.src_port) << 16) | p.tuple.dst_port);
-    h = mix64(h, static_cast<std::uint64_t>(p.tuple.protocol));
-    h = mix64(h, static_cast<std::uint64_t>(p.frame_bytes));
-    h = mix64(h, static_cast<std::uint64_t>(p.payload_bytes));
-    // ece (bit 5) is zero on every scripted/NewReno path, so including it
-    // leaves the pre-DCTCP goldens untouched while letting the DCTCP
-    // differential catch echo-path divergence.
-    h = mix64(h, static_cast<std::uint64_t>(p.flags.syn) |
-                     (static_cast<std::uint64_t>(p.flags.ack) << 1) |
-                     (static_cast<std::uint64_t>(p.flags.fin) << 2) |
-                     (static_cast<std::uint64_t>(p.flags.rst) << 3) |
-                     (static_cast<std::uint64_t>(p.flags.psh) << 4) |
-                     (static_cast<std::uint64_t>(p.flags.ece) << 5));
-  }
+  for (const core::PacketHeader& p : r.trace) h = mix_header(h, p);
   for (const auto& s : r.buffer_seconds) {
     h = mix64(h, static_cast<std::uint64_t>(s.second));
     h = mix64(h, static_cast<std::uint64_t>(s.median_fraction * 1e12));

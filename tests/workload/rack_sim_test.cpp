@@ -187,6 +187,22 @@ TEST(RackSimulationTest, BufferSamplerProducesPerSecondStats) {
   }
 }
 
+// background_rate_scale = 0 silences the unmirrored neighbours: each of
+// their arrival processes stops at a zero rate instead of drawing an
+// infinite gap (which once threw "cannot schedule in the past").
+TEST(RackSimulationTest, ZeroBackgroundRateSilencesNeighbours) {
+  const topology::Fleet fleet = small_rack_fleet();
+  for (const HostRole role : {HostRole::kCacheFollower, HostRole::kHadoop}) {
+    RackSimConfig cfg = quick_config(fleet, role);
+    cfg.capture = Duration::millis(100);
+    cfg.background_rate_scale = 0.0;
+    RackSimulation sim{fleet, cfg};
+    RackSimResult result;
+    ASSERT_NO_THROW(result = sim.run()) << core::to_string(role);
+    EXPECT_FALSE(result.trace.empty()) << core::to_string(role);
+  }
+}
+
 TEST(RackSimulationTest, RequiresMonitoredHost) {
   const topology::Fleet fleet = small_rack_fleet();
   RackSimConfig cfg;
