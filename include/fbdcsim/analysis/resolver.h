@@ -1,12 +1,13 @@
-// Address -> topology resolution with caching, shared by all analyses.
+// Address -> topology resolution, shared by all analyses.
 //
 // Port-mirror traces contain only packet headers; every analysis that needs
 // locality, roles, or rack identities resolves addresses against the fleet
 // exactly as the paper's offline analyses join traces with metadata.
+// Fleet::host_by_addr is a few vector loads, so nothing is cached and a
+// resolver is safe to share across threads.
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 
 #include "fbdcsim/core/flow.h"
 #include "fbdcsim/core/packet.h"
@@ -18,7 +19,9 @@ class AddrResolver {
  public:
   explicit AddrResolver(const topology::Fleet& fleet) : fleet_{&fleet} {}
 
-  [[nodiscard]] core::HostId host_of(core::Ipv4Addr addr) const;
+  [[nodiscard]] core::HostId host_of(core::Ipv4Addr addr) const {
+    return fleet_->host_by_addr(addr);
+  }
   [[nodiscard]] std::optional<core::RackId> rack_of(core::Ipv4Addr addr) const;
   [[nodiscard]] std::optional<core::HostRole> role_of(core::Ipv4Addr addr) const;
 
@@ -30,7 +33,6 @@ class AddrResolver {
 
  private:
   const topology::Fleet* fleet_;
-  mutable std::unordered_map<core::Ipv4Addr, core::HostId> cache_;
 };
 
 }  // namespace fbdcsim::analysis

@@ -29,11 +29,14 @@ class TrafficSink;
 /// One transport connection between the modelled host and a peer.
 /// Invariant: `tuple` is always oriented self -> peer, regardless of which
 /// side initiated the connection (connections the peer opened, Dir::kIn,
-/// simply have the service port on the self side).
+/// simply have the service port on the self side). `handle` names the
+/// transport's connection in TCP mode: Wire stores back the one each
+/// DemandSink call returns, and it stays unbound in scripted mode.
 struct Connection {
   core::FiveTuple tuple;
   core::HostId peer;
   bool pooled{true};
+  transport::ConnHandle handle;
 };
 
 /// Allocates connections for one modelled host. Ports are assigned
@@ -43,9 +46,11 @@ struct Connection {
 ///
 /// The pool is one flat open-addressed array (power-of-two capacity,
 /// Fibonacci hash of the pool key, linear probing, doubled before it is
-/// more than 7/8 full), so a lookup is one probe in the common case. Entries
-/// move when it grows: the table gives no reference stability, and
-/// pooled() returns the connection by value.
+/// more than 7/8 full), so a lookup is one probe in the common case.
+/// pooled() returns a reference into that array, so the transport handle
+/// Wire stores through it stays with the pooled connection. Entries move
+/// when the array grows: a reference stays valid only until the next
+/// pooled() call.
 class ConnectionTable {
  public:
   ConnectionTable(const topology::Fleet& fleet, core::HostId self)
@@ -55,8 +60,8 @@ class ConnectionTable {
   /// `service_port` (kOut: self to peer:service_port; kIn: peer to
   /// self:service_port), created on first use. The opener holds a fresh
   /// ephemeral port; the tuple stays self -> peer per the Connection
-  /// invariant.
-  [[nodiscard]] Connection pooled(Dir dir, core::HostId peer, core::Port service_port);
+  /// invariant. The reference is valid until the next pooled() call.
+  [[nodiscard]] Connection& pooled(Dir dir, core::HostId peer, core::Port service_port);
 
   /// A fresh ephemeral connection (new ephemeral port each call), oriented
   /// like pooled(). Use with Wire::open in the same `dir`.
@@ -112,7 +117,10 @@ class ConnectionTable {
 /// transport::DemandSink (TCP mode), Wire hands the byte demands over and
 /// the packet structure (segmentation, ACK clocking, retransmits) becomes
 /// emergent; the returned TimePoints are then scripted-formula *estimates*
-/// that keep the service models' transaction pacing unchanged.
+/// that keep the service models' transaction pacing unchanged. Every
+/// operation takes the Connection by reference and, in TCP mode, stores
+/// back the handle the DemandSink returns, so the next operation on the
+/// same Connection reaches the same transport connection.
 class Wire {
  public:
   /// Unbound until assigned a bound Wire (TrafficModel::start does).
@@ -126,18 +134,18 @@ class Wire {
   /// request-response exchange, as real TCP does (this is what keeps the
   /// paper's packet-size medians from drowning in pure ACKs). Returns the
   /// time the last segment is sent.
-  core::TimePoint send(Dir dir, const Connection& conn, core::DataSize payload,
+  core::TimePoint send(Dir dir, Connection& conn, core::DataSize payload,
                        core::TimePoint start, core::Duration gap = core::Duration::micros(2),
                        bool ack = true);
 
   /// The `dir` end opens the connection with a three-way handshake (SYN,
   /// SYN-ACK back, final ACK) beginning at `start`; returns when the
   /// connection is usable.
-  core::TimePoint open(Dir dir, const Connection& conn, core::TimePoint start,
+  core::TimePoint open(Dir dir, Connection& conn, core::TimePoint start,
                        core::Duration rtt = core::Duration::micros(60));
 
   /// Emits FIN/ACK teardown initiated by self at `start`.
-  void close(const Connection& conn, core::TimePoint start,
+  void close(Connection& conn, core::TimePoint start,
              core::Duration rtt = core::Duration::micros(60));
 
  private:

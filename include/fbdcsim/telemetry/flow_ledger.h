@@ -51,7 +51,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "fbdcsim/core/arena.h"
@@ -247,7 +246,8 @@ class FlowLedger {
     std::int64_t rto_cause_id{-1};    // drop the last RTO was pinned on
   };
   struct ConnLive {
-    std::int64_t serial{0};  // creation order, the finalize() sort key
+    std::uint32_t tag{0};    // the flow tag born into this entry
+    std::int64_t serial{0};  // creation order, the finalize() sort key; 0 = free
     core::FiveTuple tuple{};
     core::HostRole role{core::HostRole::kWeb};
     core::HostRole peer_role{core::HostRole::kWeb};
@@ -259,6 +259,16 @@ class FlowLedger {
     std::int64_t bottleneck_bps{0};
     HalfLive half[2];
   };
+
+  /// The live_ index of `tag`: its slot field, tag >> 8 (the mux's slot
+  /// + 1). The mux issues no tag below 256 (0 marks scripted packets), so
+  /// such a tag indexes by its own value and small hand-assigned tags stay
+  /// apart.
+  [[nodiscard]] static std::size_t index_of(std::uint32_t tag) {
+    return tag >> 8 != 0 ? tag >> 8 : tag;
+  }
+  /// The live connection born with `tag`, or null.
+  [[nodiscard]] ConnLive* find(std::uint32_t tag);
 
   FlowLedgerRecord& open_transfer(ConnLive& conn, std::uint32_t tag, int dir,
                                   std::int64_t t_ns);
@@ -278,7 +288,10 @@ class FlowLedger {
   std::uint64_t source_id_;
   std::uint64_t switch_id_;
   std::int64_t switch_drop_fault_epoch_;
-  std::unordered_map<std::uint32_t, ConnLive> live_;
+  /// Live connections by index_of(tag), each checked against its full tag:
+  /// the mux holds one live tag per slot and releases a slot before reusing
+  /// it, so a birth simply replaces what its entry held.
+  std::vector<ConnLive> live_;
   std::int64_t next_record_id_{0};
   std::int64_t next_drop_id_{0};
   std::int64_t next_conn_serial_{0};

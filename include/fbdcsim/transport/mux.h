@@ -1,9 +1,9 @@
 // TransportMux: the flow-level TCP engine of one simulated rack.
 //
-// Owns the per-host connection tables (keyed by 5-tuple, one TcpConnection
-// per application connection, allocated from a core::Pool) and converts
-// the byte demands services queue through the DemandSink interface into
-// real packet streams: SYN/SYN-ACK/ACK handshakes, MSS-segmented data
+// Owns the rack's connections (one TcpConnection per application
+// connection, allocated from a core::Pool and named by a dense slot) and
+// converts the byte demands services queue through the DemandSink interface
+// into real packet streams: SYN/SYN-ACK/ACK handshakes, MSS-segmented data
 // ACK-clocked by a Reno/NewReno congestion window, fast retransmit on
 // duplicate ACKs, and RTO recovery — all driven by actual
 // SharedBufferSwitch deliveries and drops plus the fault plan's
@@ -36,13 +36,15 @@
 //
 // Engine contract (DESIGN.md §9/§10): every scheduled lambda fits
 // sim::InlineAction's inline storage (events stay heap-free) and
-// connections recycle through a pool. In-flight packets carry
-// `flow_tag` = (slot << 8) | generation; events resolving a stale tag
-// (connection since recycled) are ignored.
+// connections recycle through a pool. No lookup goes through the 5-tuple:
+// the caller's ConnHandle (demand.h) names the slot and its full-width
+// epoch, so a DemandSink call resolves with one slot load and creates a
+// connection only when the handle does not resolve. In-flight packets carry
+// `flow_tag` = ((slot + 1) << 8) | (epoch & 0xFF); events resolving a stale
+// tag (connection since recycled) are ignored.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "fbdcsim/core/arena.h"
@@ -71,7 +73,7 @@ class TransportMux final : public DemandSink {
  public:
   /// Aggregate counters, maintained across connection recycling (live
   /// connections' in-progress byte counts are NOT included — sum those via
-  /// find_connection / for_each_connection).
+  /// for_each_connection).
   struct Stats {
     // Derived from the event stream: count() folds each TransportEvent into
     // these as emit() reports it, so they always equal what the recorder and
@@ -124,13 +126,15 @@ class TransportMux final : public DemandSink {
   TransportMux& operator=(const TransportMux&) = delete;
 
   // ---- DemandSink (called by services::Wire) ----
-  void open(Dir dir, const core::FiveTuple& tuple, core::HostId self, core::HostId peer,
-            core::TimePoint start) override;
-  void app_send(Dir dir, const core::FiveTuple& tuple, core::HostId self, core::HostId peer,
-                std::int64_t bytes, core::TimePoint start,
-                core::Duration pace_gap) override;
-  void app_close(const core::FiveTuple& tuple, core::HostId self, core::HostId peer,
-                 core::TimePoint start) override;
+  [[nodiscard]] ConnHandle open(Dir dir, ConnHandle handle, const core::FiveTuple& tuple,
+                                core::HostId self, core::HostId peer,
+                                core::TimePoint start) override;
+  [[nodiscard]] ConnHandle app_send(Dir dir, ConnHandle handle, const core::FiveTuple& tuple,
+                                    core::HostId self, core::HostId peer, std::int64_t bytes,
+                                    core::TimePoint start, core::Duration pace_gap) override;
+  [[nodiscard]] ConnHandle app_close(ConnHandle handle, const core::FiveTuple& tuple,
+                                     core::HostId self, core::HostId peer,
+                                     core::TimePoint start) override;
 
   // ---- switch callbacks (wired up by the rack simulation) ----
   /// A packet finished transmission on some RSW egress port.
@@ -160,21 +164,21 @@ class TransportMux final : public DemandSink {
   // ---- introspection (tests, benches) ----
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::int64_t live_connections() const;
-  /// The connection for a tuple (self -> peer orientation), or null.
-  [[nodiscard]] const TcpConnection* find_connection(const core::FiveTuple& tuple) const;
   /// Visits live connections in slot order (deterministic).
   template <typename F>
   void for_each_connection(F&& f) const {
     for (const Slot& s : slots_) {
-      if (s.live) f(*s.conn);
+      if (s.conn != nullptr) f(*s.conn);
     }
   }
 
  private:
+  /// One connection slot: `conn` is null while the slot is free, and
+  /// `epoch` counts the releases of the slot (its low byte is the tag's
+  /// generation).
   struct Slot {
     TcpConnection* conn{nullptr};
-    std::uint8_t gen{0};
-    bool live{false};
+    std::uint32_t epoch{0};
   };
   /// Control packets / bookkeeping steps small enough to share one event
   /// shape. kXxxIn emits via host_receive.
@@ -186,8 +190,10 @@ class TransportMux final : public DemandSink {
   };
 
   TcpConnection* resolve(std::uint32_t tag);
-  TcpConnection& ensure(const core::FiveTuple& tuple, core::HostId self, core::HostId peer,
-                        ConnState initial);
+  /// Leaves `handle` as is when it names a live connection; otherwise
+  /// creates one in `initial` state and writes its handle to `handle`.
+  void ensure(ConnHandle& handle, const core::FiveTuple& tuple, core::HostId self,
+              core::HostId peer, ConnState initial);
   void release(TcpConnection& c);
   [[nodiscard]] HalfStream& half(TcpConnection& c, Dir dir) const {
     return dir == Dir::kOut ? c.out : c.in;
@@ -255,7 +261,6 @@ class TransportMux final : public DemandSink {
   core::Pool<TcpConnection> pool_{arena_};
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::unordered_map<core::FiveTuple, std::uint32_t> by_tuple_;
   Stats stats_;
 };
 

@@ -83,9 +83,9 @@ struct RackSimConfig {
   /// Their traffic only matters for switch-buffer pressure, so analyses of
   /// the mirrored host's trace are unaffected; keep at 1.0 for the buffer
   /// experiments (Figure 15), lower it to speed up trace-only experiments.
-  /// 0 silences the neighbours' request processes that scale_rates()
-  /// scales, and those derived from them; the unscaled ones (Web ephemeral
-  /// exchanges, Hadoop shuffle streams, Service-host messages) keep running.
+  /// 0 silences the neighbours' traffic: scale_rates() scales every request
+  /// rate, and the processes derived from them follow. Only Hadoop's
+  /// shuffle streams, a count rather than a rate, keep sending.
   double background_rate_scale = 1.0;
   /// Transport backend. kScripted preserves byte-identical traces with
   /// every pre-transport release; kTcp makes packet-scale structure

@@ -2,14 +2,6 @@
 
 namespace fbdcsim::analysis {
 
-core::HostId AddrResolver::host_of(core::Ipv4Addr addr) const {
-  const auto it = cache_.find(addr);
-  if (it != cache_.end()) return it->second;
-  const core::HostId id = fleet_->host_by_addr(addr);
-  cache_.emplace(addr, id);
-  return id;
-}
-
 std::optional<core::RackId> AddrResolver::rack_of(core::Ipv4Addr addr) const {
   const core::HostId id = host_of(addr);
   if (!id.is_valid()) return std::nullopt;

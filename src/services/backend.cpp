@@ -28,7 +28,7 @@ void MultifeedModel::schedule_first() {
            [this] {
              const auto web = pick_balanced(HostRole::kWeb, Scope::kSameCluster);
              if (!web) return;
-             const Connection conn = conns_.pooled(Dir::kIn, *web, core::ports::kMultifeed);
+             Connection& conn = conns_.pooled(Dir::kIn, *web, core::ports::kMultifeed);
              const TimePoint got =
                  wire_.send(Dir::kIn, conn, mix_->web.multifeed_request, sim_->now());
              wire_.send(Dir::kOut, conn, floored_size(response_size_, 64),
@@ -53,7 +53,7 @@ void SlbModel::schedule_first() {
            [this] {
              const auto web = pick_balanced(HostRole::kWeb, Scope::kSameCluster);
              if (!web) return;
-             const Connection conn = conns_.pooled(Dir::kOut, *web, core::ports::kHttp);
+             Connection& conn = conns_.pooled(Dir::kOut, *web, core::ports::kHttp);
              const TimePoint sent =
                  wire_.send(Dir::kOut, conn, mix_->slb.request_size, sim_->now());
              const DataSize page = floored_size(page_size_, 256);
@@ -90,7 +90,7 @@ void DatabaseModel::schedule_first() {
                  rng_.bernoulli(0.6) ? Scope::kSameDatacenter : Scope::kOtherDatacenters;
              const auto leader = peers_.pick(HostRole::kCacheLeader, scope, rng_);
              if (!leader) return;
-             const Connection conn = conns_.pooled(Dir::kIn, *leader, core::ports::kMysql);
+             Connection& conn = conns_.pooled(Dir::kIn, *leader, core::ports::kMysql);
              const TimePoint got =
                  wire_.send(Dir::kIn, conn, mix_->cache_leader.db_op_size, sim_->now());
              wire_.send(Dir::kOut, conn, floored_size(response_size_, 128),
@@ -142,7 +142,7 @@ void ServiceHostModel::send_message() {
   }
   const auto peer = peers_.pick(HostRole::kService, scope, rng_);
   if (!peer) return;
-  const Connection conn = conns_.pooled(Dir::kOut, *peer, core::ports::kSlb);
+  Connection& conn = conns_.pooled(Dir::kOut, *peer, core::ports::kSlb);
   const TimePoint sent = wire_.send(Dir::kOut, conn, p.message, sim_->now());
   wire_.send(Dir::kIn, conn, DataSize::bytes(300), sent + Duration::micros(400));
 }

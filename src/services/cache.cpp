@@ -48,7 +48,7 @@ void CacheFollowerModel::schedule_first() {
            [this] {
              const auto peer = peers_.pick(HostRole::kWeb, Scope::kSameCluster, rng_);
              if (!peer) return;
-             const Connection conn = conns_.ephemeral(Dir::kOut, *peer, core::ports::kMemcache);
+             Connection conn = conns_.ephemeral(Dir::kOut, *peer, core::ports::kMemcache);
              const TimePoint opened = wire_.open(Dir::kOut, conn, sim_->now());
              const TimePoint sent = wire_.send(Dir::kOut, conn, DataSize::bytes(400), opened);
              const TimePoint answered =
@@ -120,7 +120,7 @@ void CacheFollowerModel::serve_get() {
   const auto web = pick_requester();
   if (!web) return;
 
-  const Connection conn = conns_.pooled(Dir::kIn, *web, core::ports::kMemcache);
+  Connection& conn = conns_.pooled(Dir::kIn, *web, core::ports::kMemcache);
   // The response piggybacks the ACK of the request (no standalone ACK).
   const TimePoint got = wire_.send(Dir::kIn, conn, mix_->web.cache_get_request, now,
                                    Duration::micros(2), /*ack=*/false);
@@ -133,11 +133,13 @@ void CacheFollowerModel::serve_get() {
     const core::HostId leader = pick_from(leader_peers_);
     const bool remote =
         fleet().host(leader).datacenter != fleet().host(self()).datacenter;
-    const Connection fill = conns_.pooled(Dir::kOut, leader, core::ports::kCacheCoherence);
+    Connection& fill = conns_.pooled(Dir::kOut, leader, core::ports::kCacheCoherence);
     const TimePoint asked = wire_.send(Dir::kOut, fill, p.fill_request, got + service);
     const Duration fill_rtt = remote ? Duration::millis(35) : Duration::micros(400);
     const TimePoint filled = wire_.send(Dir::kIn, fill, object, asked + fill_rtt);
-    wire_.send(Dir::kOut, conn, object, filled + Duration::micros(20));
+    // Looking `fill` up may have grown the table and moved `conn`.
+    wire_.send(Dir::kOut, conns_.pooled(Dir::kIn, *web, core::ports::kMemcache), object,
+               filled + Duration::micros(20));
     return;
   }
   wire_.send(Dir::kOut, conn, object, got + service);
@@ -200,7 +202,7 @@ void CacheLeaderModel::schedule_first() {
              if (db_peers_.empty()) return;
              const core::HostId db = pick_from(db_peers_);
              const bool remote = fleet().host(db).datacenter != fleet().host(self()).datacenter;
-             const Connection conn = conns_.pooled(Dir::kOut, db, core::ports::kMysql);
+             Connection& conn = conns_.pooled(Dir::kOut, db, core::ports::kMysql);
              const TimePoint sent =
                  wire_.send(Dir::kOut, conn, mix_->cache_leader.db_op_size, sim_->now());
              const Duration rtt = remote ? Duration::millis(35) : Duration::micros(600);
@@ -216,7 +218,7 @@ void CacheLeaderModel::schedule_first() {
         const auto follower =
             peers_.pick(HostRole::kCacheFollower, Scope::kSameDatacenterOtherCluster, rng_);
         if (!follower) return;
-        const Connection conn =
+        Connection& conn =
             conns_.pooled(Dir::kIn, *follower, core::ports::kCacheCoherence);
         const TimePoint got =
             wire_.send(Dir::kIn, conn, mix_->cache_follower.fill_request, sim_->now());
@@ -227,7 +229,7 @@ void CacheLeaderModel::schedule_first() {
            [this] {
              const auto peer = peers_.pick(HostRole::kCacheFollower, follower_scope(), rng_);
              if (!peer) return;
-             const Connection conn =
+             Connection conn =
                  conns_.ephemeral(Dir::kOut, *peer, core::ports::kCacheCoherence);
              const TimePoint opened = wire_.open(Dir::kOut, conn, sim_->now());
              const TimePoint sent = wire_.send(Dir::kOut, conn, DataSize::bytes(500), opened);
@@ -267,7 +269,7 @@ void CacheLeaderModel::send_coherency() {
   const auto rotation = static_cast<std::uint64_t>(sim_->now().count_nanos() / 250'000'000LL);
   const auto peer = peers_.pick_skewed(role, scope, rng_, 1.05, rotation);
   if (!peer) return;
-  const Connection conn = conns_.pooled(Dir::kOut, *peer, core::ports::kCacheCoherence);
+  Connection& conn = conns_.pooled(Dir::kOut, *peer, core::ports::kCacheCoherence);
   // Invalidations are pipelined fire-and-forget; the TCP-level delayed ACK
   // synthesized by Wire::send is the only reverse traffic.
   wire_.send(Dir::kOut, conn, floored_size(coherency_size_, 64), sim_->now());

@@ -55,7 +55,7 @@ void ConnectionTable::grow() {
   }
 }
 
-Connection ConnectionTable::pooled(Dir dir, core::HostId peer, core::Port service_port) {
+Connection& ConnectionTable::pooled(Dir dir, core::HostId peer, core::Port service_port) {
   const std::uint64_t key = (dir == Dir::kIn ? 0x8000'0000'0000'0000ULL : 0) |
                             (static_cast<std::uint64_t>(peer.value()) << 16) | service_port;
   std::size_t i = find_slot(key);
@@ -66,13 +66,14 @@ Connection ConnectionTable::pooled(Dir dir, core::HostId peer, core::Port servic
   }
   const core::Port opener_port = next_port();
   pooled_ports_[opener_port - core::ports::kEphemeralBase] = true;
-  slots_[i] = Slot{key, Connection{make_tuple(dir, peer, service_port, opener_port), peer, true}};
+  slots_[i] =
+      Slot{key, Connection{make_tuple(dir, peer, service_port, opener_port), peer, true, {}}};
   ++pooled_count_;
   return slots_[i].conn;
 }
 
 Connection ConnectionTable::ephemeral(Dir dir, core::HostId peer, core::Port service_port) {
-  return Connection{make_tuple(dir, peer, service_port, next_port()), peer, false};
+  return Connection{make_tuple(dir, peer, service_port, next_port()), peer, false, {}};
 }
 
 Wire::Wire(sim::Simulator& sim, TrafficSink& sink, core::HostId self)
@@ -112,10 +113,11 @@ TimePoint scripted_last_segment(TimePoint start, std::int64_t bytes, Duration ga
 }
 }  // namespace
 
-TimePoint Wire::send(Dir dir, const Connection& conn, core::DataSize payload,
+TimePoint Wire::send(Dir dir, Connection& conn, core::DataSize payload,
                      TimePoint start, Duration gap, bool ack) {
   if (mux_ != nullptr) {
-    mux_->app_send(dir, conn.tuple, self_, conn.peer, payload.count_bytes(), start, gap);
+    conn.handle = mux_->app_send(dir, conn.handle, conn.tuple, self_, conn.peer,
+                                 payload.count_bytes(), start, gap);
     return scripted_last_segment(start, payload.count_bytes(), gap);
   }
   std::int64_t remaining = payload.count_bytes();
@@ -137,9 +139,9 @@ TimePoint Wire::send(Dir dir, const Connection& conn, core::DataSize payload,
   return at;
 }
 
-TimePoint Wire::open(Dir dir, const Connection& conn, TimePoint start, Duration rtt) {
+TimePoint Wire::open(Dir dir, Connection& conn, TimePoint start, Duration rtt) {
   if (mux_ != nullptr) {
-    mux_->open(dir, conn.tuple, self_, conn.peer, start);
+    conn.handle = mux_->open(dir, conn.handle, conn.tuple, self_, conn.peer, start);
     return start + rtt;
   }
   emit(dir, conn, start, 0, core::TcpFlags{.syn = true});
@@ -149,9 +151,9 @@ TimePoint Wire::open(Dir dir, const Connection& conn, TimePoint start, Duration 
   return start + rtt;
 }
 
-void Wire::close(const Connection& conn, TimePoint start, Duration rtt) {
+void Wire::close(Connection& conn, TimePoint start, Duration rtt) {
   if (mux_ != nullptr) {
-    mux_->app_close(conn.tuple, self_, conn.peer, start);
+    conn.handle = mux_->app_close(conn.handle, conn.tuple, self_, conn.peer, start);
     return;
   }
   emit(Dir::kOut, conn, start, 0, core::TcpFlags{.ack = true, .fin = true});

@@ -92,7 +92,7 @@ void HadoopModel::start_shuffle_streams(std::uint64_t epoch) {
         pick_partner(rng_.bernoulli(p.rack_local_fraction) && !rack_partners_.empty());
     if (!peer) continue;
     const Dir dir = i % 2 == 0 ? Dir::kIn : Dir::kOut;  // half fetches, half serves/writes
-    const Connection conn = conns_.ephemeral(dir, *peer, core::ports::kMapReduceShuffle);
+    Connection conn = conns_.ephemeral(dir, *peer, core::ports::kMapReduceShuffle);
     const TimePoint opened = wire_.open(dir, conn, sim_->now());
     schedule_stream_chunk(epoch, conn, dir, opened + Duration::micros(100));
   }
@@ -107,7 +107,9 @@ std::optional<core::HostId> HadoopModel::pick_partner(bool rack_local) {
 void HadoopModel::schedule_stream_chunk(std::uint64_t epoch, Connection conn, Dir dir,
                                         TimePoint at) {
   if (at < sim_->now()) at = sim_->now();
-  sim_->schedule_at(at, [this, epoch, conn, dir] {
+  // Mutable: each send stores the transport handle back into this copy of
+  // `conn`, which the next chunk inherits.
+  sim_->schedule_at(at, [this, epoch, conn, dir]() mutable {
     if (!in_busy_phase(epoch)) {
       wire_.close(conn, sim_->now());
       return;
@@ -141,7 +143,7 @@ void HadoopModel::launch_transfer(Dir dir) {
   const Duration gap = Duration::micros(static_cast<std::int64_t>(2 + rng_.exponential(10.0)));
   const TimePoint now = sim_->now();
 
-  const Connection conn = conns_.ephemeral(dir, *peer, core::ports::kMapReduceShuffle);
+  Connection conn = conns_.ephemeral(dir, *peer, core::ports::kMapReduceShuffle);
   const TimePoint opened = wire_.open(dir, conn, now);
   const TimePoint done = wire_.send(dir, conn, size, opened, gap);
   wire_.close(conn, done + Duration::micros(50));
@@ -154,13 +156,13 @@ void HadoopModel::send_control() {
   if (rng_.bernoulli(p.misc_bytes_fraction)) {
     const auto svc = peers_.pick(HostRole::kService, Scope::kSameDatacenter, rng_);
     if (!svc) return;
-    const Connection conn = conns_.pooled(Dir::kOut, *svc, core::ports::kSlb);
+    Connection& conn = conns_.pooled(Dir::kOut, *svc, core::ports::kSlb);
     wire_.send(Dir::kOut, conn, p.control_msg, sim_->now());
     return;
   }
   const auto peer = peers_.pick(HostRole::kHadoop, Scope::kSameClusterOtherRack, rng_);
   if (!peer) return;
-  const Connection conn = conns_.pooled(Dir::kOut, *peer, core::ports::kHdfs);
+  Connection& conn = conns_.pooled(Dir::kOut, *peer, core::ports::kHdfs);
   const TimePoint sent = wire_.send(Dir::kOut, conn, p.control_msg, sim_->now());
   wire_.send(Dir::kIn, conn, DataSize::bytes(200), sent + Duration::micros(250));
 }

@@ -20,7 +20,7 @@ std::optional<core::HostId> TrafficModel::pick_balanced(core::HostRole role, Sco
 void TrafficModel::send_to_group(std::span<const core::HostId> group, core::Port port,
                                  core::DataSize message) {
   if (group.empty()) return;
-  const Connection conn = conns_.pooled(Dir::kOut, pick_from(group), port);
+  Connection& conn = conns_.pooled(Dir::kOut, pick_from(group), port);
   wire_.send(Dir::kOut, conn, message, sim_->now());
 }
 

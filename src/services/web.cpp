@@ -62,7 +62,7 @@ void WebServerModel::schedule_first() {
            [this] {
              const auto peer = peers_.pick(HostRole::kCacheFollower, Scope::kSameCluster, rng_);
              if (!peer) return;
-             const Connection conn = conns_.ephemeral(Dir::kOut, *peer, core::ports::kMemcache);
+             Connection conn = conns_.ephemeral(Dir::kOut, *peer, core::ports::kMemcache);
              const TimePoint opened = wire_.open(Dir::kOut, conn, sim_->now());
              const TimePoint sent =
                  wire_.send(Dir::kOut, conn, mix_->web.cache_get_request, opened);
@@ -81,7 +81,7 @@ void WebServerModel::serve_user_request() {
   const auto slb = pick_balanced(HostRole::kSlb, Scope::kSameCluster);
   TimePoint ready = now;
   if (slb) {
-    const Connection in = conns_.pooled(Dir::kIn, *slb, core::ports::kHttp);
+    Connection& in = conns_.pooled(Dir::kIn, *slb, core::ports::kHttp);
     // The page response piggybacks the ACK of the user request.
     ready = wire_.send(Dir::kIn, in, mix_->slb.request_size, now, Duration::micros(2),
                        /*ack=*/false);
@@ -115,14 +115,14 @@ void WebServerModel::serve_user_request() {
         80 + rng_.exponential(120.0)));
 
     if (mix_->connection_pooling_enabled) {
-      const Connection conn = conns_.pooled(Dir::kOut, *follower, core::ports::kMemcache);
+      Connection& conn = conns_.pooled(Dir::kOut, *follower, core::ports::kMemcache);
       // The cache response piggybacks the request's ACK.
       const TimePoint sent =
           wire_.send(Dir::kOut, conn, w.cache_get_request, at, Duration::micros(2), false);
       wire_.send(Dir::kIn, conn, response, sent + service);
     } else {
       // Pooling-off ablation: every get pays a handshake and teardown.
-      const Connection conn = conns_.ephemeral(Dir::kOut, *follower, core::ports::kMemcache);
+      Connection conn = conns_.ephemeral(Dir::kOut, *follower, core::ports::kMemcache);
       const TimePoint open_done = wire_.open(Dir::kOut, conn, at);
       const TimePoint sent = wire_.send(Dir::kOut, conn, w.cache_get_request, open_done);
       const TimePoint resp_done = wire_.send(Dir::kIn, conn, response, sent + service);
@@ -136,7 +136,7 @@ void WebServerModel::serve_user_request() {
   for (int m = 0; m < mf_calls; ++m) {
     const auto mf = peers_.pick(HostRole::kMultifeed, Scope::kSameCluster, rng_);
     if (!mf) break;
-    const Connection conn = conns_.pooled(Dir::kOut, *mf, core::ports::kMultifeed);
+    Connection& conn = conns_.pooled(Dir::kOut, *mf, core::ports::kMultifeed);
     const TimePoint sent =
         wire_.send(Dir::kOut, conn, w.multifeed_request, at, Duration::micros(2), false);
     const DataSize mf_resp = floored_size(
@@ -149,7 +149,7 @@ void WebServerModel::serve_user_request() {
 
   // 4. Response back to the SLB.
   if (slb) {
-    const Connection in = conns_.pooled(Dir::kIn, *slb, core::ports::kHttp);
+    Connection& in = conns_.pooled(Dir::kIn, *slb, core::ports::kHttp);
     wire_.send(Dir::kOut, in, floored_size(slb_response_, 256), at + Duration::micros(200));
   }
 }

@@ -64,8 +64,11 @@ void FlowLedger::on_birth(std::uint32_t tag, std::int64_t t_ns,
                           core::HostRole peer_role, core::Locality locality,
                           std::int64_t rtt_out_ns, std::int64_t rtt_in_ns,
                           std::int64_t bottleneck_bytes_per_sec) {
-  ConnLive& conn = live_[tag];
+  const std::size_t idx = index_of(tag);
+  if (idx >= live_.size()) live_.resize(idx + 1);
+  ConnLive& conn = live_[idx];
   conn = ConnLive{};
+  conn.tag = tag;
   conn.serial = ++next_conn_serial_;
   conn.tuple = tuple;
   conn.role = role;
@@ -75,6 +78,13 @@ void FlowLedger::on_birth(std::uint32_t tag, std::int64_t t_ns,
   conn.rtt_ns[0] = rtt_out_ns;
   conn.rtt_ns[1] = rtt_in_ns;
   conn.bottleneck_bps = bottleneck_bytes_per_sec;
+}
+
+FlowLedger::ConnLive* FlowLedger::find(std::uint32_t tag) {
+  const std::size_t idx = index_of(tag);
+  if (idx >= live_.size()) return nullptr;
+  ConnLive& conn = live_[idx];
+  return conn.serial != 0 && conn.tag == tag ? &conn : nullptr;
 }
 
 FlowLedgerRecord& FlowLedger::open_transfer(ConnLive& conn, std::uint32_t tag, int dir,
@@ -122,8 +132,7 @@ void FlowLedger::push_to_ring(const FlowLedgerRecord& record) {
 }
 
 void FlowLedger::record(const TransportEvent& e) {
-  const auto it = live_.find(e.tag);
-  ConnLive* conn = it == live_.end() ? nullptr : &it->second;
+  ConnLive* conn = find(e.tag);
   const int dir = e.dir;
   switch (e.kind) {
     case TransportEventKind::kSyn:
@@ -150,7 +159,7 @@ void FlowLedger::record(const TransportEvent& e) {
       for (int d = 0; d < 2; ++d) {
         if (conn->half[d].open != nullptr) close_transfer(*conn, d, -1);
       }
-      live_.erase(it);
+      conn->serial = 0;
       return;
     case TransportEventKind::kHandshakeRetry:
       return;  // the flight recorder's alone; the SYN it resends is a kSyn
@@ -273,8 +282,8 @@ void FlowLedger::record_on_transfer(const TransportEvent& e, HalfLive& h,
 
 void FlowLedger::finalize() {
   std::vector<ConnLive*> pending;
-  for (auto& [tag, conn] : live_) {
-    if (conn.half[0].open != nullptr || conn.half[1].open != nullptr) {
+  for (ConnLive& conn : live_) {
+    if (conn.serial != 0 && (conn.half[0].open != nullptr || conn.half[1].open != nullptr)) {
       pending.push_back(&conn);
     }
   }

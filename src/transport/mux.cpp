@@ -41,7 +41,7 @@ void TransportMux::register_probes(telemetry::TimeSeriesProbe& probe) const {
   const auto sum_out = [this](auto field) {
     std::int64_t total = 0;
     for (const Slot& s : slots_) {
-      if (s.live) total += field(s.conn->out);
+      if (s.conn != nullptr) total += field(s.conn->out);
     }
     return total;
   };
@@ -66,19 +66,11 @@ void TransportMux::register_probes(telemetry::TimeSeriesProbe& probe) const {
   probe.add_gauge("transport.rto_pending", [this] {
     std::int64_t pending = 0;
     for (const Slot& s : slots_) {
-      if (!s.live) continue;
+      if (s.conn == nullptr) continue;
       pending += (s.conn->out.rto_scheduled ? 1 : 0) + (s.conn->in.rto_scheduled ? 1 : 0);
     }
     return pending;
   }, kStride);
-}
-
-const TcpConnection* TransportMux::find_connection(const core::FiveTuple& tuple) const {
-  const auto it = by_tuple_.find(tuple);
-  if (it == by_tuple_.end()) return nullptr;
-  const std::uint32_t idx = (it->second >> 8) - 1;
-  if (idx >= slots_.size() || !slots_[idx].live) return nullptr;
-  return slots_[idx].conn;
 }
 
 TcpConnection* TransportMux::resolve(std::uint32_t tag) {
@@ -87,16 +79,20 @@ TcpConnection* TransportMux::resolve(std::uint32_t tag) {
   if (tag < (1u << 8)) return nullptr;
   const std::uint32_t idx = (tag >> 8) - 1;
   if (idx >= slots_.size()) return nullptr;
-  Slot& s = slots_[idx];
-  if (!s.live || s.gen != static_cast<std::uint8_t>(tag & 0xFFu)) return nullptr;
+  const Slot& s = slots_[idx];
+  if (s.conn == nullptr || (s.epoch & 0xFFu) != (tag & 0xFFu)) return nullptr;
   return s.conn;
 }
 
-TcpConnection& TransportMux::ensure(const core::FiveTuple& tuple, core::HostId self,
-                                    core::HostId peer, ConnState initial) {
-  if (const auto it = by_tuple_.find(tuple); it != by_tuple_.end()) {
-    if (TcpConnection* c = resolve(it->second)) return *c;
-    by_tuple_.erase(it);  // stale mapping from a recycled connection
+void TransportMux::ensure(ConnHandle& handle, const core::FiveTuple& tuple, core::HostId self,
+                          core::HostId peer, ConnState initial) {
+  // An unbound handle (tag 0) wraps to an index past the end. A matching
+  // epoch means the slot still holds the handle's connection: release()
+  // moves a slot's epoch past every handle issued for it. The connection
+  // itself is not touched.
+  if (const std::uint32_t idx = (handle.tag >> 8) - 1;
+      idx < slots_.size() && slots_[idx].epoch == handle.epoch) {
+    return;
   }
   std::uint32_t idx;
   if (!free_slots_.empty()) {
@@ -108,12 +104,12 @@ TcpConnection& TransportMux::ensure(const core::FiveTuple& tuple, core::HostId s
   }
   Slot& s = slots_[idx];
   s.conn = pool_.create();
-  s.live = true;
   TcpConnection& c = *s.conn;
   c.tuple = tuple;
   c.self = self;
   c.peer = peer;
-  c.tag = ((idx + 1) << 8) | s.gen;
+  c.tag = ((idx + 1) << 8) | (s.epoch & 0xFFu);
+  handle = ConnHandle{c.tag, s.epoch};
   c.tuple_hash = std::hash<core::FiveTuple>{}(tuple);
   c.state = initial;
 
@@ -149,7 +145,6 @@ TcpConnection& TransportMux::ensure(const core::FiveTuple& tuple, core::HostId s
         params_.cc == CongestionControl::kDctcp ? kDctcpInitialAlpha : 0;
   }
 
-  by_tuple_.emplace(tuple, c.tag);
   ++stats_.connections_created;
   if (ledger_ != nullptr) {
     // Per-direction feedback-loop RTTs match the substitution model: the
@@ -162,18 +157,15 @@ TcpConnection& TransportMux::ensure(const core::FiveTuple& tuple, core::HostId s
                       (c.beyond + kHostDelay).count_nanos(),
                       kNicRate.count_bits_per_sec() / 8);
   }
-  return c;
 }
 
 void TransportMux::release(TcpConnection& c) {
   emit(Ev::kRelease, c);
   const std::uint32_t idx = (c.tag >> 8) - 1;
-  by_tuple_.erase(c.tuple);
   Slot& s = slots_[idx];
   pool_.destroy(s.conn);
   s.conn = nullptr;
-  s.live = false;
-  s.gen = static_cast<std::uint8_t>(s.gen + 1);
+  ++s.epoch;
   free_slots_.push_back(idx);
 }
 
@@ -278,32 +270,32 @@ void TransportMux::emit(telemetry::TransportEventKind kind, const TcpConnection&
 
 // ---- DemandSink ----
 
-void TransportMux::open(Dir dir, const core::FiveTuple& tuple, core::HostId self,
-                        core::HostId peer, TimePoint start) {
-  TcpConnection& c = ensure(tuple, self, peer, ConnState::kClosed);
-  const std::uint32_t tag = c.tag;
-  sim_->schedule_at(start, [this, tag, dir] { on_open(tag, dir); });
+ConnHandle TransportMux::open(Dir dir, ConnHandle handle, const core::FiveTuple& tuple,
+                              core::HostId self, core::HostId peer, TimePoint start) {
+  ensure(handle, tuple, self, peer, ConnState::kClosed);
+  sim_->schedule_at(start, [this, tag = handle.tag, dir] { on_open(tag, dir); });
+  return handle;
 }
 
-void TransportMux::app_send(Dir dir, const core::FiveTuple& tuple, core::HostId self,
-                            core::HostId peer, std::int64_t bytes, TimePoint start,
-                            Duration pace_gap) {
-  if (bytes <= 0) return;
+ConnHandle TransportMux::app_send(Dir dir, ConnHandle handle, const core::FiveTuple& tuple,
+                                  core::HostId self, core::HostId peer, std::int64_t bytes,
+                                  TimePoint start, Duration pace_gap) {
+  if (bytes <= 0) return handle;
   // Connections first seen carrying data are pooled: their handshake
   // predates the run, so they start established (no SYN on the wire).
-  TcpConnection& c = ensure(tuple, self, peer, ConnState::kEstablished);
-  const std::uint32_t tag = c.tag;
+  ensure(handle, tuple, self, peer, ConnState::kEstablished);
   const std::int64_t gap_ns = pace_gap.count_nanos();
-  sim_->schedule_at(start, [this, tag, dir, bytes, gap_ns] {
+  sim_->schedule_at(start, [this, tag = handle.tag, dir, bytes, gap_ns] {
     on_demand(tag, dir, bytes, Duration::nanos(gap_ns));
   });
+  return handle;
 }
 
-void TransportMux::app_close(const core::FiveTuple& tuple, core::HostId self,
-                             core::HostId peer, TimePoint start) {
-  TcpConnection& c = ensure(tuple, self, peer, ConnState::kEstablished);
-  const std::uint32_t tag = c.tag;
-  sim_->schedule_at(start, [this, tag] { on_ctrl(tag, Ctrl::kClose); });
+ConnHandle TransportMux::app_close(ConnHandle handle, const core::FiveTuple& tuple,
+                                   core::HostId self, core::HostId peer, TimePoint start) {
+  ensure(handle, tuple, self, peer, ConnState::kEstablished);
+  sim_->schedule_at(start, [this, tag = handle.tag] { on_ctrl(tag, Ctrl::kClose); });
+  return handle;
 }
 
 // ---- connection machinery ----

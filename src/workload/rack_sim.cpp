@@ -354,6 +354,7 @@ RackSimResult RackSimulation::run() {
 services::ServiceMix scale_rates(const services::ServiceMix& mix, double factor) {
   services::ServiceMix out = mix;
   out.web.user_requests_per_sec *= factor;
+  out.web.ephemeral_per_sec *= factor;
   out.cache_follower.gets_served_per_sec *= factor;
   out.cache_follower.ephemeral_per_sec *= factor;
   out.cache_leader.coherency_msgs_per_sec *= factor;
@@ -364,6 +365,7 @@ services::ServiceMix scale_rates(const services::ServiceMix& mix, double factor)
   out.multifeed.requests_served_per_sec *= factor;
   out.slb.user_requests_per_sec *= factor;
   out.database.queries_served_per_sec *= factor;
+  out.service.messages_per_sec *= factor;
   return out;
 }
 

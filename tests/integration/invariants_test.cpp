@@ -125,7 +125,7 @@ TEST_P(WireConservationSweep, PayloadConserved) {
   const core::HostId peer = fleet.hosts()[3].id;
   services::ConnectionTable table{fleet, self};
   services::Wire wire{sim, sink, self};
-  const services::Connection& conn = table.pooled(services::Dir::kOut, peer, 80);
+  services::Connection& conn = table.pooled(services::Dir::kOut, peer, 80);
 
   const std::int64_t payload = GetParam();
   for (const services::Dir dir : {services::Dir::kOut, services::Dir::kIn}) {

@@ -96,7 +96,7 @@ TEST_F(WireTest, PooledTableKeepsEveryTupleAcrossGrowth) {
 }
 
 TEST_F(WireTest, PooledTupleOrientationIsSelfToPeer) {
-  const Connection& c = table_.pooled(Dir::kOut, peer_, 80);
+  Connection& c = table_.pooled(Dir::kOut, peer_, 80);
   EXPECT_EQ(c.tuple.src_ip, fleet_.host(self_).addr);
   EXPECT_EQ(c.tuple.dst_ip, fleet_.host(peer_).addr);
   EXPECT_EQ(c.tuple.dst_port, 80);
@@ -137,7 +137,7 @@ TEST_F(WireTest, EphemeralPortsWrapInsideRangeAndSkipPooledPorts) {
 }
 
 TEST_F(WireTest, InboundConnectionKeepsSelfToPeerOrientation) {
-  const Connection c = table_.ephemeral(Dir::kIn, peer_, 11211);
+  Connection c = table_.ephemeral(Dir::kIn, peer_, 11211);
   EXPECT_EQ(c.tuple.src_ip, fleet_.host(self_).addr);
   EXPECT_EQ(c.tuple.src_port, 11211);  // well-known port on self side
   const Connection p = table_.pooled(Dir::kIn, peer_, 11211);
@@ -151,7 +151,7 @@ TEST_F(WireTest, InboundConnectionKeepsSelfToPeerOrientation) {
 }
 
 TEST_F(WireTest, SendSegmentsAtMss) {
-  const Connection& c = table_.pooled(Dir::kOut, peer_, 80);
+  Connection& c = table_.pooled(Dir::kOut, peer_, 80);
   wire_.send(Dir::kOut, c, DataSize::bytes(3000), TimePoint::zero(), Duration::micros(1),
              /*ack=*/false);
   sim_.run();
@@ -169,7 +169,7 @@ TEST_F(WireTest, SendSegmentsAtMss) {
 }
 
 TEST_F(WireTest, SendSynthesizesDelayedAcks) {
-  const Connection& c = table_.pooled(Dir::kOut, peer_, 80);
+  Connection& c = table_.pooled(Dir::kOut, peer_, 80);
   wire_.send(Dir::kOut, c, DataSize::bytes(4 * 1460), TimePoint::zero());
   sim_.run();
   EXPECT_EQ(sink_.sent.size(), 4u);
@@ -184,7 +184,7 @@ TEST_F(WireTest, SendSynthesizesDelayedAcks) {
 }
 
 TEST_F(WireTest, ReceiveAckSuppression) {
-  const Connection& c = table_.pooled(Dir::kOut, peer_, 80);
+  Connection& c = table_.pooled(Dir::kOut, peer_, 80);
   wire_.send(Dir::kIn, c, DataSize::bytes(500), TimePoint::zero(), Duration::micros(1),
              /*ack=*/false);
   sim_.run();
@@ -193,7 +193,7 @@ TEST_F(WireTest, ReceiveAckSuppression) {
 }
 
 TEST_F(WireTest, OpenEmitsHandshake) {
-  const Connection c = table_.ephemeral(Dir::kOut, peer_, 80);
+  Connection c = table_.ephemeral(Dir::kOut, peer_, 80);
   const TimePoint done = wire_.open(Dir::kOut, c, TimePoint::zero(), Duration::micros(100));
   sim_.run();
   EXPECT_EQ(done, TimePoint::from_nanos(100'000));
@@ -207,7 +207,7 @@ TEST_F(WireTest, OpenEmitsHandshake) {
 }
 
 TEST_F(WireTest, OpenInboundSynComesFromPeer) {
-  const Connection c = table_.ephemeral(Dir::kIn, peer_, 11211);
+  Connection c = table_.ephemeral(Dir::kIn, peer_, 11211);
   wire_.open(Dir::kIn, c, TimePoint::zero());
   sim_.run();
   ASSERT_EQ(sink_.received.size(), 2u);  // SYN + final ACK from peer
@@ -275,7 +275,7 @@ TEST_F(WireTest, InDirectionMirrorsOutDirection) {
 
   // On one connection the Dir::kIn form emits the Dir::kOut form's packets
   // with every tuple reversed.
-  const Connection c = table_.pooled(Dir::kOut, peer_, 80);
+  Connection c = table_.pooled(Dir::kOut, peer_, 80);
   for (const bool ack : {true, false}) {
     TimePoint out_done;
     TimePoint in_done;
@@ -315,9 +315,9 @@ TEST_F(WireTest, InDirectionMirrorsOutDirection) {
   for (const bool pooled : {true, false}) {
     ConnectionTable out_table{fleet_, self_};
     ConnectionTable in_table{fleet_, self_};
-    const Connection out_conn = pooled ? out_table.pooled(Dir::kOut, peer_, 80)
+    Connection out_conn = pooled ? out_table.pooled(Dir::kOut, peer_, 80)
                                        : out_table.ephemeral(Dir::kOut, peer_, 80);
-    const Connection in_conn = pooled ? in_table.pooled(Dir::kIn, peer_, 80)
+    Connection in_conn = pooled ? in_table.pooled(Dir::kIn, peer_, 80)
                                       : in_table.ephemeral(Dir::kIn, peer_, 80);
     EXPECT_EQ(in_conn.pooled, pooled);
     EXPECT_EQ(out_conn.pooled, pooled);
@@ -336,7 +336,7 @@ TEST_F(WireTest, InDirectionMirrorsOutDirection) {
 }
 
 TEST_F(WireTest, CloseEmitsFinExchange) {
-  const Connection c = table_.ephemeral(Dir::kOut, peer_, 80);
+  Connection c = table_.ephemeral(Dir::kOut, peer_, 80);
   wire_.close(c, TimePoint::zero());
   sim_.run();
   ASSERT_EQ(sink_.sent.size(), 2u);
@@ -346,7 +346,7 @@ TEST_F(WireTest, CloseEmitsFinExchange) {
 }
 
 TEST_F(WireTest, TimestampsMatchSimClock) {
-  const Connection& c = table_.pooled(Dir::kOut, peer_, 80);
+  Connection& c = table_.pooled(Dir::kOut, peer_, 80);
   wire_.send(Dir::kOut, c, DataSize::bytes(2 * 1460), TimePoint::from_seconds(1.0),
              Duration::micros(5), false);
   sim_.run();

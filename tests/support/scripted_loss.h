@@ -135,8 +135,8 @@ inline ScenarioOutcome run_loss_scenario(transport::LossRecovery recovery,
   const core::FiveTuple tuple{fleet.host(self).addr, fleet.host(peer).addr, 40'000,
                               11'211, core::Protocol::kTcp};
   const core::TimePoint t0 = core::TimePoint::zero() + core::Duration::micros(10);
-  mux.app_send(transport::Dir::kOut, tuple, self, peer, sink.target_bytes, t0,
-               core::Duration::nanos(0));
+  (void)mux.app_send(transport::Dir::kOut, transport::ConnHandle{}, tuple, self, peer,
+                     sink.target_bytes, t0, core::Duration::nanos(0));
   sim.run_until(core::TimePoint::zero() + horizon);
 
   ScenarioOutcome out;

@@ -80,6 +80,22 @@ struct Harness {
     sim.run_until(TimePoint::zero() + horizon);
   }
 
+  // DemandSink calls on `tuple`, each passing the handle the last returned.
+  void open(Dir dir, TimePoint at) { handle = mux.open(dir, handle, tuple, self, peer, at); }
+  void send(Dir dir, std::int64_t bytes, TimePoint at) {
+    handle = mux.app_send(dir, handle, tuple, self, peer, bytes, at, Duration::nanos(0));
+  }
+  void close(TimePoint at) { handle = mux.app_close(handle, tuple, self, peer, at); }
+
+  /// The live connection carrying `tuple`, or null.
+  [[nodiscard]] const TcpConnection* connection() const {
+    const TcpConnection* found = nullptr;
+    mux.for_each_connection([&](const TcpConnection& c) {
+      if (c.tuple == tuple) found = &c;
+    });
+    return found;
+  }
+
   [[nodiscard]] int count_sent(bool syn, bool fin, bool data) const {
     int n = 0;
     for (const SimPacket& p : sink.sent) {
@@ -97,11 +113,12 @@ struct Harness {
   TransportMux mux;
   core::HostId self, peer;
   core::FiveTuple tuple;
+  ConnHandle handle;
 };
 
 TEST(TransportMux, HandshakeEmitsRealSynSynAckAck) {
   Harness h;
-  h.mux.open(Dir::kOut, h.tuple, h.self, h.peer, TimePoint::zero() + Duration::micros(10));
+  h.open(Dir::kOut, TimePoint::zero() + Duration::micros(10));
   h.run();
 
   EXPECT_EQ(h.mux.stats().handshakes_completed, 1);
@@ -119,14 +136,14 @@ TEST(TransportMux, HandshakeEmitsRealSynSynAckAck) {
   }
   EXPECT_EQ(syn_acks_in, 1) << "the peer's SYN-ACK traverses the downlink";
   EXPECT_GE(pure_acks_out, 1) << "the final handshake ACK is a real packet";
-  const TcpConnection* conn = h.mux.find_connection(h.tuple);
+  const TcpConnection* conn = h.connection();
   ASSERT_NE(conn, nullptr);
   EXPECT_EQ(conn->state, ConnState::kEstablished);
 }
 
 TEST(TransportMux, InboundHandshakeCompletes) {
   Harness h;
-  h.mux.open(Dir::kIn, h.tuple, h.self, h.peer, TimePoint::zero() + Duration::micros(10));
+  h.open(Dir::kIn, TimePoint::zero() + Duration::micros(10));
   h.run();
   EXPECT_EQ(h.mux.stats().handshakes_completed, 1);
   int syns_in = 0;
@@ -141,8 +158,7 @@ TEST(TransportMux, InboundHandshakeCompletes) {
 TEST(TransportMux, PooledConnectionsSkipTheHandshake) {
   Harness h;
   const std::int64_t bytes = 10 * 1460;
-  h.mux.app_send(Dir::kOut, h.tuple, h.self, h.peer, bytes,
-                 TimePoint::zero() + Duration::micros(10), Duration::nanos(0));
+  h.send(Dir::kOut, bytes, TimePoint::zero() + Duration::micros(10));
   h.run();
   EXPECT_EQ(h.count_sent(/*syn=*/true, /*fin=*/false, /*data=*/false), 0)
       << "pooled connections' handshakes predate the run";
@@ -153,8 +169,7 @@ TEST(TransportMux, PooledConnectionsSkipTheHandshake) {
 TEST(TransportMux, BytesConservationLossless) {
   Harness h;
   const std::int64_t bytes = 1'000'000;
-  h.mux.app_send(Dir::kOut, h.tuple, h.self, h.peer, bytes,
-                 TimePoint::zero() + Duration::micros(10), Duration::nanos(0));
+  h.send(Dir::kOut, bytes, TimePoint::zero() + Duration::micros(10));
   h.run();
   const TransportMux::Stats& s = h.mux.stats();
   EXPECT_EQ(s.bytes_demanded, bytes);
@@ -174,8 +189,7 @@ TEST(TransportMux, BytesConservationLossless) {
 TEST(TransportMux, AppReceiveDrivesTheInboundHalf) {
   Harness h;
   const std::int64_t bytes = 500'000;
-  h.mux.app_send(Dir::kIn, h.tuple, h.self, h.peer, bytes,
-                 TimePoint::zero() + Duration::micros(10), Duration::nanos(0));
+  h.send(Dir::kIn, bytes, TimePoint::zero() + Duration::micros(10));
   h.run();
   EXPECT_EQ(h.mux.stats().bytes_delivered, bytes);
   std::int64_t data_in = 0;
@@ -192,8 +206,7 @@ TEST(TransportMux, SwitchDropsTriggerRetransmissionAndRecovery) {
   Harness h;
   h.sink.drop_every = 13;
   const std::int64_t bytes = 2'000'000;
-  h.mux.app_send(Dir::kOut, h.tuple, h.self, h.peer, bytes,
-                 TimePoint::zero() + Duration::micros(10), Duration::nanos(0));
+  h.send(Dir::kOut, bytes, TimePoint::zero() + Duration::micros(10));
   h.run(Duration::seconds(30));  // room for RTO-driven tail recovery
   const TransportMux::Stats& s = h.mux.stats();
   EXPECT_EQ(s.bytes_delivered, bytes) << "loss recovery must deliver everything";
@@ -206,10 +219,9 @@ TEST(TransportMux, SwitchDropsTriggerRetransmissionAndRecovery) {
 TEST(TransportMux, CloseDrainsThenFinExchangeReleasesTheConnection) {
   Harness h;
   const TimePoint t0 = TimePoint::zero() + Duration::micros(10);
-  h.mux.open(Dir::kOut, h.tuple, h.self, h.peer, t0);
-  h.mux.app_send(Dir::kOut, h.tuple, h.self, h.peer, 100'000, t0 + Duration::micros(50),
-                 Duration::nanos(0));
-  h.mux.app_close(h.tuple, h.self, h.peer, t0 + Duration::micros(60));
+  h.open(Dir::kOut, t0);
+  h.send(Dir::kOut, 100'000, t0 + Duration::micros(50));
+  h.close(t0 + Duration::micros(60));
   h.run();
   const TransportMux::Stats& s = h.mux.stats();
   EXPECT_EQ(s.bytes_delivered, 100'000);
@@ -217,7 +229,7 @@ TEST(TransportMux, CloseDrainsThenFinExchangeReleasesTheConnection) {
       << "FIN only after the stream drains";
   EXPECT_EQ(s.connections_destroyed, 1);
   EXPECT_EQ(h.mux.live_connections(), 0);
-  EXPECT_EQ(h.mux.find_connection(h.tuple), nullptr);
+  EXPECT_EQ(h.connection(), nullptr);
 }
 
 TEST(TransportMux, PathLossIsRecoveredAndCounted) {
@@ -238,8 +250,8 @@ TEST(TransportMux, PathLossIsRecoveredAndCounted) {
   const core::FiveTuple tuple{h.fleet.host(h.self).addr, h.fleet.host(remote).addr,
                               40'001, 11'211, core::Protocol::kTcp};
   const std::int64_t bytes = 400'000;
-  h.mux.app_send(Dir::kOut, tuple, h.self, remote, bytes,
-                 TimePoint::zero() + Duration::micros(10), Duration::nanos(0));
+  (void)h.mux.app_send(Dir::kOut, ConnHandle{}, tuple, h.self, remote, bytes,
+                       TimePoint::zero() + Duration::micros(10), Duration::nanos(0));
   h.run(Duration::seconds(30));
   const TransportMux::Stats& s = h.mux.stats();
   EXPECT_EQ(s.bytes_delivered, bytes);
@@ -252,11 +264,9 @@ TEST(TransportMux, RunsAreDeterministic) {
     Harness h;
     h.sink.drop_every = 17;
     const TimePoint t0 = TimePoint::zero() + Duration::micros(10);
-    h.mux.open(Dir::kOut, h.tuple, h.self, h.peer, t0);
-    h.mux.app_send(Dir::kOut, h.tuple, h.self, h.peer, 750'000, t0 + Duration::micros(40),
-                   Duration::nanos(0));
-    h.mux.app_send(Dir::kIn, h.tuple, h.self, h.peer, 250'000, t0 + Duration::micros(45),
-                   Duration::nanos(0));
+    h.open(Dir::kOut, t0);
+    h.send(Dir::kOut, 750'000, t0 + Duration::micros(40));
+    h.send(Dir::kIn, 250'000, t0 + Duration::micros(45));
     h.run(Duration::seconds(30));
     std::uint64_t hash = h.sink.sent.size() * 1'000'003 + h.sink.received.size();
     for (const SimPacket& p : h.sink.sent) {
@@ -270,6 +280,49 @@ TEST(TransportMux, RunsAreDeterministic) {
   const auto b = run_once();
   EXPECT_EQ(a.first, b.first) << "identical packet streams across runs";
   EXPECT_EQ(a.second, b.second);
+}
+
+// A handle outlives its connection. Packets keep only the low byte of a
+// slot's epoch in their tag, and the free-slot stack is LIFO, so after 256
+// releases of one slot its next occupant carries the very tag the slot's
+// first connection had. A send on the first handle must still create a
+// fresh connection: the handle's full-width epoch tells the two apart.
+TEST(MuxHandle, StaleHandleDoesNotAliasTheSlotsLaterOccupant) {
+  Harness h;
+  // Room for a handshake and a FIN exchange; 256 cycles stay under kMinRto,
+  // so no handshake timer fires.
+  const Duration cycle = Duration::micros(200);
+  TimePoint t = TimePoint::zero() + Duration::micros(10);
+  h.open(Dir::kOut, t);
+  const ConnHandle first = h.handle;
+  for (int i = 0; i < 256; ++i) {
+    h.close(t + Duration::micros(20));
+    t += cycle;
+    h.sim.run_until(t);
+    ASSERT_EQ(h.mux.live_connections(), 0) << "release " << i;
+    h.open(Dir::kOut, t);  // the stale handle: a fresh connection in the same slot
+  }
+  const ConnHandle occupant = h.handle;
+  ASSERT_EQ(occupant.tag, first.tag) << "the tag generation wrapped";
+  ASSERT_NE(occupant.epoch, first.epoch);
+  ASSERT_EQ(h.mux.stats().connections_created, 257);
+
+  const std::int64_t bytes = 10 * kMssBytes;
+  const ConnHandle fresh = h.mux.app_send(Dir::kOut, first, h.tuple, h.self, h.peer, bytes, t,
+                                          Duration::nanos(0));
+  EXPECT_EQ(h.mux.stats().connections_created, 258) << "the stale handle made a new connection";
+  EXPECT_EQ(h.mux.live_connections(), 2);
+  EXPECT_NE(fresh.tag, occupant.tag);
+  h.sim.run_until(t + Duration::millis(1));
+  EXPECT_EQ(h.mux.stats().bytes_delivered, bytes);
+  int established = 0;
+  h.mux.for_each_connection([&](const TcpConnection& c) {
+    if (c.tag == occupant.tag) {
+      EXPECT_EQ(c.out.demand, 0) << "the occupant got no demand";
+    }
+    established += c.state == ConnState::kEstablished ? 1 : 0;
+  });
+  EXPECT_EQ(established, 2);
 }
 
 }  // namespace

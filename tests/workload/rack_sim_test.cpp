@@ -6,8 +6,10 @@
 #include <iterator>
 #include <optional>
 #include <tuple>
+#include <vector>
 
 #include "fbdcsim/topology/standard_fleet.h"
+#include "fbdcsim/transport/mux.h"
 #include "fbdcsim/workload/presets.h"
 
 namespace fbdcsim::workload {
@@ -203,6 +205,26 @@ TEST(RackSimulationTest, ZeroBackgroundRateSilencesNeighbours) {
   }
 }
 
+// The mux names connections by handle, not by 5-tuple, so nothing merges two
+// service connections that reuse a tuple (an ephemeral-port wrap while the
+// older connection lives): they would show up here as two live connections.
+TEST(RackSimulationTest, TcpWebRackHasNoTwoLiveConnectionsOnOneTuple) {
+  const topology::Fleet fleet = build_rack_experiment_fleet();
+  RackSimConfig cfg = default_rack_config(fleet, HostRole::kWeb, Duration::millis(300));
+  cfg.warmup = Duration::millis(100);
+  cfg.transport = Transport::kTcp;
+  RackSimulation sim{fleet, cfg};
+  (void)sim.run();
+  const transport::TransportMux* mux = sim.transport_mux();
+  ASSERT_NE(mux, nullptr);
+  std::vector<core::FiveTuple> tuples;
+  mux->for_each_connection(
+      [&](const transport::TcpConnection& c) { tuples.push_back(c.tuple); });
+  ASSERT_GT(tuples.size(), 100u) << "the rack must hold pooled connections at the horizon";
+  std::sort(tuples.begin(), tuples.end());
+  EXPECT_EQ(std::adjacent_find(tuples.begin(), tuples.end()), tuples.end());
+}
+
 TEST(RackSimulationTest, RequiresMonitoredHost) {
   const topology::Fleet fleet = small_rack_fleet();
   RackSimConfig cfg;
@@ -265,6 +287,20 @@ TEST(ScaleRatesTest, ScalesEveryRateField) {
                    mix.hadoop.transfers_per_sec_busy * 0.5);
   // Non-rate fields unchanged.
   EXPECT_EQ(scaled.web.cache_get_request, mix.web.cache_get_request);
+
+  // A zero factor zeroes every arrival rate of the mix.
+  const services::ServiceMix z = scale_rates(mix, 0.0);
+  int rates = 0;
+  for (const double rate :
+       {z.web.user_requests_per_sec, z.web.ephemeral_per_sec,
+        z.cache_follower.gets_served_per_sec, z.cache_follower.ephemeral_per_sec,
+        z.cache_leader.coherency_msgs_per_sec, z.cache_leader.db_ops_per_sec,
+        z.cache_leader.ephemeral_per_sec, z.hadoop.transfers_per_sec_busy,
+        z.hadoop.control_msgs_per_sec, z.multifeed.requests_served_per_sec,
+        z.slb.user_requests_per_sec, z.database.queries_served_per_sec,
+        z.service.messages_per_sec}) {
+    EXPECT_EQ(rate, 0.0) << "rate " << rates++;
+  }
 }
 
 TEST(PresetsTest, MonitoredHostHasRequestedRole) {
