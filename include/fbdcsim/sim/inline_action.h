@@ -82,6 +82,10 @@ class InlineAction {
   [[nodiscard]] bool is_inline() const noexcept { return ops_ != nullptr && ops_->inlined; }
 
  private:
+  /// One static table per callable type. `destroy` is null for an inline
+  /// callable that is trivially destructible (a capture of pointers,
+  /// references and scalars — most engine events), so reset() has no
+  /// call to make; a heap-fallback callable always has one (the delete).
   struct Ops {
     void (*invoke)(void*);
     void (*destroy)(void*) noexcept;
@@ -94,9 +98,13 @@ class InlineAction {
   template <typename Fn>
   [[nodiscard]] static const Ops* ops_for() noexcept {
     if constexpr (fits_inline<Fn>) {
+      using Destroy = void (*)(void*) noexcept;
+      static constexpr Destroy destroy = [](void* p) noexcept {
+        std::launder(reinterpret_cast<Fn*>(p))->~Fn();
+      };
       static constexpr Ops ops{
           [](void* p) { (*std::launder(reinterpret_cast<Fn*>(p)))(); },
-          [](void* p) noexcept { std::launder(reinterpret_cast<Fn*>(p))->~Fn(); },
+          std::is_trivially_destructible_v<Fn> ? nullptr : destroy,
           [](void* src, void* dst) noexcept {
             Fn* from = std::launder(reinterpret_cast<Fn*>(src));
             ::new (dst) Fn(std::move(*from));
@@ -118,7 +126,7 @@ class InlineAction {
 
   void reset() noexcept {
     if (ops_ != nullptr) {
-      ops_->destroy(storage_);
+      if (ops_->destroy != nullptr) ops_->destroy(storage_);
       ops_ = nullptr;
     }
   }

@@ -9,11 +9,17 @@
 // window land in a 1024-bucket time wheel (4.096 us per bucket, ~4.2 ms
 // window) and are sorted per bucket only when the wheel reaches them;
 // events beyond the window wait in an overflow heap and migrate into the
-// wheel as it rotates. The queues hold only 24-byte (time, seq, slot)
-// keys. Each action is an InlineAction (no heap allocation for captures up
-// to 56 bytes — every current hot-path capture) built in place in a slot
-// of a chunked arena whose chunks never move, and it runs and is destroyed
-// in that slot: sorting, heap sifts and migration never touch an action.
+// wheel as it rotates. The queues hold only 16-byte keys: the time and
+// one word packing the schedule sequence number above the arena slot, so
+// comparing (time, word) is comparing (time, seq). Each action is an
+// InlineAction (no heap allocation for captures up to 56 bytes — every
+// current hot-path capture) built in place in a slot of a chunked arena
+// whose chunks never move, and it runs and is destroyed in that slot:
+// sorting, heap sifts and migration never touch an action.
+//
+// The packing sets two limits, both checked (std::length_error):
+// kMaxSlots (2^24) events pending at once — 1 GiB of slots — and
+// kMaxSchedules (2^40) schedules over the simulator's lifetime.
 // tests/sim/engine_property_test.cpp checks the execution order against a
 // plain binary-heap oracle (tests/support/reference_scheduler.h).
 #pragma once
@@ -53,12 +59,19 @@ class Simulator {
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, Action>>>
   void schedule_at(TimePoint at, F&& f) {
     emplace(at, std::forward<F>(f));
+    if constexpr (!Action::fits_inline<std::decay_t<F>>) ++unpublished_heap_;
   }
 
   /// Schedules an already type-erased action (hot paths that pre-build
   /// InlineActions, tests); the action is moved into its slot once.
-  /// Throws std::invalid_argument if `at` is in the past.
-  void schedule_at(TimePoint at, Action&& action) { emplace(at, std::move(action)); }
+  /// Throws std::invalid_argument if `at` is in the past or the action is
+  /// empty, before anything is queued.
+  void schedule_at(TimePoint at, Action&& action) {
+    if (!action) throw_empty();
+    const bool inlined = action.is_inline();
+    emplace(at, std::move(action));
+    if (!inlined) ++unpublished_heap_;
+  }
 
   /// Schedules after a delay from now.
   template <typename F>
@@ -83,13 +96,37 @@ class Simulator {
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
 
  private:
+  static constexpr unsigned kSlotBits = 24;
+  /// Most events pending at once (slot indices fit below the sequence).
+  static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << kSlotBits;
+  /// Most schedules over the simulator's lifetime (seq fills the rest).
+  static constexpr std::uint64_t kMaxSchedules = std::uint64_t{1} << (64 - kSlotBits);
+
   /// What the queues hold: the execution order and where the action lives.
+  /// `order` is seq << kSlotBits | slot. Seq is unique, so ordering by
+  /// (at, order) is ordering by (at, seq); the slot never decides.
   struct Key {
     TimePoint at;
-    std::uint64_t seq;
-    std::uint32_t slot;
+    std::uint64_t order;
+
+    [[nodiscard]] std::uint32_t slot() const {
+      return static_cast<std::uint32_t>(order & (kMaxSlots - 1));
+    }
   };
-  static_assert(sizeof(Key) == 24 && std::is_trivially_copyable_v<Key>);
+  static_assert(sizeof(Key) == 16 && std::is_trivially_copyable_v<Key>);
+
+  /// (time, seq) ascending — the execution order. Function objects rather
+  /// than function pointers, so every sort and heap sift inlines them.
+  struct Earlier {
+    bool operator()(const Key& a, const Key& b) const noexcept {
+      return a.at != b.at ? a.at < b.at : a.order < b.order;
+    }
+  };
+  /// The heap comparator: std::*_heap keep the greatest element on top, so
+  /// "greatest" must mean latest-first-out.
+  struct Later {
+    bool operator()(const Key& a, const Key& b) const noexcept { return Earlier{}(b, a); }
+  };
 
   /// One arena cell: raw storage for an action, alive only while queued
   /// or executing.
@@ -121,13 +158,13 @@ class Simulator {
   template <typename F>
   void emplace(TimePoint at, F&& f) {
     if (at < now_) throw_past();
+    if (next_seq_ == kMaxSchedules) throw_too_many_schedules();
     // Build in the free-list head before taking it, so a throwing
     // constructor leaves the arena unchanged.
-    const std::uint32_t slot = free_.empty() ? grow() : free_.back();
-    const Action& action =
-        *::new (static_cast<void*>(&action_at(slot))) Action(std::forward<F>(f));
-    free_.pop_back();
-    enqueue(at, slot, action.is_inline());
+    const std::uint32_t slot = free_top_ == 0 ? grow() : free_[free_top_ - 1];
+    ::new (static_cast<void*>(&action_at(slot))) Action(std::forward<F>(f));
+    --free_top_;
+    enqueue(at, slot);
   }
 
   [[nodiscard]] Action& action_at(std::uint32_t slot) {
@@ -135,12 +172,18 @@ class Simulator {
   }
 
   [[noreturn]] static void throw_past();
-  /// Allocates one more chunk; returns the new free-list head.
+  [[noreturn]] static void throw_empty();
+  [[noreturn]] static void throw_too_many_schedules();
+  /// Allocates one more chunk; returns the new free-list head. Throws
+  /// std::length_error when the arena already holds kMaxSlots slots.
   std::uint32_t grow();
   /// Destroys the action in `slot` and returns the slot to the free list.
-  void release(std::uint32_t slot) noexcept;
+  void release(std::uint32_t slot) noexcept {
+    action_at(slot).~Action();
+    free_[free_top_++] = slot;  // a plain store: free_ has a cell per slot
+  }
   /// Files the key of a constructed action into its tier.
-  void enqueue(TimePoint at, std::uint32_t slot, bool inlined);
+  void enqueue(TimePoint at, std::uint32_t slot);
   void run_loop(TimePoint horizon, bool bounded);
   /// Moves overflow events that now fall inside the wheel window into it.
   void migrate_overflow();
@@ -155,11 +198,12 @@ class Simulator {
   std::size_t size_{0};
 
   /// The slot arena. Chunks never move once allocated, so an executing
-  /// action stays put while it schedules enough to grow the arena. free_
-  /// is a LIFO stack whose capacity always covers every slot, so
-  /// returning a slot never allocates.
+  /// action stays put while it schedules enough to grow the arena. The
+  /// free slots are a LIFO stack, free_[0, free_top_); free_ has a cell
+  /// for every slot, so returning a slot is a store that never allocates.
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_;
+  std::size_t free_top_{0};
 
   std::vector<Bucket> wheel_{static_cast<std::size_t>(kWheelSize)};
   std::int64_t cursor_{0};  // absolute index of the bucket being drained

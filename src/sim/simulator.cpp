@@ -44,47 +44,34 @@ class Simulator::RunMetricsScope {
 };
 #endif
 
-namespace {
-
-/// (time, seq) ascending — the execution order.
-template <typename K>
-bool earlier(const K& a, const K& b) {
-  if (a.at != b.at) return a.at < b.at;
-  return a.seq < b.seq;
-}
-
-/// The heap comparator: std::*_heap keep the greatest element on top, so
-/// "greatest" must mean latest-first-out.
-template <typename K>
-bool later(const K& a, const K& b) {
-  return earlier(b, a);
-}
-
-}  // namespace
-
 void Simulator::throw_past() {
   throw std::invalid_argument{"Simulator: cannot schedule in the past"};
 }
 
+void Simulator::throw_empty() {
+  throw std::invalid_argument{"Simulator: cannot schedule an empty action"};
+}
+
+void Simulator::throw_too_many_schedules() {
+  throw std::length_error{"Simulator: more than 2^40 schedules"};
+}
+
 std::uint32_t Simulator::grow() {
-  // Reserve first (geometrically): if either allocation throws, the arena
-  // is unchanged and free_ still covers every slot.
-  const std::size_t slots = (chunks_.size() + 1) * kChunkSlots;
-  if (free_.capacity() < slots) free_.reserve(std::max(slots, 2 * free_.capacity()));
+  if (chunks_.size() * kChunkSlots >= kMaxSlots) {
+    throw std::length_error{"Simulator: more than 2^24 pending events"};
+  }
+  // Size free_ first: if either allocation throws, the arena is unchanged
+  // and free_ still has a cell per slot.
+  free_.resize((chunks_.size() + 1) * kChunkSlots);
   chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
   const auto base = static_cast<std::uint32_t>((chunks_.size() - 1) * kChunkSlots);
   // Lowest index on top, so a fresh chunk fills front to back.
-  for (std::uint32_t i = kChunkSlots; i-- > 0;) free_.push_back(base + i);
-  return free_.back();
+  for (std::uint32_t i = kChunkSlots; i-- > 0;) free_[free_top_++] = base + i;
+  return free_[free_top_ - 1];
 }
 
-void Simulator::release(std::uint32_t slot) noexcept {
-  action_at(slot).~Action();
-  free_.push_back(slot);  // never reallocates: capacity covers every slot
-}
-
-void Simulator::enqueue(TimePoint at, std::uint32_t slot, bool inlined) {
-  const Key key{at, next_seq_, slot};
+void Simulator::enqueue(TimePoint at, std::uint32_t slot) {
+  const Key key{at, (next_seq_ << kSlotBits) | slot};
   const std::int64_t idx = bucket_of(at);
   try {
     if (draining_ && idx <= cursor_) {
@@ -92,10 +79,10 @@ void Simulator::enqueue(TimePoint at, std::uint32_t slot, bool inlined) {
       // drained: the heap keeps the in-progress sorted scan valid without
       // re-sorting the bucket vector per schedule.
       active_.push_back(key);
-      std::push_heap(active_.begin(), active_.end(), later<Key>);
+      std::push_heap(active_.begin(), active_.end(), Later{});
     } else if (idx >= cursor_ + kWheelSize) {
       overflow_.push_back(key);
-      std::push_heap(overflow_.begin(), overflow_.end(), later<Key>);
+      std::push_heap(overflow_.begin(), overflow_.end(), Later{});
     } else {
       // idx < cursor_ happens when the cursor passed the event's natural
       // bucket but `at` is still >= now() (e.g. after a horizon stop
@@ -117,7 +104,6 @@ void Simulator::enqueue(TimePoint at, std::uint32_t slot, bool inlined) {
   }
   ++next_seq_;
   ++size_;
-  if (!inlined) ++unpublished_heap_;
 }
 
 void Simulator::migrate_overflow() {
@@ -125,7 +111,7 @@ void Simulator::migrate_overflow() {
   // time, so the now-in-window events are exactly the heap's top prefix.
   const std::int64_t limit = cursor_ + kWheelSize;
   while (!overflow_.empty() && bucket_of(overflow_.front().at) < limit) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), later<Key>);
+    std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
     const Key key = overflow_.back();
     overflow_.pop_back();
     Bucket& b = wheel_[bucket_of(key.at) & kWheelMask];
@@ -159,7 +145,7 @@ void Simulator::run_loop(TimePoint horizon, bool bounded) {
       b.items.erase(b.items.begin(),
                     b.items.begin() + static_cast<std::ptrdiff_t>(b.pos));
       b.pos = 0;
-      std::sort(b.items.begin(), b.items.end(), earlier<Key>);
+      std::sort(b.items.begin(), b.items.end(), Earlier{});
       b.dirty = false;
     }
 
@@ -181,13 +167,13 @@ void Simulator::run_loop(TimePoint horizon, bool bounded) {
     // Next event = min of the bucket front and the active heap.
     bool from_active = !bucket_has;
     if (bucket_has && !active_.empty()) {
-      from_active = earlier(active_.front(), b.items[b.pos]);
+      from_active = Earlier{}(active_.front(), b.items[b.pos]);
     }
     const Key key = from_active ? active_.front() : b.items[b.pos];
     if (bounded && key.at > horizon) break;
 
     if (from_active) {
-      std::pop_heap(active_.begin(), active_.end(), later<Key>);
+      std::pop_heap(active_.begin(), active_.end(), Later{});
       active_.pop_back();
     } else {
       ++b.pos;
@@ -195,9 +181,9 @@ void Simulator::run_loop(TimePoint horizon, bool bounded) {
     --size_;
     now_ = key.at;
     ++executed_;
-    const Executing executing{*this, key.slot};
+    const Executing executing{*this, key.slot()};
     draining_ = true;
-    action_at(key.slot)();
+    action_at(key.slot())();
   }
 
   // A horizon stop can leave active-heap events pending; fold them back
@@ -225,7 +211,7 @@ void Simulator::clear() {
   // Only queued keys own a live action; the executing one (if clear() runs
   // from inside an action) is in no queue and is freed when it returns.
   const auto drop = [this](const Key* first, const Key* last) {
-    for (; first != last; ++first) release(first->slot);
+    for (; first != last; ++first) release(first->slot());
   };
   for (Bucket& b : wheel_) {
     drop(b.items.data() + b.pos, b.items.data() + b.items.size());
@@ -243,6 +229,7 @@ void Simulator::clear() {
 PeriodicTimer::PeriodicTimer(Simulator& sim, Duration period, Tick tick)
     : state_{std::make_shared<State>(State{&sim, period, std::move(tick), true})} {
   if (period <= Duration{}) throw std::invalid_argument{"PeriodicTimer: period must be positive"};
+  if (!state_->tick) throw std::invalid_argument{"PeriodicTimer: tick must not be empty"};
   arm(state_, sim.now() + period);
 }
 
