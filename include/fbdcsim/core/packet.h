@@ -82,11 +82,17 @@ inline constexpr std::int64_t kTcpSackOptionBytes = 12;
 /// an Fbflow agent. `frame_bytes` is the full on-wire frame length (what link
 /// utilization and buffer occupancy are accounted in); `payload_bytes` is the
 /// transport payload (what flow byte counts are accounted in).
+///
+/// Both counts are 32-bit, as in the FBTR trace format (trace_io.h): every
+/// header describes one frame of at most an MTU, and sums over headers are
+/// taken in 64 bits by their readers. That keeps the record at 40 bytes —
+/// the trace holds one per captured packet. (CaptureBuffer::kRecordBytes,
+/// 64, is the modelled collection host's per-record cost, not this size.)
 struct PacketHeader {
   TimePoint timestamp;
   FiveTuple tuple;
-  std::int64_t frame_bytes{0};
-  std::int64_t payload_bytes{0};
+  std::int32_t frame_bytes{0};
+  std::int32_t payload_bytes{0};
   TcpFlags flags;
 
   [[nodiscard]] DataSize frame_size() const { return DataSize::bytes(frame_bytes); }
@@ -120,9 +126,9 @@ struct SimPacket {
   HostId src;
   HostId dst;
   std::uint32_t flow_tag{0};
+  Ecn ecn{Ecn::kNotEct};  // in flow_tag's padding: the packet stays 88 bytes
   std::uint64_t seq{0};  // first payload byte index of this segment
   std::uint64_t ack{0};  // cumulative ack (meaningful when header.flags.ack)
-  Ecn ecn{Ecn::kNotEct};
   // One SACK block [sack_lo, sack_hi) riding on an ACK (RFC 2018 first-block
   // rule: the range containing the most recently received out-of-order
   // segment). Zero — no block — for scripted traffic, all data segments,

@@ -24,7 +24,9 @@ class CaptureBuffer {
   /// kRecordBytes of collection-host memory (pinned RAM).
   explicit CaptureBuffer(std::int64_t memory_limit_bytes = 8LL * 1024 * 1024 * 1024);
 
-  /// Size of one stored header record on the collection host.
+  /// Size of one stored header record on the collection host. This is the
+  /// modelled host's per-record cost, which decides when the capture drops,
+  /// not sizeof(core::PacketHeader) (40 bytes in this process's memory).
   static constexpr std::int64_t kRecordBytes = 64;
 
   /// Appends a header; returns false (and counts the loss) if full.

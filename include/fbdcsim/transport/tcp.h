@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "fbdcsim/core/ids.h"
 #include "fbdcsim/core/packet.h"
@@ -29,8 +30,62 @@ enum class ConnState : std::uint8_t {
   kFinWait,      // FIN sent, waiting for peer's FIN-ACK
 };
 
+/// The bounded range sets of one HalfStream, kept out of line because a
+/// loss-free half never writes them (HalfStream below). 384 bytes.
+struct RangeBlock {
+  static constexpr int kMaxSackRanges = 16;
+  static constexpr int kMaxOooRanges = 8;
+  // Sender scoreboard: sorted, disjoint, non-adjacent sacked ranges.
+  std::int64_t sack_lo[kMaxSackRanges];
+  std::int64_t sack_hi[kMaxSackRanges];
+  // Receiver: unordered out-of-order ranges above rcv_nxt.
+  std::int64_t ooo_lo[kMaxOooRanges];
+  std::int64_t ooo_hi[kMaxOooRanges];
+};
+
+/// Owning pointer to a HalfStream's RangeBlock with value semantics: null
+/// until the first write, a copy deep-copies the block (so a copied
+/// HalfStream is an independent snapshot), and destruction frees it.
+class RangeBlockPtr {
+ public:
+  RangeBlockPtr() = default;
+  RangeBlockPtr(const RangeBlockPtr& other)
+      : p_{other.p_ ? std::make_unique<RangeBlock>(*other.p_) : nullptr} {}
+  RangeBlockPtr(RangeBlockPtr&&) noexcept = default;
+  RangeBlockPtr& operator=(const RangeBlockPtr& other) {
+    if (other.p_ == nullptr) {
+      p_.reset();
+    } else if (p_ == nullptr) {
+      p_ = std::make_unique<RangeBlock>(*other.p_);
+    } else {
+      *p_ = *other.p_;
+    }
+    return *this;
+  }
+  RangeBlockPtr& operator=(RangeBlockPtr&&) noexcept = default;
+
+  /// The block, allocated (zeroed) on first use.
+  RangeBlock& get_or_create() {
+    if (p_ == nullptr) p_ = std::make_unique<RangeBlock>();
+    return *p_;
+  }
+  /// The block, or null when nothing was ever written.
+  [[nodiscard]] RangeBlock* get() const { return p_.get(); }
+  [[nodiscard]] RangeBlock* operator->() const { return p_.get(); }
+  [[nodiscard]] explicit operator bool() const { return p_ != nullptr; }
+
+ private:
+  std::unique_ptr<RangeBlock> p_;
+};
+
 /// One direction's sender + receiver state. Byte indices are absolute
 /// stream offsets (no ISN arithmetic; handshake packets carry no payload).
+///
+/// Layout: the SACK scoreboard and the receiver's out-of-order ranges live
+/// in `ranges`, a RangeBlock allocated on the first out-of-order segment
+/// or the first SACK block. Their counts stay inline and every law loops
+/// to a count, so a half that never saw loss never touches (or allocates)
+/// the block, and a HalfStream stays at 192 bytes.
 struct HalfStream {
   // -- sender --
   std::int64_t demand{0};         // total bytes the application has queued
@@ -59,25 +114,25 @@ struct HalfStream {
   bool cwnd_reduced_this_window{false}; // at most one reduction per window
 
   // -- SACK sender scoreboard (recovery == kSack only; inert otherwise).
-  // Sorted, disjoint, non-adjacent ranges of bytes the peer reported
-  // received above snd_una. Bounded: a block that cannot merge into a full
-  // list is dropped (never an existing range — the sacked set only shrinks
-  // when snd_una advances past it). --
-  static constexpr int kMaxSackRanges = 16;
-  std::int64_t sack_lo[kMaxSackRanges] = {};
-  std::int64_t sack_hi[kMaxSackRanges] = {};
+  // ranges->sack_lo/hi[0, sack_count): sorted, disjoint, non-adjacent
+  // ranges of bytes the peer reported received above snd_una. Bounded: a
+  // block that cannot merge into a full list is dropped (never an existing
+  // range — the sacked set only shrinks when snd_una advances past it). --
+  static constexpr int kMaxSackRanges = RangeBlock::kMaxSackRanges;
   int sack_count{0};
   std::int64_t high_rtx{0};   // this episode's holes below this were resent
   bool rescue_done{false};    // at most one rescue retransmit per episode
 
   // -- receiver (the opposite endpoint of this direction) --
+  // ranges->ooo_lo/hi[0, ooo_count): out-of-order data held above rcv_nxt.
   std::int64_t rcv_nxt{0};
   bool ce_pending{false};  // CE seen since the last ACK; echo ECE next ACK
-  static constexpr int kMaxOooRanges = 8;
-  std::int64_t ooo_lo[kMaxOooRanges] = {};
-  std::int64_t ooo_hi[kMaxOooRanges] = {};
+  static constexpr int kMaxOooRanges = RangeBlock::kMaxOooRanges;
   int ooo_count{0};
   int segs_since_ack{0};
+
+  /// The scoreboard and out-of-order ranges; null until first written.
+  RangeBlockPtr ranges;
 
   [[nodiscard]] std::int64_t inflight() const { return snd_nxt - snd_una; }
 };

@@ -1,5 +1,6 @@
 #include "fbdcsim/monitoring/trace_io.h"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -27,6 +28,20 @@ struct WireRecord {
   std::int32_t frame_bytes;
   std::int32_t payload_bytes;
 };
+/// Serialized size of one WireRecord (its fields, without struct padding).
+constexpr std::uint64_t kWireRecordBytes = 8 + 4 + 4 + 2 + 2 + 1 + 1 + 4 + 4;
+
+/// How many whole records the rest of `in` can hold; 0 when the stream
+/// cannot tell (not seekable), so the caller grows as records arrive.
+std::uint64_t records_left(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return 0;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  if (end == std::istream::pos_type(-1) || end < here) return 0;
+  return static_cast<std::uint64_t>(end - here) / kWireRecordBytes;
+}
 
 template <typename T>
 void put(std::ostream& out, T value) {
@@ -123,7 +138,9 @@ TraceReadResult read_trace(std::istream& in) {
     return result;
   }
 
-  result.trace.reserve(count);
+  // `count` comes from the file: reserve no more than the stream can hold,
+  // so a corrupt header is a truncation error, not a huge allocation.
+  result.trace.reserve(static_cast<std::size_t>(std::min(count, records_left(in))));
   std::uint64_t checksum = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     std::int64_t ts = 0;

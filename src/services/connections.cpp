@@ -87,8 +87,8 @@ void Wire::emit(Dir dir, const Connection& conn, TimePoint at, std::int64_t payl
     SimPacket pkt;
     pkt.header.timestamp = sim_->now();
     pkt.header.tuple = tuple;
-    pkt.header.payload_bytes = payload;
-    pkt.header.frame_bytes = tcp_frame_bytes(payload);
+    pkt.header.payload_bytes = static_cast<std::int32_t>(payload);  // at most one MSS
+    pkt.header.frame_bytes = static_cast<std::int32_t>(tcp_frame_bytes(payload));
     pkt.header.flags = flags;
     if (dir == Dir::kOut) {
       pkt.src = self_;

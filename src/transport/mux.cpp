@@ -27,7 +27,13 @@ TransportMux::TransportMux(sim::Simulator& sim, const topology::Fleet& fleet,
   faults_enabled_ = faults_ != nullptr && faults_->enabled();
 }
 
-TransportMux::~TransportMux() = default;
+TransportMux::~TransportMux() {
+  // A connection that saw loss owns heap range blocks, so every live one
+  // is destroyed here; the arena then frees the slots' memory wholesale.
+  for (const Slot& s : slots_) {
+    if (s.conn != nullptr) pool_.destroy(s.conn);
+  }
+}
 
 std::int64_t TransportMux::live_connections() const { return pool_.live(); }
 
@@ -195,11 +201,13 @@ void TransportMux::emit_now(TcpConnection& c, Dir dir, std::int64_t payload,
   core::SimPacket pkt;
   pkt.header.timestamp = sim_->now();
   pkt.header.tuple = oriented(c.tuple, dir);
-  pkt.header.payload_bytes = payload;
+  // Payload is at most one MSS, so both counts fit the header's 32 bits.
+  pkt.header.payload_bytes = static_cast<std::int32_t>(payload);
   // A SACK block rides as a TCP option, so the carrying ACK's frame grows.
   // Only kSack receivers with buffered out-of-order data ever attach one.
-  pkt.header.frame_bytes = core::wire::tcp_frame_bytes(payload) +
-                           (sack_hi > sack_lo ? core::wire::kTcpSackOptionBytes : 0);
+  pkt.header.frame_bytes = static_cast<std::int32_t>(
+      core::wire::tcp_frame_bytes(payload) +
+      (sack_hi > sack_lo ? core::wire::kTcpSackOptionBytes : 0));
   pkt.header.flags = flags;
   pkt.src = dir == Dir::kOut ? c.self : c.peer;
   pkt.dst = dir == Dir::kOut ? c.peer : c.self;

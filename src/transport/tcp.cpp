@@ -79,8 +79,9 @@ bool receiver_deliver(HalfStream& h, std::int64_t seq, std::int64_t len, bool ps
     // Out of order: remember the range if there is room (overflow just
     // means the sender retransmits more) and signal a duplicate ACK.
     if (h.ooo_count < HalfStream::kMaxOooRanges) {
-      h.ooo_lo[h.ooo_count] = seq;
-      h.ooo_hi[h.ooo_count] = end;
+      RangeBlock& r = h.ranges.get_or_create();
+      r.ooo_lo[h.ooo_count] = seq;
+      r.ooo_hi[h.ooo_count] = end;
       ++h.ooo_count;
     }
     return true;
@@ -90,13 +91,14 @@ bool receiver_deliver(HalfStream& h, std::int64_t seq, std::int64_t len, bool ps
   h.rcv_nxt = end;
   bool any_merge = false;
   bool merged = true;
+  RangeBlock* r = h.ranges.get();  // dereferenced only below a nonzero count
   while (merged) {
     merged = false;
     for (int i = 0; i < h.ooo_count; ++i) {
-      if (h.ooo_lo[i] <= h.rcv_nxt) {
-        h.rcv_nxt = std::max(h.rcv_nxt, h.ooo_hi[i]);
-        h.ooo_lo[i] = h.ooo_lo[h.ooo_count - 1];
-        h.ooo_hi[i] = h.ooo_hi[h.ooo_count - 1];
+      if (r->ooo_lo[i] <= h.rcv_nxt) {
+        h.rcv_nxt = std::max(h.rcv_nxt, r->ooo_hi[i]);
+        r->ooo_lo[i] = r->ooo_lo[h.ooo_count - 1];
+        r->ooo_hi[i] = r->ooo_hi[h.ooo_count - 1];
         --h.ooo_count;
         merged = true;
         any_merge = true;
@@ -119,6 +121,7 @@ bool receiver_deliver(HalfStream& h, std::int64_t seq, std::int64_t len, bool ps
 
 SackBlock receiver_sack_block(const HalfStream& h, std::int64_t seq, std::int64_t end) {
   if (h.ooo_count == 0) return {};
+  const RangeBlock& r = *h.ranges.get();
   // Seed with the delivered segment when some buffered range covers it
   // (i.e. it landed out of order and was remembered); otherwise report the
   // lowest buffered range — the one the sender most urgently needs.
@@ -126,7 +129,7 @@ SackBlock receiver_sack_block(const HalfStream& h, std::int64_t seq, std::int64_
   std::int64_t hi = end;
   bool seeded = false;
   for (int i = 0; i < h.ooo_count; ++i) {
-    if (h.ooo_lo[i] <= seq && end <= h.ooo_hi[i]) {
+    if (r.ooo_lo[i] <= seq && end <= r.ooo_hi[i]) {
       seeded = true;
       break;
     }
@@ -134,10 +137,10 @@ SackBlock receiver_sack_block(const HalfStream& h, std::int64_t seq, std::int64_
   if (!seeded) {
     int lowest = 0;
     for (int i = 1; i < h.ooo_count; ++i) {
-      if (h.ooo_lo[i] < h.ooo_lo[lowest]) lowest = i;
+      if (r.ooo_lo[i] < r.ooo_lo[lowest]) lowest = i;
     }
-    lo = h.ooo_lo[lowest];
-    hi = h.ooo_hi[lowest];
+    lo = r.ooo_lo[lowest];
+    hi = r.ooo_hi[lowest];
   }
   // Expand to the maximal contiguous range: the buffered set is unordered
   // and may hold duplicates/overlaps, so chase overlap-or-adjacency to a
@@ -146,10 +149,10 @@ SackBlock receiver_sack_block(const HalfStream& h, std::int64_t seq, std::int64_
   while (grew) {
     grew = false;
     for (int i = 0; i < h.ooo_count; ++i) {
-      if (h.ooo_lo[i] <= hi && h.ooo_hi[i] >= lo &&
-          (h.ooo_lo[i] < lo || h.ooo_hi[i] > hi)) {
-        lo = std::min(lo, h.ooo_lo[i]);
-        hi = std::max(hi, h.ooo_hi[i]);
+      if (r.ooo_lo[i] <= hi && r.ooo_hi[i] >= lo &&
+          (r.ooo_lo[i] < lo || r.ooo_hi[i] > hi)) {
+        lo = std::min(lo, r.ooo_lo[i]);
+        hi = std::max(hi, r.ooo_hi[i]);
         grew = true;
       }
     }
@@ -165,16 +168,17 @@ std::int64_t sack_record(HalfStream& h, std::int64_t lo, std::int64_t hi) {
   // Absorb every existing range that overlaps or abuts [lo, hi). The
   // absorbed ranges are disjoint, so the bytes the merge adds are the
   // merged span minus what was already sacked inside it.
+  RangeBlock& r = h.ranges.get_or_create();
   std::int64_t absorbed = 0;
   int w = 0;
   for (int i = 0; i < h.sack_count; ++i) {
-    if (h.sack_lo[i] <= hi && h.sack_hi[i] >= lo) {
-      absorbed += h.sack_hi[i] - h.sack_lo[i];
-      lo = std::min(lo, h.sack_lo[i]);
-      hi = std::max(hi, h.sack_hi[i]);
+    if (r.sack_lo[i] <= hi && r.sack_hi[i] >= lo) {
+      absorbed += r.sack_hi[i] - r.sack_lo[i];
+      lo = std::min(lo, r.sack_lo[i]);
+      hi = std::max(hi, r.sack_hi[i]);
     } else {
-      h.sack_lo[w] = h.sack_lo[i];
-      h.sack_hi[w] = h.sack_hi[i];
+      r.sack_lo[w] = r.sack_lo[i];
+      r.sack_hi[w] = r.sack_hi[i];
       ++w;
     }
   }
@@ -186,39 +190,42 @@ std::int64_t sack_record(HalfStream& h, std::int64_t lo, std::int64_t hi) {
   }
   // Insert the merged range keeping the list sorted by lo.
   int pos = w;
-  while (pos > 0 && h.sack_lo[pos - 1] > lo) {
-    h.sack_lo[pos] = h.sack_lo[pos - 1];
-    h.sack_hi[pos] = h.sack_hi[pos - 1];
+  while (pos > 0 && r.sack_lo[pos - 1] > lo) {
+    r.sack_lo[pos] = r.sack_lo[pos - 1];
+    r.sack_hi[pos] = r.sack_hi[pos - 1];
     --pos;
   }
-  h.sack_lo[pos] = lo;
-  h.sack_hi[pos] = hi;
+  r.sack_lo[pos] = lo;
+  r.sack_hi[pos] = hi;
   h.sack_count = w + 1;
   return (hi - lo) - absorbed;
 }
 
 void sack_advance(HalfStream& h) {
+  RangeBlock* r = h.ranges.get();  // dereferenced only below a nonzero count
   int w = 0;
   for (int i = 0; i < h.sack_count; ++i) {
-    if (h.sack_hi[i] <= h.snd_una) continue;
-    h.sack_lo[w] = std::max(h.sack_lo[i], h.snd_una);
-    h.sack_hi[w] = h.sack_hi[i];
+    if (r->sack_hi[i] <= h.snd_una) continue;
+    r->sack_lo[w] = std::max(r->sack_lo[i], h.snd_una);
+    r->sack_hi[w] = r->sack_hi[i];
     ++w;
   }
   h.sack_count = w;
 }
 
 std::int64_t sack_sacked_bytes(const HalfStream& h) {
+  const RangeBlock* r = h.ranges.get();
   std::int64_t total = 0;
   for (int i = 0; i < h.sack_count; ++i) {
-    total += h.sack_hi[i] - std::max(h.sack_lo[i], h.snd_una);
+    total += r->sack_hi[i] - std::max(r->sack_lo[i], h.snd_una);
   }
   return total;
 }
 
 std::int64_t sack_fack(const HalfStream& h) {
+  const RangeBlock* r = h.ranges.get();
   std::int64_t fack = h.snd_una;
-  for (int i = 0; i < h.sack_count; ++i) fack = std::max(fack, h.sack_hi[i]);
+  for (int i = 0; i < h.sack_count; ++i) fack = std::max(fack, r->sack_hi[i]);
   return fack;
 }
 
@@ -227,12 +234,13 @@ std::int64_t sack_lost_bytes(const HalfStream& h) {
 }
 
 std::int64_t sack_rtx_out_bytes(const HalfStream& h) {
+  const RangeBlock* r = h.ranges.get();
   const std::int64_t ceil =
       std::clamp(h.high_rtx, h.snd_una, sack_fack(h));
   std::int64_t sacked_below = 0;
   for (int i = 0; i < h.sack_count; ++i) {
-    const std::int64_t lo = std::max(h.sack_lo[i], h.snd_una);
-    const std::int64_t hi = std::min(h.sack_hi[i], ceil);
+    const std::int64_t lo = std::max(r->sack_lo[i], h.snd_una);
+    const std::int64_t hi = std::min(r->sack_hi[i], ceil);
     if (hi > lo) sacked_below += hi - lo;
   }
   return (ceil - h.snd_una) - sacked_below;
@@ -271,16 +279,17 @@ void enter_sack_recovery(HalfStream& h) {
 }
 
 SackNextSeg sack_next_seg(const HalfStream& h, std::int64_t mss) {
+  const RangeBlock* r = h.ranges.get();
   // Rule 1: the lowest unsacked hole at/above high_rtx. Scoreboard ranges
   // are sorted and disjoint, so walk them advancing a cursor; any gap in
   // front of a range is a hole (necessarily below fack).
   std::int64_t cursor = std::max(h.snd_una, h.high_rtx);
   for (int i = 0; i < h.sack_count; ++i) {
-    if (h.sack_hi[i] <= cursor) continue;
-    if (cursor < h.sack_lo[i]) {
-      return {cursor, std::min(mss, h.sack_lo[i] - cursor), true, false};
+    if (r->sack_hi[i] <= cursor) continue;
+    if (cursor < r->sack_lo[i]) {
+      return {cursor, std::min(mss, r->sack_lo[i] - cursor), true, false};
     }
-    cursor = h.sack_hi[i];
+    cursor = r->sack_hi[i];
   }
   // Rule 2: previously unsent data.
   if (h.snd_nxt < h.demand) {

@@ -75,8 +75,8 @@ std::vector<core::PacketHeader> generate_literature_trace(
       pkt.timestamp = now;
       pkt.tuple = tuple;
       const bool mtu = rng.bernoulli(config.mtu_fraction);
-      pkt.payload_bytes = mtu ? core::wire::kMaxTcpPayloadBytes : 0;
-      pkt.frame_bytes = core::wire::tcp_frame_bytes(pkt.payload_bytes);
+      pkt.payload_bytes = mtu ? std::int32_t{core::wire::kMaxTcpPayloadBytes} : 0;
+      pkt.frame_bytes = static_cast<std::int32_t>(core::wire::tcp_frame_bytes(pkt.payload_bytes));
       pkt.flags = core::TcpFlags{.ack = true, .psh = mtu};
       trace.push_back(pkt);
       now += Duration::from_seconds(std::min(interarrival.sample(rng), 0.01));

@@ -50,6 +50,11 @@ TEST(WireTest, MssIsConsistent) {
             wire::kMtuBytes - wire::kIpv4HeaderBytes - wire::kTcpHeaderBytes);
 }
 
+// The mirror trace holds one header per captured packet, and every switch
+// queue node holds one SimPacket: pin both layouts.
+static_assert(sizeof(PacketHeader) == 40);
+static_assert(sizeof(SimPacket) <= 88);
+
 TEST(PacketHeaderTest, SizeAccessors) {
   PacketHeader pkt;
   pkt.frame_bytes = 1514;

@@ -77,6 +77,23 @@ TEST(TraceIoTest, RejectsTruncation) {
   EXPECT_TRUE(result.trace.empty());
 }
 
+TEST(TraceIoTest, HugeRecordCountIsAnErrorNotAThrow) {
+  // A bare 16-byte header claiming 2^40 records: the reader must report
+  // the missing records, not try to reserve room for them.
+  std::string bytes = "FBTR";
+  const std::uint32_t version = 1;
+  const std::uint64_t count = std::uint64_t{1} << 40;
+  bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  ASSERT_EQ(bytes.size(), 16u);
+  std::stringstream buffer{bytes};
+  TraceReadResult result;
+  ASSERT_NO_THROW(result = read_trace(buffer));
+  EXPECT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("truncated"), std::string::npos) << result.error;
+  EXPECT_TRUE(result.trace.empty());
+}
+
 TEST(TraceIoTest, RejectsCorruption) {
   const auto original = random_trace(100);
   std::stringstream buffer;

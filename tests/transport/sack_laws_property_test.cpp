@@ -26,10 +26,10 @@ TcpParams params() { return TcpParams{}; }
 void expect_scoreboard_well_formed(const HalfStream& h) {
   ASSERT_LE(h.sack_count, HalfStream::kMaxSackRanges);
   for (int i = 0; i < h.sack_count; ++i) {
-    EXPECT_LT(h.sack_lo[i], h.sack_hi[i]) << "empty range at " << i;
-    EXPECT_GE(h.sack_lo[i], h.snd_una) << "sacked range below snd_una at " << i;
+    EXPECT_LT(h.ranges->sack_lo[i], h.ranges->sack_hi[i]) << "empty range at " << i;
+    EXPECT_GE(h.ranges->sack_lo[i], h.snd_una) << "sacked range below snd_una at " << i;
     if (i > 0) {
-      EXPECT_GT(h.sack_lo[i], h.sack_hi[i - 1])
+      EXPECT_GT(h.ranges->sack_lo[i], h.ranges->sack_hi[i - 1])
           << "ranges must stay sorted, disjoint, and non-adjacent";
     }
   }
@@ -37,7 +37,7 @@ void expect_scoreboard_well_formed(const HalfStream& h) {
 
 bool scoreboard_sacked(const HalfStream& h, std::int64_t byte) {
   for (int i = 0; i < h.sack_count; ++i) {
-    if (h.sack_lo[i] <= byte && byte < h.sack_hi[i]) return true;
+    if (h.ranges->sack_lo[i] <= byte && byte < h.ranges->sack_hi[i]) return true;
   }
   return false;
 }
@@ -70,7 +70,7 @@ TEST(SackLaws, RecordClampsMergesAndReturnsNewlySackedBytes) {
         // the block must touch no existing range (otherwise it would merge).
         EXPECT_EQ(h.sack_count, HalfStream::kMaxSackRanges);
         for (int i = 0; i < h.sack_count; ++i) {
-          EXPECT_FALSE(h.sack_lo[i] <= chi && h.sack_hi[i] >= clo)
+          EXPECT_FALSE(h.ranges->sack_lo[i] <= chi && h.ranges->sack_hi[i] >= clo)
               << "a mergeable block must never be dropped";
         }
         EXPECT_EQ(sack_sacked_bytes(h), before) << "a dropped block changes nothing";
@@ -200,8 +200,8 @@ TEST(SackLaws, BoundedListDropsUnmergeableBlocksWhenFull) {
   EXPECT_EQ(h.sack_count, HalfStream::kMaxSackRanges);
   EXPECT_EQ(sack_sacked_bytes(h), sacked);
   for (int i = 0; i < h.sack_count; ++i) {
-    EXPECT_EQ(h.sack_lo[i], snapshot.sack_lo[i]);
-    EXPECT_EQ(h.sack_hi[i], snapshot.sack_hi[i]);
+    EXPECT_EQ(h.ranges->sack_lo[i], snapshot.ranges->sack_lo[i]);
+    EXPECT_EQ(h.ranges->sack_hi[i], snapshot.ranges->sack_hi[i]);
   }
 
   // A mergeable block still lands even at capacity: extending range 3

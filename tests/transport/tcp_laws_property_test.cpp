@@ -171,5 +171,59 @@ TEST(TcpLaws, ReceiverAckPolicy) {
   EXPECT_EQ(h.rcv_nxt, 7 * kMssBytes);
 }
 
+// A Web rack holds ~14k live connections: the ranges must stay out of line.
+static_assert(sizeof(TcpConnection) <= 512);
+
+TEST(HalfStreamLayout, FreshAndInOrderHalvesOwnNoRangeBlock) {
+  HalfStream h;
+  EXPECT_FALSE(h.ranges) << "a fresh half owns no range block";
+  for (int seg = 0; seg < 32; ++seg) {
+    (void)receiver_deliver(h, static_cast<std::int64_t>(seg) * kMssBytes, kMssBytes,
+                           seg == 31);
+  }
+  EXPECT_EQ(h.rcv_nxt, 32 * kMssBytes);
+  EXPECT_FALSE(h.ranges) << "in-order delivery never touches the block";
+  const HalfStream copy = h;
+  EXPECT_FALSE(copy.ranges);
+
+  // The first out-of-order segment allocates it.
+  EXPECT_TRUE(receiver_deliver(h, 40 * kMssBytes, kMssBytes, false));
+  ASSERT_TRUE(h.ranges);
+  EXPECT_EQ(h.ooo_count, 1);
+  EXPECT_EQ(h.ranges->ooo_lo[0], 40 * kMssBytes);
+}
+
+TEST(HalfStreamLayout, CopyOwnsItsOwnRanges) {
+  HalfStream h;
+  h.snd_nxt = h.max_sent = 100 * kMssBytes;
+  ASSERT_GT(sack_record(h, 10 * kMssBytes, 12 * kMssBytes), 0);
+  (void)receiver_deliver(h, 5 * kMssBytes, kMssBytes, false);
+  ASSERT_TRUE(h.ranges);
+
+  HalfStream copy = h;
+  ASSERT_TRUE(copy.ranges);
+  EXPECT_NE(copy.ranges.get(), h.ranges.get());
+  ASSERT_GT(sack_record(copy, 20 * kMssBytes, 21 * kMssBytes), 0);
+  copy.ranges->ooo_lo[0] = 0;
+  EXPECT_EQ(copy.sack_count, 2);
+  EXPECT_EQ(h.sack_count, 1);
+  EXPECT_EQ(h.ranges->sack_lo[0], 10 * kMssBytes);
+  EXPECT_EQ(h.ranges->sack_hi[0], 12 * kMssBytes);
+  EXPECT_EQ(h.ranges->ooo_lo[0], 5 * kMssBytes);
+  EXPECT_EQ(sack_sacked_bytes(h), 2 * kMssBytes);
+
+  // Assignment copies too, into an existing block or a missing one.
+  HalfStream fresh;
+  fresh = copy;
+  copy = h;
+  EXPECT_EQ(fresh.sack_count, 2);
+  EXPECT_EQ(fresh.ranges->sack_lo[1], 20 * kMssBytes);
+  EXPECT_EQ(copy.sack_count, 1);
+  EXPECT_EQ(copy.ranges->ooo_lo[0], 5 * kMssBytes);
+  copy = HalfStream{};
+  EXPECT_FALSE(copy.ranges) << "assigning a half without ranges drops the block";
+  EXPECT_TRUE(h.ranges);
+}
+
 }  // namespace
 }  // namespace fbdcsim::transport

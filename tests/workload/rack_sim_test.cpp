@@ -225,6 +225,30 @@ TEST(RackSimulationTest, TcpWebRackHasNoTwoLiveConnectionsOnOneTuple) {
   EXPECT_EQ(std::adjacent_find(tuples.begin(), tuples.end()), tuples.end());
 }
 
+// A half allocates its out-of-line SACK/reorder block only on loss or
+// reordering, so a loss-free rack's connections own none.
+TEST(RackSimulationTest, LossFreeTcpWebRackOwnsNoRangeBlock) {
+  const topology::Fleet fleet = build_rack_experiment_fleet();
+  RackSimConfig cfg = default_rack_config(fleet, HostRole::kWeb, Duration::millis(300));
+  cfg.warmup = Duration::millis(100);
+  cfg.transport = Transport::kTcp;
+  RackSimulation sim{fleet, cfg};
+  (void)sim.run();
+  const transport::TransportMux* mux = sim.transport_mux();
+  ASSERT_NE(mux, nullptr);
+  ASSERT_EQ(mux->stats().switch_drop_notifications, 0);
+  ASSERT_EQ(mux->stats().path_loss_drops, 0);
+  ASSERT_EQ(mux->stats().retransmit_segments, 0);
+  std::size_t live = 0;
+  std::size_t with_block = 0;
+  mux->for_each_connection([&](const transport::TcpConnection& c) {
+    ++live;
+    with_block += (c.out.ranges ? 1 : 0) + (c.in.ranges ? 1 : 0);
+  });
+  ASSERT_GT(live, 100u);
+  EXPECT_EQ(with_block, 0u);
+}
+
 TEST(RackSimulationTest, RequiresMonitoredHost) {
   const topology::Fleet fleet = small_rack_fleet();
   RackSimConfig cfg;
