@@ -27,6 +27,7 @@
 #include "fbdcsim/analysis/fct.h"
 #include "fbdcsim/analysis/flow_table.h"
 #include "fbdcsim/faults/fault_plan.h"
+#include "fbdcsim/transport/mux.h"
 #include "fbdcsim/workload/presets.h"
 #include "fbdcsim/workload/rack_sim.h"
 
@@ -64,9 +65,28 @@ constexpr std::array<Variant, 3> kVariants{{
 /// what the cross-variant comparison needs.
 constexpr std::size_t kLedgerCapacity = 16384;
 
+/// True when `v` took none of its own actions in a run (DCTCP never cut
+/// cwnd on a mark, SACK never resent a hole), so its row measured NewReno.
+bool inactive(const Variant& v, const transport::TransportMux::Stats& stats) {
+  return (v.cc == transport::CongestionControl::kDctcp && stats.dctcp_cwnd_reductions == 0) ||
+         (v.recovery == transport::LossRecovery::kSack && stats.sack_retransmits == 0);
+}
+
+/// Ends a row with the run's CE marks and switch drops (uplinks plus
+/// downlinks) and `note`.
+void print_switch_columns(const workload::RackSimResult& r, const char* note) {
+  const std::int64_t marks = r.uplink.ecn_marked_packets + r.downlinks.ecn_marked_packets;
+  const std::int64_t drops = r.uplink.dropped_packets + r.downlinks.dropped_packets;
+  std::printf(" %9lld %9lld%s\n", static_cast<long long>(marks), static_cast<long long>(drops),
+              note);
+}
+
+/// Runs one TCP capture; `stats` receives the mux's counters, read before
+/// the rack is destroyed.
 workload::RackSimResult run_tcp_capture(const topology::Fleet& fleet, core::HostRole role,
                                         std::int64_t seconds, const Variant& variant,
-                                        const faults::FaultPlan* plan) {
+                                        const faults::FaultPlan* plan,
+                                        transport::TransportMux::Stats& stats) {
   workload::RackSimConfig cfg =
       workload::default_rack_config(fleet, role, core::Duration::seconds(seconds));
   cfg.transport = workload::Transport::kTcp;
@@ -81,7 +101,9 @@ workload::RackSimResult run_tcp_capture(const topology::Fleet& fleet, core::Host
   cfg.obs.flows = true;
   if (cfg.obs.flow_capacity < kLedgerCapacity) cfg.obs.flow_capacity = kLedgerCapacity;
   workload::RackSimulation rack{fleet, cfg};
-  return rack.run();
+  workload::RackSimResult result = rack.run();
+  stats = rack.transport_mux()->stats();
+  return result;
 }
 
 }  // namespace
@@ -104,9 +126,9 @@ int main() {
         {"heavy", &heavy}}) {
     const int fault_idx = plan == nullptr ? 0 : 1;
     std::printf("\nFCT and slowdown per role, faults=%s:\n", fault_name);
-    std::printf("%-8s %-9s %10s %10s %10s %8s %8s %8s %9s\n", "role", "variant",
+    std::printf("%-8s %-9s %10s %10s %10s %8s %8s %8s %9s %9s %9s\n", "role", "variant",
                 "fct_p50ms", "fct_p99ms", "fct_p999ms", "sd_p50", "sd_p99", "sd_p999",
-                "transfers");
+                "transfers", "ce_marks", "sw_drops");
     for (const RoleRow& r : kRoles) {
       // Scripted baseline: no transport lifecycle exists, so the closest
       // observable is the mirrored trace's flow durations (Figure 7's
@@ -123,24 +145,27 @@ int main() {
              analysis::FlowTable::outbound_flows(scripted.trace, self)) {
           durations_ms.add(static_cast<double>(f.duration().count_nanos()) / 1e6);
         }
-        std::printf("%-8s %-9s %10.3f %10.3f %10.3f %8s %8s %8s %9zu\n", r.name,
+        std::printf("%-8s %-9s %10.3f %10.3f %10.3f %8s %8s %8s %9zu", r.name,
                     "scripted", durations_ms.empty() ? 0.0 : durations_ms.quantile(0.50),
                     durations_ms.empty() ? 0.0 : durations_ms.quantile(0.99),
                     durations_ms.empty() ? 0.0 : durations_ms.quantile(0.999), "-", "-",
                     "-", durations_ms.size());
+        print_switch_columns(scripted, "");
       }
       for (std::size_t v = 0; v < kVariants.size(); ++v) {
         const Variant& variant = kVariants[v];
+        transport::TransportMux::Stats stats;
         const workload::RackSimResult result =
-            run_tcp_capture(fleet, r.role, seconds, variant, plan);
+            run_tcp_capture(fleet, r.role, seconds, variant, plan, stats);
         analysis::FctTable table;
         table.add_all(result.flows.records);
         const analysis::FctCell cell = table.overall();
-        std::printf("%-8s %-9s %10.3f %10.3f %10.3f %8.3f %8.3f %8.3f %9lld\n", r.name,
+        std::printf("%-8s %-9s %10.3f %10.3f %10.3f %8.3f %8.3f %8.3f %9lld", r.name,
                     variant.name, cell.fct_us.quantile(0.50) / 1e3,
                     cell.fct_us.quantile(0.99) / 1e3, cell.fct_us.quantile(0.999) / 1e3,
                     cell.slowdown.quantile(0.50), cell.slowdown.quantile(0.99),
                     cell.slowdown.quantile(0.999), static_cast<long long>(cell.count));
+        print_switch_columns(result, inactive(variant, stats) ? "  inactive" : "");
         report.add_extra(std::string{"fct_p99_slowdown_"} + variant.name + "_" +
                              fault_name + "_" + r.name,
                          cell.slowdown.quantile(0.99));
@@ -185,6 +210,8 @@ int main() {
       "\nReading: fault-free p50 slowdowns should sit near 1 for every\n"
       "variant; under the heavy profile the sack rows must hold a p99\n"
       "slowdown at or below the newreno rows (hole-exact repair vs\n"
-      "one-hole-per-RTT plus go-back-N timeouts).\n");
+      "one-hole-per-RTT plus go-back-N timeouts). A row marked 'inactive'\n"
+      "took none of its variant's own actions (DCTCP: no cwnd cut on a CE\n"
+      "mark; SACK: no hole retransmission), so it measured plain NewReno.\n");
   return 0;
 }

@@ -9,7 +9,9 @@
 // profile of Section 4.1 (~2x peak-to-trough), which preserves exactly what
 // the figure demonstrates: standing buffer occupancy at ~1% utilization,
 // diurnal correlation of occupancy/utilization/drops, and the Web rack
-// running much closer to the buffer limit than the Cache rack.
+// running much closer to the buffer limit than the Cache rack. Each window
+// is FBDCSIM_BENCH_SECONDS long (2 s by default), and all of them run
+// concurrently on the pool.
 //
 // Occupancy is driven by the observability layer's TimeSeriesProbe (the
 // same 10-us cadence the ad-hoc BufferOccupancySampler used), so the bench
@@ -23,6 +25,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <span>
 #include <string_view>
 #include <tuple>
 #include <utility>
@@ -30,6 +33,7 @@
 
 #include "common.h"
 #include "fbdcsim/core/distributions.h"
+#include "fbdcsim/runtime/parallel_capture.h"
 
 using namespace fbdcsim;
 
@@ -46,10 +50,10 @@ struct HourStats {
 };
 
 HourStats run_hour(const topology::Fleet& fleet, core::HostRole role, double diurnal_factor,
-                   int hour,
+                   int hour, std::int64_t window_seconds,
                    const std::function<void(workload::RackSimConfig&)>& tweak = {}) {
   workload::RackSimConfig cfg =
-      workload::default_rack_config(fleet, role, core::Duration::seconds(2));
+      workload::default_rack_config(fleet, role, core::Duration::seconds(window_seconds));
   cfg.mirror_whole_rack = false;             // no trace needed, just the switch
   cfg.background_rate_scale = 1.0;           // whole rack at full (scaled) rate
   cfg.capture_memory_bytes = 64;             // discard the trace (not used)
@@ -94,16 +98,18 @@ HourStats run_hour(const topology::Fleet& fleet, core::HostRole role, double diu
   return out;
 }
 
-void run_rack(const char* name, const char* report_key, const topology::Fleet& fleet,
-              core::HostRole role, bench::BenchReport& report) {
-  core::DiurnalProfile diurnal{{.peak_to_trough = 2.0, .peak_hour = 20.0,
-                                .weekend_factor = 1.0}};
-  std::printf("\n-- %s rack: one 2-s packet-level window per hour --\n", name);
+const core::DiurnalProfile kDiurnal{{.peak_to_trough = 2.0, .peak_hour = 20.0,
+                                     .weekend_factor = 1.0}};
+
+void print_rack(const char* name, const char* report_key, std::int64_t seconds,
+                std::span<const HourStats> hours, bench::BenchReport& report) {
+  std::printf("\n-- %s rack: one %lld-s packet-level window per hour --\n", name,
+              static_cast<long long>(seconds));
   std::printf("%4s  %8s  %12s  %9s  %9s  %7s\n", "hour", "diurnal", "median.occ",
               "max.occ", "util", "drops");
   for (int hour = 0; hour < 24; ++hour) {
-    const double factor = diurnal.factor_at(core::Duration::hours(hour));
-    HourStats s = run_hour(fleet, role, factor, hour);
+    const double factor = kDiurnal.factor_at(core::Duration::hours(hour));
+    const HourStats& s = hours[static_cast<std::size_t>(hour)];
     std::printf("%4d  %8.2f  %12.4f  %9.3f  %8.2f%%  %7lld\n", hour, factor, s.median_occ,
                 s.max_occ, s.uplink_util * 100.0, static_cast<long long>(s.drops));
     if (hour == 20) {
@@ -121,10 +127,11 @@ int main() {
   bench::BenchReport report{"fig15_buffer_occupancy"};
   bench::banner("Figure 15: buffer occupancy, utilization, and drops over a day",
                 "Figure 15, Section 6.3");
-  const topology::Fleet fleet = workload::build_rack_experiment_fleet();
-
-  run_rack("Web-server", "web_peak", fleet, core::HostRole::kWeb, report);
-  run_rack("Cache", "cache_peak", fleet, core::HostRole::kCacheFollower, report);
+  bench::BenchEnv env;
+  const std::int64_t seconds = bench::BenchEnv::effective_seconds(2);
+  const std::tuple<const char*, const char*, core::HostRole> kRacks[] = {
+      {"Web-server", "web_peak", core::HostRole::kWeb},
+      {"Cache", "cache_peak", core::HostRole::kCacheFollower}};
 
   // --- Peak hour by transport / congestion control ------------------------
   // The paper's §7 buffer-sharing question asked of Figure 15's own
@@ -134,41 +141,59 @@ int main() {
   // threshold auto-derives to buffer/4, so its occupancy column should
   // fall toward K wherever the emergent senders actually contend for the
   // pool, while utilization holds.
-  {
-    core::DiurnalProfile diurnal{{.peak_to_trough = 2.0, .peak_hour = 20.0,
-                                  .weekend_factor = 1.0}};
-    const double peak_factor = diurnal.factor_at(core::Duration::hours(20));
-    std::printf("\n-- Peak hour (20:00), transport x congestion control --\n");
-    std::printf("%-10s %-9s %-6s %12s %9s %9s %7s\n", "rack", "transport", "cc",
-                "median.occ", "max.occ", "util", "drops");
-    struct Variant {
-      const char* transport;
-      const char* cc;
-    };
-    constexpr Variant kVariants[] = {
-        {"scripted", "-"}, {"tcp", "reno"}, {"tcp", "dctcp"}};
-    for (const auto& [rack_name, report_key, role] :
-         {std::tuple{"Web-server", "web_peak", core::HostRole::kWeb},
-          {"Cache", "cache_peak", core::HostRole::kCacheFollower}}) {
-      for (const Variant& v : kVariants) {
-        HourStats s = run_hour(fleet, role, peak_factor, 20,
-                               [&v](workload::RackSimConfig& cfg) {
-                                 if (std::string_view{v.transport} != "tcp") return;
-                                 cfg.transport = workload::Transport::kTcp;
-                                 if (std::string_view{v.cc} == "dctcp") {
-                                   cfg.tcp.cc = transport::CongestionControl::kDctcp;
-                                 }
-                               });
-        std::printf("%-10s %-9s %-6s %12.4f %9.3f %8.2f%% %7lld\n", rack_name,
-                    v.transport, v.cc, s.median_occ, s.max_occ, s.uplink_util * 100.0,
-                    static_cast<long long>(s.drops));
-        if (std::string_view{v.transport} == "tcp") {
-          report.add_extra(
-              std::string{"peak_max_occ_"} + report_key + "_" + v.cc, s.max_occ);
-          report.add_extra(
-              std::string{"peak_drops_"} + report_key + "_" + v.cc,
-              static_cast<std::int64_t>(s.drops));
-        }
+  struct Variant {
+    const char* transport;
+    const char* cc;
+  };
+  constexpr Variant kVariants[] = {{"scripted", "-"}, {"tcp", "reno"}, {"tcp", "dctcp"}};
+  const double peak_factor = kDiurnal.factor_at(core::Duration::hours(20));
+
+  // Every window is an independent simulation under its own seed: each
+  // rack's 24 hours, then the peak-hour variants, all in one batch on the
+  // pool, results in task order.
+  std::vector<std::function<HourStats()>> windows;
+  for (const auto& [rack_name, report_key, role] : kRacks) {
+    for (int hour = 0; hour < 24; ++hour) {
+      windows.emplace_back([&, role = role, hour] {
+        return run_hour(env.fleet(), role, kDiurnal.factor_at(core::Duration::hours(hour)),
+                        hour, seconds);
+      });
+    }
+  }
+  for (const auto& [rack_name, report_key, role] : kRacks) {
+    for (const Variant& v : kVariants) {
+      windows.emplace_back([&, role = role] {
+        return run_hour(env.fleet(), role, peak_factor, 20, seconds,
+                        [&v](workload::RackSimConfig& cfg) {
+                          if (std::string_view{v.transport} != "tcp") return;
+                          cfg.transport = workload::Transport::kTcp;
+                          if (std::string_view{v.cc} == "dctcp") {
+                            cfg.tcp.cc = transport::CongestionControl::kDctcp;
+                          }
+                        });
+      });
+    }
+  }
+  const std::vector<HourStats> stats = runtime::ParallelCaptureRunner{env.pool()}.run(windows);
+
+  auto next = stats.begin();
+  for (const auto& [rack_name, report_key, role] : kRacks) {
+    print_rack(rack_name, report_key, seconds, {next, 24}, report);
+    next += 24;
+  }
+  std::printf("\n-- Peak hour (20:00), transport x congestion control --\n");
+  std::printf("%-10s %-9s %-6s %12s %9s %9s %7s\n", "rack", "transport", "cc",
+              "median.occ", "max.occ", "util", "drops");
+  for (const auto& [rack_name, report_key, role] : kRacks) {
+    for (const Variant& v : kVariants) {
+      const HourStats& s = *next++;
+      std::printf("%-10s %-9s %-6s %12.4f %9.3f %8.2f%% %7lld\n", rack_name, v.transport,
+                  v.cc, s.median_occ, s.max_occ, s.uplink_util * 100.0,
+                  static_cast<long long>(s.drops));
+      if (std::string_view{v.transport} == "tcp") {
+        report.add_extra(std::string{"peak_max_occ_"} + report_key + "_" + v.cc, s.max_occ);
+        report.add_extra(std::string{"peak_drops_"} + report_key + "_" + v.cc,
+                         static_cast<std::int64_t>(s.drops));
       }
     }
   }

@@ -3,10 +3,10 @@
 // on how useful second-granularity traffic-engineering predictions can be.
 #include <cstdio>
 
-#include "common.h"
 #include "fbdcsim/analysis/heavy_hitters.h"
+#include "paper.h"
 
-using namespace fbdcsim;
+namespace fbdcsim::paper {
 
 namespace {
 
@@ -15,25 +15,12 @@ void print_panel(const char* name, const bench::RoleTrace& trace,
   std::printf("\n-- %s: %% of subinterval heavy hitters heavy over the enclosing second --\n",
               name);
   std::printf("%-6s %-7s  %8s %8s %8s\n", "agg", "bin", "p10", "p50", "p90");
-  const struct {
-    const char* name;
-    analysis::AggLevel level;
-  } kLevels[] = {{"flows", analysis::AggLevel::kFlow},
-                 {"hosts", analysis::AggLevel::kHost},
-                 {"racks", analysis::AggLevel::kRack}};
-  const struct {
-    const char* name;
-    core::Duration bin;
-  } kBins[] = {{"1-ms", core::Duration::millis(1)},
-               {"10-ms", core::Duration::millis(10)},
-               {"100-ms", core::Duration::millis(100)}};
-
   const core::Duration span = trace.result.capture_end - trace.result.capture_start;
-  for (const auto& level : kLevels) {
+  for (const NamedLevel& level : kAggLevels) {
     const auto per_second = analysis::bin_outbound(trace.result.trace, trace.self, resolver,
                                                    level.level, core::Duration::seconds(1),
                                                    trace.result.capture_start, span);
-    for (const auto& bin : kBins) {
+    for (const NamedBin& bin : kHhBins) {
       const auto sub =
           analysis::bin_outbound(trace.result.trace, trace.self, resolver, level.level,
                                  bin.bin, trace.result.capture_start, span);
@@ -48,19 +35,14 @@ void print_panel(const char* name, const bench::RoleTrace& trace,
 
 }  // namespace
 
-int main() {
-  bench::BenchReport report{"fig11_hh_intersection"};
-  bench::banner("Figure 11: heavy hitters of subintervals vs enclosing second",
-                "Figure 11, Section 5.3");
-  bench::BenchEnv env;
-
-  print_panel("(a) Web server", env.capture(core::HostRole::kWeb, 10), env.resolver());
-  print_panel("(b) Cache follower", env.capture(core::HostRole::kCacheFollower, 10),
-              env.resolver());
+void fig11_hh_intersection(const PaperTraces& traces, Anchors& /*anchors*/) {
+  print_panel("(a) Web server", traces.web, traces.resolver());
+  print_panel("(b) Cache follower", traces.cache_follower, traces.resolver());
 
   std::printf(
       "\nPaper Figure 11 shape: 5-tuple predictive power poor (<10-15%%);\n"
       "rack-level much better (majority overlap at 100 ms); host-level useful\n"
       "mainly for Web servers.\n");
-  return 0;
 }
+
+}  // namespace fbdcsim::paper

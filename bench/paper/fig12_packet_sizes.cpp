@@ -4,32 +4,23 @@
 // (Section 6.1).
 #include <cstdio>
 
-#include "common.h"
 #include "fbdcsim/analysis/packet_stats.h"
+#include "paper.h"
 
-using namespace fbdcsim;
+namespace fbdcsim::paper {
 
-int main() {
-  bench::BenchReport report{"fig12_packet_sizes"};
-  bench::banner("Figure 12: packet size distribution by host type",
-                "Figure 12, Section 6.1");
-  bench::BenchEnv env;
-
-  const struct {
-    const char* name;
-    core::HostRole role;
-  } kRoles[] = {
-      {"Web Server", core::HostRole::kWeb},
-      {"Hadoop", core::HostRole::kHadoop},
-      {"Cache Leader", core::HostRole::kCacheLeader},
-      {"Cache Follower", core::HostRole::kCacheFollower},
+void fig12_packet_sizes(const PaperTraces& traces, Anchors& anchors) {
+  const NamedTrace kRoles[] = {
+      {"Web Server", &traces.web},
+      {"Hadoop", &traces.hadoop},
+      {"Cache Leader", &traces.cache_leader},
+      {"Cache Follower", &traces.cache_follower},
   };
 
   std::vector<core::Cdf> cdfs;
   std::vector<std::string> names;
   for (const auto& r : kRoles) {
-    const bench::RoleTrace trace = env.capture(r.role, 8);
-    cdfs.push_back(analysis::packet_size_cdf(trace.result.trace));
+    cdfs.push_back(analysis::packet_size_cdf(r.trace->result.trace));
     names.emplace_back(r.name);
   }
   std::vector<const core::Cdf*> ptrs;
@@ -49,5 +40,13 @@ int main() {
   std::printf(
       "\nPaper Figure 12 shape: Hadoop bimodal at ACK/MTU; all other services\n"
       "median <200 B with only 5-10%% of packets at full MTU.\n");
-  return 0;
+
+  const core::Cdf& hadoop = cdfs[1];
+  check(anchors, "6.1", "Web median packet < 200 B", 0, 230, cdfs[0].median());
+  check(anchors, "6.1", "Cache median packet < 200 B", 0, 230, cache_median);
+  check(anchors, "6.1", "Hadoop bimodal: ACK + MTU modes cover most packets", 70, 100,
+        (hadoop.fraction_at_or_below(64.0) + 1.0 - hadoop.fraction_at_or_below(1500.0)) *
+            100.0);
 }
+
+}  // namespace fbdcsim::paper

@@ -3,32 +3,23 @@
 // are slower (leaders ~3 ms, followers ~8 ms) thanks to connection pooling.
 #include <cstdio>
 
-#include "common.h"
 #include "fbdcsim/analysis/packet_stats.h"
+#include "paper.h"
 
-using namespace fbdcsim;
+namespace fbdcsim::paper {
 
-int main() {
-  bench::BenchReport report{"fig14_syn_interarrival"};
-  bench::banner("Figure 14: flow (SYN) inter-arrival by host type",
-                "Figure 14, Section 6.2");
-  bench::BenchEnv env;
-
-  const struct {
-    const char* name;
-    core::HostRole role;
-  } kRoles[] = {
-      {"Web Server", core::HostRole::kWeb},
-      {"Hadoop", core::HostRole::kHadoop},
-      {"Cache Leader", core::HostRole::kCacheLeader},
-      {"Cache Follower", core::HostRole::kCacheFollower},
+void fig14_syn_interarrival(const PaperTraces& traces, Anchors& anchors) {
+  const NamedTrace kRoles[] = {
+      {"Web Server", &traces.web},
+      {"Hadoop", &traces.hadoop},
+      {"Cache Leader", &traces.cache_leader},
+      {"Cache Follower", &traces.cache_follower},
   };
 
   std::vector<core::Cdf> cdfs;
   std::vector<std::string> names;
   for (const auto& r : kRoles) {
-    const bench::RoleTrace trace = env.capture(r.role, 10);
-    cdfs.push_back(analysis::syn_interarrival_cdf(trace.result.trace, trace.self));
+    cdfs.push_back(analysis::syn_interarrival_cdf(r.trace->result.trace, r.trace->self));
     names.emplace_back(r.name);
   }
   std::vector<const core::Cdf*> ptrs;
@@ -42,5 +33,10 @@ int main() {
   std::printf(
       "\n\nPaper Figure 14: medians ~2 ms for Web and Hadoop (>500 flows/s),\n"
       "~3 ms for cache leaders, ~8 ms for cache followers.\n");
-  return 0;
+  check(anchors, "6.2", "Web SYN interarrival median ~2 ms", 0.5, 5.0,
+        cdfs[0].median() / 1000.0);
+  check(anchors, "6.2", "Cache follower SYN interarrival median ~8 ms", 3.0, 16.0,
+        cdfs[3].median() / 1000.0);
 }
+
+}  // namespace fbdcsim::paper

@@ -5,48 +5,52 @@
 // counts by at most 2x).
 #include <cstdio>
 
-#include "common.h"
 #include "fbdcsim/analysis/concurrency.h"
+#include "paper.h"
 
-using namespace fbdcsim;
+namespace fbdcsim::paper {
 
 namespace {
 
-void print_panel(const char* name, const bench::RoleTrace& trace,
-                 const analysis::AddrResolver& resolver) {
+/// Prints one panel and returns its all-localities racks-per-window median.
+double print_panel(const char* name, const bench::RoleTrace& trace,
+                   const analysis::AddrResolver& resolver) {
   const auto cdfs = analysis::concurrent_racks(trace.result.trace, trace.self, resolver);
   std::printf("\n-- %s: destination racks per 5-ms window --\n", name);
   bench::print_cdf_table("racks",
                          {"Intra-Cluster", "Intra-DC", "Inter-DC", "All"},
                          {&cdfs.intra_cluster, &cdfs.intra_datacenter,
                           &cdfs.inter_datacenter, &cdfs.all});
+  return cdfs.all.median();
 }
 
 }  // namespace
 
-int main() {
-  bench::BenchReport report{"fig16_concurrent_racks"};
-  bench::banner("Figure 16: concurrent (5-ms) rack-level flows", "Figure 16, Section 6.4");
-  bench::BenchEnv env;
-
-  const bench::RoleTrace web = env.capture(core::HostRole::kWeb, 8);
-  const bench::RoleTrace cache_f = env.capture(core::HostRole::kCacheFollower, 8);
-  const bench::RoleTrace cache_l = env.capture(core::HostRole::kCacheLeader, 8);
-  const bench::RoleTrace hadoop = env.capture(core::HostRole::kHadoop, 8);
-
-  print_panel("(a) Web server", web, env.resolver());
-  print_panel("(b) Cache follower", cache_f, env.resolver());
-  print_panel("(c) Cache leader", cache_l, env.resolver());
+void fig16_concurrent_racks(const PaperTraces& traces, Anchors& anchors) {
+  check(anchors, "6.4", "Web server talks to 10-125 racks per 5 ms (median ~50)", 15, 125,
+        print_panel("(a) Web server", traces.web, traces.resolver()));
+  check(anchors, "6.4", "Cache follower talks to 225-300 racks per 5 ms", 150, 350,
+        print_panel("(b) Cache follower", traces.cache_follower, traces.resolver()));
+  print_panel("(c) Cache leader", traces.cache_leader, traces.resolver());
 
   std::printf("\n-- Section 6.4 text numbers: concurrent connections per 5-ms window --\n");
   std::printf("%-15s  %10s  %10s  %12s\n", "host type", "tuples.p50", "hosts.p50",
               "hosts/tuples");
-  for (const auto* t : {&web, &cache_f, &cache_l, &hadoop}) {
+  for (const auto* t :
+       {&traces.web, &traces.cache_follower, &traces.cache_leader, &traces.hadoop}) {
     const auto conns = analysis::concurrent_connections(t->result.trace, t->self);
     std::printf("%-15s  %10.0f  %10.0f  %12.2f\n", core::to_string(t->role),
                 conns.tuples.median(), conns.hosts.median(),
                 conns.tuples.median() > 0 ? conns.hosts.median() / conns.tuples.median()
                                           : 0.0);
+    if (t == &traces.hadoop) {
+      check(anchors, "6.4", "Hadoop ~25 concurrent connections per 5 ms", 8, 60,
+            conns.tuples.median());
+    }
+    if (t == &traces.cache_follower) {
+      check(anchors, "6.4", "Cache holds 100s-1000s of concurrent connections", 100, 5000,
+            conns.tuples.median());
+    }
   }
 
   std::printf(
@@ -54,5 +58,6 @@ int main() {
       "leaders 175-350 (median ~250), Web servers 10-125 (median ~50);\n"
       "Web/cache hold 100s-1000s of concurrent connections, Hadoop ~25;\n"
       "grouping by destination host reduces counts by at most 2x.\n");
-  return 0;
 }
+
+}  // namespace fbdcsim::paper

@@ -4,10 +4,10 @@
 // paper's stacked bar charts).
 #include <cstdio>
 
-#include "common.h"
 #include "fbdcsim/analysis/locality.h"
+#include "paper.h"
 
-using namespace fbdcsim;
+namespace fbdcsim::paper {
 
 namespace {
 
@@ -33,27 +33,20 @@ void print_series(const char* name, const bench::RoleTrace& trace,
 
 }  // namespace
 
-int main() {
-  bench::BenchReport report{"fig4_locality_timeseries"};
-  bench::banner("Figure 4: per-second traffic locality by system type",
-                "Figure 4, Section 4.2");
-  bench::BenchEnv env;
-
-  // The paper plots a two-minute span; the default here is 60 s per role to
-  // keep the bench quick (FBDCSIM_BENCH_SECONDS=120 restores the paper's
+void fig4_locality_timeseries(const PaperTraces& traces, Anchors& /*anchors*/) {
+  // The paper plots a two-minute span; here each role's series covers its
+  // shared paper capture (FBDCSIM_BENCH_SECONDS=120 restores the paper's
   // window). Shapes are unaffected: the point of the figure is that the
   // non-Hadoop stacks are flat and dominated by non-rack-local traffic.
-  const std::int64_t seconds = 60;
-  print_series("Hadoop", env.capture(core::HostRole::kHadoop, seconds), env.resolver());
-  print_series("Web server", env.capture(core::HostRole::kWeb, seconds), env.resolver());
-  print_series("Cache follower", env.capture(core::HostRole::kCacheFollower, seconds),
-               env.resolver());
-  print_series("Cache leader", env.capture(core::HostRole::kCacheLeader, seconds),
-               env.resolver());
+  print_series("Hadoop", traces.hadoop, traces.resolver());
+  print_series("Web server", traces.web, traces.resolver());
+  print_series("Cache follower", traces.cache_follower, traces.resolver());
+  print_series("Cache leader", traces.cache_leader, traces.resolver());
 
   std::printf(
       "\nPaper Figure 4 shape: Hadoop bursty and rack+cluster local; Web/cache\n"
       "flat over the window; Web and cache-f cluster-dominated with minimal\n"
       "rack-local bytes; cache-l split between intra- and inter-datacenter.\n");
-  return 0;
 }
+
+}  // namespace fbdcsim::paper

@@ -3,15 +3,16 @@
 // Hadoop nodes.
 #include <cstdio>
 
-#include "common.h"
 #include "fbdcsim/analysis/locality.h"
+#include "paper.h"
 
-using namespace fbdcsim;
+namespace fbdcsim::paper {
 
 namespace {
 
-void print_panel(const char* name, const bench::RoleTrace& trace,
-                 const analysis::AddrResolver& resolver) {
+/// Prints one panel and returns its all-localities flow-size CDF.
+core::Cdf print_panel(const char* name, const bench::RoleTrace& trace,
+                      const analysis::AddrResolver& resolver) {
   const auto flows = analysis::FlowTable::outbound_flows(trace.result.trace, trace.self);
   const auto buckets = analysis::flows_by_locality(flows, resolver);
 
@@ -30,24 +31,25 @@ void print_panel(const char* name, const bench::RoleTrace& trace,
   std::printf("flows <10 KB: %.0f%%; flows >1 MB: %.1f%%\n",
               all.fraction_at_or_below(10'000) * 100.0,
               (1.0 - all.fraction_at_or_below(1'000'000)) * 100.0);
+  return all;
 }
 
 }  // namespace
 
-int main() {
-  bench::BenchReport report{"fig6_flow_sizes"};
-  bench::banner("Figure 6: flow size distribution by destination locality",
-                "Figure 6, Section 5.1");
-  bench::BenchEnv env;
-
-  print_panel("(a) Web server", env.capture(core::HostRole::kWeb, 15), env.resolver());
-  print_panel("(b) Cache follower", env.capture(core::HostRole::kCacheFollower, 15),
-              env.resolver());
-  print_panel("(c) Hadoop", env.capture(core::HostRole::kHadoop, 15), env.resolver());
+void fig6_flow_sizes(const PaperTraces& traces, Anchors& anchors) {
+  print_panel("(a) Web server", traces.web, traces.resolver());
+  print_panel("(b) Cache follower", traces.cache_follower, traces.resolver());
+  const core::Cdf hadoop = print_panel("(c) Hadoop", traces.hadoop, traces.resolver());
+  check(anchors, "5.1", "Hadoop: ~70% of flows < 10 KB", 55, 95,
+        hadoop.fraction_at_or_below(10'000) * 100.0);
+  check(anchors, "5.1", "Hadoop: <5% of flows > 1 MB", 0, 5,
+        (1.0 - hadoop.fraction_at_or_below(1'000'000)) * 100.0);
+  check(anchors, "5.1", "Hadoop median flow < 1 KB", 0, 1000, hadoop.median());
 
   std::printf(
       "\nPaper Figure 6 shape: Hadoop flows small (70%% <10 KB, median <1 KB,\n"
       "<5%% >1 MB); cache flows significantly larger than Hadoop; Web servers\n"
       "in between.\n");
-  return 0;
 }
+
+}  // namespace fbdcsim::paper

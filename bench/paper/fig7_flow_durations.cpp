@@ -4,15 +4,17 @@
 // trace); Hadoop flows last well under a second.
 #include <cstdio>
 
-#include "common.h"
 #include "fbdcsim/analysis/locality.h"
+#include "paper.h"
 
-using namespace fbdcsim;
+namespace fbdcsim::paper {
 
 namespace {
 
 void print_panel(const char* name, const bench::RoleTrace& trace,
-                 const analysis::AddrResolver& resolver, double capture_ms) {
+                 const analysis::AddrResolver& resolver) {
+  const double capture_ms =
+      (trace.result.capture_end - trace.result.capture_start).to_millis();
   const auto flows = analysis::FlowTable::outbound_flows(trace.result.trace, trace.self);
   const auto buckets = analysis::flows_by_locality(flows, resolver);
 
@@ -35,24 +37,15 @@ void print_panel(const char* name, const bench::RoleTrace& trace,
 
 }  // namespace
 
-int main() {
-  bench::BenchReport report{"fig7_flow_durations"};
-  bench::banner("Figure 7: flow duration distribution by destination locality",
-                "Figure 7, Section 5.1");
-  bench::BenchEnv env;
-  const std::int64_t seconds = 15;
-  const double capture_ms = static_cast<double>(bench::BenchEnv::effective_seconds(seconds)) * 1e3;
-
-  print_panel("(a) Web server", env.capture(core::HostRole::kWeb, seconds), env.resolver(),
-              capture_ms);
-  print_panel("(b) Cache follower", env.capture(core::HostRole::kCacheFollower, seconds),
-              env.resolver(), capture_ms);
-  print_panel("(c) Hadoop", env.capture(core::HostRole::kHadoop, seconds), env.resolver(),
-              capture_ms);
+void fig7_flow_durations(const PaperTraces& traces, Anchors& /*anchors*/) {
+  print_panel("(a) Web server", traces.web, traces.resolver());
+  print_panel("(b) Cache follower", traces.cache_follower, traces.resolver());
+  print_panel("(c) Hadoop", traces.hadoop, traces.resolver());
 
   std::printf(
       "\nPaper Figure 7 shape: Hadoop flows short (median <1 s, almost none\n"
       "exceed the capture); cache flows long-lived due to connection pooling\n"
       "(many span the whole capture); Web in between.\n");
-  return 0;
 }
+
+}  // namespace fbdcsim::paper

@@ -8,10 +8,10 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common.h"
 #include "fbdcsim/analysis/packet_stats.h"
+#include "paper.h"
 
-using namespace fbdcsim;
+namespace fbdcsim::paper {
 
 namespace {
 
@@ -33,28 +33,25 @@ void print_per_second_spread(const char* name, const analysis::PerRackRates& rat
 
 }  // namespace
 
-int main() {
-  bench::BenchReport report{"fig8_rate_stability"};
-  bench::banner("Figure 8: per-destination-rack flow rates and stability",
-                "Figure 8, Section 5.2");
-  bench::BenchEnv env;
-  const std::int64_t seconds = 30;  // paper uses 120 1-s intervals
-
-  const bench::RoleTrace hadoop = env.capture(core::HostRole::kHadoop, seconds);
+void fig8_rate_stability(const PaperTraces& traces, Anchors& anchors) {
+  // The paper uses 120 1-s intervals.
+  const bench::RoleTrace& hadoop = traces.hadoop;
   const auto hadoop_rates = analysis::per_rack_second_rates(
-      hadoop.result.trace, hadoop.self, env.resolver(), hadoop.result.capture_start,
+      hadoop.result.trace, hadoop.self, traces.resolver(), hadoop.result.capture_start,
       hadoop.result.capture_end - hadoop.result.capture_start);
   print_per_second_spread("(a) Hadoop", hadoop_rates);
   const auto hadoop_stability = analysis::rate_stability(hadoop_rates);
 
-  const bench::RoleTrace cache = env.capture(core::HostRole::kCacheFollower, seconds);
+  const bench::RoleTrace& cache = traces.cache_follower;
   const auto cache_rates = analysis::per_rack_second_rates(
-      cache.result.trace, cache.self, env.resolver(), cache.result.capture_start,
+      cache.result.trace, cache.self, traces.resolver(), cache.result.capture_start,
       cache.result.capture_end - cache.result.capture_start);
   print_per_second_spread("(b) Cache follower", cache_rates);
 
   // (c) stability: normalized-to-median CDF over all racks.
   const auto stability = analysis::rate_stability(cache_rates);
+  check(anchors, "5.2", "Cache per-rack rates within 2x of median ~90% of time", 80, 100,
+        stability.within_2x_of_median * 100.0);
   core::Cdf normalized;
   for (const auto& series : stability.normalized) {
     for (const double v : series) normalized.add(v);
@@ -66,5 +63,6 @@ int main() {
               hadoop_stability.within_2x_of_median * 100.0);
   std::printf("'significant change' (>20%% deviation): cache %.1f%% (paper ~45%%)\n",
               stability.significant_change * 100.0);
-  return 0;
 }
+
+}  // namespace fbdcsim::paper

@@ -4,24 +4,19 @@
 // across all Web servers (Section 5.1).
 #include <cstdio>
 
-#include "common.h"
 #include "fbdcsim/analysis/locality.h"
+#include "paper.h"
 
-using namespace fbdcsim;
+namespace fbdcsim::paper {
 
-int main() {
-  bench::BenchReport report{"fig9_cache_host_flows"};
-  bench::banner("Figure 9: cache follower per-destination-host flow size",
-                "Figure 9, Section 5.1");
-  bench::BenchEnv env;
-
-  const bench::RoleTrace trace = env.capture(core::HostRole::kCacheFollower, 20);
+void fig9_cache_host_flows(const PaperTraces& traces, Anchors& /*anchors*/) {
+  const bench::RoleTrace& trace = traces.cache_follower;
   const auto flows = analysis::FlowTable::outbound_flows(trace.result.trace, trace.self);
 
   core::Cdf by_flow;
   for (const auto& f : flows) by_flow.add(static_cast<double>(f.payload_bytes));
 
-  const auto by_host = analysis::aggregate(flows, analysis::AggLevel::kHost, env.resolver());
+  const auto by_host = analysis::aggregate(flows, analysis::AggLevel::kHost, traces.resolver());
   core::Cdf host_cdf;
   for (const auto& a : by_host) host_cdf.add(static_cast<double>(a.payload_bytes));
 
@@ -34,5 +29,6 @@ int main() {
   std::printf("\np90/p10 spread: 5-tuple %.1fx -> host %.1fx (paper: wide -> tight ~1 MB)\n",
               spread_flow, spread_host);
   std::printf("destination hosts: %zu\n", by_host.size());
-  return 0;
 }
+
+}  // namespace fbdcsim::paper

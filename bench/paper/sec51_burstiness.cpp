@@ -5,14 +5,15 @@
 // packet-train statistics (Kapoor et al.) for cache and Web hosts.
 #include <cstdio>
 
-#include "common.h"
 #include "fbdcsim/analysis/burstiness.h"
+#include "paper.h"
 
-using namespace fbdcsim;
+namespace fbdcsim::paper {
 
 namespace {
 
-void print_panel(const char* name, const bench::RoleTrace& trace) {
+/// Prints one panel and returns its median per-flow duty cycle.
+double print_panel(const char* name, const bench::RoleTrace& trace) {
   const auto duty = analysis::flow_duty_cycles(trace.result.trace, trace.self);
   std::printf("\n-- %s --\n", name);
   bench::print_cdf("per-flow duty cycle (active 1-ms bins / lifetime bins)", duty);
@@ -25,22 +26,21 @@ void print_panel(const char* name, const bench::RoleTrace& trace) {
               trains.bytes_per_train.median(), trains.bytes_per_train.p90());
   std::printf("  inter-train gap: med %.0f us, p90 %.0f us\n",
               trains.gap_between_trains_us.median(), trains.gap_between_trains_us.p90());
+  return duty.median();
 }
 
 }  // namespace
 
-int main() {
-  bench::BenchReport report{"sec51_burstiness"};
-  bench::banner("Section 5.1: intra-flow burstiness", "Section 5.1 (and Kapoor et al.)");
-  bench::BenchEnv env;
-
-  print_panel("Cache follower", env.capture(core::HostRole::kCacheFollower, 8));
-  print_panel("Web server", env.capture(core::HostRole::kWeb, 8));
+void sec51_burstiness(const PaperTraces& traces, Anchors& anchors) {
+  check(anchors, "5.1", "Cache flows internally bursty (median duty < 25%)", 0, 25,
+        print_panel("Cache follower", traces.cache_follower) * 100.0);
+  print_panel("Web server", traces.web);
 
   std::printf(
       "\nPaper's claim: flows transmit in distinct millisecond-scale active\n"
       "intervals with large gaps (low duty cycles), regardless of flow size —\n"
       "which is why instantaneously heavy flows are rarely heavy over longer\n"
       "periods (Figures 10/11).\n");
-  return 0;
 }
+
+}  // namespace fbdcsim::paper

@@ -5,10 +5,10 @@
 // bound and Benson et al.'s 35% workability threshold.
 #include <cstdio>
 
-#include "common.h"
 #include "fbdcsim/analysis/te_eval.h"
+#include "paper.h"
 
-using namespace fbdcsim;
+namespace fbdcsim::paper {
 
 namespace {
 
@@ -17,24 +17,15 @@ void print_panel(const char* name, const bench::RoleTrace& trace,
   std::printf("\n-- %s --\n", name);
   std::printf("%-6s %-7s  %10s  %10s  %8s  %s\n", "agg", "intvl", "predicted", "oracle",
               "treated", "workable(>=35%)");
-  const struct {
-    const char* name;
-    analysis::AggLevel level;
-  } kLevels[] = {{"flows", analysis::AggLevel::kFlow},
-                 {"hosts", analysis::AggLevel::kHost},
-                 {"racks", analysis::AggLevel::kRack}};
-  const struct {
-    const char* name;
-    core::Duration interval;
-  } kIntervals[] = {{"10-ms", core::Duration::millis(10)},
-                    {"100-ms", core::Duration::millis(100)},
-                    {"1-s", core::Duration::seconds(1)}};
+  constexpr NamedBin kIntervals[] = {{"10-ms", core::Duration::millis(10)},
+                                     {"100-ms", core::Duration::millis(100)},
+                                     {"1-s", core::Duration::seconds(1)}};
 
   const core::Duration span = trace.result.capture_end - trace.result.capture_start;
-  for (const auto& level : kLevels) {
+  for (const NamedLevel& level : kAggLevels) {
     for (const auto& interval : kIntervals) {
       const auto eval = analysis::evaluate_reactive_te(
-          trace.result.trace, trace.self, resolver, level.level, interval.interval,
+          trace.result.trace, trace.self, resolver, level.level, interval.bin,
           trace.result.capture_start, span);
       std::printf("%-6s %-7s  %9.1f%%  %9.1f%%  %8.1f  %s\n", level.name, interval.name,
                   eval.predicted_byte_coverage * 100.0, eval.oracle_byte_coverage * 100.0,
@@ -45,20 +36,15 @@ void print_panel(const char* name, const bench::RoleTrace& trace,
 
 }  // namespace
 
-int main() {
-  bench::BenchReport report{"sec54_te_effectiveness"};
-  bench::banner("Section 5.4: reactive heavy-hitter TE effectiveness",
-                "Section 5.4's implications for traffic engineering");
-  bench::BenchEnv env;
-
-  print_panel("Web server", env.capture(core::HostRole::kWeb, 8), env.resolver());
-  print_panel("Cache follower", env.capture(core::HostRole::kCacheFollower, 8),
-              env.resolver());
+void sec54_te_effectiveness(const PaperTraces& traces, Anchors& /*anchors*/) {
+  print_panel("Web server", traces.web, traces.resolver());
+  print_panel("Cache follower", traces.cache_follower, traces.resolver());
 
   std::printf(
       "\nPaper's conclusion: only rack-level heavy hitters over 100-ms-plus\n"
       "intervals reach Benson et al.'s 35%% predictability threshold for Web\n"
       "and cache servers; finer aggregations leave TE with little to act on\n"
       "despite the (by construction) >=50%% oracle bound.\n");
-  return 0;
 }
+
+}  // namespace fbdcsim::paper

@@ -6,14 +6,13 @@
 #include <cstdio>
 #include <span>
 
-#include "common.h"
 #include "fbdcsim/analysis/concurrency.h"
-#include "fbdcsim/analysis/heavy_hitters.h"
 #include "fbdcsim/analysis/locality.h"
 #include "fbdcsim/analysis/packet_stats.h"
 #include "fbdcsim/workload/baseline.h"
+#include "paper.h"
 
-using namespace fbdcsim;
+namespace fbdcsim::paper {
 
 namespace {
 
@@ -38,21 +37,16 @@ Metrics analyze(std::span<const core::PacketHeader> trace, core::Ipv4Addr self,
 
 }  // namespace
 
-int main() {
-  bench::BenchReport report{"baseline_contrast"};
-  bench::banner("Table 1 contrast: Facebook-style workload vs prior literature",
-                "Table 1, Sections 4-6");
-  bench::BenchEnv env;
-
+void table1_baseline_contrast(const PaperTraces& traces, Anchors& /*anchors*/) {
   // Facebook-style: a cache follower (the paper's most contrarian host).
-  const bench::RoleTrace fb = env.capture(core::HostRole::kCacheFollower, 8);
-  const Metrics fb_m = analyze(fb.result.trace, fb.self, env.resolver());
+  const bench::RoleTrace& fb = traces.cache_follower;
+  const Metrics fb_m = analyze(fb.result.trace, fb.self, traces.resolver());
 
-  // Literature baseline on the same monitored host.
+  // Literature baseline on the same monitored host, over the same window.
   workload::LiteratureWorkloadConfig lit_cfg;
   const auto lit_trace = workload::generate_literature_trace(
-      env.fleet(), fb.host, core::Duration::seconds(8), lit_cfg);
-  const Metrics lit_m = analyze(lit_trace, fb.self, env.resolver());
+      traces.fleet(), fb.host, fb.result.capture_end - fb.result.capture_start, lit_cfg);
+  const Metrics lit_m = analyze(lit_trace, fb.self, traces.resolver());
 
   std::printf("\n%-38s  %14s  %14s  %s\n", "metric", "this-workload", "literature",
               "paper's contrast");
@@ -65,5 +59,6 @@ int main() {
               "100s-1000s vs <5 large flows");
   std::printf("%-38s  %13.1f%%  %13.1f%%  %s\n", "idle 15-ms bins (ON/OFF-ness)",
               fb_m.idle15_pct, lit_m.idle15_pct, "continuous vs ON/OFF arrivals");
-  return 0;
 }
+
+}  // namespace fbdcsim::paper

@@ -4,26 +4,17 @@
 // as the paper does (Section 3.2).
 #include <cstdio>
 
-#include "common.h"
 #include "fbdcsim/analysis/locality.h"
+#include "paper.h"
 
-using namespace fbdcsim;
+namespace fbdcsim::paper {
 
-int main() {
-  bench::BenchReport report{"table2_service_breakdown"};
-  bench::banner("Table 2: outbound traffic percentage by destination service",
-                "Table 2, Section 3.2");
-  bench::BenchEnv env;
-
-  struct Row {
-    const char* name;
-    core::HostRole role;
-  };
-  const Row rows[] = {
-      {"Web", core::HostRole::kWeb},
-      {"Cache-l", core::HostRole::kCacheLeader},
-      {"Cache-f", core::HostRole::kCacheFollower},
-      {"Hadoop", core::HostRole::kHadoop},
+void table2_service_breakdown(const PaperTraces& traces, Anchors& anchors) {
+  const NamedTrace rows[] = {
+      {"Web", &traces.web},
+      {"Cache-l", &traces.cache_leader},
+      {"Cache-f", &traces.cache_follower},
+      {"Hadoop", &traces.hadoop},
   };
 
   std::printf("\n%-8s", "Type");
@@ -34,23 +25,36 @@ int main() {
   for (const auto col : columns) std::printf("  %9s", core::to_string(col));
   std::printf("\n");
 
-  for (const Row& row : rows) {
-    const bench::RoleTrace trace = env.capture(row.role, 10);
+  for (const NamedTrace& row : rows) {
+    const bench::RoleTrace& trace = *row.trace;
     const auto shares =
-        analysis::outbound_role_shares(trace.result.trace, trace.self, env.resolver());
-    std::printf("%-8s", row.name);
-    for (const auto col : columns) {
+        analysis::outbound_role_shares(trace.result.trace, trace.self, traces.resolver());
+    const auto share = [&shares](core::HostRole role) {
       double pct = 0.0;
       for (const auto& s : shares) {
-        if (s.role == col) pct = s.percent;
+        if (s.role == role) pct = s.percent;
       }
-      if (pct < 0.05) {
+      return pct;
+    };
+    std::printf("%-8s", row.name);
+    for (const auto col : columns) {
+      if (const double pct = share(col); pct < 0.05) {
         std::printf("  %9s", "-");
       } else {
         std::printf("  %9.1f", pct);
       }
     }
     std::printf("\n");
+    if (trace.role == core::HostRole::kWeb) {
+      check(anchors, "T2", "Web outbound to cache ~63.1%", 48, 78,
+            share(core::HostRole::kCacheFollower));
+      check(anchors, "T2", "Web outbound to Multifeed ~15.2%", 8, 25,
+            share(core::HostRole::kMultifeed));
+    }
+    if (trace.role == core::HostRole::kHadoop) {
+      check(anchors, "T2", "Hadoop outbound to Hadoop ~99.8%", 98, 100,
+            share(core::HostRole::kHadoop));
+    }
   }
 
   std::printf(
@@ -59,5 +63,6 @@ int main() {
       "Cache-l  -> Cache 86.6, MF 5.9, Rest 7.5\n"
       "Cache-f  -> Web 88.7, Cache 5.8, Rest 5.5\n"
       "Hadoop   -> Hadoop 99.8, Rest 0.2\n");
-  return 0;
 }
+
+}  // namespace fbdcsim::paper

@@ -4,24 +4,17 @@
 // interval's bytes (Section 5.3).
 #include <cstdio>
 
-#include "common.h"
 #include "fbdcsim/analysis/heavy_hitters.h"
+#include "paper.h"
 
-using namespace fbdcsim;
+namespace fbdcsim::paper {
 
-int main() {
-  bench::BenchReport report{"table4_heavy_hitters"};
-  bench::banner("Table 4: heavy hitters in 1-ms intervals", "Table 4, Section 5.3");
-  bench::BenchEnv env;
-
-  const struct {
-    const char* name;
-    core::HostRole role;
-  } kRows[] = {
-      {"Web", core::HostRole::kWeb},
-      {"Cache (f)", core::HostRole::kCacheFollower},
-      {"Cache (l)", core::HostRole::kCacheLeader},
-      {"Hadoop", core::HostRole::kHadoop},
+void table4_heavy_hitters(const PaperTraces& traces, Anchors& /*anchors*/) {
+  const NamedTrace kRows[] = {
+      {"Web", &traces.web},
+      {"Cache (f)", &traces.cache_follower},
+      {"Cache (l)", &traces.cache_leader},
+      {"Hadoop", &traces.hadoop},
   };
   const struct {
     const char* name;
@@ -35,10 +28,10 @@ int main() {
   std::printf("\n%-10s %-3s  %6s %6s %6s   %9s %9s %9s\n", "Type", "agg", "n.p10", "n.p50",
               "n.p90", "Mbps.p10", "Mbps.p50", "Mbps.p90");
   for (const auto& row : kRows) {
-    const bench::RoleTrace trace = env.capture(row.role, 10);
+    const bench::RoleTrace& trace = *row.trace;
     for (const auto& level : kLevels) {
       const auto binned = analysis::bin_outbound(
-          trace.result.trace, trace.self, env.resolver(), level.level,
+          trace.result.trace, trace.self, traces.resolver(), level.level,
           core::Duration::millis(1), trace.result.capture_start,
           trace.result.capture_end - trace.result.capture_start);
       const auto stats = analysis::hh_stats(binned);
@@ -55,5 +48,6 @@ int main() {
       "Cache (f) f 8/19/35 5.1/9.0/22.5 | h 8/19/33 8.4/9.7/23.6 | r 7/15/23 8.4/14.5/31.0\n"
       "Cache (l) f 1/16/48 2.6/3.3/408 | h 1/8/25 3.2/8.1/414 | r 1/7/17 5/12.6/427\n"
       "Hadoop    f 1/2/3 4.6/12.7/1392 (same h/r)\n");
-  return 0;
 }
+
+}  // namespace fbdcsim::paper
