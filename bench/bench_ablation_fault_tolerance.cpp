@@ -185,11 +185,12 @@ int main() {
 
   // --- Transport repair kinds per profile ---------------------------------
   // The flow-level TCP engine splits its retransmissions by what drove the
-  // repair: dupack evidence (fast recovery — NewReno's hole-per-RTT loop or
-  // the SACK scoreboard, per FBDCSIM_RECOVERY) versus the go-back-N stream
-  // after an RTO. Scripted captures cannot express this; the split is the
-  // fault benches' view of how much loss each profile turns into timeouts.
-  const transport::LossRecovery recovery = env.recovery();
+  // repair: dupack evidence (NewReno's hole-per-RTT fast recovery) versus
+  // the go-back-N stream after an RTO. Scripted captures cannot express
+  // this; the split is the fault benches' view of how much loss each
+  // profile turns into timeouts. bench_ablation_transport contrasts the
+  // SACK scoreboard on the same profile.
+  const transport::LossRecovery recovery = transport::LossRecovery::kNewReno;
   std::printf("\nTransport retransmissions by repair kind (Hadoop, recovery=%s):\n",
               transport::to_string(recovery));
   std::printf("%-7s %9s %8s %8s %8s %9s %6s %9s\n", "profile", "segs", "rtx", "rtx_dup",
@@ -202,7 +203,6 @@ int main() {
         env.fleet(), core::HostRole::kHadoop,
         core::Duration::seconds(bench::BenchEnv::effective_seconds(1)));
     rc.transport = workload::Transport::kTcp;
-    rc.tcp.cc = env.cc();
     rc.tcp.recovery = recovery;
     rc.faults = plan;
     workload::RackSimulation rack{env.fleet(), rc};

@@ -83,11 +83,6 @@ RoleTrace BenchEnv::capture(core::HostRole role, std::int64_t seconds, const Twe
   // FBDCSIM_OBS opt-in: applied before the tweak so benches can refine it.
   // Unset (or off) leaves cfg untouched — captures stay byte-identical.
   if (const telemetry::ObsConfig& env_obs = obs(); env_obs.enabled()) cfg.obs = env_obs;
-  // FBDCSIM_CC / FBDCSIM_RECOVERY: inert under the scripted default; they
-  // take effect when the bench's tweak opts into Transport::kTcp (tweaks
-  // may still override).
-  cfg.tcp.cc = cc();
-  cfg.tcp.recovery = recovery();
   if (tweak) tweak(cfg);
   workload::RackSimulation sim{fleet_, cfg};
   RoleTrace trace;
@@ -118,22 +113,10 @@ const telemetry::ObsConfig& BenchEnv::obs() {
   return *obs_;
 }
 
-transport::CongestionControl BenchEnv::cc() {
-  if (!cc_) cc_ = resolve_knob<&transport::cc_from_env>("FBDCSIM_CC");
-  return *cc_;
-}
-
-transport::LossRecovery BenchEnv::recovery() {
-  if (!recovery_) recovery_ = resolve_knob<&transport::recovery_from_env>("FBDCSIM_RECOVERY");
-  return *recovery_;
-}
-
 std::vector<RoleTrace> BenchEnv::capture_all(std::vector<CaptureSpec> specs) {
-  // capture() reads these knobs on the workers; resolve them here first so
-  // no two workers race to fill the same slot.
+  // capture() reads this knob on the workers; resolve it here first so no
+  // two workers race to fill the slot.
   (void)obs();
-  (void)cc();
-  (void)recovery();
   std::vector<std::function<RoleTrace()>> tasks;
   tasks.reserve(specs.size());
   for (CaptureSpec& spec : specs) {

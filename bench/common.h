@@ -26,7 +26,6 @@
 #include "fbdcsim/telemetry/telemetry.h"
 #include "fbdcsim/telemetry/timeseries.h"
 #include "fbdcsim/telemetry/tracepoint.h"
-#include "fbdcsim/transport/params.h"
 #include "fbdcsim/workload/presets.h"
 
 namespace fbdcsim::bench {
@@ -184,17 +183,6 @@ class BenchEnv {
   /// tweaks can still override per capture.
   [[nodiscard]] const telemetry::ObsConfig& obs();
 
-  /// The congestion-control law selected by FBDCSIM_CC, resolved once per
-  /// env (kNewReno when unset, empty, or malformed). capture()/
-  /// capture_all() apply it to every config before the tweak runs; it is
-  /// inert unless the bench (or its tweak) also opts into Transport::kTcp.
-  [[nodiscard]] transport::CongestionControl cc();
-
-  /// The loss-recovery law selected by FBDCSIM_RECOVERY, resolved once per
-  /// env (kNewReno when unset, empty, or malformed). Applied like cc():
-  /// before the tweak, inert without Transport::kTcp.
-  [[nodiscard]] transport::LossRecovery recovery();
-
   /// Effective capture length for a nominal request. Malformed or
   /// non-positive FBDCSIM_BENCH_SECONDS values are diagnosed on stderr and
   /// ignored.
@@ -207,8 +195,6 @@ class BenchEnv {
   // FBDCSIM_* knobs: empty until first read, then the parsed value.
   std::optional<std::unique_ptr<faults::FaultPlan>> fault_plan_;
   std::optional<telemetry::ObsConfig> obs_;
-  std::optional<transport::CongestionControl> cc_;
-  std::optional<transport::LossRecovery> recovery_;
 };
 
 /// Prints a CDF as (quantile, value) rows at the paper's usual quantiles.

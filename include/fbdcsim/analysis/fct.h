@@ -3,8 +3,8 @@
 // The ledger (telemetry/flow_ledger.h) records one entry per directed
 // transfer; this module aggregates completed transfers into per-
 // role x locality x size-bucket FCT and slowdown CDFs — the view the
-// paper's tail-latency arguments (and the bench_fct_tails comparison of
-// transport variants) are built on. Slowdown = FCT / ideal FCT, where the
+// paper's tail-latency arguments (and bench_ablation_transport's
+// comparison of transport variants) are built on. Slowdown = FCT / ideal FCT, where the
 // ideal is the record's topology-derived base RTT plus its bytes at the
 // bottleneck rate; 1.0 is a transfer that saw an idle network.
 #pragma once

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "fbdcsim/core/packet.h"
 #include "fbdcsim/core/time.h"
@@ -25,15 +24,6 @@ enum class CongestionControl : std::uint8_t {
 
 [[nodiscard]] const char* to_string(CongestionControl cc);
 
-/// Parses a FBDCSIM_CC-style spec ("reno" | "newreno" | "dctcp",
-/// case-sensitive). Returns true on success; on failure leaves `out`
-/// untouched and returns false.
-[[nodiscard]] bool parse_cc_spec(std::string_view spec, CongestionControl& out);
-
-/// Resolves the FBDCSIM_CC environment variable: unset/empty -> kNewReno;
-/// malformed -> kNewReno plus one stderr diagnostic. Never throws.
-[[nodiscard]] CongestionControl cc_from_env();
-
 /// Loss-recovery law selection. kNewReno is the default and is
 /// byte-identical to every pre-SACK release; kSack replaces the
 /// one-hole-per-RTT partial-ACK loop with a selective-acknowledgment
@@ -44,15 +34,6 @@ enum class LossRecovery : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(LossRecovery recovery);
-
-/// Parses a FBDCSIM_RECOVERY-style spec ("newreno" | "sack",
-/// case-sensitive). Returns true on success; on failure leaves `out`
-/// untouched and returns false.
-[[nodiscard]] bool parse_recovery_spec(std::string_view spec, LossRecovery& out);
-
-/// Resolves the FBDCSIM_RECOVERY environment variable: unset/empty ->
-/// kNewReno; malformed -> kNewReno plus one stderr diagnostic. Never throws.
-[[nodiscard]] LossRecovery recovery_from_env();
 
 /// How a connection's fixed beyond-the-RSW propagation delay is derived.
 enum class RttMode : std::uint8_t {

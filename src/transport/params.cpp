@@ -1,8 +1,5 @@
 #include "fbdcsim/transport/params.h"
 
-#include <cstdio>
-#include <cstdlib>
-
 namespace fbdcsim::transport {
 
 const char* to_string(CongestionControl cc) {
@@ -15,32 +12,6 @@ const char* to_string(CongestionControl cc) {
   return "?";
 }
 
-bool parse_cc_spec(std::string_view spec, CongestionControl& out) {
-  if (spec == "reno" || spec == "newreno") {
-    out = CongestionControl::kNewReno;
-    return true;
-  }
-  if (spec == "dctcp") {
-    out = CongestionControl::kDctcp;
-    return true;
-  }
-  return false;
-}
-
-CongestionControl cc_from_env() {
-  const char* raw = std::getenv("FBDCSIM_CC");
-  if (raw == nullptr || raw[0] == '\0') return CongestionControl::kNewReno;
-  CongestionControl cc = CongestionControl::kNewReno;
-  if (!parse_cc_spec(raw, cc)) {
-    std::fprintf(stderr,
-                 "fbdcsim: ignoring invalid FBDCSIM_CC value \"%s\" "
-                 "(expected reno|dctcp); using reno\n",
-                 raw);
-    return CongestionControl::kNewReno;
-  }
-  return cc;
-}
-
 const char* to_string(LossRecovery recovery) {
   switch (recovery) {
     case LossRecovery::kNewReno:
@@ -49,32 +20,6 @@ const char* to_string(LossRecovery recovery) {
       return "sack";
   }
   return "?";
-}
-
-bool parse_recovery_spec(std::string_view spec, LossRecovery& out) {
-  if (spec == "newreno" || spec == "reno") {
-    out = LossRecovery::kNewReno;
-    return true;
-  }
-  if (spec == "sack") {
-    out = LossRecovery::kSack;
-    return true;
-  }
-  return false;
-}
-
-LossRecovery recovery_from_env() {
-  const char* raw = std::getenv("FBDCSIM_RECOVERY");
-  if (raw == nullptr || raw[0] == '\0') return LossRecovery::kNewReno;
-  LossRecovery recovery = LossRecovery::kNewReno;
-  if (!parse_recovery_spec(raw, recovery)) {
-    std::fprintf(stderr,
-                 "fbdcsim: ignoring invalid FBDCSIM_RECOVERY value \"%s\" "
-                 "(expected newreno|sack); using newreno\n",
-                 raw);
-    return LossRecovery::kNewReno;
-  }
-  return recovery;
 }
 
 }  // namespace fbdcsim::transport

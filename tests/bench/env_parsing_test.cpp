@@ -1,7 +1,6 @@
 // Fuzz/edge tests for every environment knob the bench harness and runtime
 // read: FBDCSIM_BENCH_SECONDS, FBDCSIM_THREADS, FBDCSIM_BENCH_OUT,
-// FBDCSIM_FAULTS, FBDCSIM_OBS, FBDCSIM_CC, and FBDCSIM_RECOVERY. The
-// contract under test:
+// FBDCSIM_FAULTS, and FBDCSIM_OBS. The contract under test:
 // malformed values — empty, whitespace, overflow, negative, trailing
 // garbage — always fall back to the documented default and never crash.
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include "fbdcsim/faults/fault_plan.h"
 #include "fbdcsim/runtime/thread_pool.h"
 #include "fbdcsim/telemetry/obs.h"
-#include "fbdcsim/transport/params.h"
 
 namespace fbdcsim::bench {
 namespace {
@@ -287,122 +285,6 @@ TEST(ObsEnvFuzzTest, BenchEnvResolvesObsOncePerEnv) {
   EXPECT_EQ(&env.obs(), &first);  // cached, one instance per env
   BenchEnv fresh;
   EXPECT_FALSE(fresh.obs().enabled());
-}
-
-TEST(CcEnvFuzzTest, ValidSpecsParse) {
-  transport::CongestionControl cc = transport::CongestionControl::kDctcp;
-  EXPECT_TRUE(transport::parse_cc_spec("reno", cc));
-  EXPECT_EQ(cc, transport::CongestionControl::kNewReno);
-  EXPECT_TRUE(transport::parse_cc_spec("newreno", cc));
-  EXPECT_EQ(cc, transport::CongestionControl::kNewReno);
-  EXPECT_TRUE(transport::parse_cc_spec("dctcp", cc));
-  EXPECT_EQ(cc, transport::CongestionControl::kDctcp);
-}
-
-TEST(CcEnvFuzzTest, MalformedSpecsAreRejectedAndLeaveTheOutputUntouched) {
-  const std::vector<const char*> bad{
-      " ",     "Reno",  "RENO",  "DCTCP", "Dctcp", "dctcp ",  " dctcp",
-      "cubic", "bbr",   "reno,dctcp",     "dctcp:64", "½",    "\n",
-      "reno\n",         "d c t c p",      "0",        "1"};
-  for (const char* spec : bad) {
-    transport::CongestionControl cc = transport::CongestionControl::kDctcp;
-    EXPECT_FALSE(transport::parse_cc_spec(spec, cc)) << "'" << spec << "'";
-    EXPECT_EQ(cc, transport::CongestionControl::kDctcp)
-        << "'" << spec << "' must leave the output untouched on failure";
-  }
-}
-
-TEST(CcEnvFuzzTest, EnvResolutionFallsBackToRenoAndNeverCrashes) {
-  EnvVarGuard guard{"FBDCSIM_CC"};
-  EXPECT_EQ(transport::cc_from_env(), transport::CongestionControl::kNewReno);  // unset
-  for (const char* bad : {"", " ", "garbage", "DCTCP", "dctcp ", "reno;dctcp", "½", "\n"}) {
-    guard.set(bad);
-    EXPECT_EQ(transport::cc_from_env(), transport::CongestionControl::kNewReno)
-        << "'" << bad << "'";
-  }
-  guard.set("dctcp");
-  EXPECT_EQ(transport::cc_from_env(), transport::CongestionControl::kDctcp);
-  guard.set("newreno");
-  EXPECT_EQ(transport::cc_from_env(), transport::CongestionControl::kNewReno);
-}
-
-TEST(CcEnvFuzzTest, BenchEnvResolvesCcOncePerEnv) {
-  EnvVarGuard guard{"FBDCSIM_CC"};
-  guard.set("dctcp");
-  BenchEnv env;
-  EXPECT_EQ(env.cc(), transport::CongestionControl::kDctcp);
-  guard.set("reno");  // must not affect the already-resolved env
-  EXPECT_EQ(env.cc(), transport::CongestionControl::kDctcp);
-  BenchEnv fresh;
-  EXPECT_EQ(fresh.cc(), transport::CongestionControl::kNewReno);
-}
-
-TEST(CcEnvFuzzTest, ToStringRoundTripsThroughTheParser) {
-  for (const auto cc :
-       {transport::CongestionControl::kNewReno, transport::CongestionControl::kDctcp}) {
-    transport::CongestionControl parsed{};
-    ASSERT_TRUE(transport::parse_cc_spec(transport::to_string(cc), parsed))
-        << transport::to_string(cc);
-    EXPECT_EQ(parsed, cc);
-  }
-}
-
-TEST(RecoveryEnvFuzzTest, ValidSpecsParse) {
-  transport::LossRecovery rec = transport::LossRecovery::kSack;
-  EXPECT_TRUE(transport::parse_recovery_spec("newreno", rec));
-  EXPECT_EQ(rec, transport::LossRecovery::kNewReno);
-  EXPECT_TRUE(transport::parse_recovery_spec("reno", rec));
-  EXPECT_EQ(rec, transport::LossRecovery::kNewReno);
-  EXPECT_TRUE(transport::parse_recovery_spec("sack", rec));
-  EXPECT_EQ(rec, transport::LossRecovery::kSack);
-}
-
-TEST(RecoveryEnvFuzzTest, MalformedSpecsAreRejectedAndLeaveTheOutputUntouched) {
-  const std::vector<const char*> bad{
-      " ",     "Sack",  "SACK",  "NewReno", "RENO",  "sack ",   " sack",
-      "dsack", "fack",  "newreno,sack",     "sack:1", "½",      "\n",
-      "sack\n",         "s a c k",          "0",      "1"};
-  for (const char* spec : bad) {
-    transport::LossRecovery rec = transport::LossRecovery::kSack;
-    EXPECT_FALSE(transport::parse_recovery_spec(spec, rec)) << "'" << spec << "'";
-    EXPECT_EQ(rec, transport::LossRecovery::kSack)
-        << "'" << spec << "' must leave the output untouched on failure";
-  }
-}
-
-TEST(RecoveryEnvFuzzTest, EnvResolutionFallsBackToNewRenoAndNeverCrashes) {
-  EnvVarGuard guard{"FBDCSIM_RECOVERY"};
-  EXPECT_EQ(transport::recovery_from_env(), transport::LossRecovery::kNewReno);  // unset
-  for (const char* bad : {"", " ", "garbage", "SACK", "sack ", "reno;sack", "½", "\n"}) {
-    guard.set(bad);
-    EXPECT_EQ(transport::recovery_from_env(), transport::LossRecovery::kNewReno)
-        << "'" << bad << "'";
-  }
-  guard.set("sack");
-  EXPECT_EQ(transport::recovery_from_env(), transport::LossRecovery::kSack);
-  guard.set("newreno");
-  EXPECT_EQ(transport::recovery_from_env(), transport::LossRecovery::kNewReno);
-}
-
-TEST(RecoveryEnvFuzzTest, BenchEnvResolvesRecoveryOncePerEnv) {
-  EnvVarGuard guard{"FBDCSIM_RECOVERY"};
-  guard.set("sack");
-  BenchEnv env;
-  EXPECT_EQ(env.recovery(), transport::LossRecovery::kSack);
-  guard.set("reno");  // must not affect the already-resolved env
-  EXPECT_EQ(env.recovery(), transport::LossRecovery::kSack);
-  BenchEnv fresh;
-  EXPECT_EQ(fresh.recovery(), transport::LossRecovery::kNewReno);
-}
-
-TEST(RecoveryEnvFuzzTest, ToStringRoundTripsThroughTheParser) {
-  for (const auto rec :
-       {transport::LossRecovery::kNewReno, transport::LossRecovery::kSack}) {
-    transport::LossRecovery parsed{};
-    ASSERT_TRUE(transport::parse_recovery_spec(transport::to_string(rec), parsed))
-        << transport::to_string(rec);
-    EXPECT_EQ(parsed, rec);
-  }
 }
 
 TEST(BenchReportObsTest, TimeseriesSectionAppearsOnlyWhenAdded) {
