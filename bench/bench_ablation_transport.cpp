@@ -50,7 +50,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,7 +60,6 @@
 #include "fbdcsim/analysis/packet_stats.h"
 #include "fbdcsim/core/stats.h"
 #include "fbdcsim/faults/fault_plan.h"
-#include "fbdcsim/runtime/parallel_capture.h"
 #include "fbdcsim/transport/mux.h"
 #include "fbdcsim/workload/presets.h"
 #include "fbdcsim/workload/rack_sim.h"
@@ -330,12 +328,8 @@ int main() {
     }
   }
 
-  std::vector<std::function<Summary()>> tasks;
-  tasks.reserve(grid.size());
-  for (const Capture& c : grid) {
-    tasks.emplace_back([&, c] { return summarize(fleet, c, seconds, heavy, env_obs); });
-  }
-  const std::vector<Summary> summaries = runtime::ParallelCaptureRunner{env.pool()}.run(tasks);
+  const std::vector<Summary> summaries = env.pool().parallel_map(
+      grid, [&](const Capture& c) { return summarize(fleet, c, seconds, heavy, env_obs); });
   const auto at = [&](const Capture& c) -> const Summary& {
     return summaries.at(
         static_cast<std::size_t>(std::find(grid.begin(), grid.end(), c) - grid.begin()));

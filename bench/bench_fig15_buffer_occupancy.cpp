@@ -33,7 +33,6 @@
 
 #include "common.h"
 #include "fbdcsim/core/distributions.h"
-#include "fbdcsim/runtime/parallel_capture.h"
 
 using namespace fbdcsim;
 
@@ -174,7 +173,8 @@ int main() {
       });
     }
   }
-  const std::vector<HourStats> stats = runtime::ParallelCaptureRunner{env.pool()}.run(windows);
+  const std::vector<HourStats> stats = env.pool().parallel_map(
+      windows, [](const std::function<HourStats()>& window) { return window(); });
 
   auto next = stats.begin();
   for (const auto& [rack_name, report_key, role] : kRacks) {

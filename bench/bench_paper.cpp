@@ -149,26 +149,7 @@ int main() {
         capture(env, [plan](workload::RackSimConfig& cfg) { cfg.faults = plan; }), false);
   }
 
-  // ----- report -----
-  int failed = 0;
-  const bool have_faulted = !faulted.empty();
-  std::printf("\n%-5s %-62s %12s", "sec", "claim", "measured");
-  if (have_faulted) std::printf(" %12s", "faulted");
-  std::printf(" %18s\n", "accepted band");
-  for (std::size_t i = 0; i < anchors.size(); ++i) {
-    const paper::Anchor& a = anchors[i];
-    if (!a.pass()) ++failed;
-    std::printf("%-5s %-62s %12.2f", a.section.c_str(), a.claim.c_str(), a.measured);
-    if (have_faulted) {
-      if (i < faulted.size()) {
-        std::printf(" %12.2f", faulted[i].measured);
-      } else {
-        std::printf(" %12s", "-");
-      }
-    }
-    std::printf(" %8.4g-%-8.4g %s\n", a.lo, a.hi, a.pass() ? "PASS" : "FAIL");
-  }
-  std::printf("\n%zu anchors, %d failed\n", anchors.size(), failed);
+  const int failed = bench::print_anchors(anchors, faulted);
   report.set_status(failed);
   return failed;
 }

@@ -8,7 +8,6 @@
 #include <mutex>
 #include <utility>
 
-#include "fbdcsim/runtime/parallel_capture.h"
 #include "fbdcsim/telemetry/json.h"
 
 #ifndef FBDCSIM_GIT_REV
@@ -113,19 +112,13 @@ const telemetry::ObsConfig& BenchEnv::obs() {
   return *obs_;
 }
 
-std::vector<RoleTrace> BenchEnv::capture_all(std::vector<CaptureSpec> specs) {
+std::vector<RoleTrace> BenchEnv::capture_all(const std::vector<CaptureSpec>& specs) {
   // capture() reads this knob on the workers; resolve it here first so no
   // two workers race to fill the slot.
   (void)obs();
-  std::vector<std::function<RoleTrace()>> tasks;
-  tasks.reserve(specs.size());
-  for (CaptureSpec& spec : specs) {
-    tasks.push_back([this, spec = std::move(spec)] {
-      return capture(spec.role, spec.seconds, spec.tweak);
-    });
-  }
-  const runtime::ParallelCaptureRunner runner{pool()};
-  return runner.run(tasks);
+  return pool().parallel_map(specs, [this](const CaptureSpec& spec) {
+    return capture(spec.role, spec.seconds, spec.tweak);
+  });
 }
 
 namespace {
@@ -158,6 +151,29 @@ void print_cdf_table(const char* title, const std::vector<std::string>& names,
     }
     std::printf("\n");
   }
+}
+
+int print_anchors(const Anchors& anchors, const Anchors& faulted) {
+  int failed = 0;
+  const bool have_faulted = !faulted.empty();
+  std::printf("\n%-5s %-62s %12s", "sec", "claim", "measured");
+  if (have_faulted) std::printf(" %12s", "faulted");
+  std::printf(" %18s\n", "accepted band");
+  for (std::size_t i = 0; i < anchors.size(); ++i) {
+    const Anchor& a = anchors[i];
+    if (!a.pass()) ++failed;
+    std::printf("%-5s %-62s %12.2f", a.section.c_str(), a.claim.c_str(), a.measured);
+    if (have_faulted) {
+      if (i < faulted.size()) {
+        std::printf(" %12.2f", faulted[i].measured);
+      } else {
+        std::printf(" %12s", "-");
+      }
+    }
+    std::printf(" %8.4g-%-8.4g %s\n", a.lo, a.hi, a.pass() ? "PASS" : "FAIL");
+  }
+  std::printf("\n%zu anchors, %d failed\n", anchors.size(), failed);
+  return failed;
 }
 
 void banner(const char* experiment, const char* paper_ref, std::uint64_t seed) {

@@ -3,13 +3,15 @@
 // Every bench binary prints the same rows/series the paper reports, against
 // traces captured from the canonical rack-experiment fleet. Capture lengths
 // default to values that keep each bench under ~a minute; set
-// FBDCSIM_BENCH_SECONDS to lengthen or shorten all captures.
+// FBDCSIM_BENCH_SECONDS to lengthen or shorten them (bench_ablations keeps
+// its own fixed windows).
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -149,11 +151,8 @@ class BenchEnv {
   [[nodiscard]] const topology::Fleet& fleet() const { return fleet_; }
   [[nodiscard]] const analysis::AddrResolver& resolver() const { return resolver_; }
 
-  /// Captures `seconds` (scaled by FBDCSIM_BENCH_SECONDS if set) of the
-  /// given role's traffic. `tweak` may adjust the config before the run.
+  /// Adjusts a capture's config before the run.
   using Tweak = std::function<void(workload::RackSimConfig&)>;
-  [[nodiscard]] RoleTrace capture(core::HostRole role, std::int64_t seconds,
-                                  const Tweak& tweak = {});
 
   /// One requested capture for the parallel entry point.
   struct CaptureSpec {
@@ -164,9 +163,9 @@ class BenchEnv {
 
   /// Captures every spec concurrently (one Simulator per spec, scheduled
   /// over the FBDCSIM_THREADS-sized pool) and returns traces in spec
-  /// order. Each capture is identical to what `capture` would produce —
-  /// simulations are seeded independently of scheduling.
-  [[nodiscard]] std::vector<RoleTrace> capture_all(std::vector<CaptureSpec> specs);
+  /// order. Each capture is identical at any pool width — simulations are
+  /// seeded independently of scheduling.
+  [[nodiscard]] std::vector<RoleTrace> capture_all(const std::vector<CaptureSpec>& specs);
 
   /// The shared worker pool (created on first use; FBDCSIM_THREADS-sized).
   [[nodiscard]] runtime::ThreadPool& pool();
@@ -178,9 +177,9 @@ class BenchEnv {
   [[nodiscard]] const faults::FaultPlan* fault_plan();
 
   /// The observability config selected by FBDCSIM_OBS, resolved once per
-  /// env (off when unset or malformed). When enabled, capture()/
-  /// capture_all() apply it to every config before the tweak runs, so
-  /// tweaks can still override per capture.
+  /// env (off when unset or malformed). When enabled, capture_all()
+  /// applies it to every config before the tweak runs, so tweaks can still
+  /// override per capture.
   [[nodiscard]] const telemetry::ObsConfig& obs();
 
   /// Effective capture length for a nominal request. Malformed or
@@ -189,6 +188,11 @@ class BenchEnv {
   [[nodiscard]] static std::int64_t effective_seconds(std::int64_t nominal);
 
  private:
+  /// Captures `seconds` (FBDCSIM_BENCH_SECONDS, if set, replaces it) of the
+  /// given role's traffic, with `tweak` applied to the config.
+  [[nodiscard]] RoleTrace capture(core::HostRole role, std::int64_t seconds,
+                                  const Tweak& tweak);
+
   topology::Fleet fleet_;
   analysis::AddrResolver resolver_;
   std::unique_ptr<runtime::ThreadPool> pool_;
@@ -205,6 +209,47 @@ void print_cdf(const char* label, const core::Cdf& cdf, double scale = 1.0,
 void print_cdf_table(const char* title, const std::vector<std::string>& names,
                      const std::vector<const core::Cdf*>& cdfs, double scale = 1.0,
                      const char* unit = "");
+
+/// One checked claim: the paper section (or ablation) it comes from, the
+/// band we accept (taken from the claim with a generous tolerance — we
+/// reproduce shapes, not testbeds), and the measured value.
+struct Anchor {
+  std::string section;
+  std::string claim;
+  double lo;
+  double hi;
+  double measured;
+
+  [[nodiscard]] bool pass() const { return measured >= lo && measured <= hi; }
+};
+
+using Anchors = std::vector<Anchor>;
+
+inline void check(Anchors& anchors, std::string section, std::string claim, double lo,
+                  double hi, double measured) {
+  anchors.push_back(Anchor{std::move(section), std::move(claim), lo, hi, measured});
+}
+
+/// The way an ablation's change must move a metric.
+enum class Direction : std::uint8_t { kUp, kDown };
+
+/// A contrast anchor: the changed run's value must differ from the
+/// baseline's by at least `factor` (> 1) in `direction`. The measured value
+/// is the fold change in that direction (changed / baseline up, baseline /
+/// changed down), so equal values read 1, a move the wrong way reads below
+/// 1 and 0/0 reads NaN: each fails the band [factor, inf).
+inline void check_contrast(Anchors& anchors, std::string section, std::string claim,
+                           double baseline, double changed, double factor,
+                           Direction direction) {
+  const double fold = direction == Direction::kUp ? changed / baseline : baseline / changed;
+  check(anchors, std::move(section), std::move(claim), factor,
+        std::numeric_limits<double>::infinity(), fold);
+}
+
+/// Prints the anchor table (section, claim, measured value, accepted band,
+/// verdict) and returns the number of failed anchors. A non-empty `faulted`
+/// adds a column of its measured values, matched by position.
+int print_anchors(const Anchors& anchors, const Anchors& faulted = {});
 
 /// Short banner shared by all benches. Prints the seed and source revision
 /// so every bench log is attributable; pass the bench's own seed when it

@@ -2,39 +2,19 @@
 //
 // bench_paper captures each monitored role once, then runs every rack-trace
 // table and figure over those four traces. A figure is a plain function: it
-// prints its table to stdout and appends the anchors — the paper's
-// quantitative prose claims, each with an accepted band — whose quantity it
-// prints.
+// prints its table to stdout and appends the anchors (bench::Anchor) — the
+// paper's quantitative prose claims, each with an accepted band — whose
+// quantity it prints.
 #pragma once
-
-#include <string>
-#include <utility>
-#include <vector>
 
 #include "common.h"
 #include "fbdcsim/analysis/heavy_hitters.h"
 
 namespace fbdcsim::paper {
 
-/// One prose claim: the paper section it comes from, the band we accept
-/// (paper value with a generous tolerance — we reproduce shapes, not
-/// testbeds), and the measured value.
-struct Anchor {
-  std::string section;
-  std::string claim;
-  double lo;
-  double hi;
-  double measured;
-
-  [[nodiscard]] bool pass() const { return measured >= lo && measured <= hi; }
-};
-
-using Anchors = std::vector<Anchor>;
-
-inline void check(Anchors& anchors, std::string section, std::string claim, double lo,
-                  double hi, double measured) {
-  anchors.push_back(Anchor{std::move(section), std::move(claim), lo, hi, measured});
-}
+using bench::Anchor;
+using bench::Anchors;
+using bench::check;
 
 /// The four role captures every figure reads, and the fleet they ran on.
 struct PaperTraces {

@@ -56,6 +56,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\nReading: the workload's fan-in bursts need a fixed byte budget; past\n"
       "that point extra buffer only raises occupancy headroom, not goodput.\n"
-      "Compare bench_ablation_buffer_policy for the sharing-policy dimension.\n");
+      "Compare bench_ablations' buffer-policy table for the sharing-policy dimension.\n");
   return 0;
 }

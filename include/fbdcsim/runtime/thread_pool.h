@@ -1,8 +1,9 @@
 // Deterministic parallel execution: a fixed-size worker pool with a bounded
 // task queue.
 //
-// The pool is the substrate of the runtime/ subsystem: ShardedFleetRunner and
-// ParallelCaptureRunner schedule their work through it. Nothing in the pool
+// The pool is the substrate of the runtime/ subsystem: ShardedFleetRunner
+// schedules its shards through it, and concurrent rack captures run as one
+// parallel_map batch (one Simulator per task). Nothing in the pool
 // itself is stochastic — determinism of results is the responsibility of the
 // callers, who must make each task's output independent of execution order
 // (the fork-per-host RngStream contract) and merge results in a canonical

@@ -1,13 +1,12 @@
-// Explicit empty- and minimal-input contracts for the parallel runners.
-// Before this suite existed, a zero-host fleet or an empty capture batch
-// silently exercised the full worker machinery; now both are defined no-ops
-// and single-element inputs are pinned to serial behavior.
+// Explicit empty- and minimal-input contracts for the sharded fleet runner.
+// Before this suite existed, a zero-host fleet silently exercised the full
+// worker machinery; now it is a defined no-op, and a single-host fleet is
+// pinned to serial behavior. ThreadPoolTest covers empty and one-task
+// batches on the pool itself.
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <vector>
 
-#include "fbdcsim/runtime/parallel_capture.h"
 #include "fbdcsim/runtime/sharded_fleet.h"
 #include "fbdcsim/topology/entities.h"
 
@@ -52,10 +51,8 @@ TEST(EmptyInputTest, ShardedRunnerOnEmptyFleetStaysUsableAcrossCalls) {
     EXPECT_TRUE(runner.collect_flows().empty()) << i;
   }
   // The pool is still healthy for real work after the no-op runs.
-  const ParallelCaptureRunner capture{pool};
-  std::vector<std::function<int()>> tasks;
-  tasks.push_back([] { return 7; });
-  EXPECT_EQ(capture.run(tasks).at(0), 7);
+  const std::vector<int> one{7};
+  EXPECT_EQ(pool.parallel_map(one, [](int v) { return v; }).at(0), 7);
 }
 
 TEST(EmptyInputTest, ShardedRunnerSingleHostMatchesSerialForAnyWorkerCount) {
@@ -82,39 +79,6 @@ TEST(EmptyInputTest, ShardedRunnerSingleHostMatchesSerialForAnyWorkerCount) {
       EXPECT_EQ(parallel[i].bytes.count_bytes(), serial[i].bytes.count_bytes()) << i;
     }
   }
-}
-
-TEST(EmptyInputTest, ParallelCaptureEmptyBatchReturnsEmpty) {
-  ThreadPool pool{2};
-  const ParallelCaptureRunner capture{pool};
-  const std::vector<std::function<int()>> none;
-  const auto results = capture.run(none);
-  EXPECT_TRUE(results.empty());
-}
-
-TEST(EmptyInputTest, ParallelCaptureEmptyBatchLeavesPoolUsable) {
-  ThreadPool pool{1};
-  const ParallelCaptureRunner capture{pool};
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(capture.run(std::vector<std::function<int()>>{}).empty()) << i;
-  }
-  std::vector<std::function<int()>> tasks;
-  tasks.push_back([] { return 1; });
-  tasks.push_back([] { return 2; });
-  const auto results = capture.run(tasks);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0], 1);
-  EXPECT_EQ(results[1], 2);
-}
-
-TEST(EmptyInputTest, ParallelCaptureSingleTaskPreservesOrderTrivially) {
-  ThreadPool pool{4};
-  const ParallelCaptureRunner capture{pool};
-  std::vector<std::function<int()>> tasks;
-  tasks.push_back([] { return 99; });
-  const auto results = capture.run(tasks);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0], 99);
 }
 
 }  // namespace

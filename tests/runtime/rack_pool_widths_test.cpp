@@ -1,7 +1,7 @@
 // Rack captures across thread-pool widths.
 //
 // One Simulator is strictly single-threaded, but the runtime layer runs
-// many captures concurrently (ParallelCaptureRunner), and DESIGN.md §7
+// many captures concurrently (ThreadPool::parallel_map), and DESIGN.md §7
 // promises Kind::kSim telemetry is bit-identical across thread counts.
 // This suite runs the same 4-capture batch (every monitored-role preset)
 // on pools of 1, 2, and 8 workers — the FBDCSIM_THREADS settings CI
@@ -18,7 +18,6 @@
 
 #include "../support/rack_fingerprint.h"
 #include "fbdcsim/faults/fault_plan.h"
-#include "fbdcsim/runtime/parallel_capture.h"
 #include "fbdcsim/runtime/thread_pool.h"
 #include "fbdcsim/telemetry/telemetry.h"
 #include "fbdcsim/topology/standard_fleet.h"
@@ -60,8 +59,7 @@ BatchOutcome run_batch(const topology::Fleet& fleet, int workers,
     // bumps runtime.pool.tasks_completed after delivering its result, so
     // snapshotting while the pool lives would race that last increment.
     runtime::ThreadPool pool{workers};
-    runtime::ParallelCaptureRunner runner{pool};
-    out.fingerprints = runner.run(tasks);
+    out.fingerprints = pool.parallel_map(tasks, [](const auto& task) { return task(); });
   }
   out.sim_metrics = sim_metrics_json();
   return out;

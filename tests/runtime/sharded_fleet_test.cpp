@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "fbdcsim/monitoring/fbflow.h"
-#include "fbdcsim/runtime/parallel_capture.h"
 #include "fbdcsim/telemetry/telemetry.h"
 #include "fbdcsim/topology/standard_fleet.h"
 
@@ -244,27 +243,6 @@ TEST(ShardedFleetRunnerTest, SlowSinkKeepsTheWindowFullAndBounded) {
 #endif
   EXPECT_GT(shards_seen, nshards / 2);
   expect_identical(serial, flows);
-}
-
-TEST(ParallelCaptureRunnerTest, ResultsArriveInTaskOrder) {
-  ThreadPool pool{4};
-  const ParallelCaptureRunner capture{pool};
-  std::vector<std::function<int()>> tasks;
-  for (int i = 0; i < 32; ++i) {
-    tasks.push_back([i] { return i * 10; });
-  }
-  const auto results = capture.run(tasks);
-  ASSERT_EQ(results.size(), tasks.size());
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(results[static_cast<std::size_t>(i)], i * 10);
-}
-
-TEST(ParallelCaptureRunnerTest, TaskExceptionPropagates) {
-  ThreadPool pool{2};
-  const ParallelCaptureRunner capture{pool};
-  std::vector<std::function<int()>> tasks;
-  tasks.push_back([] { return 1; });
-  tasks.push_back([]() -> int { throw std::runtime_error{"capture failed"}; });
-  EXPECT_THROW((void)capture.run(tasks), std::runtime_error);
 }
 
 }  // namespace

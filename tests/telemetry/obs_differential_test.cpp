@@ -19,7 +19,6 @@
 
 #include "fbdcsim/core/time.h"
 #include "fbdcsim/faults/fault_plan.h"
-#include "fbdcsim/runtime/parallel_capture.h"
 #include "fbdcsim/runtime/thread_pool.h"
 #include "fbdcsim/telemetry/flow_ledger.h"
 #include "fbdcsim/telemetry/telemetry.h"
@@ -96,8 +95,7 @@ TEST(ObsDifferential, BitIdenticalAcrossThreadCounts) {
       tasks.push_back([&fleet, &heavy, role] { return run_one(fleet, role, &heavy); });
     }
     runtime::ThreadPool pool{workers};
-    runtime::ParallelCaptureRunner runner{pool};
-    return runner.run(tasks);
+    return pool.parallel_map(tasks, [](const auto& task) { return task(); });
   };
 
   const std::vector<ObsOutput> baseline = run_batch(1);
