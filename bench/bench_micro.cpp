@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the library's hot paths: the
 // event loop (including schedule_at + dispatch on the draining bucket),
-// distribution samplers, switch forwarding, flow assembly, and
-// heavy-hitter extraction. These guard the performance that makes the
-// packet-level reproductions tractable (tens of millions of events per
-// experiment).
+// random-stream draws and forks, distribution samplers, switch forwarding,
+// flow assembly, and heavy-hitter extraction. These guard the performance
+// that makes the packet-level reproductions tractable (tens of millions of
+// events per experiment).
 #include <benchmark/benchmark.h>
 
 #include "fbdcsim/analysis/flow_table.h"
@@ -96,6 +96,28 @@ void BM_SimulatorDrainingBucketHops(benchmark::State& state) {
       benchmark::Counter(events, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_SimulatorDrainingBucketHops);
+
+void BM_RngStreamUniform(benchmark::State& state) {
+  core::RngStream rng{static_cast<std::uint64_t>(state.range(0))};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.uniform());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngStreamUniform)->Arg(1);
+
+/// A fork seeds a whole engine; the first draw then runs its first twist,
+/// as every forked per-host or per-reporter stream does.
+void BM_RngStreamFork(benchmark::State& state) {
+  const core::RngStream root{static_cast<std::uint64_t>(state.range(0))};
+  std::uint64_t index = 0;
+  for (auto _ : state) {
+    core::RngStream child = root.fork("fleet-host", index++);
+    benchmark::DoNotOptimize(child.uniform());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngStreamFork)->Arg(1);
 
 void BM_ZipfSample(benchmark::State& state) {
   core::Zipf zipf{static_cast<std::size_t>(state.range(0)), 1.0};

@@ -2,6 +2,7 @@
 
 #include <sys/stat.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -53,6 +54,10 @@ decltype(Parse()) resolve_knob(const char* name) {
   return last->second;
 }
 
+/// Calls of BenchEnv::effective_seconds so far: a report whose window saw
+/// none belongs to a bench that does not honour FBDCSIM_BENCH_SECONDS.
+std::atomic<std::uint64_t> bench_seconds_reads{0};
+
 /// A value rendered with a fixed printf format (the report's %.6g extras,
 /// %.6f wall time and %.1f rate).
 std::string format_double(const char* format, double v) {
@@ -72,6 +77,7 @@ faults::FaultConfig fault_config() {
 }
 
 std::int64_t BenchEnv::effective_seconds(std::int64_t nominal) {
+  bench_seconds_reads.fetch_add(1, std::memory_order_relaxed);
   return resolve_knob<&bench_seconds_env>("FBDCSIM_BENCH_SECONDS").value_or(nominal);
 }
 
@@ -253,7 +259,10 @@ std::string sibling_path_for(const std::string& report_path, const std::string& 
 }  // namespace
 
 BenchReport::BenchReport(std::string name, std::uint64_t seed)
-    : name_{std::move(name)}, seed_{seed}, start_{std::chrono::steady_clock::now()} {}
+    : name_{std::move(name)},
+      seed_{seed},
+      start_{std::chrono::steady_clock::now()},
+      seconds_reads_at_start_{bench_seconds_reads.load(std::memory_order_relaxed)} {}
 
 void BenchReport::add_extra(const std::string& key, double value) {
   upsert(extras_, key, format_double("%.6g", value));
@@ -315,7 +324,11 @@ std::string BenchReport::to_json() const {
       .field("seed", seed_)
       .field("threads", runtime::env_thread_count())
       .key("bench_seconds");
-  if (const auto secs = resolve_knob<&bench_seconds_env>("FBDCSIM_BENCH_SECONDS")) {
+  const bool honoured =
+      bench_seconds_reads.load(std::memory_order_relaxed) != seconds_reads_at_start_;
+  const auto secs = honoured ? resolve_knob<&bench_seconds_env>("FBDCSIM_BENCH_SECONDS")
+                             : std::nullopt;
+  if (secs) {
     w.value(*secs);
   } else {
     w.null();

@@ -50,6 +50,11 @@ inline constexpr std::uint64_t kCanonicalSeed = 42;
 /// the default file names there; anything else is taken as the exact
 /// report file path. Malformed values are diagnosed on stderr and ignored,
 /// like FBDCSIM_BENCH_SECONDS.
+///
+/// "bench_seconds" is FBDCSIM_BENCH_SECONDS's value when the bench read it
+/// for a capture length (BenchEnv::effective_seconds) while the report
+/// existed, and null otherwise: unset, malformed, or a bench such as
+/// bench_ablations that keeps its own windows.
 class BenchReport {
  public:
   explicit BenchReport(std::string name, std::uint64_t seed = kCanonicalSeed);
@@ -107,6 +112,9 @@ class BenchReport {
   std::uint64_t seed_;
   int status_{0};
   std::chrono::steady_clock::time_point start_;
+  /// BenchEnv::effective_seconds calls before this report existed; the
+  /// report writes "bench_seconds" only if the bench made one since.
+  std::uint64_t seconds_reads_at_start_;
   /// (key, pre-rendered JSON value) pairs, in first-insertion order.
   std::vector<std::pair<std::string, std::string>> extras_;
   /// (key, pre-rendered timeseries JSON object), in first-insertion order.

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <string_view>
@@ -32,7 +33,45 @@ namespace fbdcsim::core {
   return h;
 }
 
-/// A self-contained random stream (mt19937_64) with convenience samplers.
+/// The repo's own MT19937-64 engine. The C++ standard pins this generator's
+/// output sequence exactly ([rand.eng.mers]; [rand.predef] fixes the 10000th
+/// draw from the default seed at 9981545732273789042), so this class seeds,
+/// draws and compares exactly like the standard library's 64-bit Mersenne
+/// Twister, which the tests use as its oracle. Owning it lets `operator()`
+/// inline into the samplers below while the 312-word twist stays out of
+/// line. It meets `std::uniform_random_bit_generator`, so std distributions
+/// still run on it.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr std::size_t kStateWords = 312;
+  static constexpr result_type kDefaultSeed = 5489;
+
+  explicit Mt19937_64(result_type seed = kDefaultSeed);
+
+  [[nodiscard]] static constexpr result_type min() { return 0; }
+  [[nodiscard]] static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (next_ >= kStateWords) [[unlikely]] twist();
+    result_type z = state_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  friend bool operator==(const Mt19937_64&, const Mt19937_64&) = default;
+
+ private:
+  /// Regenerates all 312 state words and rewinds `next_` to the first.
+  void twist();
+
+  result_type state_[kStateWords];
+  std::size_t next_;
+};
+
+/// A self-contained random stream (MT19937-64) with convenience samplers.
 /// Forking derives an independent child stream from this stream's seed and a
 /// name/index — the number of values already drawn does not affect forks.
 ///
@@ -57,9 +96,9 @@ class RngStream {
   }
 
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
-  [[nodiscard]] std::mt19937_64& engine() { return engine_; }
+  [[nodiscard]] Mt19937_64& engine() { return engine_; }
 
-  /// `std::generate_canonical<double, 53>` of one mt19937_64 output, which
+  /// `std::generate_canonical<double, 53>` of one engine output, which
   /// libstdc++ computes as double(x) * 2^-64, clamped below 1. Converting a
   /// uint64 to double costs a branch on x86-64 (values >= 2^63 take another
   /// path) that mispredicts half the time on random input. Both 32-bit
@@ -119,7 +158,7 @@ class RngStream {
 
  private:
   std::uint64_t seed_;
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 /// Root of an experiment's randomness: a convenience alias emphasizing that

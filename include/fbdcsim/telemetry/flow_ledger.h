@@ -281,10 +281,12 @@ class FlowLedger {
   core::Arena arena_;
   core::Pool<FlowLedgerRecord> pool_{arena_};
   std::size_t capacity_;
-  /// `capacity_` records until take() moves it out, empty after.
+  /// Reserved for `capacity_` records, grows to it, then overwrites the
+  /// oldest (at next_) in place; take() moves it out.
   std::vector<FlowLedgerRecord> ring_;
   std::size_t next_{0};
   std::int64_t total_{0};
+  bool taken_{false};
   std::uint64_t source_id_;
   std::uint64_t switch_id_;
   std::int64_t switch_drop_fault_epoch_;

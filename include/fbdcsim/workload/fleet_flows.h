@@ -102,6 +102,9 @@ class FleetFlowGenerator {
 
   const topology::Fleet* fleet_;
   FleetGenConfig config_;
+  /// Seeded once from config_.seed; `fork` is const, so concurrent
+  /// generate_for_host calls share it.
+  core::RngStream root_;
   RoleIndex index_;
   core::DiurnalProfile diurnal_;
 };

@@ -54,10 +54,11 @@ std::int64_t ideal_fct_ns(std::int64_t bytes, std::int64_t rtt_ns,
 FlowLedger::FlowLedger(std::uint64_t source_id, std::size_t capacity,
                        std::uint64_t switch_id, std::int64_t switch_drop_fault_epoch)
     : capacity_{capacity == 0 ? 1 : capacity},
-      ring_(capacity_),
       source_id_{source_id},
       switch_id_{switch_id},
-      switch_drop_fault_epoch_{switch_drop_fault_epoch} {}
+      switch_drop_fault_epoch_{switch_drop_fault_epoch} {
+  ring_.reserve(capacity_);
+}
 
 void FlowLedger::on_birth(std::uint32_t tag, std::int64_t t_ns,
                           const core::FiveTuple& tuple, core::HostRole role,
@@ -122,11 +123,15 @@ void FlowLedger::close_transfer(ConnLive& conn, int dir, std::int64_t completed_
 }
 
 void FlowLedger::push_to_ring(const FlowLedgerRecord& record) {
-  if (ring_.empty()) {  // handed over by take()
+  if (taken_) {
     ++dropped_after_take_;
     return;
   }
-  ring_[next_] = record;
+  if (ring_.size() < capacity_) {
+    ring_.push_back(record);
+  } else {
+    ring_[next_] = record;
+  }
   next_ = (next_ + 1) % capacity_;
   ++total_;
 }
@@ -302,11 +307,10 @@ FlowLedgerDump FlowLedger::snapshot() const {
   dump.total = total_;
   dump.stray_events = stray_events_;
   const std::size_t size = ring_.size();
-  const bool wrapped = total_ >= static_cast<std::int64_t>(size);
-  const std::size_t count = wrapped ? size : static_cast<std::size_t>(total_);
-  dump.records.reserve(count);
-  const std::size_t start = wrapped ? next_ : 0;
-  for (std::size_t i = 0; i < count; ++i) {
+  dump.records.reserve(size);
+  // Until the ring fills, its records are oldest-first already.
+  const std::size_t start = size == capacity_ ? next_ : 0;
+  for (std::size_t i = 0; i < size; ++i) {
     dump.records.push_back(ring_[(start + i) % size]);
   }
   return dump;
@@ -317,14 +321,13 @@ FlowLedgerDump FlowLedger::take() {
   dump.source_id = source_id_;
   dump.total = total_;
   dump.stray_events = stray_events_;
-  if (total_ < static_cast<std::int64_t>(ring_.size())) {
-    ring_.resize(static_cast<std::size_t>(total_));  // never wrapped: oldest-first already
-  } else {
+  if (ring_.size() == capacity_) {
     // The oldest record sits at next_: the slot the next close overwrites.
     std::rotate(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(next_), ring_.end());
   }
   dump.records = std::exchange(ring_, {});
   next_ = 0;
+  taken_ = true;
   return dump;
 }
 

@@ -113,7 +113,11 @@ struct FleetFlowGenerator::Component {
 };
 
 FleetFlowGenerator::FleetFlowGenerator(const topology::Fleet& fleet, FleetGenConfig config)
-    : fleet_{&fleet}, config_{config}, index_{fleet}, diurnal_{config.diurnal} {}
+    : fleet_{&fleet},
+      config_{config},
+      root_{config.seed},
+      index_{fleet},
+      diurnal_{config.diurnal} {}
 
 std::vector<FleetFlowGenerator::Component> FleetFlowGenerator::components_for(
     HostRole role) const {
@@ -325,8 +329,7 @@ void FleetFlowGenerator::emit_component(HostId src, const Component& comp,
 
 void FleetFlowGenerator::generate_for_host(HostId host, const Visit& visit) const {
   const core::HostRole role = fleet_->host(host).role;
-  const core::RngStream root{config_.seed};
-  core::RngStream rng = root.fork("fleet-host", host.value());
+  core::RngStream rng = root_.fork("fleet-host", host.value());
   const auto comps = components_for(role);
   const std::int64_t epochs = config_.horizon / config_.epoch;
 

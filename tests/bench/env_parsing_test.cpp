@@ -358,6 +358,11 @@ TEST(ExporterBytes, BenchReportJsonIsExact) {
   fct.add(r);
   report.add_fct(fct.to_json());
 
+  // The knob is set, but a bench that never reads it for a capture length
+  // does not honour it: its report says null, not 5.
+  EXPECT_NE(report.to_json().find(R"("bench_seconds":null,)"), std::string::npos);
+  EXPECT_EQ(BenchEnv::effective_seconds(30), 5);
+
   std::string json = report.to_json();
   json = std::regex_replace(json, std::regex{R"("git":"[^"]*")"}, R"("git":"REV")");
   json = std::regex_replace(json, std::regex{R"("wall_seconds":[0-9]+\.[0-9]{6},)"},

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <concepts>
 #include <cstdint>
+#include <numeric>
 #include <random>
+#include <string>
 #include <vector>
 
 namespace fbdcsim::core {
@@ -214,7 +218,7 @@ TEST(RngUniformConformance, CanonicalMatchesStdOnBoundaryValues) {
 void expect_uniforms_match_std(std::uint64_t seed, int draws) {
   RngStream got{seed};
   RngStream want{seed};
-  std::mt19937_64& e = want.engine();
+  auto& e = want.engine();
   RngStream pick{seed ^ 0xABCDEF};
   for (int i = 0; i < draws; ++i) {
     ASSERT_EQ(bits(got.uniform()), bits(std::uniform_real_distribution<double>{0.0, 1.0}(e)))
@@ -253,6 +257,114 @@ TEST(RngUniformConformance, ExponentialMatchesStdAcrossMeans) {
           << "mean " << mean << " draw " << i;
     }
     EXPECT_TRUE(got.engine() == want.engine()) << "mean " << mean;
+  }
+}
+
+// ---- Mt19937_64 against std::mt19937_64, the oracle ----
+
+static_assert(std::uniform_random_bit_generator<Mt19937_64>);
+static_assert(sizeof(Mt19937_64) == sizeof(std::mt19937_64));
+
+/// Draws `draws` outputs from both engines seeded with `seed`, equal draw
+/// for draw; more than 6 twists at the default 2,000.
+void expect_engine_matches_std(std::uint64_t seed, int draws = 2'000) {
+  Mt19937_64 got{seed};
+  std::mt19937_64 want{seed};
+  for (int i = 0; i < draws; ++i) {
+    ASSERT_EQ(got(), want()) << "seed " << seed << " draw " << i;
+  }
+}
+
+TEST(Mt19937_64Conformance, StandardKnownAnswer) {
+  // [rand.predef]: the 10000th consecutive invocation of a default-
+  // constructed mt19937_64 produces 9981545732273789042. This alone misses
+  // a wrong twist wrap word, whose effect has not reached word 15 by the
+  // 32nd twist; the draw-for-draw tests below catch it.
+  Mt19937_64 e;
+  for (int i = 1; i < 10'000; ++i) (void)e();
+  EXPECT_EQ(e(), 9981545732273789042ULL);
+  EXPECT_EQ(Mt19937_64{}, Mt19937_64{Mt19937_64::kDefaultSeed});
+}
+
+TEST(Mt19937_64Conformance, MatchesStdEngineDrawForDraw) {
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
+                                   ~std::uint64_t{0}}) {
+    expect_engine_matches_std(seed);
+  }
+  for (std::uint64_t k = 0; k < 64; ++k) expect_engine_matches_std(splitmix64(k));
+}
+
+TEST(Mt19937_64Conformance, RngStreamForksSeedLikeTheStdEngine) {
+  // A stream's engine is seeded with splitmix64 of the stream's seed, so a
+  // forked child draws what the std engine draws from that seed.
+  const RngStream root{7};
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    for (RngStream child : {root.fork("fleet-host", i), root.fork("child-" + std::to_string(i))}) {
+      std::mt19937_64 want{splitmix64(child.seed())};
+      for (int d = 0; d < 2'000; ++d) {
+        ASSERT_EQ(child.engine()(), want()) << "child " << i << " draw " << d;
+      }
+    }
+    expect_engine_matches_std(root.fork("fleet-host", i).seed());
+  }
+}
+
+TEST(Mt19937_64Conformance, EqualityAgreesWithStdAfterEqualDrawCounts) {
+  for (const std::uint64_t seed : {std::uint64_t{3}, splitmix64(11)}) {
+    Mt19937_64 got_a{seed};
+    Mt19937_64 got_b{seed};
+    Mt19937_64 got_other{seed + 1};
+    std::mt19937_64 want_a{seed};
+    std::mt19937_64 want_b{seed};
+    std::mt19937_64 want_other{seed + 1};
+    // Around the twist boundaries: b trails a by one draw, then catches up.
+    for (int i = 0; i < 1'000; ++i) {
+      (void)got_a();
+      (void)want_a();
+      ASSERT_EQ(got_a == got_b, want_a == want_b) << "seed " << seed << " draw " << i;
+      ASSERT_FALSE(got_a == got_b);
+      (void)got_b();
+      (void)want_b();
+      ASSERT_EQ(got_a == got_b, want_a == want_b) << "seed " << seed << " draw " << i;
+      ASSERT_TRUE(got_a == got_b);
+      (void)got_other();
+      (void)want_other();
+      ASSERT_EQ(got_a == got_other, want_a == want_other) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+TEST(Mt19937_64Conformance, StdDistributionsDrawTheSameOnBothEngines) {
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{42}, splitmix64(2015)}) {
+    Mt19937_64 got{seed};
+    std::mt19937_64 want{seed};
+    // One object per engine and kind, kept across draws: normal and gamma
+    // carry a spare normal between calls.
+    std::uniform_int_distribution<std::int64_t> int_got{-5, 1'000'003};
+    std::uniform_int_distribution<std::int64_t> int_want{-5, 1'000'003};
+    std::normal_distribution<double> normal_got{3.0, 2.5};
+    std::normal_distribution<double> normal_want{3.0, 2.5};
+    std::gamma_distribution<double> gamma_got{18.0, 1.0};
+    std::gamma_distribution<double> gamma_want{18.0, 1.0};
+    for (int i = 0; i < 4'000; ++i) {
+      ASSERT_EQ(int_got(got), int_want(want)) << "seed " << seed << " draw " << i;
+      ASSERT_EQ(bits(normal_got(got)), bits(normal_want(want))) << "seed " << seed << " draw " << i;
+      ASSERT_EQ(bits(gamma_got(got)), bits(gamma_want(want))) << "seed " << seed << " draw " << i;
+      for (const double mean : {12.0, 40.0, 1e4}) {
+        std::poisson_distribution<std::int64_t> poisson_got{mean};
+        std::poisson_distribution<std::int64_t> poisson_want{mean};
+        ASSERT_EQ(poisson_got(got), poisson_want(want))
+            << "seed " << seed << " draw " << i << " mean " << mean;
+      }
+    }
+    std::vector<int> shuffled_got(257);
+    std::iota(shuffled_got.begin(), shuffled_got.end(), 0);
+    std::vector<int> shuffled_want = shuffled_got;
+    std::shuffle(shuffled_got.begin(), shuffled_got.end(), got);
+    std::shuffle(shuffled_want.begin(), shuffled_want.end(), want);
+    EXPECT_EQ(shuffled_got, shuffled_want) << "seed " << seed;
+    // The same number of engine draws consumed.
+    EXPECT_EQ(got(), want()) << "seed " << seed;
   }
 }
 
